@@ -30,7 +30,6 @@ from .quaternion import (
     depth_exponent,
     filtration_schedule,
     load_algebra_fixtures,
-    norm_histogram,
     supnorm_exponent,
 )
 from .residue import get_context
@@ -381,8 +380,8 @@ def run_counting(cfg: ExperimentConfig) -> TaskResult:
             lat = build_tidy_lattice(order, plan)
         except ValueError as exc:
             raise ConfigError(f"config.plans[{k}]", str(exc)) from None
-        hist = norm_histogram(lat, cfg.z, cfg.delta, range(1, cfg.l_budget + 1))
         rep = counting_bound_report(lat, cfg.z, cfg.delta, cfg.l_budget)
+        hist = rep["histogram"]
         lattices.append(lat)
         hists.append(hist)
         reps.append(rep)

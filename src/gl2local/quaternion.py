@@ -540,20 +540,37 @@ def _distance_ok(alg, frame_vec, z: UpperHalfPoint, delta: Fraction,
     return lhs.leq_rational(4 * Fraction(norm_value) * y * y * delta)
 
 
-def _counting_data(lattice: TidyLattice, z: UpperHalfPoint):
-    """Float Gram matrix of the conjugated Frobenius form plus the exact
-    integer norm form on lattice coordinates."""
+def _frobenius_form(lattice: TidyLattice, z: UpperHalfPoint):
+    """The conjugated Frobenius form ||h(c)||^2 on lattice coordinates, exact
+    over Z[sqrt(a_h)]: integer matrices G_r, G_s (object arrays) and a
+    denominator den with ||h(c)||^2 = (c^T G_r c + sqrt(a_h) c^T G_s c) / den.
+    For nr(c) = m it equals 2 m (1 + 2 u(g z, z))."""
     alg = lattice.order.algebra
-    x, y = float(z.x), float(z.y)
-    rows = []
+    x, y = z.x, z.y
+    h = []
+    for vec in lattice.basis_in_frame():
+        a_e, b_e, c_e, d_e = _iota_inf_exact(alg, vec)
+        h.append((a_e - c_e * x,
+                  (a_e * x + b_e - c_e * (x * x) - d_e * x) * (1 / y),
+                  c_e * y, c_e * x + d_e))
+    zero = QuadRat(0, 0, alg.a_h)
+    gram = [[sum((u * v for u, v in zip(hk, hl)), zero) for hl in h] for hk in h]
+    den = math.lcm(*[q.denominator for row in gram for e in row
+                     for q in (e.r, e.s)])
+    g_r = np.array([[int(e.r * den) for e in row] for row in gram], dtype=object)
+    g_s = np.array([[int(e.s * den) for e in row] for row in gram], dtype=object)
+    return g_r, g_s, den
+
+
+def _counting_data(lattice: TidyLattice, z: UpperHalfPoint):
+    """Float Gram matrix of the conjugated Frobenius form, rounded from the
+    exact form, plus the exact integer norm form on lattice coordinates and
+    the exact form itself."""
+    alg = lattice.order.algebra
+    form = _frobenius_form(lattice, z)
+    g_r, g_s, g_den = form
+    gram = (g_r.astype(float) + math.sqrt(alg.a_h) * g_s.astype(float)) / g_den
     basis_frame = lattice.basis_in_frame()
-    for vec in basis_frame:
-        m = iota_inf(alg, vec)
-        aa, bb, cc, dd = m[0, 0], m[0, 1], m[1, 0], m[1, 1]
-        rows.append([aa - x * cc, (aa * x + bb - cc * x * x - dd * x) / y,
-                     cc * y, cc * x + dd])
-    h = np.array(rows)
-    gram = h @ h.T
     # exact norm form: nr(sum c_k e_k) = c^T F c
     f = [[Fraction(0)] * 4 for _ in range(4)]
     for r in range(4):
@@ -563,7 +580,7 @@ def _counting_data(lattice: TidyLattice, z: UpperHalfPoint):
                        - alg.nr(basis_frame[s])) / 2
     den = math.lcm(*[v.denominator for row in f for v in row])
     f_int = np.array([[int(v * den) for v in row] for row in f], dtype=np.int64)
-    return gram, f_int, den, basis_frame
+    return gram, f_int, den, basis_frame, form
 
 
 def _ellipsoid_points(gram: np.ndarray, bound: float) -> np.ndarray:
@@ -618,48 +635,46 @@ def _ellipsoid_points(gram: np.ndarray, bound: float) -> np.ndarray:
 
 
 def _candidates_with_norms(lattice: TidyLattice, z: UpperHalfPoint, delta,
-                           norms) -> tuple[np.ndarray, np.ndarray, list]:
+                           norms) -> tuple[np.ndarray, np.ndarray, tuple]:
     """Enumerate one representative per +-pair inside the converted ellipsoid
-    for the largest requested norm, keep those whose exact reduced norm is in
-    `norms`, and return (rows, norm values, exact iota entries per basis
-    vector)."""
-    gram, f_int, den, basis_frame = _counting_data(lattice, z)
-    alg = lattice.order.algebra
+    for the largest requested norm and keep those whose exact reduced norm is
+    in `norms`; returns (rows, norm values, exact Frobenius form)."""
+    gram, f_int, den, _, form = _counting_data(lattice, z)
     norms = sorted(set(int(m) for m in norms))
     if norms and norms[0] < 1:
         raise ValueError("norm values must be >= 1")
     if not norms:
-        return np.empty((0, 4), dtype=np.int64), np.empty(0, dtype=np.int64), []
+        return np.empty((0, 4), dtype=np.int64), np.empty(0, dtype=np.int64), form
     bound = float((4 * Fraction(delta) + 2) * norms[-1])
     cands = _ellipsoid_points(gram, bound)
     if len(cands) == 0:
-        return cands, np.empty(0, dtype=np.int64), []
+        return cands, np.empty(0, dtype=np.int64), form
     scaled = np.einsum("ij,jk,ik->i", cands, f_int, cands)
-    keep = (scaled > 0) & (scaled % den == 0)
-    m_vals = np.where(keep, scaled // den, 0)
-    keep &= np.isin(m_vals, np.array(norms, dtype=np.int64))
-    exact_iota = [_iota_inf_exact(alg, vec) for vec in basis_frame]
-    return cands[keep], m_vals[keep], exact_iota
+    keep = np.isin(scaled, den * np.array(norms, dtype=np.int64))
+    return cands[keep], scaled[keep] // den, form
 
 
-def _distance_ok_coords(exact_iota, coords, z: UpperHalfPoint, delta: Fraction,
-                        norm_value: int) -> bool:
-    """Exact u(g z, z) <= delta with g the image of the coordinate vector."""
-    a_e = b_e = c_e = d_e = None
-    for c, (ea, eb, ec, ed) in zip(coords, exact_iota):
-        c = int(c)
-        if c == 0:
-            continue
-        if a_e is None:
-            a_e, b_e, c_e, d_e = ea * c, eb * c, ec * c, ed * c
-        else:
-            a_e, b_e = a_e + ea * c, b_e + eb * c
-            c_e, d_e = c_e + ec * c, d_e + ed * c
-    x, y = z.x, z.y
-    re = a_e * x + b_e - c_e * (x * x - y * y) - d_e * x
-    im = (a_e - c_e * (2 * x) - d_e) * y
-    lhs = re * re + im * im
-    return lhs.leq_rational(4 * Fraction(norm_value) * y * y * delta)
+def _sqrt_sum_nonpositive(u: np.ndarray, v: np.ndarray, a: int) -> np.ndarray:
+    """Exact u + v*sqrt(a) <= 0, elementwise, for integer arrays and a > 0."""
+    uu, avv = u * u, a * v * v
+    return np.where(u <= 0, (v <= 0) | (uu >= avv), (v < 0) & (uu <= avv))
+
+
+def _distance_ok_rows(form, a: int, delta, rows: np.ndarray,
+                      m_vals: np.ndarray) -> np.ndarray:
+    """Exact u(g z, z) <= delta for each row of lattice coordinates, g of
+    reduced norm m_vals > 0, with `form` = (G_r, G_s, den) from
+    `_frobenius_form` and a = a_h.  For det g = m this is the Frobenius bound
+    ||h||^2 <= (4 delta + 2) m, decided over Z[sqrt(a)] by sign rules on
+    Python integers (object arrays), so no size of rows can overflow."""
+    g_r, g_s, den = form
+    ratio = 4 * Fraction(delta) + 2
+    # den * ratio.denominator * (||h||^2 - ratio m) = u + v sqrt(a)
+    c = rows.astype(object)
+    u = ratio.denominator * ((c @ g_r) * c).sum(axis=1) \
+        - ratio.numerator * den * m_vals.astype(object)
+    v = ratio.denominator * ((c @ g_s) * c).sum(axis=1)
+    return _sqrt_sum_nonpositive(u, v, a)
 
 
 def count_lattice_points(lattice: TidyLattice, z: UpperHalfPoint, delta,
@@ -671,12 +686,7 @@ def count_lattice_points(lattice: TidyLattice, z: UpperHalfPoint, delta,
         raise ValueError("delta must be >= 0")
     if norm_value < 1:
         raise ValueError("norm value must be >= 1")
-    rows, _, exact_iota = _candidates_with_norms(lattice, z, delta, [norm_value])
-    count = 0
-    for coords in rows:
-        if _distance_ok_coords(exact_iota, coords, z, delta, norm_value):
-            count += 2  # the -alpha partner
-    return count
+    return norm_histogram(lattice, z, delta, [norm_value])[norm_value]
 
 
 def count_lattice_points_box(lattice: TidyLattice, z: UpperHalfPoint, delta,
@@ -684,7 +694,7 @@ def count_lattice_points_box(lattice: TidyLattice, z: UpperHalfPoint, delta,
     """Independent enumerator: axis-aligned box from the inverse Gram, full
     scan, same exact filters."""
     delta = Fraction(delta)
-    gram, f_int, den, basis_frame = _counting_data(lattice, z)
+    gram, f_int, den, basis_frame, _ = _counting_data(lattice, z)
     bound = float((4 * delta + 2) * norm_value) * (1 + 1e-9) + 1e-9
     inv = np.linalg.inv(gram)
     lims = [int(math.floor(math.sqrt(bound * inv[k, k]) + 1e-9)) for k in range(4)]
@@ -714,32 +724,34 @@ def norm_histogram(lattice: TidyLattice, z: UpperHalfPoint, delta,
     """Counts for every requested norm value in one enumeration pass."""
     delta = Fraction(delta)
     norms = sorted(set(int(m) for m in norms))
-    rows, m_vals, exact_iota = _candidates_with_norms(lattice, z, delta, norms)
-    hist = {m: 0 for m in norms}
-    for coords, m in zip(rows, m_vals):
-        m = int(m)
-        if _distance_ok_coords(exact_iota, coords, z, delta, m):
-            hist[m] += 2
+    rows, m_vals, form = _candidates_with_norms(lattice, z, delta, norms)
+    ok = _distance_ok_rows(form, lattice.order.algebra.a_h, delta, rows, m_vals)
+    accepted = m_vals[ok]
+    hist = dict.fromkeys(norms, 0)
+    values, counts = np.unique(accepted, return_counts=True)
+    hist.update(zip(values.tolist(), (2 * counts).tolist()))  # +-alpha pairs
     return hist
 
 
 def counting_bound_report(lattice: TidyLattice, z: UpperHalfPoint, delta,
                           l_budget: int) -> dict:
     """Sum of counts over norms <= L and over squares m^2 (m <= L), with the
-    growth-shape ratios against L + L^2/N and L + L^3/N.  A smoke test of the
-    growth shape; no claim about the implied constant."""
+    growth-shape ratios against L + L^2/N and L + L^3/N, from one enumeration;
+    "histogram" holds the counts for norms 1..L.  A smoke test of the growth
+    shape; no claim about the implied constant."""
     n_index = lattice.index
-    hist = norm_histogram(lattice, z, delta, range(1, l_budget + 1))
-    hist_sq = norm_histogram(lattice, z, delta,
-                             [m * m for m in range(1, l_budget + 1)])
-    sum1 = sum(hist.values())
-    sum2 = sum(hist_sq[m * m] for m in range(1, l_budget + 1))
+    budget = range(1, l_budget + 1)
+    hist = norm_histogram(lattice, z, delta,
+                          set(budget) | {m * m for m in budget})
+    sum1 = sum(hist[m] for m in budget)
+    sum2 = sum(hist[m * m] for m in budget)
     bd1 = l_budget + Fraction(l_budget**2, n_index)
     bd2 = l_budget + Fraction(l_budget**3, n_index)
     return {
         "N": n_index, "L": l_budget, "sum_counts": sum1,
         "sum_square_norm_counts": sum2,
         "ratio_bd1": sum1 / float(bd1), "ratio_bd2": sum2 / float(bd2),
+        "histogram": {m: hist[m] for m in budget},
     }
 
 

@@ -29,9 +29,11 @@ from gl2local.quaternion import (
     smith_normal_form,
     supnorm_exponent,
     verify_maximal_order,
+    _candidates_with_norms,
     _counting_data,
-    _distance_ok_coords,
-    _iota_inf_exact,
+    _distance_ok,
+    _distance_ok_rows,
+    _sqrt_sum_nonpositive,
 )
 
 FIX = load_algebra_fixtures()
@@ -337,7 +339,7 @@ def test_ellipsoid_form_identity():
     # what converts the distance cutoff into the ellipsoid bound
     lat = build_tidy_lattice(ORD6, {})
     z = UpperHalfPoint(Fraction(1, 10), Fraction(6, 5))
-    gram, _, _, basis_frame = _counting_data(lat, z)
+    gram, _, _, basis_frame, _ = _counting_data(lat, z)
     zc = 0.1 + 1.2j
     rng = random.Random(13)
     checked = 0
@@ -358,8 +360,7 @@ def test_ellipsoid_form_identity():
 def test_distance_filter_matches_float_distance():
     lat = build_tidy_lattice(ORD6, {})
     z = UpperHalfPoint(Fraction(1, 10), Fraction(6, 5))
-    _, _, _, basis_frame = _counting_data(lat, z)
-    exact_iota = [_iota_inf_exact(ALG6, vec) for vec in basis_frame]
+    _, _, _, basis_frame, form = _counting_data(lat, z)
     zc = 0.1 + 1.2j
     rng = random.Random(14)
     checked = 0
@@ -375,9 +376,95 @@ def test_distance_filter_matches_float_distance():
         uval = u_float(mobius(iota_inf(ALG6, vec), zc), zc)
         if abs(uval - 1.0) < 1e-9:
             continue
-        assert _distance_ok_coords(exact_iota, c, z, Fraction(1), int(m)) \
-            == (uval <= 1.0)
+        ok = _distance_ok_rows(form, ALG6.a_h, Fraction(1), np.array([c]),
+                               np.array([int(m)]))
+        assert ok[0] == (uval <= 1.0)
         checked += 1
+
+
+def test_sqrt_sum_sign_rule():
+    def leq(u, v, a, dtype=np.int64):
+        return bool(_sqrt_sum_nonpositive(np.array([u], dtype=dtype),
+                                          np.array([v], dtype=dtype), a)[0])
+    assert leq(-1, -1, 3)                      # u <= 0, v <= 0
+    assert not leq(-1, 1, 3)                   # sqrt(3) - 1 > 0
+    assert leq(-7, 4, 3)                       # 4 sqrt(3) - 7 < 0
+    assert leq(-2, 1, 4)                       # sqrt(4) - 2 = 0
+    assert not leq(7, -4, 3)                   # 7 - 4 sqrt(3) > 0
+    assert leq(1, -1, 3)                       # 1 - sqrt(3) < 0
+    assert leq(2, -1, 4)                       # 2 - sqrt(4) = 0
+    assert not leq(1, 0, 3) and not leq(1, 1, 3)  # u > 0, v >= 0
+    assert leq(0, 0, 7)
+    grid = [(u, v) for u in range(-9, 10) for v in range(-6, 7)]
+    u = np.array([g[0] for g in grid])
+    v = np.array([g[1] for g in grid])
+    for a in (2, 3, 4, 7):
+        expect = [QuadRat(x, w, a).sign() <= 0 for x, w in grid]
+        assert _sqrt_sum_nonpositive(u, v, a).tolist() == expect
+        assert _sqrt_sum_nonpositive(u.astype(object), v.astype(object),
+                                     a).tolist() == expect
+
+
+def _seeded_points(seed, count):
+    rng = random.Random(seed)
+    return [UpperHalfPoint(Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+                           Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+            for _ in range(count)]
+
+
+# z = i with these delta values puts norm-kept candidates exactly on the
+# boundary ||h||^2 = (4 delta + 2) m
+BOUNDARY_CASES = [(ORD6, {}, Fraction(1, 2)), (ORD14, {}, Fraction(7, 6))]
+
+
+@pytest.mark.parametrize("order,plan,delta,z", [
+    *[(o, p, d, UpperHalfPoint(Fraction(0), Fraction(1)))
+      for o, p, d in BOUNDARY_CASES],
+    (ORD6, {}, Fraction(1), UpperHalfPoint(Fraction(1, 10), Fraction(6, 5))),
+    (ORD14, {3: 1}, Fraction(1), UpperHalfPoint(Fraction(1, 10), Fraction(6, 5))),
+    (ORD6, {}, Fraction(3, 2), UpperHalfPoint(Fraction(-3, 7), Fraction(4, 5))),
+    *[(o, {}, Fraction(1), z)
+      for o, z in zip((ORD6, ORD14), _seeded_points(15, 2))],
+])
+def test_distance_filter_matches_independent_oracle(order, plan, delta, z):
+    lat = build_tidy_lattice(order, plan)
+    alg = order.algebra
+    rows, m_vals, form = _candidates_with_norms(lat, z, delta, range(1, 21))
+    assert len(rows) > 50
+    fast = _distance_ok_rows(form, alg.a_h, delta, rows, m_vals)
+    basis_frame = lat.basis_in_frame()
+    for c, m, ok in zip(rows.tolist(), m_vals.tolist(), fast.tolist()):
+        vec = tuple(sum(Fraction(c[k]) * basis_frame[k][i] for k in range(4))
+                    for i in range(4))
+        assert ok == _distance_ok(alg, vec, z, delta, m), (c, m)
+    assert 0 < fast.sum() < len(rows)
+    if z == UpperHalfPoint(Fraction(0), Fraction(1)):
+        g_r, g_s, den = form
+        assert not g_s.any()
+        obj = rows.astype(object)
+        on_boundary = ((obj @ g_r) * obj).sum(axis=1) \
+            == (4 * delta + 2) * den * m_vals.astype(object)
+        assert on_boundary.any() and fast[on_boundary].all()
+
+
+def test_distance_filter_exact_beyond_int64():
+    # alpha and k*alpha move z alike; at k = 10**7 the terms of the form
+    # (over 10**14 * |G|) square past 2**63, and the decisions must not change
+    for order, plan, delta in BOUNDARY_CASES:
+        lat = build_tidy_lattice(order, plan)
+        z = UpperHalfPoint(Fraction(0), Fraction(1))
+        rows, m_vals, form = _candidates_with_norms(lat, z, delta, range(1, 9))
+        a = order.algebra.a_h
+        k = 10**7
+        small = _distance_ok_rows(form, a, delta, rows, m_vals)
+        big = _distance_ok_rows(form, a, delta, k * rows, k * k * m_vals)
+        assert big.tolist() == small.tolist()
+    lat = build_tidy_lattice(ORD6, {})
+    z = UpperHalfPoint(Fraction(-3, 7), Fraction(4, 5))
+    rows, m_vals, form = _candidates_with_norms(lat, z, 1, range(1, 9))
+    assert _distance_ok_rows(form, ALG6.a_h, 1, 1000 * rows,
+                             10**6 * m_vals).tolist() \
+        == _distance_ok_rows(form, ALG6.a_h, 1, rows, m_vals).tolist()
 
 
 # -- counting ------------------------------------------------------------------

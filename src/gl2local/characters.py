@@ -21,12 +21,14 @@ from functools import lru_cache
 import numpy as np
 
 from .cyclotomic import CycloValue
-from .errors import BudgetError, ConstructionError, PrecisionError
+from .errors import BudgetError, ConstructionError
 from .residue import (
     PAdicScalar,
     QuadExtElement,
+    factorize,
     get_context,
     get_ext_context,
+    primitive_root,
     smallest_nonresidue,
 )
 
@@ -41,24 +43,6 @@ def psi_exponent_scaled(p: int, t: int, u: int, m: int) -> int:
     if m % q:
         raise ValueError(f"modulus {m} does not contain p^{t}")
     return (u % q) * (m // q) % m
-
-
-def psi_exponent(x: PAdicScalar, m: int) -> int:
-    """psi(x) as an exponent in Z/m; raises PrecisionError when the residue
-    of x is not known to enough digits."""
-    if x.is_zero or x.val >= 0:
-        return 0
-    t = -x.val
-    return psi_exponent_scaled(x.ctx.p, t, x.residue_unit(t), m)
-
-
-def psi_ext_exponent(x: QuadExtElement, m: int) -> int:
-    """psi_E(x) = psi(tr x) = psi(2a) as an exponent in Z/m."""
-    a = x.a
-    if a.is_zero or a.val >= 0:
-        return 0
-    t = -a.val
-    return psi_exponent_scaled(a.ctx.p, t, 2 * a.residue_unit(t), m)
 
 
 # ---------------------------------------------------------------------------
@@ -111,16 +95,9 @@ class MultChar:
             raise ValueError("working modulus incompatible with value order")
         return self.exponent(u) * (m // self.value_order) % m
 
-    def inverse(self) -> "MultChar":
-        return MultChar(self.p, self.level, -self.exp_on_gen)
-
     @property
     def is_primitive(self) -> bool:
         return self.conductor == self.level
-
-    def __repr__(self) -> str:
-        return (f"MultChar(p={self.p}, level={self.level}, "
-                f"c={self.exp_on_gen}, a={self.conductor})")
 
 
 def primitive_char(p: int, level: int) -> MultChar:
@@ -229,7 +206,7 @@ class UnitGroupE:
 
     def element_order(self, x: tuple[int, int]) -> int:
         n = self.order
-        for f in _prime_factors(self.order):
+        for f, _ in factorize(self.order):
             while n % f == 0 and self.power(x, n // f) == (1, 0):
                 n //= f
         return n
@@ -239,9 +216,9 @@ class UnitGroupE:
     def _find_generators(self):
         p, lvl = self.p, self.level
         if self.ramified:
-            # Teichmueller lift of a residue-field generator, then the two
-            # one-unit generators 1+sqrt(p) and 1+p
-            g0 = self.power((_primitive_root(p), 0), p ** (lvl - 1))
+            # Teichmueller lift of a residue-field generator (the lift of g
+            # and of g + p agree), then the one-unit generators 1+sqrt(p), 1+p
+            g0 = self.power((primitive_root(p), 0), p ** (lvl - 1))
             gens = [g0, (1, 1), ((1 + p) % self.mod_a, 0)]
             expect = [p - 1, p ** (lvl // 2), p ** ((lvl - 1) // 2)]
         else:
@@ -289,27 +266,6 @@ class UnitGroupE:
     def f_unit_keys(self) -> list[tuple[int, int]]:
         """Image of o^x among the keys."""
         return [(u, 0) for u in range(1, self.mod_a) if u % self.p != 0]
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def _primitive_root(p: int) -> int:
-    for g in range(2, p):
-        if all(pow(g, (p - 1) // f, p) != 1 for f in _prime_factors(p - 1)):
-            return g
-    raise ValueError(f"no primitive root mod {p}")
 
 
 def _ff_order(p: int, d: int, a: int, b: int) -> int:
@@ -396,20 +352,12 @@ class ThetaChar:
         return any(self.exponent(g.conj_key(k)) != self.exponent(k)
                    for k in g.generators)
 
-    def with_pi_sign(self, sign: int) -> "ThetaChar":
-        return ThetaChar(self.group, self.exps, sign)
-
     def conjugated(self) -> "ThetaChar":
         """theta o (Galois conjugation)."""
         out = ThetaChar(self.group, self.exps, self.pi_sign)
         g = self.group
         out.table = {k: self.table[g.conj_key(k)] for k in self.table}
         return out
-
-    def __repr__(self) -> str:
-        kind = "ramified" if self.ramified else "unramified"
-        return (f"ThetaChar(p={self.p}, {kind}, a={self.level}, "
-                f"exps={self.exps}, pi={self.pi_sign})")
 
 
 def _one_unit_keys(group: UnitGroupE, depth: int) -> list[tuple[int, int]]:

@@ -32,8 +32,8 @@ from .quaternion import (
     load_algebra_fixtures,
     supnorm_exponent,
 )
-from .residue import get_context
-from .statphase import pair_count_bound, phi_fast_value, speedup_report
+from .residue import get_context, is_prime
+from .statphase import phi_fast_value, speedup_report
 from .whittaker import ReprSpec
 
 FAMILIES = ("ps", "sc-unramified", "sc-ramified")
@@ -67,15 +67,8 @@ def _parse_fraction(value, path: str) -> Fraction:
         raise ConfigError(path, f"not a rational number: {value!r}") from None
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass
@@ -121,13 +114,13 @@ class ExperimentConfig:
             raise ConfigError(f"{path}.task", f"must be one of {TASKS}")
         cfg = cls(task=task)
         cfg.p = raw.get("p", cfg.p)
-        if not (_is_prime(cfg.p) and cfg.p % 2):
+        if not (_is_int(cfg.p) and cfg.p % 2 and is_prime(cfg.p)):
             raise ConfigError(f"{path}.p", "must be an odd prime")
         cfg.family = raw.get("family", cfg.family)
         if cfg.family not in FAMILIES:
             raise ConfigError(f"{path}.family", f"must be one of {FAMILIES}")
         cfg.n = raw.get("n", cfg.n)
-        if not isinstance(cfg.n, int) or cfg.n < 2:
+        if not _is_int(cfg.n) or cfg.n < 2:
             raise ConfigError(f"{path}.n", "must be an integer >= 2")
         if cfg.family == "ps" and cfg.n % 2:
             raise ConfigError(f"{path}.n", "principal series requires even n")
@@ -138,28 +131,41 @@ class ExperimentConfig:
             raise ConfigError(f"{path}.n",
                               "ramified supercuspidal requires odd n >= 3")
         cfg.i_values = raw.get("i_values", None)
-        if cfg.i_values is not None:
-            if not all(isinstance(i, int) and 0 <= i <= cfg.n
-                       for i in cfg.i_values):
-                raise ConfigError(f"{path}.i_values",
-                                  f"entries must be integers in [0, {cfg.n}]")
-        cfg.v_a_values = tuple(raw.get("v_a_values", cfg.v_a_values))
+        n0 = cfg.n // 2
+        if cfg.i_values is not None and not (
+                isinstance(cfg.i_values, list)
+                and all(_is_int(i) and n0 < i <= cfg.n for i in cfg.i_values)):
+            raise ConfigError(f"{path}.i_values",
+                              f"must be a list of integers in ({n0}, {cfg.n}]")
+        v_a_values = raw.get("v_a_values", cfg.v_a_values)
+        if not (isinstance(v_a_values, (list, tuple))
+                and all(_is_int(v) for v in v_a_values)):
+            raise ConfigError(f"{path}.v_a_values", "must be a list of integers")
+        cfg.v_a_values = tuple(v_a_values)
         cfg.units_per_class = raw.get("units_per_class", cfg.units_per_class)
-        if cfg.units_per_class < 1:
-            raise ConfigError(f"{path}.units_per_class", "must be >= 1")
+        if not _is_int(cfg.units_per_class) or cfg.units_per_class < 1:
+            raise ConfigError(f"{path}.units_per_class",
+                              "must be an integer >= 1")
         cfg.algebra = raw.get("algebra", cfg.algebra)
         plans = raw.get("plans", None)
         if plans is not None:
+            if not isinstance(plans, list):
+                raise ConfigError(f"{path}.plans", "must be a list of objects")
             cfg.plans = []
             for k, plan in enumerate(plans):
                 if not isinstance(plan, dict):
                     raise ConfigError(f"{path}.plans[{k}]", "must be an object")
                 try:
-                    cfg.plans.append({int(q): int(r) for q, r in plan.items()})
-                except ValueError:
+                    parsed = {int(q): r for q, r in plan.items()}
+                except (TypeError, ValueError):
+                    parsed = None
+                if parsed is None or not all(map(_is_int, parsed.values())):
                     raise ConfigError(f"{path}.plans[{k}]",
-                                      "keys and values must be integers") from None
+                                      "keys and values must be integers")
+                cfg.plans.append(parsed)
         zraw = raw.get("z", {"x": "1/10", "y": "6/5"})
+        if not isinstance(zraw, dict):
+            raise ConfigError(f"{path}.z", "must be an object with fields x, y")
         try:
             cfg.z = UpperHalfPoint(_parse_fraction(zraw.get("x", 0), f"{path}.z.x"),
                                    _parse_fraction(zraw.get("y", 1), f"{path}.z.y"))
@@ -169,10 +175,13 @@ class ExperimentConfig:
         if cfg.delta < 0:
             raise ConfigError(f"{path}.delta", "must be >= 0")
         cfg.l_budget = raw.get("L", cfg.l_budget)
-        if not isinstance(cfg.l_budget, int) or cfg.l_budget < 1:
+        if not _is_int(cfg.l_budget) or cfg.l_budget < 1:
             raise ConfigError(f"{path}.L", "must be an integer >= 1")
         cfg.verify_box_max_norm = raw.get("verify_box_max_norm",
                                           cfg.verify_box_max_norm)
+        if not _is_int(cfg.verify_box_max_norm) or cfg.verify_box_max_norm < 0:
+            raise ConfigError(f"{path}.verify_box_max_norm",
+                              "must be an integer >= 0")
         cfg.eta1 = _parse_fraction(raw.get("eta1", cfg.eta1), f"{path}.eta1")
         cfg.eta2 = _parse_fraction(raw.get("eta2", cfg.eta2), f"{path}.eta2")
         if task == "exponent":
@@ -180,14 +189,16 @@ class ExperimentConfig:
             if not 0 <= cfg.eta1 <= cfg.eta2:
                 raise ConfigError(f"{path}.eta1", "need 0 <= eta1 <= eta2")
         cfg.a1 = raw.get("a1", None)
-        if cfg.a1 is not None and (not isinstance(cfg.a1, int) or cfg.a1 < 1):
+        if cfg.a1 is not None and (not _is_int(cfg.a1) or cfg.a1 < 1):
             raise ConfigError(f"{path}.a1", "must be an integer >= 1")
         cfg.out = raw.get("out", cfg.out)
+        if not isinstance(cfg.out, str):
+            raise ConfigError(f"{path}.out", "must be a path string")
         cfg.seed = raw.get("seed", cfg.seed)
-        if not isinstance(cfg.seed, int):
+        if not _is_int(cfg.seed):
             raise ConfigError(f"{path}.seed", "must be an integer")
         cfg.threads = raw.get("threads", cfg.threads)
-        if not isinstance(cfg.threads, int) or cfg.threads < 1:
+        if not _is_int(cfg.threads) or cfg.threads < 1:
             raise ConfigError(f"{path}.threads", "must be an integer >= 1")
         cfg.configs = raw.get("configs", None)
         if task == "sweep":

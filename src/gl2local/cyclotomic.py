@@ -1,4 +1,5 @@
-"""Exact arithmetic in Z[zeta_M] with an exact zero test and a float embedding.
+"""Exact sums of roots of unity in Z[zeta_M], with an exact zero test and a
+float embedding.
 
 Values are integer coordinate vectors over the tensor of prime-power power
 bases: Z[zeta_M] = (x) Z[zeta_{p^a}] over the prime powers p^a || M, each
@@ -7,8 +8,10 @@ roots of unity onto this basis is a linear-time fold per axis (the relation
 zeta^{phi(p^a)} = -(1 + zeta^{p^(a-1)} + ... + zeta^{(p-2)p^(a-1)})), so no
 reduction table in the size of M is ever materialized.  Coordinates are exact
 integers and a value is zero iff every coordinate is zero; an optional
-Fraction scale carries measure normalizations exactly.  Division by a Gauss
-sum is never performed in this ring: zero tests run on numerators and
+Fraction scale carries measure normalizations exactly.  Values are built
+from count vectors and support addition, rational scaling, rotation by a
+root of unity and complex conjugation; the evaluators never multiply two
+values or divide by a Gauss sum: zero tests run on numerators and
 magnitudes go through the float embedding.
 """
 
@@ -21,24 +24,9 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BudgetError
+from .residue import factorize
 
 PHI_BUDGET = 10**4
-
-
-def factorize(n: int) -> list[tuple[int, int]]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            a = 0
-            while n % d == 0:
-                n //= d
-                a += 1
-            out.append((d, a))
-        d += 1
-    if n > 1:
-        out.append((n, 1))
-    return out
 
 
 def euler_phi(n: int) -> int:
@@ -182,11 +170,6 @@ class CycloValue:
         return root_of_unity(m, 0)
 
     @staticmethod
-    def from_int(m: int, n: int) -> "CycloValue":
-        v = root_of_unity(m, 0)
-        return CycloValue(m, v.coords * n if abs(n) < 2**40 else v.coords.astype(object) * n)
-
-    @staticmethod
     def from_counts(m: int, counts, scale: Fraction = Fraction(1)) -> "CycloValue":
         """Exact reduction of sum_t counts[t] * zeta_M^t."""
         basis = _basis(m)
@@ -197,7 +180,7 @@ class CycloValue:
             arr = arr.astype(object)
         return CycloValue(m, basis.reduce_counts(arr), scale)
 
-    # -- ring ops --------------------------------------------------------------
+    # -- arithmetic ------------------------------------------------------------
 
     def _common_scale(self, other: "CycloValue") -> tuple[Fraction, int, int]:
         s1, s2 = self.scale, other.scale
@@ -221,37 +204,13 @@ class CycloValue:
     def __sub__(self, other: "CycloValue") -> "CycloValue":
         return self + (-other)
 
-    def __mul__(self, other) -> "CycloValue":
-        if isinstance(other, (int, Fraction)):
-            return CycloValue(self.m, self.coords, self.scale * other) if other else CycloValue.zero(self.m)
-        if self.m != other.m:
-            raise ValueError("mixed cyclotomic moduli")
-        basis = _basis(self.m)
-        if self.is_zero() or other.is_zero():
+    def __mul__(self, other: int | Fraction) -> "CycloValue":
+        """Rational multiple; products of two values are never needed."""
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        if not other:
             return CycloValue.zero(self.m)
-        u = basis.scatter(self.coords)
-        v = basis.scatter(other.coords)
-        nz_u, nz_v = int(np.count_nonzero(u)), int(np.count_nonzero(v))
-        if nz_u > nz_v:
-            u, v, nz_u = v, u, nz_v
-        if nz_u * self.m > 5 * 10**7:
-            raise BudgetError("dense cyclotomic product too large; use root multiplications")
-        big = (u.dtype == object or v.dtype == object
-               or int(np.abs(u).max()) * int(np.abs(v).max()) * nz_u > 2**60)
-        acc = np.zeros(basis.moduli, dtype=object if big else np.int64)
-        if big:
-            v = v.astype(object)
-        it = np.argwhere(u)
-        for idx in it:
-            c = u[tuple(idx)]
-            shifted = v
-            for axis, off in enumerate(idx):
-                if off:
-                    shifted = np.roll(shifted, int(off), axis=axis)
-            acc += c * shifted
-        for axis in range(len(basis.factors)):
-            acc = basis.fold_axis(acc, axis)
-        return CycloValue(self.m, acc, self.scale * other.scale)
+        return CycloValue(self.m, self.coords, self.scale * other)
 
     __rmul__ = __mul__
 
@@ -279,12 +238,6 @@ class CycloValue:
             full = basis.fold_axis(full, axis)
         return CycloValue(self.m, full, self.scale)
 
-    def divide_rational(self, r: Fraction | int) -> "CycloValue":
-        r = Fraction(r)
-        if r == 0:
-            raise ZeroDivisionError("division of a cyclotomic value by zero")
-        return CycloValue(self.m, self.coords, self.scale / r)
-
     # -- predicates / embedding -----------------------------------------------
 
     def is_zero(self) -> bool:
@@ -295,16 +248,6 @@ class CycloValue:
 
     def complex(self) -> complex:
         return complex(self.scale) * _basis(self.m).embed(self.coords)
-
-    def __abs__(self) -> float:
-        return abs(self.complex())
-
-    def term_count(self) -> int:
-        return int(np.abs(self.coords.astype(object) if self.coords.dtype == object
-                          else self.coords).sum())
-
-    def __repr__(self) -> str:
-        return f"CycloValue(M={self.m}, scale={self.scale}, nonzeros={int(np.count_nonzero(self.coords))})"
 
 
 def root_of_unity(m: int, e: int) -> CycloValue:

@@ -9,7 +9,6 @@ integer residue matrices so no precision is lost in products or inverses.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -17,21 +16,6 @@ import numpy as np
 from .cyclotomic import CycloValue
 from .residue import PAdicScalar, get_context, padic_valuation
 from .whittaker import ReprSpec, WhittakerEngine, required_precision
-
-
-class MatCoefQuery:
-    """One evaluation request: shear depth i with diagonal and additive
-    arguments.  m may be the zero scalar (additive character trivial)."""
-
-    __slots__ = ("spec", "i", "a", "m")
-
-    def __init__(self, spec: ReprSpec, i: int, a: PAdicScalar, m: PAdicScalar):
-        if not spec.n0 < i <= spec.n:
-            raise ValueError(f"shear depth {i} outside (n0, n] for {spec}")
-        self.spec = spec
-        self.i = i
-        self.a = a
-        self.m = m
 
 
 class MatCoefEngine:
@@ -182,10 +166,6 @@ class KStarElement:
                             -det_inv * self.b, -det_inv * self.c,
                             det_inv * self.a)
 
-    def __repr__(self) -> str:
-        return (f"KStarElement(p={self.p}, k={self.k}, "
-                f"[[{self.a},{self.b}],[{self.c},{self.d}]])")
-
 
 def decompose_k_star(g: KStarElement, spec: ReprSpec
                      ) -> tuple[int, PAdicScalar, PAdicScalar]:
@@ -224,7 +204,7 @@ def decompose_k_star(g: KStarElement, spec: ReprSpec
     return i, a_out, m_out
 
 
-# -- support and decay verifiers ------------------------------------------
+# -- support law and decay bound ------------------------------------------
 
 
 def support_expected_zero(spec: ReprSpec, i: int, v_a: int | None,
@@ -271,42 +251,7 @@ def decay_bound(spec: ReprSpec) -> int:
     return 2 * q * q if spec.family == "ps" else q**3
 
 
-def verify_decay(engine: MatCoefEngine, i: int, samples: int, rng) -> dict:
-    """Max of |phi| q^((n-i)/2) over sampled supported pairs plus the family
-    bound; caller asserts max_ratio <= bound."""
-    spec = engine.spec
-    if not spec.n0 < i < spec.n - 1:
-        raise ValueError("decay statement applies strictly inside the range")
-    p = spec.p
-    ctx = get_context(p, spec.n1 + spec.n)
-    worst = (0.0, None)
-    for _ in range(samples):
-        a = ctx.scalar(0, _random_unit(p, spec.n0 + 1, rng), spec.n0 + 1)
-        madd = ctx.scalar(i - spec.n, _random_unit(p, spec.n1 + 1, rng),
-                          spec.n1 + 1)
-        value = engine.phi_value(i, a, madd)
-        ratio = abs(value) * p ** ((spec.n - i) / 2)
-        if ratio > worst[0]:
-            worst = (ratio, (a.unit, madd.unit))
-    return {"p": p, "n": spec.n, "family": spec.label, "i": i,
-            "samples": samples, "max_ratio": worst[0], "argmax": worst[1],
-            "bound": decay_bound(spec), "ok": worst[0] <= decay_bound(spec)}
-
-
-def _random_unit(p: int, level: int, rng) -> int:
-    return rng.randrange(p ** (level - 1)) * p + rng.randrange(1, p)
-
-
 # -- invariant subspace dimension ------------------------------------------
-
-
-def filtration_depth(n1: int, eta: Fraction) -> int:
-    """Depth schedule eta -> floor(n1 eta / 2) mapping an exponent budget in
-    [0, 1/2] to a congruence level; monotone, bounded by n1."""
-    eta = Fraction(eta)
-    if not 0 <= eta <= Fraction(1, 2):
-        raise ValueError("eta must lie in [0, 1/2]")
-    return int(n1 * eta / 2)
 
 
 def gram_dimension_estimate(engine: MatCoefEngine, sample_count: int, rng,

@@ -17,7 +17,7 @@ from importlib import resources
 
 import numpy as np
 
-from .residue import padic_valuation
+from .residue import factorize, padic_valuation
 from .statphase import sqrt_mod_prime
 
 
@@ -49,18 +49,7 @@ def local_hilbert_symbol(a: int, b: int, place) -> int:
 
 def ramified_primes(a: int, b: int) -> list[int]:
     """Finite ramified places; the product formula is asserted as a check."""
-    places = {2}
-    for n in (abs(a), abs(b)):
-        while n % 2 == 0:
-            n //= 2
-        d = 3
-        while d * d <= n:
-            while n % d == 0:
-                places.add(d)
-                n //= d
-            d += 2
-        if n > 1:
-            places.add(n)
+    places = {2} | {q for n in (a, b) for q, _ in factorize(abs(n))}
     ram = sorted(p for p in places if local_hilbert_symbol(a, b, p) == -1)
     total = len(ram) + (1 if local_hilbert_symbol(a, b, math.inf) == -1 else 0)
     assert total % 2 == 0, "Hilbert symbol product formula violated"

@@ -1,20 +1,43 @@
-"""Exact arithmetic in Z_p and in quadratic extensions, at finite precision.
+"""p-adic scalars and quadratic extensions at finite precision, and the
+elementary number theory (factorization, primality, primitive roots) the
+package shares.
 
-A scalar is stored as p^val * unit where the unit residue is known modulo
-p^prec.  Addition can cancel leading digits; the surviving precision is
-tracked explicitly and exhausting it raises PrecisionError instead of
-returning a silently wrong value.  Elements of the quadratic extension
-F(sqrt(D)) are coordinate pairs a + b*sqrt(D).
+A scalar is stored as p^val * unit with the unit residue known modulo
+p^prec; reading more digits than are known raises PrecisionError instead of
+returning a silently wrong value.  Scalars carry valuations and residues
+into the character and coefficient layers, which compute on machine
+integers.  Elements of the quadratic extension F(sqrt(D)) are coordinate
+pairs a + b*sqrt(D).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import BudgetError, PrecisionError
 
 LOG_TABLE_BUDGET = 10**7
+
+
+def factorize(n: int) -> list[tuple[int, int]]:
+    """Prime factorization of n >= 1 as ascending (prime, exponent) pairs."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            a = 0
+            while n % d == 0:
+                n //= d
+                a += 1
+            out.append((d, a))
+        d += 1
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
+def is_prime(n: int) -> bool:
+    return n >= 2 and factorize(n) == [(n, 1)]
 
 
 def padic_valuation(n: int, p: int) -> int:
@@ -28,19 +51,11 @@ def padic_valuation(n: int, p: int) -> int:
     return v
 
 
-def _primitive_root_mod_p2(p: int) -> int:
-    # a generator mod p^2 generates (Z/p^K)^x for every K >= 1 (p odd)
+def primitive_root(p: int) -> int:
+    """Generator g of (Z/p^2)^x, p an odd prime: the smallest primitive root
+    mod p, or that root plus p.  It generates (Z/p^K)^x for every K >= 1."""
     phi = p - 1
-    factors = set()
-    m = phi
-    d = 2
-    while d * d <= m:
-        while m % d == 0:
-            factors.add(d)
-            m //= d
-        d += 1
-    if m > 1:
-        factors.add(m)
+    factors = [f for f, _ in factorize(phi)]
     for g in range(2, p):
         if all(pow(g, phi // f, p) != 1 for f in factors):
             if pow(g, phi, p * p) != 1:
@@ -55,17 +70,12 @@ def get_context(p: int, prec_exp: int) -> "PAdicContext":
 
 
 class PAdicContext:
-    """Fixed prime p (odd) and working precision exponent K.
-
-    Scalars from different contexts never mix; build arithmetic at the
-    precision required by the computation up front.
-    """
+    """Fixed prime p (odd) and working precision exponent K, with the
+    generator and discrete-log table of (Z/p^K)^x built on first use."""
 
     def __init__(self, p: int, prec_exp: int):
-        if p < 3 or p % 2 == 0:
-            raise ValueError("p must be an odd prime")
-        if any(p % d == 0 for d in range(3, int(p**0.5) + 1, 2)):
-            raise ValueError(f"{p} is not prime")
+        if p == 2 or not is_prime(p):
+            raise ValueError(f"p must be an odd prime, got {p}")
         if prec_exp < 1:
             raise ValueError("precision exponent must be >= 1")
         self.p = p
@@ -74,15 +84,12 @@ class PAdicContext:
         self._log_table: dict[int, int] | None = None
         self._generator: int | None = None
 
-    def __repr__(self) -> str:
-        return f"PAdicContext(p={self.p}, K={self.prec_exp})"
-
     # -- unit-group tables ------------------------------------------------
 
     @property
     def generator(self) -> int:
         if self._generator is None:
-            self._generator = _primitive_root_mod_p2(self.p) % self.modulus
+            self._generator = primitive_root(self.p) % self.modulus
         return self._generator
 
     @property
@@ -138,17 +145,6 @@ class PAdicContext:
         v = padic_valuation(n, self.p)
         return self.scalar(v, n // self.p**v)
 
-    def from_rational(self, x: Fraction | int) -> "PAdicScalar":
-        x = Fraction(x)
-        if x == 0:
-            return self.zero()
-        vn = padic_valuation(x.numerator, self.p) if x.numerator else 0
-        vd = padic_valuation(x.denominator, self.p)
-        num = x.numerator // self.p**vn
-        den = x.denominator // self.p**vd
-        unit = num * pow(den, -1, self.modulus)
-        return self.scalar(vn - vd, unit)
-
 
 class PAdicScalar:
     """p^val * unit with the unit residue known mod p^prec."""
@@ -173,82 +169,6 @@ class PAdicScalar:
         self.unit = unit
         self.prec = prec
 
-    def __repr__(self) -> str:
-        if self.is_zero:
-            return "PAdicScalar(0)"
-        return f"PAdicScalar({self.ctx.p}^{self.val}*{self.unit} [prec {self.prec}])"
-
-    def _check(self, other: "PAdicScalar") -> None:
-        if self.ctx is not other.ctx:
-            raise ValueError("mixed-precision/context arithmetic refused")
-
-    # -- basic ops ---------------------------------------------------------
-
-    def __mul__(self, other: "PAdicScalar") -> "PAdicScalar":
-        self._check(other)
-        if self.is_zero or other.is_zero:
-            return self.ctx.zero()
-        return PAdicScalar(
-            self.ctx, False, self.val + other.val,
-            self.unit * other.unit, min(self.prec, other.prec),
-        )
-
-    def __truediv__(self, other: "PAdicScalar") -> "PAdicScalar":
-        self._check(other)
-        if other.is_zero:
-            raise ZeroDivisionError("division by p-adic zero")
-        if self.is_zero:
-            return self.ctx.zero()
-        prec = min(self.prec, other.prec)
-        inv = pow(other.unit, -1, self.ctx.p**prec)
-        return PAdicScalar(self.ctx, False, self.val - other.val, self.unit * inv, prec)
-
-    def __neg__(self) -> "PAdicScalar":
-        if self.is_zero:
-            return self
-        return PAdicScalar(self.ctx, False, self.val, -self.unit, self.prec)
-
-    def __add__(self, other: "PAdicScalar") -> "PAdicScalar":
-        self._check(other)
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        p = self.ctx.p
-        # absolute precision of each coset p^val*(unit + p^prec o)
-        abs_prec = min(self.val + self.prec, other.val + other.prec)
-        base = min(self.val, other.val)
-        rel = abs_prec - base
-        if rel <= 0:
-            raise PrecisionError("sum carries no significant digits")
-        m = p**rel
-        s = (self.unit * p ** (self.val - base) + other.unit * p ** (other.val - base)) % m
-        if s == 0:
-            raise PrecisionError("result indistinguishable from zero at working precision")
-        e = padic_valuation(s, p)
-        return PAdicScalar(self.ctx, False, base + e, s // p**e, rel - e)
-
-    def __sub__(self, other: "PAdicScalar") -> "PAdicScalar":
-        return self + (-other)
-
-    def __pow__(self, k: int) -> "PAdicScalar":
-        if self.is_zero:
-            if k <= 0:
-                raise ZeroDivisionError("0 to a non-positive power")
-            return self
-        return PAdicScalar(self.ctx, False, self.val * k,
-                           pow(self.unit, k, self.ctx.p**self.prec) if k >= 0
-                           else pow(pow(self.unit, -1, self.ctx.p**self.prec), -k, self.ctx.p**self.prec),
-                           self.prec)
-
-    def shift(self, k: int) -> "PAdicScalar":
-        """Multiply by p^k."""
-        if self.is_zero:
-            return self
-        return PAdicScalar(self.ctx, False, self.val + k, self.unit, self.prec)
-
-    # -- inspection ----------------------------------------------------------
-
     def residue_unit(self, level: int) -> int:
         """Unit part mod p^level; PrecisionError if not that many digits are known."""
         if self.is_zero:
@@ -256,29 +176,6 @@ class PAdicScalar:
         if level > self.prec:
             raise PrecisionError(f"unit known mod p^{self.prec}, requested p^{level}")
         return self.unit % self.ctx.p**level
-
-    def same(self, other: "PAdicScalar") -> bool:
-        """Agreement of the two cosets at their common precision."""
-        if self.ctx is not other.ctx:
-            return False
-        if self.is_zero or other.is_zero:
-            return self.is_zero and other.is_zero
-        if self.val != other.val:
-            return False
-        k = min(self.prec, other.prec)
-        return (self.unit - other.unit) % self.ctx.p**k == 0
-
-    __eq__ = None  # type: ignore[assignment]  # use .same(); hashing by identity
-
-    def __hash__(self):
-        return id(self)
-
-
-def valuation(x: PAdicScalar) -> int:
-    """v(x); raises on the zero scalar (its valuation exceeds any precision)."""
-    if x.is_zero:
-        raise PrecisionError("valuation of zero is +infinity")
-    return x.val
 
 
 # ---------------------------------------------------------------------------
@@ -308,11 +205,6 @@ class QuadExtContext:
         self.ramified = ramified
         self.e = 2 if ramified else 1
         self.f = 1 if ramified else 2
-        p = base.p
-        if ramified:
-            self.d_val, self.d_unit = 1, 1  # D = p
-        else:
-            self.d_val, self.d_unit = 0, smallest_nonresidue(p)
 
     @property
     def p(self) -> int:
@@ -322,18 +214,8 @@ class QuadExtContext:
         """Cardinality q_E of the residue field of E."""
         return self.p**self.f
 
-    def d_scalar(self) -> PAdicScalar:
-        return self.base.scalar(self.d_val, self.d_unit)
-
     def element(self, a: PAdicScalar, b: PAdicScalar) -> "QuadExtElement":
         return QuadExtElement(self, a, b)
-
-    def from_ints(self, a: int, b: int) -> "QuadExtElement":
-        return QuadExtElement(self, self.base.from_int(a), self.base.from_int(b))
-
-    def __repr__(self) -> str:
-        kind = "ramified" if self.ramified else "unramified"
-        return f"QuadExtContext(p={self.p}, {kind}, K={self.base.prec_exp})"
 
 
 class QuadExtElement:
@@ -345,38 +227,6 @@ class QuadExtElement:
         self.ext = ext
         self.a = a
         self.b = b
-
-    def __repr__(self) -> str:
-        return f"QuadExtElement({self.a!r} + {self.b!r}*sqrt(D))"
-
-    def __add__(self, other: "QuadExtElement") -> "QuadExtElement":
-        return QuadExtElement(self.ext, self.a + other.a, self.b + other.b)
-
-    def __neg__(self) -> "QuadExtElement":
-        return QuadExtElement(self.ext, -self.a, -self.b)
-
-    def __sub__(self, other: "QuadExtElement") -> "QuadExtElement":
-        return self + (-other)
-
-    def __mul__(self, other: "QuadExtElement") -> "QuadExtElement":
-        d = self.ext.d_scalar()
-        a1, b1, a2, b2 = self.a, self.b, other.a, other.b
-        return QuadExtElement(self.ext, a1 * a2 + b1 * b2 * d, a1 * b2 + b1 * a2)
-
-    def conj(self) -> "QuadExtElement":
-        return QuadExtElement(self.ext, self.a, -self.b)
-
-    def trace(self) -> PAdicScalar:
-        return self.a * self.a.ctx.from_int(2)
-
-    def same(self, other: "QuadExtElement") -> bool:
-        return self.a.same(other.a) and self.b.same(other.b)
-
-
-def ext_norm(x: QuadExtElement) -> PAdicScalar:
-    """N(a + b sqrt(D)) = a^2 - D b^2."""
-    d = x.ext.d_scalar()
-    return x.a * x.a - d * x.b * x.b
 
 
 def ext_valuation(x: QuadExtElement) -> int:
@@ -401,20 +251,6 @@ def ext_valuation(x: QuadExtElement) -> int:
     if not b.is_zero:
         cands.append(b.val)
     return min(cands)
-
-
-def uniformizer_power(ext: QuadExtContext, k: int) -> QuadExtElement:
-    """The k-th power of the uniformizer of E (k may be negative).
-
-    e_E=1: p^k.  e_E=2: sqrt(p)^k = p^(k//2) * sqrt(p)^(k mod 2).
-    """
-    base = ext.base
-    if not ext.ramified:
-        return QuadExtElement(ext, base.scalar(k, 1), base.zero())
-    half, odd = k // 2, k % 2
-    if odd == 0:
-        return QuadExtElement(ext, base.scalar(half, 1), base.zero())
-    return QuadExtElement(ext, base.zero(), base.scalar(half, 1))
 
 
 def unit_shell_reps(ext: QuadExtContext, k: int) -> list[tuple[int, int]]:

@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .characters import alpha_of_chi, alpha_of_theta, psi_exponent_scaled
-from .cyclotomic import CycloValue, root_of_unity
+from .cyclotomic import CycloValue
 from .matcoef import MatCoefEngine
 from .residue import PAdicScalar, get_context, get_ext_context, unit_shell_reps
 
@@ -107,9 +107,6 @@ class CriticalPair:
     u0: int | tuple[int, int]
     phase_exponent: int
     weight: Fraction
-
-    def phase(self, m: int) -> CycloValue:
-        return root_of_unity(m, self.phase_exponent)
 
 
 def _unit_lifts(base: int, step_exp: int, target_exp: int, p: int) -> list[int]:

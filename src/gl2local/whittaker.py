@@ -28,7 +28,6 @@ from .characters import (
     psi_exponent_scaled,
 )
 from .cyclotomic import CycloValue
-from .errors import PrecisionError
 from .residue import PAdicScalar, get_ext_context, unit_shell_reps
 
 

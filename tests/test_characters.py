@@ -7,6 +7,7 @@ import pytest
 
 from gl2local.characters import (
     MultChar,
+    ThetaChar,
     all_primitive_chars,
     alpha_of_chi,
     alpha_of_theta,
@@ -16,15 +17,13 @@ from gl2local.characters import (
     gauss_c0_supercuspidal,
     get_unit_group,
     primitive_char,
-    psi_exponent,
     psi_exponent_scaled,
-    psi_ext_exponent,
     required_gauss_modulus,
     shell_norm_valuation,
 )
 from gl2local.cyclotomic import CycloValue, root_of_unity
 from gl2local.errors import ConstructionError, PrecisionError
-from gl2local.residue import ext_valuation, get_context, get_ext_context
+from gl2local.residue import ext_valuation, get_context
 
 
 def test_psi_exponent_additive():
@@ -42,22 +41,17 @@ def test_psi_exponent_additive():
 
 
 def test_psi_exponent_scalar_interface():
+    # callers evaluate psi at a scalar x through its unit residue to -v(x)
+    # digits; integral arguments give exponent 0
+    assert psi_exponent_scaled(5, 0, 7, 25) == 0
     ctx = get_context(5, 4)
-    assert psi_exponent(ctx.from_int(7), 25) == 0
     x = ctx.scalar(-2, 3, 4)
-    assert psi_exponent(x, 25) == 3
+    assert psi_exponent_scaled(5, -x.val, x.residue_unit(-x.val), 25) == 3
     with pytest.raises(ValueError):
-        psi_exponent(x, 15)  # 25 does not divide 15
+        psi_exponent_scaled(5, -x.val, x.residue_unit(-x.val), 15)
     shallow = ctx.scalar(-3, 2, 2)
     with pytest.raises(PrecisionError):
-        psi_exponent(shallow, 125)
-
-
-def test_psi_ext_exponent_is_trace():
-    ext = get_ext_context(3, 4, ramified=False)
-    ctx = ext.base
-    x = ext.element(ctx.scalar(-2, 2, 4), ctx.scalar(-1, 1, 4))
-    assert psi_ext_exponent(x, 9) == psi_exponent(x.a * ctx.from_int(2), 9)
+        shallow.residue_unit(-shallow.val)
 
 
 def test_multchar_is_multiplicative():
@@ -107,8 +101,10 @@ def test_alpha_of_chi_identity():
 def test_alpha_of_chi_inverse_negates():
     chi = primitive_char(3, 4)
     alpha = alpha_of_chi(chi)
-    alpha_inv = alpha_of_chi(chi.inverse())
-    assert alpha_inv.same(-alpha)
+    alpha_inv = alpha_of_chi(MultChar(chi.p, chi.level, -chi.exp_on_gen))
+    prec = min(alpha.prec, alpha_inv.prec)
+    assert alpha_inv.val == alpha.val
+    assert (alpha_inv.unit + alpha.unit) % 3**prec == 0
 
 
 def test_alpha_of_chi_needs_conductor_two():
@@ -166,13 +162,14 @@ def test_build_theta_ramified_odd_level_impossible():
 
 def test_theta_pi_sign():
     theta = build_theta(3, True, 4)
-    flipped = theta.with_pi_sign(-1)
+    flipped = ThetaChar(theta.group, theta.exps, -1)
     assert flipped.value_order % 2 == 0
     m = flipped.value_order
     assert flipped.pi_exponent(3, m) == m // 2
     assert flipped.pi_exponent(2, m) == 0
+    unram = build_theta(3, False, 2)
     with pytest.raises(ValueError):
-        build_theta(3, False, 2).with_pi_sign(-1)
+        ThetaChar(unram.group, unram.exps, -1)
 
 
 def test_alpha_of_theta_unramified():
@@ -205,9 +202,9 @@ def test_alpha_of_theta_ramified():
 def test_alpha_of_theta_conjugate_negates():
     for ram, lvl in ((False, 3), (True, 4)):
         theta = build_theta(3, ram, lvl)
-        a1 = alpha_of_theta(theta)
-        a2 = alpha_of_theta(theta.conjugated())
-        assert a2.b.same(-a1.b)
+        b1, b2 = alpha_of_theta(theta).b, alpha_of_theta(theta.conjugated()).b
+        assert b2.val == b1.val
+        assert (b2.unit + b1.unit) % 3 ** min(b1.prec, b2.prec) == 0
 
 
 def test_gauss_ps_magnitude_exact():
@@ -221,7 +218,7 @@ def test_gauss_ps_inverse_relation():
     mu = primitive_char(3, 3)
     m = math.lcm(mu.value_order, 27)
     c0 = gauss_c0_principal_series(mu, m)
-    c0_inv = gauss_c0_principal_series(mu.inverse(), m)
+    c0_inv = gauss_c0_principal_series(MultChar(3, 3, -mu.exp_on_gen), m)
     sign = mu.eval_exponent(27 - 1, m)
     assert c0_inv.equals(c0.conj().rotate(sign))
 
@@ -246,7 +243,7 @@ def test_gauss_sc_flip_independence():
     theta = build_theta(3, True, 4)
     m = math.lcm(required_gauss_modulus(theta), 2)
     c_plus = gauss_c0_supercuspidal(theta, m)
-    c_minus = gauss_c0_supercuspidal(theta.with_pi_sign(-1), m)
+    c_minus = gauss_c0_supercuspidal(ThetaChar(theta.group, theta.exps, -1), m)
     assert c_minus.equals(-c_plus)  # shell exponent c is odd
     assert abs(abs(c_minus.complex()) - abs(c_plus.complex())) < 1e-12
 

@@ -39,6 +39,21 @@ def test_config_minimal_defaults():
     ({"task": "sweep"}, "config.configs"),
     ({"task": "decay", "threads": 0}, "config.threads"),
     ({"task": "decay", "seed": "nope"}, "config.seed"),
+    ({"task": "decay", "p": "3"}, "config.p"),
+    ({"task": "decay", "p": 3.0}, "config.p"),
+    ({"task": "decay", "p": True}, "config.p"),
+    ({"task": "decay", "units_per_class": "2"}, "config.units_per_class"),
+    ({"task": "counting", "verify_box_max_norm": "2"},
+     "config.verify_box_max_norm"),
+    ({"task": "counting", "z": 5}, "config.z"),
+    ({"task": "decay", "n": 6, "i_values": [0]}, "config.i_values"),
+    ({"task": "decay", "n": 6, "i_values": [3]}, "config.i_values"),
+    ({"task": "decay", "i_values": 4}, "config.i_values"),
+    ({"task": "decay", "v_a_values": 1}, "config.v_a_values"),
+    ({"task": "decay", "out": 5}, "config.out"),
+    ({"task": "counting", "plans": {"3": 1}}, "config.plans"),
+    ({"task": "counting", "plans": [{"3": None}]}, "config.plans[0]"),
+    ({"task": "counting", "plans": [{"3": 1.5}]}, "config.plans[0]"),
 ])
 def test_config_rejections_carry_field_paths(raw, path):
     with pytest.raises(ConfigError) as err:

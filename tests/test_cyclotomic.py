@@ -9,10 +9,10 @@ from gl2local.cyclotomic import (
     cyclotomic_poly,
     embed_counts,
     euler_phi,
-    factorize,
     root_of_unity,
 )
 from gl2local.errors import BudgetError
+from gl2local.residue import factorize
 
 
 def test_factorize_and_phi():
@@ -52,9 +52,9 @@ def test_root_relations():
     rng = random.Random(5)
     for _ in range(50):
         a, b = rng.randrange(m), rng.randrange(m)
-        lhs = root_of_unity(m, a) * root_of_unity(m, b)
+        lhs = root_of_unity(m, a).rotate(b)
         assert lhs.equals(root_of_unity(m, a + b))
-        assert root_of_unity(m, a).rotate(b).equals(lhs)
+        assert root_of_unity(m, b).rotate(a).equals(lhs)
 
 
 def test_full_geometric_sum_is_zero():
@@ -85,12 +85,11 @@ def test_ring_ops_against_floats():
         m = rng.choice([9, 12, 20, 36])
         x = random_value(rng, m)
         y = random_value(rng, m)
-        for op in ("add", "sub", "mul"):
+        for op in ("add", "sub"):
             exact = getattr(x, f"__{op}__")(y)
             approx = {
                 "add": x.complex() + y.complex(),
                 "sub": x.complex() - y.complex(),
-                "mul": x.complex() * y.complex(),
             }[op]
             assert abs(exact.complex() - approx) < 1e-9 * 200
 
@@ -101,8 +100,7 @@ def test_conj_matches_complex_conjugate():
         m = rng.choice([9, 36, 90])
         x = random_value(rng, m)
         assert abs(x.conj().complex() - x.complex().conjugate()) < 1e-9 * 50
-        norm = x * x.conj()
-        assert abs(norm.complex() - abs(x.complex()) ** 2) < 1e-9 * 500
+        assert x.conj().conj().equals(x)
 
 
 def test_exact_zero_detection():
@@ -111,7 +109,7 @@ def test_exact_zero_detection():
     assert x.is_zero()
     # 1 + z + z^2 = 0 for the cube root: catches float-level near-zeros exactly
     z = root_of_unity(m, 30)
-    s = CycloValue.one(m) + z + z * z
+    s = CycloValue.one(m) + z + root_of_unity(m, 60)
     assert s.is_zero()
     t = s + CycloValue.one(m)
     assert not t.is_zero()
@@ -120,10 +118,9 @@ def test_exact_zero_detection():
 def test_rational_scale():
     m = 12
     x = root_of_unity(m, 5)
-    y = x.divide_rational(Fraction(3, 7)) * Fraction(3, 7)
+    y = x * Fraction(7, 3) * Fraction(3, 7)
     assert y.equals(x)
-    with pytest.raises(ZeroDivisionError):
-        x.divide_rational(0)
+    assert not y.equals(x * Fraction(3, 7))
     z = x * Fraction(1, 3) + x * Fraction(2, 3)
     assert z.equals(x)
 
@@ -133,6 +130,8 @@ def test_scalar_int_multiplication():
     x = root_of_unity(m, 2)
     assert (x * 0).is_zero()
     assert (3 * x).equals(x + x + x)
+    with pytest.raises(TypeError):
+        _ = x * root_of_unity(m, 1)  # no products of two values
 
 
 def test_mixed_moduli_refused():
@@ -143,9 +142,3 @@ def test_mixed_moduli_refused():
 def test_budget_guard():
     with pytest.raises(BudgetError):
         root_of_unity(10007, 1)  # phi = 10006
-
-
-def test_term_count():
-    m = 12
-    x = root_of_unity(m, 0) + root_of_unity(m, 1)
-    assert x.term_count() == 2

@@ -7,13 +7,10 @@ from gl2local.characters import build_theta, primitive_char
 from gl2local.matcoef import (
     KStarElement,
     MatCoefEngine,
-    MatCoefQuery,
     decay_bound,
     decompose_k_star,
-    filtration_depth,
     gram_dimension_estimate,
     support_expected_zero,
-    verify_decay,
     verify_support,
 )
 from gl2local.residue import get_context, padic_valuation
@@ -34,11 +31,12 @@ ALL_SMALL = [ps_spec(3, 4), sc_spec(3, False, 4), sc_spec(3, True, 3)]
 
 def test_query_validation():
     spec = ps_spec(3, 4)
+    eng = MatCoefEngine(spec)
     ctx = get_context(3, 8)
-    with pytest.raises(ValueError):
-        MatCoefQuery(spec, spec.n0, ctx.one(), ctx.zero())
-    q = MatCoefQuery(spec, spec.n, ctx.one(), ctx.zero())
-    assert q.i == spec.n
+    for bad_i in (spec.n0, spec.n + 1):
+        with pytest.raises(ValueError):
+            eng.phi_numerator(bad_i, ctx.one(), ctx.zero())
+    assert not eng.phi_numerator(spec.n, ctx.one(), ctx.zero()).is_zero()
 
 
 def test_ramanujan_values_exact():
@@ -91,14 +89,18 @@ def test_support_law_boundary_depths():
 
 
 def test_decay_bounds():
+    # |phi| q^((n-i)/2) on sampled supported pairs stays below the bound
     rng = random.Random(7)
-    rep = verify_decay(MatCoefEngine(ps_spec(3, 6)), 4, 40, rng)
-    assert rep["ok"] and rep["max_ratio"] <= 18
-    rep = verify_decay(MatCoefEngine(sc_spec(3, True, 5)), 3, 40, rng)
-    assert rep["ok"] and rep["max_ratio"] <= 27
-    assert decay_bound(ps_spec(3, 6)) == 18
-    with pytest.raises(ValueError):
-        verify_decay(MatCoefEngine(ps_spec(3, 6)), 5, 5, rng)  # i = n - 1
+    for spec, i, bound in ((ps_spec(3, 6), 4, 18), (sc_spec(3, True, 5), 3, 27)):
+        assert decay_bound(spec) == bound
+        eng = MatCoefEngine(spec)
+        ctx = get_context(3, spec.n1 + spec.n)
+        for _ in range(40):
+            a = ctx.scalar(0, 3 * rng.randrange(3**spec.n0) + rng.randrange(1, 3))
+            madd = ctx.scalar(i - spec.n,
+                              3 * rng.randrange(3**spec.n1) + rng.randrange(1, 3))
+            ratio = abs(eng.phi_value(i, a, madd)) * 3 ** ((spec.n - i) / 2)
+            assert ratio <= bound
 
 
 def test_grouped_matches_literal_average():
@@ -124,9 +126,10 @@ def test_translation_invariances():
     madd = ctx.scalar(i - spec.n, 7, 8)
     base = eng.phi_numerator(i, a, madd)
     # m shifted by an integral element: additive factor is trivial
-    assert base.equals(eng.phi_numerator(i, a, madd + ctx.from_int(6)))
+    madd2 = ctx.scalar(madd.val, madd.unit + 6 * 3**-madd.val, 8)
+    assert base.equals(eng.phi_numerator(i, a, madd2))
     # a scaled by a unit congruent to 1 mod p^n0
-    a2 = a * ctx.from_int(1 + 3**spec.n0 * 2)
+    a2 = ctx.scalar(0, a.unit * (1 + 3**spec.n0 * 2), 8)
     assert base.equals(eng.phi_numerator(i, a2, madd))
 
 
@@ -241,20 +244,6 @@ def test_phi_prime_filtration_decay():
             g = KStarElement.random(spec.p, k, rng, level=j)
             v = eng.phi_prime_value(g)
             assert abs(v) <= bound * spec.p ** ((j - spec.n1) / 2) + 1e-9
-
-
-def test_filtration_depth_schedule():
-    assert filtration_depth(4, Fraction(0)) == 0
-    assert filtration_depth(4, Fraction(1, 2)) == 1
-    assert filtration_depth(3, Fraction(1, 2)) == 0
-    prev = 0
-    for num in range(0, 51):
-        j = filtration_depth(6, Fraction(num, 100))
-        assert j >= prev
-        prev = j
-    assert filtration_depth(6, Fraction(1, 2)) <= 6
-    with pytest.raises(ValueError):
-        filtration_depth(4, Fraction(3, 4))
 
 
 def test_gram_dimension():

@@ -48,14 +48,16 @@ def hilbert_oracle(a, b, p, k):
     checked exhaustively mod p^k."""
     mod = p**k
     xs = np.arange(mod, dtype=np.int64)
-    squares = set((xs * xs % mod).tolist())
-    unit_squares = set((xs[xs % p != 0] ** 2 % mod).tolist())
+    # squares[r] / unit_squares[r]: r is the square of some (unit) residue
+    squares = np.zeros(mod, dtype=bool)
+    squares[xs * xs % mod] = True
+    unit_squares = np.zeros(mod, dtype=bool)
+    unit_squares[xs[xs % p != 0] ** 2 % mod] = True
     grid = (a % mod) * xs[:, None] ** 2 + (b % mod) * xs[None, :] ** 2
     grid %= mod
     both_div = (xs[:, None] % p == 0) & (xs[None, :] % p == 0)
     for target, mask in ((squares, ~both_div), (unit_squares, both_div)):
-        vals = set(grid[mask].tolist())
-        if vals & target:
+        if target[grid[mask]].any():
             return 1
     return -1
 

@@ -151,7 +151,7 @@ def test_sc_matches_reversed_oracle():
 def test_uniformizer_sign_choice_cancels():
     theta = build_theta(3, True, 4)
     s_plus = ReprSpec.supercuspidal(theta)
-    s_minus = ReprSpec.supercuspidal(theta.with_pi_sign(-1))
+    s_minus = ReprSpec.supercuspidal(ThetaChar(theta.group, theta.exps, -1))
     m = math.lcm(s_plus.modulus(), s_minus.modulus())
     e_plus = WhittakerEngine(s_plus, m)
     e_minus = WhittakerEngine(s_minus, m)

@@ -32,7 +32,7 @@ from .quaternion import (
     load_algebra_fixtures,
     supnorm_exponent,
 )
-from .residue import get_context, is_prime
+from .residue import PRIMALITY_BOUND, get_context, is_prime, random_unit
 from .statphase import phi_fast_value, speedup_report
 from .whittaker import ReprSpec
 
@@ -114,6 +114,9 @@ class ExperimentConfig:
             raise ConfigError(f"{path}.task", f"must be one of {TASKS}")
         cfg = cls(task=task)
         cfg.p = raw.get("p", cfg.p)
+        if _is_int(cfg.p) and cfg.p >= PRIMALITY_BOUND:
+            raise ConfigError(f"{path}.p",
+                              f"must be below {PRIMALITY_BOUND}")
         if not (_is_int(cfg.p) and cfg.p % 2 and is_prime(cfg.p)):
             raise ConfigError(f"{path}.p", "must be an odd prime")
         cfg.family = raw.get("family", cfg.family)
@@ -220,7 +223,7 @@ def _sample_units(p: int, digits: int, count: int, rng: random.Random) -> list[i
     out = []
     seen = set()
     while len(out) < count:
-        u = rng.randrange(p ** (digits - 1)) * p + rng.randrange(1, p)
+        u = random_unit(p, digits, rng)
         if u not in seen:
             seen.add(u)
             out.append(u)

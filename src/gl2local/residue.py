@@ -1,6 +1,6 @@
 """p-adic scalars and quadratic extensions at finite precision, and the
-elementary number theory (factorization, primality, primitive roots) the
-package shares.
+elementary number theory (factorization, primality, primitive roots, unit
+sampling) the package shares.
 
 A scalar is stored as p^val * unit with the unit residue known modulo
 p^prec; reading more digits than are known raises PrecisionError instead of
@@ -36,8 +36,41 @@ def factorize(n: int) -> list[tuple[int, int]]:
     return out
 
 
+# Miller-Rabin with the first 13 prime bases is exact below this bound
+# (Sorenson and Webster, Math. Comp. 86 (2017)).
+PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIMALITY_BOUND = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    return n >= 2 and factorize(n) == [(n, 1)]
+    """Deterministic Miller-Rabin; ValueError at or past PRIMALITY_BOUND."""
+    if n >= PRIMALITY_BOUND:
+        raise ValueError(f"primality is decided only below {PRIMALITY_BOUND}")
+    if n < 2:
+        return False
+    for q in PRIME_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for q in PRIME_BASES:
+        x = pow(q, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def random_unit(p: int, digits: int, rng) -> int:
+    """Uniform unit residue mod p^digits; draws the high digits first."""
+    return rng.randrange(p ** (digits - 1)) * p + rng.randrange(1, p)
 
 
 def padic_valuation(n: int, p: int) -> int:

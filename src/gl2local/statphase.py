@@ -22,7 +22,7 @@ import numpy as np
 
 from .characters import alpha_of_chi, alpha_of_theta, psi_exponent_scaled
 from .cyclotomic import CycloValue
-from .matcoef import MatCoefEngine
+from .matcoef import MatCoefEngine, decay_bound
 from .residue import PAdicScalar, get_context, get_ext_context, unit_shell_reps
 
 
@@ -300,13 +300,6 @@ def phi_fast_value(engine: MatCoefEngine, i: int, a: PAdicScalar,
     return num.complex() / engine.c0_complex
 
 
-def pair_count_bound(spec) -> int:
-    """2 q^2 for principal series (two quadratic roots times q lifts each);
-    the recorded supercuspidal envelope is q^3."""
-    q = spec.p
-    return 2 * q * q if spec.family == "ps" else q**3
-
-
 def naive_term_count(engine: MatCoefEngine, i: int, v_m: int) -> int:
     """Nominal inner-times-outer term count of the plain average."""
     spec = engine.spec
@@ -353,5 +346,5 @@ def speedup_report(spec, i: int, grid, modulus: int | None = None) -> dict:
         "queries": len(rows), "naive_s": total_naive, "fast_s": total_fast,
         "speedup": total_naive / total_fast if total_fast else float("inf"),
         "max_deviation": max_dev, "max_pairs": max_pairs,
-        "pair_bound": pair_count_bound(spec),
+        "pair_bound": decay_bound(spec),
     }}

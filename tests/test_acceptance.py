@@ -48,8 +48,8 @@ from gl2local.quaternion import (
     supnorm_exponent,
     verify_maximal_order,
 )
-from gl2local.residue import get_context
-from gl2local.statphase import critical_pairs, pair_count_bound, phi_fast_value, speedup_report
+from gl2local.residue import get_context, random_unit
+from gl2local.statphase import critical_pairs, phi_fast_value, speedup_report
 from gl2local.whittaker import ReprSpec
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -75,10 +75,6 @@ def make_spec(p: int, n: int, family: str) -> ReprSpec:
     return ReprSpec.supercuspidal(build_theta(p, True, n - 1))
 
 
-def _unit(p: int, digits: int, rng: random.Random) -> int:
-    return p * rng.randrange(p ** (digits - 1)) + rng.randrange(1, p)
-
-
 def support_grid(p: int, n: int, family: str, i: int):
     """(a, m) pairs spanning v(a) in {-1,0,1,2} x v(m) in {i-n-2,...,1},
     at least MIN_PAIRS_PER_I in total, distinct units within each class.
@@ -92,7 +88,7 @@ def support_grid(p: int, n: int, family: str, i: int):
     for v_a, v_m in classes:
         seen = set()
         while len(seen) < per_class:
-            pair = (_unit(p, n + 2, rng), _unit(p, n + 2, rng))
+            pair = (random_unit(p, n + 2, rng), random_unit(p, n + 2, rng))
             if pair in seen:
                 continue
             seen.add(pair)
@@ -104,8 +100,8 @@ def supported_grid(p: int, n: int, family: str, i: int, count: int):
     """Pairs from the single supported class v(a)=0, v(m)=i-n."""
     rng = random.Random(f"speedup:{p}:{n}:{family}:{i}")
     ctx = get_context(p, 2 * n + 6)
-    return [(ctx.scalar(0, _unit(p, n + 2, rng)),
-             ctx.scalar(i - n, _unit(p, n + 2, rng)))
+    return [(ctx.scalar(0, random_unit(p, n + 2, rng)),
+             ctx.scalar(i - n, random_unit(p, n + 2, rng)))
             for _ in range(count)]
 
 
@@ -208,7 +204,7 @@ def test_criterion_05_gram_rank(sweep):
 def test_criterion_06_fast_oracle_equivalence(sweep):
     cases, _ = sweep
     for (p, n, family), (spec, engine, per_i) in cases.items():
-        bound = pair_count_bound(spec)
+        bound = decay_bound(spec)
         for i in range(spec.n0 + 1, spec.n - 1):
             grid, rows = per_i[i]
             for (a, madd), row in zip(grid, rows):

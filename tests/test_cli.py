@@ -1,6 +1,7 @@
 """Config validation, task runners, exit codes, determinism."""
 
 import json
+import time
 
 import pytest
 
@@ -54,6 +55,9 @@ def test_config_minimal_defaults():
     ({"task": "counting", "plans": {"3": 1}}, "config.plans"),
     ({"task": "counting", "plans": [{"3": None}]}, "config.plans[0]"),
     ({"task": "counting", "plans": [{"3": 1.5}]}, "config.plans[0]"),
+    ({"task": "decay", "p": (2**31 - 1) ** 2}, "config.p"),
+    ({"task": "decay", "p": 3317044064679887385961981}, "config.p"),
+    ({"task": "exponent", "p": 2**89 - 1}, "config.p"),
 ])
 def test_config_rejections_carry_field_paths(raw, path):
     with pytest.raises(ConfigError) as err:
@@ -86,6 +90,17 @@ def test_exponent_example_report_line(tmp_path):
     rows = out.read_text().splitlines()
     assert rows[0] == "eta1,delta,eta2,supnorm_exponent,depth_exponent"
     assert rows[1] == "0,1,1/2,5/12,5/24"
+
+
+def test_huge_prime_validates_at_once(tmp_path, capsys):
+    out = tmp_path / "exp.csv"
+    t0 = time.perf_counter()
+    code = main(["--config", write_config(tmp_path, {
+        "task": "exponent", "p": 2**61 - 1, "a1": 2, "out": str(out)})])
+    assert code == 0 and time.perf_counter() - t0 < 1.0
+    assert main(["--config", write_config(tmp_path, {
+        "task": "exponent", "p": 2**89 - 1})]) == 2
+    assert "config.p" in capsys.readouterr().err
 
 
 def test_malformed_config_exits_two(tmp_path, capsys):

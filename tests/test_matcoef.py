@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from gl2local.characters import build_theta, primitive_char
@@ -13,8 +14,8 @@ from gl2local.matcoef import (
     support_expected_zero,
     verify_support,
 )
-from gl2local.residue import get_context, padic_valuation
-from gl2local.whittaker import ReprSpec
+from gl2local.residue import get_context, padic_valuation, random_unit
+from gl2local.whittaker import ReprSpec, required_precision
 
 
 def ps_spec(p, n):
@@ -259,6 +260,89 @@ def test_gram_dimension():
                                           elements=elems)
     assert r30 <= r60 <= 4 * spec.p**spec.n0
     assert float(spec60[0]) > -1e-6 * float(spec60[-1])
+
+
+@pytest.mark.parametrize("spec", [ps_spec(3, 6), sc_spec(3, True, 5)],
+                         ids=["ps-3-6", "sc-ram-3-5"])
+def test_gram_shares_values_bitwise(spec, monkeypatch):
+    # the shared-value Gram matrix equals the per-entry phi_prime_value one
+    rng = random.Random(67)
+    size = 30
+    elems = [KStarElement.random(spec.p, spec.n1 + spec.n, rng)
+             for _ in range(size)]
+    ref_eng = MatCoefEngine(spec)
+    ref = np.empty((size, size), dtype=complex)
+    for s in range(size):
+        inv = elems[s].inv()
+        for t in range(s, size):
+            ref[s, t] = ref_eng.phi_prime_value(inv.mul(elems[t]))
+            ref[t, s] = ref[s, t].conjugate()
+    ref = (ref + ref.conj().T) / 2
+    eng = MatCoefEngine(spec)
+    keys = {eng.query_key(*decompose_k_star(elems[s].inv().mul(elems[t]), spec))
+            for s in range(size) for t in range(s, size)}
+    calls = []
+    phi_counts = eng.phi_counts
+    monkeypatch.setattr(eng, "phi_counts",
+                        lambda *args: calls.append(args) or phi_counts(*args))
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda g: seen.append(g.copy()) or eigvalsh(g))
+    rank, eigs = gram_dimension_estimate(eng, 0, rng, return_spectrum=True,
+                                         elements=elems)
+    assert seen[0].tobytes() == ref.tobytes()
+    assert eigs.tobytes() == eigvalsh(ref).tobytes()
+    assert len(calls) == len(keys) < size * (size + 1) // 2
+
+
+def test_query_key_soundness():
+    """Queries that share a query_key have equal naive numerators.  Twins
+    keep the lower digits of a base query and redraw every digit from one
+    below the key's precision, so a key one digit too coarse, or blind to
+    the additive unit, puts unequal values under one key."""
+    rng = random.Random(83)
+    digits = 8
+    for spec in (ps_spec(3, 6), sc_spec(3, False, 4), sc_spec(3, True, 5)):
+        eng = MatCoefEngine(spec)
+        p = spec.p
+        ctx = get_context(p, spec.n1 + spec.n)
+
+        def redraw(unit, keep):
+            if keep <= 0:
+                return random_unit(p, digits, rng)
+            return unit % p**keep + p**keep * rng.randrange(p ** (digits - keep))
+
+        def naive(query):
+            return eng.phi_numerator(*query, grouped=False, cache_w=False)
+
+        shared = 0
+        for i in range(spec.n0 + 1, spec.n + 1):
+            w = required_precision(spec, i)
+            for v_a in (0, 1):
+                for v_m in range(-(spec.n1 + 1), 2):
+                    t = max(-v_m, 0)
+                    a = ctx.scalar(v_a, random_unit(p, digits, rng))
+                    madd = ctx.scalar(v_m, random_unit(p, digits, rng))
+                    key = eng.query_key(i, a, madd)
+                    want = naive((i, a, madd))
+                    for _ in range(12):
+                        if v_a:  # off the unit locus: any non-unit a
+                            a2 = rng.choice([ctx.zero(), ctx.scalar(
+                                rng.choice((-1, 1, 2)),
+                                random_unit(p, digits, rng))])
+                        else:
+                            a2 = ctx.scalar(0, redraw(a.unit, w - 1))
+                        if t:
+                            m2 = ctx.scalar(v_m, redraw(madd.unit, t - 1))
+                        else:
+                            m2 = rng.choice([ctx.zero(), ctx.scalar(
+                                rng.randrange(3), random_unit(p, digits, rng))])
+                        twin = (i, a2, m2)
+                        if eng.query_key(*twin) == key:
+                            shared += 1
+                            assert naive(twin).equals(want), (spec, twin)
+        assert shared >= 100, shared
 
 
 def test_precision_doubling_stable():

@@ -6,6 +6,7 @@ import pytest
 
 from gl2local.errors import BudgetError, PrecisionError
 from gl2local.residue import (
+    PRIMALITY_BOUND,
     ext_valuation,
     factorize,
     get_context,
@@ -13,6 +14,7 @@ from gl2local.residue import (
     is_prime,
     padic_valuation,
     primitive_root,
+    random_unit,
     smallest_nonresidue,
     unit_shell_reps,
 )
@@ -71,6 +73,26 @@ def test_factorize_and_is_prime_against_sieve():
         assert [q for q, _ in fac] == sorted({q for q, _ in fac})
         assert is_prime(n) == prime[n]
     assert not is_prime(0) and not is_prime(-7)
+
+
+def test_is_prime_beyond_trial_division():
+    # strong pseudoprimes to base 2 (the last one to bases 2..37 too)
+    for n in (2047, 3215031751, 3825123056546413051):
+        assert not is_prime(n)
+    assert is_prime(2**61 - 1)
+    assert not is_prime((2**31 - 1) ** 2)
+    assert is_prime(10000019)
+    with pytest.raises(ValueError):
+        is_prime(PRIMALITY_BOUND)
+
+
+def test_random_unit_draw_order():
+    rng, twin = random.Random(5), random.Random(5)
+    for digits in (1, 2, 7):
+        u = random_unit(5, digits, rng)
+        high = twin.randrange(5 ** (digits - 1))
+        assert u == high * 5 + twin.randrange(1, 5)
+        assert 0 < u < 5**digits and u % 5
 
 
 def test_primitive_root_generates_mod_p_squared():

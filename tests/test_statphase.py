@@ -4,12 +4,11 @@ import pytest
 
 from gl2local.characters import build_theta, primitive_char
 from gl2local.cyclotomic import root_of_unity
-from gl2local.matcoef import MatCoefEngine
+from gl2local.matcoef import MatCoefEngine, decay_bound
 from gl2local.residue import get_context
 from gl2local.statphase import (
     critical_pairs,
     naive_term_count,
-    pair_count_bound,
     phi_fast_numerator,
     phi_fast_value,
     solve_quadratic_congruence,
@@ -82,7 +81,7 @@ def test_quadratic_congruence_split_lifting():
 @pytest.mark.parametrize("p,n,depths", [(3, 6, (4,)), (3, 8, (5, 6))])
 def test_ps_fast_matches_naive_exactly(p, n, depths):
     engine = ps_engine(p, n)
-    bound = pair_count_bound(engine.spec)
+    bound = decay_bound(engine.spec)
     for i in depths:
         for a, madd in supported_grid(engine, i):
             naive = engine.phi_numerator(i, a, madd)
@@ -94,7 +93,7 @@ def test_ps_fast_matches_naive_exactly(p, n, depths):
 
 def test_sc_unram_fast_matches_naive_exactly():
     engine = sc_engine(3, False, 3)  # n = 6
-    bound = pair_count_bound(engine.spec)
+    bound = decay_bound(engine.spec)
     for a, madd in supported_grid(engine, 4):
         naive = engine.phi_numerator(4, a, madd)
         fast, diag = phi_fast_numerator(engine, 4, a, madd)
@@ -106,7 +105,7 @@ def test_sc_unram_fast_matches_naive_exactly():
 def test_sc_ram_fast_matches_naive_exactly(level, n, depths):
     engine = sc_engine(3, True, level)
     assert engine.spec.n == n
-    bound = pair_count_bound(engine.spec)
+    bound = decay_bound(engine.spec)
     for i in depths:
         for a, madd in supported_grid(engine, i):
             naive = engine.phi_numerator(i, a, madd)

@@ -30,6 +30,7 @@ from .residue import (
     get_ext_context,
     primitive_root,
     smallest_nonresidue,
+    unit_shell_reps,
 )
 
 GROUP_TABLE_BUDGET = 10**7
@@ -512,34 +513,56 @@ def gauss_c0_principal_series(mu: MultChar, m: int | None = None) -> CycloValue:
     return CycloValue.from_counts(m, counts, Fraction(1, p**n0))
 
 
-def _shell_sum_counts(theta: ThetaChar, m: int) -> np.ndarray:
-    """Counts vector of sum over the shell v_E(u) = -a(theta)-e_E+1 of
-    theta^(-1)(u) psi_E(u), u = piE^c u0 over the level-a transversal."""
+def shell_table(theta: ThetaChar, k: int, m: int
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The shell v_E(u) = -a(theta)-e_E+1 over the transversal of
+    o_E^x/(1+p_E^k): u = piE^c (A + B sqrt(D)) per representative (A, B).
+
+    Returns int64 arrays A, B, the exponent of theta^(-1)(u) psi_E(u) in Z/m,
+    and the exact eta = N(u) p^n, the unit part of the norm.
+    """
     p, a = theta.p, theta.level
+    # psi_E reads the trace coordinate mod q: B for piE = sqrt(p), else A
+    q = p ** (a // 2) if theta.ramified else p**a
+    if m % q:
+        raise ValueError(f"modulus {m} is not a multiple of {q}")
+    reps = unit_shell_reps(get_ext_context(p, a, theta.ramified), k)
     e_e = 2 if theta.ramified else 1
-    c = -a - e_e + 1
-    counts = np.zeros(m, dtype=np.int64)
-    pi_part = (-theta.pi_exponent(c, m)) % m
-    if theta.ramified:
-        n0 = a // 2
-        for (A, B) in theta.group.dlog:
-            # tr(piE^c (A + B sqrt(p))) = 2 B p^((c+1)/2), (c+1)/2 = -n0
-            e = (pi_part - theta.eval_exponent((A, B), m)
-                 + psi_exponent_scaled(p, n0, 2 * B, m)) % m
-            counts[e] += 1
-    else:
-        for (A, B) in theta.group.dlog:
-            # tr(p^c (A + B sqrt(d))) = 2 A p^c
-            e = (pi_part - theta.eval_exponent((A, B), m)
-                 + psi_exponent_scaled(p, a, 2 * A, m)) % m
-            counts[e] += 1
-    return counts
+    pi_part = -theta.pi_exponent(-a - e_e + 1, m)
+    d = theta.group.d_unit
+    A = np.empty(len(reps), dtype=np.int64)
+    B = np.empty(len(reps), dtype=np.int64)
+    phase = np.empty(len(reps), dtype=np.int64)
+    eta = np.empty(len(reps), dtype=np.int64)
+    for j, (x, y) in enumerate(reps):
+        A[j], B[j] = x, y
+        if theta.ramified:
+            # tr(piE^c (A + B sqrt(p))) = 2 B p^(-a/2); N(piE^c) = -p^(-n)
+            tr, eta[j] = 2 * y, p * y * y - x * x
+        else:
+            # tr(p^c (A + B sqrt(d))) = 2 A p^(-a); N(p^c) = p^(-n)
+            tr, eta[j] = 2 * x, x * x - d * y * y
+        phase[j] = (pi_part - theta.eval_exponent((x, y), m)
+                    + tr % q * (m // q))
+    phase %= m
+    return A, B, phase, eta
 
 
 def required_gauss_modulus(theta: ThetaChar) -> int:
     p, a = theta.p, theta.level
     n0 = a // 2 if theta.ramified else a
     return math.lcm(theta.value_order, p**n0 if theta.ramified else p**a, 2)
+
+
+def gauss_c0_shell(theta: ThetaChar, m: int | None = None) -> CycloValue:
+    """Shell Gauss sum of theta^(-1)(u) psi_E(u) normalized by the shell class
+    count (multiplicative measure); this is the convention the Whittaker
+    evaluator divides by, and any normalization constant cancels there."""
+    if m is None:
+        m = required_gauss_modulus(theta)
+    phase = shell_table(theta, theta.level, m)[2]
+    return CycloValue.from_counts(m, np.bincount(phase, minlength=m),
+                                  Fraction(1, theta.group.order))
 
 
 def gauss_c0_supercuspidal(theta: ThetaChar, m: int | None = None) -> CycloValue:
@@ -550,21 +573,9 @@ def gauss_c0_supercuspidal(theta: ThetaChar, m: int | None = None) -> CycloValue
     window [q^(-1/2), q^(1/2)].  Normalizing by the number of shell classes
     instead would scale the ramified value by q/(q-1) and leave the window.
     """
-    if m is None:
-        m = required_gauss_modulus(theta)
     q_e = theta.p if theta.ramified else theta.p**2
-    return CycloValue.from_counts(m, _shell_sum_counts(theta, m),
-                                  Fraction(1, q_e**theta.level))
-
-
-def gauss_c0_shell(theta: ThetaChar, m: int | None = None) -> CycloValue:
-    """Same sum normalized by the shell class count (multiplicative measure);
-    this is the convention the Whittaker evaluator divides by, and any
-    normalization constant cancels there."""
-    if m is None:
-        m = required_gauss_modulus(theta)
-    return CycloValue.from_counts(m, _shell_sum_counts(theta, m),
-                                  Fraction(1, theta.group.order))
+    return gauss_c0_shell(theta, m) * Fraction(theta.group.order,
+                                               q_e**theta.level)
 
 
 def shell_norm_valuation(theta: ThetaChar) -> int:

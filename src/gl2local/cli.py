@@ -58,6 +58,7 @@ class ConfigError(Exception):
     def __init__(self, path: str, message: str):
         super().__init__(f"{path}: {message}")
         self.path = path
+        self.message = message
 
 
 def _parse_fraction(value, path: str) -> Fraction:
@@ -149,7 +150,16 @@ class ExperimentConfig:
         if not _is_int(cfg.units_per_class) or cfg.units_per_class < 1:
             raise ConfigError(f"{path}.units_per_class",
                               "must be an integer >= 1")
+        # build_grid draws distinct units mod p^(n+2); there are more than
+        # 2^(n+1) of them, so only a long units_per_class needs the count
+        if cfg.n + 1 < cfg.units_per_class.bit_length():
+            units = (cfg.p - 1) * cfg.p ** (cfg.n + 1)
+            if cfg.units_per_class > units:
+                raise ConfigError(f"{path}.units_per_class",
+                                  f"must be at most (p-1)p^(n+1) = {units}")
         cfg.algebra = raw.get("algebra", cfg.algebra)
+        if not isinstance(cfg.algebra, str):
+            raise ConfigError(f"{path}.algebra", "must be a string")
         plans = raw.get("plans", None)
         if plans is not None:
             if not isinstance(plans, list):
@@ -165,6 +175,13 @@ class ExperimentConfig:
                 if parsed is None or not all(map(_is_int, parsed.values())):
                     raise ConfigError(f"{path}.plans[{k}]",
                                       "keys and values must be integers")
+                if not all(2 < q < PRIMALITY_BOUND and is_prime(q)
+                           for q in parsed):
+                    raise ConfigError(f"{path}.plans[{k}]",
+                                      "keys must be odd primes")
+                if not all(r >= 1 for r in parsed.values()):
+                    raise ConfigError(f"{path}.plans[{k}]",
+                                      "exponents must be >= 1")
                 cfg.plans.append(parsed)
         zraw = raw.get("z", {"x": "1/10", "y": "6/5"})
         if not isinstance(zraw, dict):
@@ -457,8 +474,18 @@ def run_sweep(cfg: ExperimentConfig) -> TaskResult:
     if len(tasks) > 1:
         raise ConfigError("config.configs",
                           f"sweep sub-tasks must share one schema, got {sorted(tasks)}")
+
+    def run_sub(k: int, sub: ExperimentConfig) -> TaskResult:
+        # runners name fields from the top-level config; point at the sub-config
+        try:
+            return RUNNERS[sub.task](sub)
+        except ConfigError as exc:
+            raise ConfigError(f"config.configs[{k}]"
+                              + exc.path.removeprefix("config"),
+                              exc.message) from None
+
     with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-        results = list(pool.map(lambda sc: RUNNERS[sc.task](sc), sub_cfgs))
+        results = list(pool.map(run_sub, range(len(sub_cfgs)), sub_cfgs))
     columns = results[0].columns if results else SUPPORT_COLUMNS
     rows, report, sidecars = [], [], {}
     ok = True

@@ -60,8 +60,8 @@ class MatCoefEngine:
         return i, a.residue_unit(required_precision(self.spec, i)), t, m_unit
 
     def phi_counts(self, i: int, a: PAdicScalar, madd: PAdicScalar,
-                   grouped: bool = True, cache_w: bool = True,
-                   shell_level: int | None = None) -> tuple[np.ndarray, Fraction]:
+                   grouped: bool = True, cache_w: bool = True
+                   ) -> tuple[np.ndarray, Fraction]:
         """Count vector and normalization of the unit average; the grouped
         path collapses x-classes on which both factors are constant, the
         ungrouped path iterates the full unit set for the stated average."""
@@ -78,20 +78,16 @@ class MatCoefEngine:
         scale_psi = self.m // pt
         accum = np.zeros(self.m, dtype=np.int64)
         for x in get_context(p, k_eff).units(k_eff):
-            wc = self.weng.numerator_counts(i, a_res * x % pw,
-                                            shell_level=shell_level,
-                                            cache=cache_w)
+            wc = self.weng.numerator_counts(i, a_res * x % pw, cache=cache_w)
             shift = m_unit * x % pt * scale_psi
             accum += np.roll(wc, shift) if shift else wc
-        norm = self.weng.numerator_scale(shell_level) \
-            / ((p - 1) * p ** (k_eff - 1))
+        norm = self.weng.numerator_scale() / ((p - 1) * p ** (k_eff - 1))
         return accum, norm
 
     def phi_numerator(self, i: int, a: PAdicScalar, madd: PAdicScalar,
-                      grouped: bool = True, cache_w: bool = True,
-                      shell_level: int | None = None) -> CycloValue:
-        counts, norm = self.phi_counts(i, a, madd, grouped, cache_w,
-                                       shell_level)
+                      grouped: bool = True, cache_w: bool = True
+                      ) -> CycloValue:
+        counts, norm = self.phi_counts(i, a, madd, grouped, cache_w)
         return CycloValue.from_counts(self.m, counts, norm)
 
     def phi_value(self, i: int, a: PAdicScalar, madd: PAdicScalar) -> complex:

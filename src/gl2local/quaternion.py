@@ -17,7 +17,7 @@ from importlib import resources
 
 import numpy as np
 
-from .residue import factorize, padic_valuation
+from .residue import factorize, is_prime, padic_valuation
 from .statphase import sqrt_mod_prime
 
 
@@ -409,8 +409,8 @@ def build_tidy_lattice(order: RationalOrder, plan: dict[int, int]) -> TidyLattic
     current = [[int(i == j) for j in range(4)] for i in range(4)]
     for p in sorted(plan):
         r = plan[p]
-        if p == 2 or alg.discriminant % p == 0:
-            raise ValueError(f"plan prime {p} must be odd and split")
+        if p == 2 or not is_prime(p) or alg.discriminant % p == 0:
+            raise ValueError(f"plan prime {p} must be an odd split prime")
         if r < 1:
             raise ValueError("plan exponents must be >= 1")
         prec = 2 * r + 2

@@ -23,7 +23,7 @@ import numpy as np
 from .characters import alpha_of_chi, alpha_of_theta, psi_exponent_scaled
 from .cyclotomic import CycloValue
 from .matcoef import MatCoefEngine, decay_bound
-from .residue import PAdicScalar, get_context, get_ext_context, unit_shell_reps
+from .residue import PAdicScalar
 
 
 def sqrt_mod_prime(a: int, p: int) -> int | None:
@@ -116,16 +116,16 @@ def _unit_lifts(base: int, step_exp: int, target_exp: int, p: int) -> list[int]:
             if x % p]
 
 
-def _ps_pairs(engine: MatCoefEngine, i: int, a_res: int, m_res: int,
-              refine: int) -> tuple[list[CriticalPair], int]:
+def _ps_pairs(engine: MatCoefEngine, i: int, a_res: int, m_res: int
+              ) -> tuple[list[CriticalPair], int]:
     """Survivors for a principal-series query on the supported locus,
-    enumerated at block levels ceil(n0/2)+refine, ceil(t/2)+refine.
+    enumerated at block levels ceil(n0/2), ceil(t/2).
     Returns (pairs, scanned candidate count)."""
     spec, m_mod = engine.spec, engine.m
     p, n0, mu = spec.p, spec.n0, spec.mu
     t = spec.n - i
-    kx = (n0 + 1) // 2 + refine
-    ku = (t + 1) // 2 + refine
+    kx = (n0 + 1) // 2
+    ku = (t + 1) // 2
     dx_mod = p ** (n0 - kx)
     du_mod = p ** (t - ku)
     shift = p ** (i - n0)
@@ -133,24 +133,16 @@ def _ps_pairs(engine: MatCoefEngine, i: int, a_res: int, m_res: int,
     w = alpha.residue_unit(n0 - kx) if n0 > kx else 0
     pn0 = p**n0
     weight = Fraction(p, p - 1) / p ** (kx + ku)
-    if refine == 0:
-        # (du) with (dx) substituted: unit-discriminant quadratic in u0
-        base_roots = solve_quadratic_congruence(
-            m_res, 2 * shift * m_res, -a_res, p, t - ku)
-        u_cands = [u for r in base_roots
-                   for u in _unit_lifts(r, t - ku, ku, p)]
-    else:
-        u_cands = get_context(p, ku).units(ku)
+    # (du) with (dx) substituted: unit-discriminant quadratic in u0
+    base_roots = solve_quadratic_congruence(
+        m_res, 2 * shift * m_res, -a_res, p, t - ku)
+    u_cands = [u for r in base_roots for u in _unit_lifts(r, t - ku, ku, p)]
     scanned = 0
     pairs = []
     for u0 in u_cands:
         slope = (a_res - shift * m_res * u0) % dx_mod
-        if refine == 0:
-            x_cands = _unit_lifts(w * pow(slope, -1, dx_mod) % dx_mod,
-                                  n0 - kx, kx, p)
-        else:
-            x_cands = get_context(p, kx).units(kx)
-        for x0 in x_cands:
+        for x0 in _unit_lifts(w * pow(slope, -1, dx_mod) % dx_mod,
+                              n0 - kx, kx, p):
             scanned += 1
             if (x0 * (a_res - shift * m_res * u0) - w) % dx_mod:
                 continue
@@ -164,26 +156,21 @@ def _ps_pairs(engine: MatCoefEngine, i: int, a_res: int, m_res: int,
     return pairs, scanned
 
 
-def _sc_pairs(engine: MatCoefEngine, i: int, a_res: int, m_res: int,
-              refine: int) -> tuple[list[CriticalPair], int]:
+def _sc_pairs(engine: MatCoefEngine, i: int, a_res: int, m_res: int
+              ) -> tuple[list[CriticalPair], int]:
     """Survivors for a supercuspidal query on the supported locus.  The
-    inner block runs over shell representatives of the quadratic extension
-    at transversal level ceil(a/2)+refine."""
+    inner block runs over the engine's shell table at transversal level
+    ceil(a/2) (a/2 when ramified)."""
     spec, m_mod = engine.spec, engine.m
     p, theta = spec.p, spec.theta
     a_cond, t = theta.level, spec.n - i
-    kx = (t + 1) // 2 + refine
+    kx = (t + 1) // 2
     dx_mod = p ** (t - kx)
     pt = p**t
     a_inv = pow(a_res, -1, pt)
     alpha = alpha_of_theta(theta)
-    e_e = 2 if theta.ramified else 1
-    c = -a_cond - e_e + 1
-    pi_part = theta.pi_exponent(c, m_mod)
-    mod_a, mod_b = theta.group.mod_a, theta.group.mod_b
     if theta.ramified:
-        h = a_cond // 2
-        level = h + refine
+        level = h = a_cond // 2
         # component bounds of the inner ball p_E^level over o: a-part
         # ceil(level/2), b-part ceil((level-1)/2)
         sc2_mod = p ** (h - (level + 1) // 2)
@@ -191,61 +178,40 @@ def _sc_pairs(engine: MatCoefEngine, i: int, a_res: int, m_res: int,
         w = alpha.b.residue_unit((h + 1) // 2) % sc3_mod
         nu_scale = p ** (h - t)
     else:
-        level = (a_cond + 1) // 2 + refine
-        sc2_mod = p ** (a_cond - level)
-        sc3_mod = p ** (a_cond - level)
+        level = (a_cond + 1) // 2
+        sc2_mod = sc3_mod = p ** (a_cond - level)
         w = alpha.b.residue_unit(a_cond // 2) % sc3_mod if sc3_mod > 1 else 0
         nu_scale = p ** (a_cond - t)
-    ext = get_ext_context(p, max(spec.n, 2), theta.ramified)
-    reps = unit_shell_reps(ext, level)
-    weight = Fraction(p, p - 1) / p**kx / len(reps)
+    A, B, phase, eta = engine.weng.shell_table(level)
+    # the phase-linearization coordinate must match alpha
+    keep = np.flatnonzero((A if theta.ramified else B) % sc3_mod == w)
+    weight = Fraction(p, p - 1) / p**kx / len(A)
     scanned = 0
     pairs = []
-    for (A, B) in reps:
-        if theta.ramified:
-            if (A - w) % sc3_mod:
-                continue
-            eta = -(A * A - p * B * B)
-        else:
-            if (B - w) % sc3_mod:
-                continue
-            eta = A * A - theta.group.d_unit * B * B
-        if refine == 0:
-            # x0^2 = -a m / eta, written as x0^2 + (a m / eta) = 0
-            const = a_res * m_res * pow(eta, -1, dx_mod) if t > kx else 0
-            roots = solve_quadratic_congruence(1, 0, const, p, t - kx)
-            x_cands = [x for r in roots for x in _unit_lifts(r, t - kx, kx, p)]
-        else:
-            x_cands = get_context(p, kx).units(kx)
+    for a_j, b_j, ph, et in zip(A[keep].tolist(), B[keep].tolist(),
+                                phase[keep].tolist(), eta[keep].tolist()):
+        # x0^2 = -a m / eta, written as x0^2 + (a m / eta) = 0
+        const = a_res * m_res * pow(et, -1, dx_mod) if t > kx else 0
+        roots = solve_quadratic_congruence(1, 0, const, p, t - kx)
+        x_cands = [x for r in roots for x in _unit_lifts(r, t - kx, kx, p)]
         for x0 in x_cands:
             scanned += 1
-            if (x0 * x0 * eta + m_res * a_res) % dx_mod:
+            if (x0 * x0 * et + m_res * a_res) % dx_mod:
                 continue
             # when the shear depth satisfies e_E(i-n) >= -ceil(a/2) the
             # nu_scale power swamps the modulus and this degenerates to the
             # x0-free condition "trace coordinate = 0"
-            coupled = nu_scale * x0 * a_inv * eta
-            if theta.ramified:
-                if (B - coupled) % sc2_mod:
-                    continue
-            else:
-                if (A - coupled) % sc2_mod:
-                    continue
+            coupled = nu_scale * x0 * a_inv * et
+            if ((b_j if theta.ramified else a_j) - coupled) % sc2_mod:
+                continue
             e = (psi_exponent_scaled(p, t, m_res * pow(x0, -1, pt), m_mod)
-                 - pi_part
-                 - theta.eval_exponent((A % mod_a, B % mod_b), m_mod)
-                 + psi_exponent_scaled(p, t, -x0 * a_inv * eta, m_mod))
-            if theta.ramified:
-                e += psi_exponent_scaled(p, h, 2 * B, m_mod)
-            else:
-                e += psi_exponent_scaled(p, a_cond, 2 * A, m_mod)
-            pairs.append(CriticalPair(x0, (A, B), e % m_mod, weight))
+                 + psi_exponent_scaled(p, t, -x0 * a_inv * et, m_mod) + ph)
+            pairs.append(CriticalPair(x0, (a_j, b_j), e % m_mod, weight))
     return pairs, scanned
 
 
 def critical_pairs(engine: MatCoefEngine, i: int, a: PAdicScalar,
-                   madd: PAdicScalar, refine: int = 0
-                   ) -> tuple[list[CriticalPair], int]:
+                   madd: PAdicScalar) -> tuple[list[CriticalPair], int]:
     """Critical pairs of a supported interior query; raises off the fast
     range or off support (callers dispatch those cases)."""
     spec = engine.spec
@@ -254,19 +220,16 @@ def critical_pairs(engine: MatCoefEngine, i: int, a: PAdicScalar,
     if a.is_zero or a.val != 0 or madd.is_zero or madd.val != i - spec.n:
         raise ValueError("query off the support locus")
     t = spec.n - i
-    if refine < 0 or (t + 1) // 2 + refine > t:
-        raise ValueError("refine must keep the outer block level at most t")
     need = spec.n0 if spec.family == "ps" else t
     a_res = a.residue_unit(need)
     m_res = madd.residue_unit(t)
     if spec.family == "ps":
-        return _ps_pairs(engine, i, a_res, m_res, refine)
-    return _sc_pairs(engine, i, a_res, m_res, refine)
+        return _ps_pairs(engine, i, a_res, m_res)
+    return _sc_pairs(engine, i, a_res, m_res)
 
 
 def phi_fast_numerator(engine: MatCoefEngine, i: int, a: PAdicScalar,
-                       madd: PAdicScalar, refine: int = 0
-                       ) -> tuple[CycloValue, dict]:
+                       madd: PAdicScalar) -> tuple[CycloValue, dict]:
     """Fast phi numerator plus diagnostics (pair/scan counts, dispatch).
 
     Same normalization as MatCoefEngine.phi_numerator: divide by C0 for the
@@ -285,7 +248,7 @@ def phi_fast_numerator(engine: MatCoefEngine, i: int, a: PAdicScalar,
     if v_a != 0 or v_m != i - spec.n:
         diag["off_support"] = True
         return CycloValue.zero(engine.m), diag
-    pairs, scanned = critical_pairs(engine, i, a, madd, refine)
+    pairs, scanned = critical_pairs(engine, i, a, madd)
     diag["pairs"], diag["scanned"] = len(pairs), scanned
     counts = np.zeros(engine.m, dtype=np.int64)
     for pair in pairs:

@@ -24,11 +24,10 @@ from .characters import (
     MultChar,
     ThetaChar,
     gauss_c0_principal_series,
-    gauss_c0_shell,
-    psi_exponent_scaled,
+    shell_table,
 )
 from .cyclotomic import CycloValue
-from .residue import PAdicScalar, get_ext_context, unit_shell_reps
+from .residue import PAdicScalar
 
 
 class ReprSpec:
@@ -112,14 +111,14 @@ class WhittakerEngine:
         self.m = m if m is not None else spec.modulus(psi_level)
         if self.m % spec.char_value_order or self.m % spec.p**spec.n0:
             raise ValueError("modulus not compatible with the representation")
-        self._cache: dict[tuple[int, int, int], np.ndarray] = {}
+        self._cache: dict[tuple[int, int], np.ndarray] = {}
         self._mu1_cache: dict[int, np.ndarray] = {}
         self._c0 = None
         self._c0_complex = None
         if spec.family == "ps":
             self._init_ps_tables()
         else:
-            self._sc_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+            self._sc_cache: dict[int, tuple[np.ndarray, ...]] = {}
 
     # -- principal series tables ------------------------------------------
 
@@ -143,34 +142,14 @@ class WhittakerEngine:
 
     # -- supercuspidal shell tables ----------------------------------------
 
-    def _sc_tables(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Per-representative arrays at shell transversal level k >= a:
-        (character + trace exponent scaled to m, unit part of the norm)."""
-        if k in self._sc_cache:
-            return self._sc_cache[k]
-        theta = self.spec.theta
-        p, a, n0, m = theta.p, theta.level, self.spec.n0, self.m
-        ext = get_ext_context(p, max(self.spec.n, 2), theta.ramified)
-        reps = unit_shell_reps(ext, k)
-        e_e = 2 if theta.ramified else 1
-        c = -a - e_e + 1
-        pi_part = (-theta.pi_exponent(c, m)) % m
-        mod_a, mod_b = theta.group.mod_a, theta.group.mod_b
-        pn0 = p**n0
-        base = np.empty(len(reps), dtype=np.int64)
-        norm = np.empty(len(reps), dtype=np.int64)
-        for j, (A, B) in enumerate(reps):
-            key = (A % mod_a, B % mod_b)
-            if theta.ramified:
-                # tr(piE^c (A + B sqrt(p))) = 2 B p^(-n0); N(piE^c) = -p^(-n)
-                tr = psi_exponent_scaled(p, n0, 2 * B, m)
-                norm[j] = (-(A * A - p * B * B)) % pn0
-            else:
-                # tr(p^c (A + B sqrt(d))) = 2 A p^(-a); N(p^c) = p^(-n)
-                tr = psi_exponent_scaled(p, a, 2 * A, m)
-                norm[j] = (A * A - theta.group.d_unit * B * B) % pn0
-            base[j] = (pi_part - theta.eval_exponent(key, m) + tr) % m
-        self._sc_cache[k] = (base, norm)
+    def shell_table(self, k: int) -> tuple[np.ndarray, ...]:
+        """characters.shell_table of theta at transversal level k and this
+        engine's modulus, built once per level: (A, B, phase, eta)."""
+        if k not in self._sc_cache:
+            table = shell_table(self.spec.theta, k, self.m)
+            for arr in table:
+                arr.flags.writeable = False
+            self._sc_cache[k] = table
         return self._sc_cache[k]
 
     # -- evaluation ---------------------------------------------------------
@@ -181,7 +160,10 @@ class WhittakerEngine:
             if self.spec.family == "ps":
                 self._c0 = gauss_c0_principal_series(self.spec.mu, self.m)
             else:
-                self._c0 = gauss_c0_shell(self.spec.theta, self.m)
+                phase = self.shell_table(self.spec.theta.level)[2]
+                self._c0 = CycloValue.from_counts(
+                    self.m, np.bincount(phase, minlength=self.m),
+                    self.numerator_scale())
         return self._c0
 
     @property
@@ -190,25 +172,23 @@ class WhittakerEngine:
             self._c0_complex = self.c0.complex()
         return self._c0_complex
 
-    def term_count(self, shell_level: int | None = None) -> int:
+    def term_count(self) -> int:
         if self.spec.family == "ps":
             return self.spec.mu.ctx.unit_count()
-        k = shell_level if shell_level is not None else self.spec.theta.level
-        q_e = self.spec.p if self.spec.ramified else self.spec.p**2
-        return q_e**k - q_e ** (k - 1)
+        return self.spec.theta.group.order
 
-    def numerator_scale(self, shell_level: int | None = None) -> Fraction:
+    def numerator_scale(self) -> Fraction:
         # ps: additive measure vol(o) = 1, matching the C0 normalization;
         # sc: multiplicative measure vol(o_E^x) = 1, one weight per class
         if self.spec.family == "ps":
             return Fraction(1, self.spec.p**self.spec.n0)
-        return Fraction(1, self.term_count(shell_level))
+        return Fraction(1, self.term_count())
 
     def _check_range(self, i: int) -> None:
         if not self.spec.n0 < i <= self.spec.n:
             raise ValueError(f"shear depth {i} outside (n0, n] for {self.spec}")
 
-    def numerator_counts(self, i: int, x_res: int, shell_level: int | None = None,
+    def numerator_counts(self, i: int, x_res: int,
                          cache: bool = True) -> np.ndarray:
         """Integer count vector of the unnormalized sum for a unit residue
         x_res; the value is from_counts(m, counts, numerator_scale()) / C0."""
@@ -217,23 +197,22 @@ class WhittakerEngine:
         if spec.family == "ps":
             pn0 = p**spec.n0
             x_res %= pn0
-            key = (i, x_res, 0)
+            key = (i, x_res)
             if cache and key in self._cache:
                 return self._cache[key]
             xu = (x_res * self._u_arr) % pn0
             exps = (self._ps_shift_factor(i) + self._mu_dense[xu]
                     + ((-xu) % pn0) * (m // pn0)) % m
         else:
-            k = shell_level if shell_level is not None else spec.theta.level
             lvl = spec.n - i
             pl = p**lvl
             x_res %= pl
-            key = (i, x_res, k)
+            key = (i, x_res)
             if cache and key in self._cache:
                 return self._cache[key]
-            base, norm = self._sc_tables(k)
+            _, _, phase, eta = self.shell_table(spec.theta.level)
             inv = pow(x_res, -1, pl) if lvl else 0
-            exps = (base + ((-inv * norm) % pl) * (m // pl)) % m
+            exps = (phase + ((-inv * eta) % pl) * (m // pl)) % m
         counts = np.zeros(m, dtype=np.int64)
         np.add.at(counts, exps, 1)
         counts.flags.writeable = False
@@ -241,17 +220,15 @@ class WhittakerEngine:
             self._cache[key] = counts
         return counts
 
-    def numerator(self, i: int, x: PAdicScalar,
-                  shell_level: int | None = None) -> CycloValue:
+    def numerator(self, i: int, x: PAdicScalar) -> CycloValue:
         """Exact cyclotomic numerator of the value at diagonal argument x;
         zero off the unit locus.  The value itself is numerator / C0."""
         self._check_range(i)
         if x.is_zero or x.val != 0:
             return CycloValue.zero(self.m)
         res = x.residue_unit(required_precision(self.spec, i))
-        counts = self.numerator_counts(i, res, shell_level)
-        return CycloValue.from_counts(self.m, counts,
-                                      self.numerator_scale(shell_level))
+        counts = self.numerator_counts(i, res)
+        return CycloValue.from_counts(self.m, counts, self.numerator_scale())
 
     def value(self, i: int, x: PAdicScalar) -> complex:
         """Float value numerator / C0 (for oracles and reports; exact paths

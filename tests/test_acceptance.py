@@ -22,6 +22,7 @@ from gl2local.characters import (
     alpha_of_theta,
     build_theta,
     gauss_c0_principal_series,
+    gauss_c0_shell,
     gauss_c0_supercuspidal,
     primitive_char,
     psi_exponent_scaled,
@@ -307,6 +308,9 @@ def test_criterion_09_trivial_values(sweep):
             assert engine.phi_numerator(n, one, ctx.scalar(-3, u)).is_zero()
         worst = max(r["abs"] for _, rows in per_i.values() for r in rows)
         assert worst <= 1 + 1e-9
+        if family != "ps":
+            # the constant the values above are divided by
+            assert engine.c0.equals(gauss_c0_shell(spec.theta, engine.m))
 
 
 def test_criterion_10_exponent_arithmetic():

@@ -20,6 +20,7 @@ from gl2local.characters import (
     psi_exponent_scaled,
     required_gauss_modulus,
     shell_norm_valuation,
+    shell_table,
 )
 from gl2local.cyclotomic import CycloValue, root_of_unity
 from gl2local.errors import ConstructionError, PrecisionError
@@ -255,6 +256,39 @@ def test_gauss_sc_shell_normalization():
     a = gauss_c0_shell(theta)
     b = gauss_c0_supercuspidal(theta)
     assert a.equals(b * ratio)
+
+
+def shell_sum_oracle(theta: ThetaChar, m: int) -> CycloValue:
+    # sum over the shell u = piE^c (A + B sqrt(D)), (A, B) over the unit-group
+    # keys, of theta^(-1)(u) psi_E(u), at the shell-count normalization
+    p, a = theta.p, theta.level
+    c = -a - (2 if theta.ramified else 1) + 1
+    counts = np.zeros(m, dtype=np.int64)
+    for (A, B) in theta.group.dlog:
+        if theta.ramified:
+            tr = psi_exponent_scaled(p, a // 2, 2 * B, m)  # 2 B p^((c+1)/2)
+        else:
+            tr = psi_exponent_scaled(p, a, 2 * A, m)  # 2 A p^c
+        e = -theta.pi_exponent(c, m) - theta.eval_exponent((A, B), m) + tr
+        counts[e % m] += 1
+    return CycloValue.from_counts(m, counts, Fraction(1, theta.group.order))
+
+
+@pytest.mark.parametrize("ram,lvl,pi_sign", [
+    (False, 2, 1), (False, 3, 1), (True, 2, 1), (True, 4, 1), (True, 4, -1)])
+def test_gauss_sc_shell_matches_dlog_oracle(ram, lvl, pi_sign):
+    theta = build_theta(3, ram, lvl)
+    theta = ThetaChar(theta.group, theta.exps, pi_sign)
+    m = required_gauss_modulus(theta)
+    assert gauss_c0_shell(theta).equals(shell_sum_oracle(theta, m))
+    m2 = 2 * 3 * m
+    assert gauss_c0_shell(theta, m2).equals(shell_sum_oracle(theta, m2))
+
+
+def test_shell_table_rejects_short_modulus():
+    theta = build_theta(3, False, 2)
+    with pytest.raises(ValueError):
+        shell_table(theta, 2, theta.value_order)  # no room for psi_E mod 9
 
 
 def test_shell_norm_valuation():

@@ -58,6 +58,20 @@ def test_config_minimal_defaults():
     ({"task": "decay", "p": (2**31 - 1) ** 2}, "config.p"),
     ({"task": "decay", "p": 3317044064679887385961981}, "config.p"),
     ({"task": "exponent", "p": 2**89 - 1}, "config.p"),
+    ({"task": "counting", "algebra": []}, "config.algebra"),
+    ({"task": "counting", "algebra": {}}, "config.algebra"),
+    ({"task": "counting", "algebra": 6}, "config.algebra"),
+    ({"task": "counting", "plans": [{}, {"0": 1}]}, "config.plans[1]"),
+    ({"task": "counting", "plans": [{"9": 1}]}, "config.plans[0]"),
+    ({"task": "counting", "plans": [{"2": 1}]}, "config.plans[0]"),
+    ({"task": "counting", "plans": [{"-5": 1}]}, "config.plans[0]"),
+    ({"task": "counting", "plans": [{str(2**89 - 1): 1}]}, "config.plans[0]"),
+    ({"task": "counting", "plans": [{"5": 0}]}, "config.plans[0]"),
+    ({"task": "counting", "plans": [{"5": -1}]}, "config.plans[0]"),
+    ({"task": "decay", "p": 3, "n": 4, "units_per_class": 487},
+     "config.units_per_class"),
+    ({"task": "decay", "p": 5, "n": 6, "units_per_class": 10**30},
+     "config.units_per_class"),
 ])
 def test_config_rejections_carry_field_paths(raw, path):
     with pytest.raises(ConfigError) as err:
@@ -90,6 +104,41 @@ def test_exponent_example_report_line(tmp_path):
     rows = out.read_text().splitlines()
     assert rows[0] == "eta1,delta,eta2,supnorm_exponent,depth_exponent"
     assert rows[1] == "0,1,1/2,5/12,5/24"
+
+
+def test_largest_unit_sample_is_accepted():
+    cfg = ExperimentConfig.from_dict(
+        {"task": "decay", "p": 3, "n": 4, "units_per_class": 486})
+    assert cfg.units_per_class == 486
+
+
+@pytest.mark.parametrize("raw,path", [
+    ({"task": "counting", "algebra": []}, "config.algebra"),
+    ({"task": "counting", "plans": [{"0": 1}]}, "config.plans[0]"),
+    ({"task": "counting", "plans": [{"9": 1}]}, "config.plans[0]"),
+    ({"task": "decay", "p": 3, "n": 4, "i_values": [3],
+      "units_per_class": 500}, "config.units_per_class"),
+])
+def test_new_rejections_exit_two_at_once(tmp_path, capsys, raw, path):
+    t0 = time.perf_counter()
+    code = main(["--config", write_config(tmp_path, raw),
+                 "--out", str(tmp_path / "x.csv")])
+    assert code == 2 and time.perf_counter() - t0 < 1.0
+    assert f"config error: {path}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("configs,path", [
+    ([{"task": "counting", "algebra": "disc6", "L": 2},
+      {"task": "counting", "algebra": "nope"}], "config.configs[1].algebra"),
+    ([{"task": "counting", "algebra": "disc6", "plans": [{}, {"3": 1}],
+       "L": 2}], "config.configs[0].plans[1]"),
+])
+def test_sweep_runner_errors_name_the_sub_config(tmp_path, capsys, configs,
+                                                 path):
+    cfg = write_config(tmp_path, {"task": "sweep", "configs": configs,
+                                  "out": str(tmp_path / "x.csv")})
+    assert main(["--config", cfg]) == 2
+    assert f"config error: {path}:" in capsys.readouterr().err
 
 
 def test_huge_prime_validates_at_once(tmp_path, capsys):

@@ -274,6 +274,9 @@ def test_plan_validation():
         build_tidy_lattice(ORD6, {2: 1})
     with pytest.raises(ValueError):
         build_tidy_lattice(ORD6, {5: 0})
+    for q in (0, 1, -5, 9, 25):  # 0 used to divide by zero, 9 and 25 to hang
+        with pytest.raises(ValueError):
+            build_tidy_lattice(ORD6, {q: 1})
 
 
 def test_tidiness_predicate_rejects_unbalanced_shape():

@@ -114,18 +114,6 @@ def test_sc_ram_fast_matches_naive_exactly(level, n, depths):
             assert diag["pairs"] <= bound
 
 
-def test_refined_blocks_leave_value_unchanged():
-    cases = [(ps_engine(3, 6), 4), (sc_engine(3, False, 3), 4),
-             (sc_engine(3, True, 4), 3)]
-    for engine, i in cases:
-        a, madd = supported_grid(engine, i, units=(1,))[0]
-        coarse, d0 = phi_fast_numerator(engine, i, a, madd)
-        fine, d1 = phi_fast_numerator(engine, i, a, madd, refine=1)
-        assert fine.equals(coarse)
-        # finer blocks mean weaker survival congruences, never fewer pairs
-        assert d1["pairs"] >= d0["pairs"]
-
-
 def test_fast_value_route():
     engine = ps_engine(3, 6)
     a, madd = supported_grid(engine, 4, units=(1,))[0]
@@ -163,8 +151,6 @@ def test_critical_pairs_validation():
         critical_pairs(engine, 5, ctx.scalar(0, 1), ctx.scalar(-1, 1))
     with pytest.raises(ValueError):
         critical_pairs(engine, 4, ctx.scalar(1, 1), ctx.scalar(-2, 1))
-    with pytest.raises(ValueError):
-        critical_pairs(engine, 4, ctx.scalar(0, 1), ctx.scalar(-2, 1), refine=5)
 
 
 def test_critical_pair_phases_are_roots_of_unity():

@@ -166,19 +166,6 @@ def test_uniformizer_sign_choice_cancels():
     assert e_minus.c0.equals(-e_plus.c0)
 
 
-def test_shell_refinement_constant():
-    # refining the shell transversal one level must not change the sum
-    ctx = get_context(3, 6)
-    for spec in (sc_spec(3, False, 4), sc_spec(3, True, 3), sc_spec(3, True, 5)):
-        eng = WhittakerEngine(spec)
-        a = spec.theta.level
-        for i in range(spec.n0 + 1, spec.n + 1):
-            for x in (1, 2):
-                coarse = eng.numerator(i, ctx.from_int(x))
-                fine = eng.numerator(i, ctx.from_int(x), shell_level=a + 1)
-                assert coarse.equals(fine)
-
-
 def test_residue_class_invariance():
     ctx = get_context(3, 8)
     for spec in (ps_spec(3, 6), sc_spec(3, False, 4)):
@@ -221,3 +208,19 @@ def test_counts_cache_consistency():
     b = eng.numerator_counts(3, 2, cache=False)
     assert (a == b).all()
     assert eng.numerator_counts(3, 2) is a  # cached object reused
+
+
+def test_shell_table_built_once_per_level():
+    for spec in (sc_spec(3, False, 4), sc_spec(3, True, 5)):
+        eng = WhittakerEngine(spec)
+        a = spec.theta.level
+        eng.numerator_counts(spec.n0 + 1, 1)
+        assert list(eng._sc_cache) == [a]
+        table = eng.shell_table(a)
+        assert eng.shell_table(a) is table
+        assert not any(arr.flags.writeable for arr in table)
+        q_e = 3 if spec.ramified else 9
+        assert len(table[0]) == q_e**a - q_e ** (a - 1)
+        assert (table[3] % 3 != 0).all()  # eta is a unit on the shell
+        eng.c0
+        assert list(eng._sc_cache) == [a]  # C0 reads the same table

@@ -1,10 +1,10 @@
 """List the functions in src/ that the acceptance and CLI tests never call.
 
 Runs pytest on tests/test_acceptance.py and tests/test_cli.py in this
-process with a profile hook (``sys.setprofile`` plus ``threading.setprofile``
-for the sweep worker threads) that records every Python code object entered,
-then prints each function or method defined under src/ that was never
-entered, one ``path:line qualname`` per line, followed by a count.
+process with a profile hook (``sys.setprofile``) that records every Python
+code object entered, then prints each function or method defined under
+src/ that was never entered, one ``path:line qualname`` per line, followed
+by a count.
 
     python scripts/reachability.py [extra pytest args]
 
@@ -15,7 +15,6 @@ is still complete for the code that ran.
 
 import ast
 import sys
-import threading
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -52,7 +51,6 @@ def main(argv: list[str]) -> int:
         if event == "call":
             seen.add(frame.f_code)
 
-    threading.setprofile(hook)
     sys.setprofile(hook)
     try:
         status = pytest.main(["-q", "-p", "no:cacheprovider",
@@ -60,7 +58,6 @@ def main(argv: list[str]) -> int:
                              + [str(ROOT / t) for t in TESTS] + argv)
     finally:
         sys.setprofile(None)
-        threading.setprofile(None)
 
     called = {(str(Path(c.co_filename).resolve()), c.co_qualname)
               for c in seen}

@@ -261,9 +261,6 @@ class UnitGroupE:
                 "generators do not present the unit group as a direct product")
         return table
 
-    def keys(self) -> list[tuple[int, int]]:
-        return list(self.dlog.keys())
-
     def f_unit_keys(self) -> list[tuple[int, int]]:
         """Image of o^x among the keys."""
         return [(u, 0) for u in range(1, self.mod_a) if u % self.p != 0]
@@ -353,18 +350,11 @@ class ThetaChar:
         return any(self.exponent(g.conj_key(k)) != self.exponent(k)
                    for k in g.generators)
 
-    def conjugated(self) -> "ThetaChar":
-        """theta o (Galois conjugation)."""
-        out = ThetaChar(self.group, self.exps, self.pi_sign)
-        g = self.group
-        out.table = {k: self.table[g.conj_key(k)] for k in self.table}
-        return out
-
 
 def _one_unit_keys(group: UnitGroupE, depth: int) -> list[tuple[int, int]]:
     """All classes of (1 + p_E^depth)/(1 + p_E^L); depth 0 gives every unit."""
     if depth <= 0:
-        return group.keys()
+        return list(group.dlog)
     p, lvl = group.p, group.level
     out = []
     if group.ramified:

@@ -15,7 +15,6 @@ import io
 import json
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -96,7 +95,6 @@ class ExperimentConfig:
     # plumbing
     out: str = "out.csv"
     seed: int = 0
-    threads: int = 1
     configs: list | None = None
 
     @classmethod
@@ -162,8 +160,9 @@ class ExperimentConfig:
             raise ConfigError(f"{path}.algebra", "must be a string")
         plans = raw.get("plans", None)
         if plans is not None:
-            if not isinstance(plans, list):
-                raise ConfigError(f"{path}.plans", "must be a list of objects")
+            if not isinstance(plans, list) or not plans:
+                raise ConfigError(f"{path}.plans",
+                                  "must be a non-empty list of objects")
             cfg.plans = []
             for k, plan in enumerate(plans):
                 if not isinstance(plan, dict):
@@ -217,8 +216,9 @@ class ExperimentConfig:
         cfg.seed = raw.get("seed", cfg.seed)
         if not _is_int(cfg.seed):
             raise ConfigError(f"{path}.seed", "must be an integer")
-        cfg.threads = raw.get("threads", cfg.threads)
-        if not _is_int(cfg.threads) or cfg.threads < 1:
+        # accepted for old configs; sweeps run in order in one thread
+        threads = raw.get("threads", 1)
+        if not _is_int(threads) or threads < 1:
             raise ConfigError(f"{path}.threads", "must be an integer >= 1")
         cfg.configs = raw.get("configs", None)
         if task == "sweep":
@@ -298,6 +298,8 @@ class TaskResult:
     report: list[str]
     ok: bool
     sidecars: dict[str, str] = field(default_factory=dict)
+    # decay: one DECAY_SUMMARY_COLUMNS row per depth i, sorted by i
+    summary: list[dict] = field(default_factory=list)
 
 
 def run_verify_support(cfg: ExperimentConfig) -> TaskResult:
@@ -325,6 +327,7 @@ def run_decay(cfg: ExperimentConfig) -> TaskResult:
     i_values = cfg.i_values if cfg.i_values is not None else _default_interior(spec)
     bound = decay_bound(spec)
     rows, report = [], []
+    by_i = {}
     ok = True
     for i in i_values:
         worst = 0.0
@@ -344,7 +347,15 @@ def run_decay(cfg: ExperimentConfig) -> TaskResult:
         report.append(f"i={i}: {len(grid)} points, max normalized ratio "
                       f"{worst!r} vs bound {bound} -> "
                       f"{'ok' if good else 'EXCEEDED'}")
-    return TaskResult(DECAY_COLUMNS, rows, report, ok)
+        row = by_i.setdefault(i, {
+            "p": spec.p, "n": spec.n, "family": spec.label, "i": i,
+            "points": 0, "max_ratio_normalized": 0.0, "bound": bound,
+            "ok": True})
+        row["points"] += len(grid)
+        row["max_ratio_normalized"] = max(row["max_ratio_normalized"], worst)
+        row["ok"] = row["ok"] and good
+    return TaskResult(DECAY_COLUMNS, rows, report, ok,
+                      summary=[by_i[i] for i in sorted(by_i)])
 
 
 def run_speedup(cfg: ExperimentConfig) -> TaskResult:
@@ -463,6 +474,8 @@ def run_counting(cfg: ExperimentConfig) -> TaskResult:
 def run_sweep(cfg: ExperimentConfig) -> TaskResult:
     sub_cfgs = []
     for k, raw in enumerate(cfg.configs):
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config.configs[{k}]", "must be a JSON object")
         merged = dict(raw)
         merged.setdefault("seed", cfg.seed)
         sub = ExperimentConfig.from_dict(merged, path=f"config.configs[{k}]")
@@ -474,23 +487,21 @@ def run_sweep(cfg: ExperimentConfig) -> TaskResult:
     if len(tasks) > 1:
         raise ConfigError("config.configs",
                           f"sweep sub-tasks must share one schema, got {sorted(tasks)}")
-
-    def run_sub(k: int, sub: ExperimentConfig) -> TaskResult:
+    results = []
+    for k, sub in enumerate(sub_cfgs):
         # runners name fields from the top-level config; point at the sub-config
         try:
-            return RUNNERS[sub.task](sub)
+            results.append(RUNNERS[sub.task](sub))
         except ConfigError as exc:
             raise ConfigError(f"config.configs[{k}]"
                               + exc.path.removeprefix("config"),
                               exc.message) from None
-
-    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-        results = list(pool.map(run_sub, range(len(sub_cfgs)), sub_cfgs))
     columns = results[0].columns if results else SUPPORT_COLUMNS
-    rows, report, sidecars = [], [], {}
+    rows, report, sidecars, summary = [], [], {}, []
     ok = True
     for sub, res in zip(sub_cfgs, results):
         rows.extend(res.rows)
+        summary.extend(res.summary)
         report.append(f"[{sub.task} p={sub.p} n={sub.n} {sub.family}] "
                       + ("pass" if res.ok else "FAIL"))
         report.extend("  " + line for line in res.report)
@@ -498,21 +509,6 @@ def run_sweep(cfg: ExperimentConfig) -> TaskResult:
         for name, text in res.sidecars.items():
             sidecars[name] = sidecars.get(name, "") + text
     if results and sub_cfgs[0].task == "decay":
-        summary = []
-        for sub, res in zip(sub_cfgs, results):
-            by_i = {}
-            for row in res.rows:
-                by_i.setdefault(row["i"], []).append(row["ratio_normalized"])
-            spec = build_spec(sub)
-            bound = decay_bound(spec)
-            for i in sorted(by_i):
-                ratios = by_i[i]
-                summary.append({
-                    "p": sub.p, "n": sub.n, "family": spec.label,
-                    "i": i, "points": len(ratios),
-                    "max_ratio_normalized": max(ratios), "bound": bound,
-                    "ok": max(ratios) <= bound + 1e-9,
-                })
         sidecars["summary"] = render_csv(DECAY_SUMMARY_COLUMNS, summary)
     return TaskResult(columns, rows, report, ok, sidecars)
 
@@ -554,7 +550,6 @@ def main(argv=None) -> int:
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--out", help="output CSV path")
     parser.add_argument("--seed", type=int)
-    parser.add_argument("--threads", type=int)
     args = parser.parse_args(argv)
     raw = {}
     if args.config:
@@ -567,7 +562,7 @@ def main(argv=None) -> int:
         except json.JSONDecodeError as exc:
             print(f"config error: config: invalid JSON ({exc})", file=sys.stderr)
             return 2
-    for key in ("task", "out", "seed", "threads"):
+    for key in ("task", "out", "seed"):
         value = getattr(args, key)
         if value is not None:
             raw[key] = value

@@ -9,10 +9,9 @@ zeta^{phi(p^a)} = -(1 + zeta^{p^(a-1)} + ... + zeta^{(p-2)p^(a-1)})), so no
 reduction table in the size of M is ever materialized.  Coordinates are exact
 integers and a value is zero iff every coordinate is zero; an optional
 Fraction scale carries measure normalizations exactly.  Values are built
-from count vectors and support addition, rational scaling, rotation by a
-root of unity and complex conjugation; the evaluators never multiply two
-values or divide by a Gauss sum: zero tests run on numerators and
-magnitudes go through the float embedding.
+from count vectors and support addition and rational scaling; the
+evaluators never multiply two values or divide by a Gauss sum: zero tests
+run on numerators and magnitudes go through the float embedding.
 """
 
 from __future__ import annotations
@@ -31,46 +30,6 @@ PHI_BUDGET = 10**4
 
 def euler_phi(n: int) -> int:
     return math.prod((p - 1) * p ** (a - 1) for p, a in factorize(n))
-
-
-def _poly_divexact(num: list[int], den: list[int]) -> list[int]:
-    # exact division of integer polynomials, den monic
-    num = list(num)
-    q = [0] * (len(num) - len(den) + 1)
-    for i in range(len(q) - 1, -1, -1):
-        c = num[i + len(den) - 1]
-        q[i] = c
-        if c:
-            for j, dj in enumerate(den):
-                num[i + j] -= c * dj
-    if any(num[: len(den) - 1]):
-        raise ArithmeticError("non-exact polynomial division")
-    return q
-
-
-@lru_cache(maxsize=None)
-def cyclotomic_poly(m: int) -> tuple[int, ...]:
-    """Coefficients (low to high) of the m-th cyclotomic polynomial.
-
-    Standard recursive quotient of x^m - 1 by the proper-divisor cyclotomics,
-    with the radical shortcut Phi_m(x) = Phi_rad(m)(x^(m/rad)).
-    """
-    if m == 1:
-        return (-1, 1)
-    rad = math.prod(p for p, _ in factorize(m))
-    if rad != m:
-        inner = cyclotomic_poly(rad)
-        step = m // rad
-        out = [0] * ((len(inner) - 1) * step + 1)
-        for i, c in enumerate(inner):
-            out[i * step] = c
-        return tuple(out)
-    num = [0] * m + [1]
-    num[0] = -1
-    for d in range(1, m):
-        if m % d == 0:
-            num = _poly_divexact(num, list(cyclotomic_poly(d)))
-    return tuple(num)
 
 
 @lru_cache(maxsize=None)
@@ -129,12 +88,6 @@ class _CycloBasis:
             arr = self.fold_axis(arr, axis)
         return arr
 
-    def scatter(self, coords: np.ndarray) -> np.ndarray:
-        """Coordinates -> full-shape array over prod(Z/p^a) (identity embed)."""
-        full = np.zeros(self.moduli, dtype=coords.dtype)
-        full[tuple(slice(0, s) for s in self.shape)] = coords
-        return full
-
     def embed(self, coords: np.ndarray) -> complex:
         acc = coords.astype(np.complex128)
         for roots in reversed(self.axis_roots):
@@ -164,10 +117,6 @@ class CycloValue:
     @staticmethod
     def zero(m: int) -> "CycloValue":
         return CycloValue(m, np.zeros(_basis(m).shape, dtype=np.int64))
-
-    @staticmethod
-    def one(m: int) -> "CycloValue":
-        return root_of_unity(m, 0)
 
     @staticmethod
     def from_counts(m: int, counts, scale: Fraction = Fraction(1)) -> "CycloValue":
@@ -214,30 +163,6 @@ class CycloValue:
 
     __rmul__ = __mul__
 
-    def rotate(self, e: int) -> "CycloValue":
-        """Multiply by zeta_M^e (cheap)."""
-        basis = _basis(self.m)
-        if self.is_zero():
-            return self
-        full = basis.scatter(self.coords)
-        for axis, (q, w) in enumerate(zip(basis.moduli, basis.axis_unit)):
-            off = (w * e) % q
-            if off:
-                full = np.roll(full, off, axis=axis)
-        for axis in range(len(basis.factors)):
-            full = basis.fold_axis(full, axis)
-        return CycloValue(self.m, full, self.scale)
-
-    def conj(self) -> "CycloValue":
-        basis = _basis(self.m)
-        full = basis.scatter(self.coords)
-        for axis, q in enumerate(basis.moduli):
-            idx = (-np.arange(q)) % q
-            full = np.take(full, idx, axis=axis)
-        for axis in range(len(basis.factors)):
-            full = basis.fold_axis(full, axis)
-        return CycloValue(self.m, full, self.scale)
-
     # -- predicates / embedding -----------------------------------------------
 
     def is_zero(self) -> bool:
@@ -249,20 +174,3 @@ class CycloValue:
     def complex(self) -> complex:
         return complex(self.scale) * _basis(self.m).embed(self.coords)
 
-
-def root_of_unity(m: int, e: int) -> CycloValue:
-    """zeta_M^e as an exact value."""
-    basis = _basis(m)
-    counts = np.zeros(m, dtype=np.int64)
-    counts[e % m] = 1
-    return CycloValue(m, basis.reduce_counts(counts))
-
-
-def embed_counts(m: int, counts) -> complex:
-    """Float evaluation of sum_t counts[t] zeta_M^t without exact reduction.
-
-    Independent of the exact path; used to cross-check the reduction.
-    """
-    arr = np.asarray(counts, dtype=np.float64)
-    roots = np.exp(2j * np.pi * np.arange(m) / m)
-    return complex(arr @ roots)

@@ -25,12 +25,10 @@ class MatCoefEngine:
     newvector engine they wrap: phi = numerator / C0.
     """
 
-    def __init__(self, spec: ReprSpec, psi_level: int | None = None,
-                 m: int | None = None):
-        # additive arguments down to v(m) = -(n1 + 1) fit the default modulus
+    def __init__(self, spec: ReprSpec):
+        # additive arguments down to v(m) = -(n1 + 1) fit the modulus
         self.spec = spec
-        self.weng = WhittakerEngine(
-            spec, m, psi_level=spec.n1 + 1 if psi_level is None else psi_level)
+        self.weng = WhittakerEngine(spec, spec.modulus(spec.n1 + 1))
         self.m = self.weng.m
 
     @property
@@ -54,8 +52,8 @@ class MatCoefEngine:
         if not madd.is_zero and madd.val < 0:
             t = -madd.val
             if self.m % self.spec.p**t:
-                raise ValueError("additive argument too deep for the modulus; "
-                                 "rebuild the engine with a higher psi_level")
+                raise ValueError("additive argument too deep for the "
+                                 "engine modulus")
             m_unit = madd.residue_unit(t)
         return i, a.residue_unit(required_precision(self.spec, i)), t, m_unit
 
@@ -124,23 +122,10 @@ class KStarElement:
             raise ValueError("off-diagonal entries must be divisible by p")
 
     @classmethod
-    def identity(cls, p: int, k: int) -> "KStarElement":
-        return cls(p, k, 1, 0, 0, 1)
-
-    @classmethod
-    def random(cls, p: int, k: int, rng, level: int | None = None) -> "KStarElement":
-        """Uniform entries under the membership constraints; with level set,
-        min(v(b), v(c)) equals that level exactly (by construction)."""
-        mod = p**k
-        if level is None:
-            b = rng.randrange(mod // p) * p
-            c = rng.randrange(mod // p) * p
-        else:
-            if not 1 <= level < k:
-                raise ValueError("level must lie in [1, k)")
-            exact = p**level * random_unit(p, k - level, rng)
-            other = p**level * rng.randrange(p ** (k - level))
-            b, c = (exact, other) if rng.random() < 0.5 else (other, exact)
+    def random(cls, p: int, k: int, rng) -> "KStarElement":
+        """Uniform entries under the membership constraints."""
+        b = rng.randrange(p ** (k - 1)) * p
+        c = rng.randrange(p ** (k - 1)) * p
         return cls(p, k, random_unit(p, k, rng), b, c, random_unit(p, k, rng))
 
     @property
@@ -259,12 +244,16 @@ def decay_bound(spec: ReprSpec) -> int:
 # -- invariant subspace dimension ------------------------------------------
 
 
+GRAM_TOL = 1e-6
+
+
 def gram_dimension_estimate(engine: MatCoefEngine, sample_count: int, rng,
-                            tol: float = 1e-6, return_spectrum: bool = False,
+                            return_spectrum: bool = False,
                             elements: list[KStarElement] | None = None):
     """Numerical rank of the Gram matrix of translated coefficients over
     random ball elements; lower-bounds the cyclic span dimension and must
-    stay below 4 q^n0.  Raises if the Gram matrix is not PSD within tol.
+    stay below 4 q^n0.  Raises if the Gram matrix is not PSD within
+    GRAM_TOL relative to its top eigenvalue.
     Passing elements explicitly lets stabilization checks nest samples.
     Entries are phi'(g_s^-1 g_t) = phi_value of the decomposed query, each
     distinct query_key evaluated once and shared by every entry that has it."""
@@ -294,7 +283,7 @@ def gram_dimension_estimate(engine: MatCoefEngine, sample_count: int, rng,
     top = float(eigs[-1])
     if top <= 0:
         return (0, eigs) if return_spectrum else 0
-    if float(eigs[0]) < -tol * top:
+    if float(eigs[0]) < -GRAM_TOL * top:
         raise AssertionError(f"Gram matrix not PSD: min eig {eigs[0]:.3e}")
-    rank = int(np.count_nonzero(eigs > tol * top))
+    rank = int(np.count_nonzero(eigs > GRAM_TOL * top))
     return (rank, eigs) if return_spectrum else rank

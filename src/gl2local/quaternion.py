@@ -76,10 +76,6 @@ class QuaternionAlgebra:
         self.b_h = b_h
         self.discriminant = math.prod(ramified_primes(a_h, b_h))
 
-    @property
-    def is_division(self) -> bool:
-        return self.discriminant != 1
-
     def mul(self, x, y) -> Coords:
         a, b = self.a_h, self.b_h
         x0, x1, x2, x3 = x
@@ -90,9 +86,6 @@ class QuaternionAlgebra:
             x0 * y2 + x2 * y0 + a * x1 * y3 - a * x3 * y1,
             x0 * y3 + x3 * y0 + x1 * y2 - x2 * y1,
         )
-
-    def conj(self, x) -> Coords:
-        return (x[0], -x[1], -x[2], -x[3])
 
     def tr(self, x):
         return 2 * x[0]
@@ -388,12 +381,6 @@ class TidyLattice:
     def basis_in_frame(self):
         return [self.order.element(row) for row in self.coords]
 
-    def contains(self, order_coords) -> bool:
-        inv = _mat_inverse([[Fraction(v) for v in row] for row in self.coords])
-        sol = [sum(Fraction(order_coords[k]) * inv[k][j] for k in range(4))
-               for j in range(4)]
-        return all(c.denominator == 1 for c in sol)
-
 
 def lattice_shape(coords) -> tuple[int, int, int]:
     divs = smith_divisors(coords)
@@ -457,10 +444,6 @@ class UpperHalfPoint:
         if self.y <= 0:
             raise ValueError("imaginary part must be positive")
 
-    def u(self, other: "UpperHalfPoint") -> Fraction:
-        dx, dy = self.x - other.x, self.y - other.y
-        return (dx * dx + dy * dy) / (4 * self.y * other.y)
-
 
 class QuadRat:
     """Exact r + s*sqrt(d) arithmetic for the distance filter."""
@@ -499,9 +482,6 @@ class QuadRat:
     def leq_rational(self, bound) -> bool:
         return (self - QuadRat(bound, 0, self.d)).sign() <= 0
 
-    def to_float(self) -> float:
-        return float(self.r) + float(self.s) * math.sqrt(self.d)
-
 
 def _iota_inf_exact(alg: QuaternionAlgebra, frame_vec):
     """Entries of the real splitting as exact r + s*sqrt(a_h) pairs."""
@@ -509,12 +489,6 @@ def _iota_inf_exact(alg: QuaternionAlgebra, frame_vec):
     x0, x1, x2, x3 = (Fraction(v) for v in frame_vec)
     return (QuadRat(x0, x1, a), QuadRat(b * x2, b * x3, a),
             QuadRat(x2, -x3, a), QuadRat(x0, -x1, a))
-
-
-def iota_inf(alg: QuaternionAlgebra, frame_vec) -> np.ndarray:
-    entries = _iota_inf_exact(alg, frame_vec)
-    m = [e.to_float() for e in entries]
-    return np.array([[m[0], m[1]], [m[2], m[3]]])
 
 
 def _distance_ok(alg, frame_vec, z: UpperHalfPoint, delta: Fraction,

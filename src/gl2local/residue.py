@@ -172,12 +172,6 @@ class PAdicContext:
     def scalar(self, val: int, unit: int, prec: int | None = None) -> "PAdicScalar":
         return PAdicScalar(self, False, val, unit, self.prec_exp if prec is None else prec)
 
-    def from_int(self, n: int) -> "PAdicScalar":
-        if n == 0:
-            return self.zero()
-        v = padic_valuation(n, self.p)
-        return self.scalar(v, n // self.p**v)
-
 
 class PAdicScalar:
     """p^val * unit with the unit residue known mod p^prec."""
@@ -260,30 +254,6 @@ class QuadExtElement:
         self.ext = ext
         self.a = a
         self.b = b
-
-
-def ext_valuation(x: QuadExtElement) -> int:
-    """v_E, with v_E(uniformizer of E) = 1.
-
-    e_E=1: min(v(a), v(b)); e_E=2: min(2 v(a), 2 v(b) + 1).  The two branches
-    never tie in the ramified case (opposite parities), so no precision is lost.
-    """
-    a, b = x.a, x.b
-    if a.is_zero and b.is_zero:
-        raise PrecisionError("valuation of zero element")
-    if x.ext.ramified:
-        cands = []
-        if not a.is_zero:
-            cands.append(2 * a.val)
-        if not b.is_zero:
-            cands.append(2 * b.val + 1)
-        return min(cands)
-    cands = []
-    if not a.is_zero:
-        cands.append(a.val)
-    if not b.is_zero:
-        cands.append(b.val)
-    return min(cands)
 
 
 def unit_shell_reps(ext: QuadExtContext, k: int) -> list[tuple[int, int]]:

@@ -270,11 +270,11 @@ def naive_term_count(engine: MatCoefEngine, i: int, v_m: int) -> int:
     return ((spec.p - 1) * spec.p ** (k - 1)) * engine.weng.term_count()
 
 
-def speedup_report(spec, i: int, grid, modulus: int | None = None) -> dict:
+def speedup_report(spec, i: int, grid) -> dict:
     """Single-threaded timing table: cold plain evaluation (fresh engine and
     caches per query) against the block evaluator, with exact deviations.
     Returns {"rows": [...], "summary": {...}}."""
-    shared = MatCoefEngine(spec, m=modulus)
+    shared = MatCoefEngine(spec)
     c0 = shared.c0_complex
     rows = []
     total_naive = total_fast = 0.0
@@ -282,7 +282,7 @@ def speedup_report(spec, i: int, grid, modulus: int | None = None) -> dict:
     max_pairs = 0
     for a, madd in grid:
         t0 = time.perf_counter()
-        cold = MatCoefEngine(spec, m=shared.m)
+        cold = MatCoefEngine(spec)
         naive_num = cold.phi_numerator(i, a, madd, grouped=False,
                                        cache_w=False)
         t1 = time.perf_counter()

@@ -27,7 +27,6 @@ from .characters import (
     shell_table,
 )
 from .cyclotomic import CycloValue
-from .residue import PAdicScalar
 
 
 class ReprSpec:
@@ -79,11 +78,11 @@ class ReprSpec:
     def char_value_order(self) -> int:
         return (self.mu or self.theta).value_order
 
-    def modulus(self, psi_level: int | None = None) -> int:
+    def modulus(self, additive_level: int = 0) -> int:
         """Root-of-unity order large enough for every term the evaluators
         produce: the character values plus additive characters of level up
-        to max(psi_level, n0)."""
-        level = max(psi_level or 0, self.n0)
+        to max(additive_level, n0)."""
+        level = max(additive_level, self.n0)
         return math.lcm(self.char_value_order, self.p**level)
 
     def __repr__(self) -> str:
@@ -105,10 +104,9 @@ class WhittakerEngine:
     what makes grid averaging fast, and can be bypassed for timing honesty.
     """
 
-    def __init__(self, spec: ReprSpec, m: int | None = None,
-                 psi_level: int | None = None):
+    def __init__(self, spec: ReprSpec, m: int | None = None):
         self.spec = spec
-        self.m = m if m is not None else spec.modulus(psi_level)
+        self.m = m if m is not None else spec.modulus()
         if self.m % spec.char_value_order or self.m % spec.p**spec.n0:
             raise ValueError("modulus not compatible with the representation")
         self._cache: dict[tuple[int, int], np.ndarray] = {}
@@ -184,16 +182,13 @@ class WhittakerEngine:
             return Fraction(1, self.spec.p**self.spec.n0)
         return Fraction(1, self.term_count())
 
-    def _check_range(self, i: int) -> None:
-        if not self.spec.n0 < i <= self.spec.n:
-            raise ValueError(f"shear depth {i} outside (n0, n] for {self.spec}")
-
     def numerator_counts(self, i: int, x_res: int,
                          cache: bool = True) -> np.ndarray:
         """Integer count vector of the unnormalized sum for a unit residue
         x_res; the value is from_counts(m, counts, numerator_scale()) / C0."""
-        self._check_range(i)
         spec, p, m = self.spec, self.spec.p, self.m
+        if not spec.n0 < i <= spec.n:
+            raise ValueError(f"shear depth {i} outside (n0, n] for {spec}")
         if spec.family == "ps":
             pn0 = p**spec.n0
             x_res %= pn0
@@ -219,18 +214,3 @@ class WhittakerEngine:
         if cache:
             self._cache[key] = counts
         return counts
-
-    def numerator(self, i: int, x: PAdicScalar) -> CycloValue:
-        """Exact cyclotomic numerator of the value at diagonal argument x;
-        zero off the unit locus.  The value itself is numerator / C0."""
-        self._check_range(i)
-        if x.is_zero or x.val != 0:
-            return CycloValue.zero(self.m)
-        res = x.residue_unit(required_precision(self.spec, i))
-        counts = self.numerator_counts(i, res)
-        return CycloValue.from_counts(self.m, counts, self.numerator_scale())
-
-    def value(self, i: int, x: PAdicScalar) -> complex:
-        """Float value numerator / C0 (for oracles and reports; exact paths
-        should compare numerators instead)."""
-        return self.numerator(i, x).complex() / self.c0_complex

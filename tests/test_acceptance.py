@@ -52,6 +52,7 @@ from gl2local.quaternion import (
 from gl2local.residue import get_context, random_unit
 from gl2local.statphase import critical_pairs, phi_fast_value, speedup_report
 from gl2local.whittaker import ReprSpec
+from oracles import random_k_star_at_level
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -178,7 +179,7 @@ def test_criterion_04_filtration_bound(sweep):
             rng = random.Random(f"filtration:{n}:{j}")
             bound = 2 * q * q * q ** ((j - spec.n1) / 2) + 1e-9
             for _ in range(100):
-                g = KStarElement.random(q, k, rng, level=j)
+                g = random_k_star_at_level(q, k, rng, j)
                 assert g.level == j
                 assert abs(engine.phi_prime_value(g)) <= bound
 

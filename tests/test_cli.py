@@ -18,7 +18,7 @@ def write_config(tmp_path, cfg):
 def test_config_minimal_defaults():
     cfg = ExperimentConfig.from_dict({"task": "decay"})
     assert (cfg.p, cfg.n, cfg.family) == (3, 6, "ps")
-    assert cfg.units_per_class == 2 and cfg.threads == 1
+    assert cfg.units_per_class == 2
 
 
 @pytest.mark.parametrize("raw,path", [
@@ -72,6 +72,8 @@ def test_config_minimal_defaults():
      "config.units_per_class"),
     ({"task": "decay", "p": 5, "n": 6, "units_per_class": 10**30},
      "config.units_per_class"),
+    ({"task": "counting", "plans": [], "verify_box_max_norm": 2},
+     "config.plans"),
 ])
 def test_config_rejections_carry_field_paths(raw, path):
     with pytest.raises(ConfigError) as err:
@@ -118,6 +120,12 @@ def test_largest_unit_sample_is_accepted():
     ({"task": "counting", "plans": [{"9": 1}]}, "config.plans[0]"),
     ({"task": "decay", "p": 3, "n": 4, "i_values": [3],
       "units_per_class": 500}, "config.units_per_class"),
+    ({"task": "counting", "plans": [], "verify_box_max_norm": 2},
+     "config.plans"),
+    ({"task": "sweep", "configs": [1]}, "config.configs[0]"),
+    ({"task": "sweep", "configs": [{"task": "exponent"},
+                                   [["task", "exponent"]]]},
+     "config.configs[1]"),
 ])
 def test_new_rejections_exit_two_at_once(tmp_path, capsys, raw, path):
     t0 = time.perf_counter()
@@ -205,13 +213,12 @@ def test_different_seed_changes_grid(tmp_path):
 
 def test_sweep_merges_in_config_order(tmp_path):
     out = tmp_path / "sweep.csv"
-    cfg = write_config(tmp_path, {
-        "task": "sweep", "threads": 2, "seed": 5, "out": str(out),
-        "configs": [
-            {"task": "decay", "p": 3, "n": 8, "family": "ps"},
-            {"task": "decay", "p": 3, "n": 6, "family": "ps"},
-        ]})
-    assert main(["--config", cfg]) == 0
+    raw = {"task": "sweep", "threads": 2, "seed": 5, "out": str(out),
+           "configs": [
+               {"task": "decay", "p": 3, "n": 8, "family": "ps"},
+               {"task": "decay", "p": 3, "n": 6, "family": "ps"},
+           ]}
+    assert main(["--config", write_config(tmp_path, raw)]) == 0
     lines = out.read_text().splitlines()
     assert lines[0].startswith("p,n,family,i")
     n_col = [line.split(",")[1] for line in lines[1:]]
@@ -220,6 +227,32 @@ def test_sweep_merges_in_config_order(tmp_path):
     assert summary[0] == ("p,n,family,i,points,max_ratio_normalized,bound,ok")
     # one summary row per (p, n, i): n=8 has i in {5, 6}, n=6 has i=4
     assert len(summary) == 4
+    # threads is accepted and has no effect on any output
+    suffixes = ("", ".report.txt", ".summary.csv")
+    first = [(tmp_path / f"sweep.csv{s}").read_bytes() for s in suffixes]
+    assert main(["--config", write_config(tmp_path,
+                                          dict(raw, threads=1))]) == 0
+    assert [(tmp_path / f"sweep.csv{s}").read_bytes()
+            for s in suffixes] == first
+
+
+def test_sweep_summary_one_row_per_depth(tmp_path):
+    out = tmp_path / "sweep.csv"
+    cfg = write_config(tmp_path, {
+        "task": "sweep", "seed": 1, "out": str(out),
+        "configs": [{"task": "decay", "p": 3, "n": 10, "family": "ps",
+                     "i_values": [7, 6, 7], "units_per_class": 2}]})
+    assert main(["--config", cfg]) == 0
+    rows = out.read_text().splitlines()[1:]
+    summary = (tmp_path / "sweep.csv.summary.csv").read_text().splitlines()[1:]
+    assert [line.split(",")[3] for line in summary] == ["6", "7"]
+    for line in summary:
+        i, points, worst = line.split(",")[3:6]
+        ratios = [float(r.split(",")[11]) for r in rows
+                  if r.split(",")[3] == i]
+        # each i_values entry draws units_per_class^2 = 4 supported points
+        assert int(points) == len(ratios) == 4 * [7, 6, 7].count(int(i))
+        assert float(worst) == max(ratios)
 
 
 def test_sweep_rejects_mixed_tasks(tmp_path, capsys):

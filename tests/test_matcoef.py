@@ -16,6 +16,7 @@ from gl2local.matcoef import (
 )
 from gl2local.residue import get_context, padic_valuation, random_unit
 from gl2local.whittaker import ReprSpec, required_precision
+from oracles import random_k_star_at_level
 
 
 def ps_spec(p, n):
@@ -139,12 +140,12 @@ def test_k_star_element_basics():
     g = KStarElement.random(3, 10, rng)
     assert g.level >= 1
     h = g.mul(g.inv())
-    ident = KStarElement.identity(3, 10)
+    ident = KStarElement(3, 10, 1, 0, 0, 1)
     det = h.a * h.d - h.b * h.c
     assert h.b == 0 and h.c == 0 and h.a == h.d  # central element
     assert padic_valuation(det, 3) == 0
     for lvl in (1, 2, 3):
-        g = KStarElement.random(3, 10, rng, level=lvl)
+        g = random_k_star_at_level(3, 10, rng, lvl)
         assert g.level == lvl
     with pytest.raises(ValueError):
         KStarElement(3, 10, 3, 0, 0, 1)  # non-unit diagonal
@@ -194,7 +195,7 @@ def test_decompose_matrix_identity_oracle():
 def test_decompose_parameters():
     spec = ps_spec(3, 6)
     p, k = 3, spec.n1 + spec.n
-    ident = KStarElement.identity(p, k)
+    ident = KStarElement(p, k, 1, 0, 0, 1)
     i, a, m = decompose_k_star(ident, spec)
     assert i == spec.n and m.is_zero
     assert a.val == 0 and a.residue_unit(1) == 1
@@ -207,13 +208,13 @@ def test_decompose_parameters():
         assert i == min(spec.n, j + spec.n1)
         assert a.val == 0 and m.is_zero
     with pytest.raises(ValueError):
-        decompose_k_star(KStarElement.identity(p, spec.n), spec)
+        decompose_k_star(KStarElement(p, spec.n, 1, 0, 0, 1), spec)
 
 
 def test_phi_prime_identity_and_depth():
     for spec in (ps_spec(3, 4), sc_spec(3, True, 3)):
         eng = MatCoefEngine(spec)
-        ident = KStarElement.identity(spec.p, spec.n1 + spec.n)
+        ident = KStarElement(spec.p, spec.n1 + spec.n, 1, 0, 0, 1)
         assert eng.phi_prime_numerator(ident).equals(eng.c0)
         assert abs(eng.phi_prime_value(ident) - 1) < 1e-12
 
@@ -242,7 +243,7 @@ def test_phi_prime_filtration_decay():
     bound = decay_bound(spec)
     for j in (1,):
         for _ in range(40):
-            g = KStarElement.random(spec.p, k, rng, level=j)
+            g = random_k_star_at_level(spec.p, k, rng, j)
             v = eng.phi_prime_value(g)
             assert abs(v) <= bound * spec.p ** ((j - spec.n1) / 2) + 1e-9
 

@@ -3,7 +3,6 @@ import random
 import pytest
 
 from gl2local.characters import build_theta, primitive_char
-from gl2local.cyclotomic import root_of_unity
 from gl2local.matcoef import MatCoefEngine, decay_bound
 from gl2local.residue import get_context
 from gl2local.statphase import (
@@ -16,6 +15,7 @@ from gl2local.statphase import (
     sqrt_mod_prime,
 )
 from gl2local.whittaker import ReprSpec
+from oracles import root_of_unity
 
 
 def ps_engine(p, n):

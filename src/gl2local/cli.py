@@ -562,11 +562,14 @@ def main(argv=None) -> int:
         except json.JSONDecodeError as exc:
             print(f"config error: config: invalid JSON ({exc})", file=sys.stderr)
             return 2
-    for key in ("task", "out", "seed"):
-        value = getattr(args, key)
-        if value is not None:
-            raw[key] = value
     try:
+        # the flags merge into the parsed JSON, so its type is checked first
+        if not isinstance(raw, dict):
+            raise ConfigError("config", "must be a JSON object")
+        for key in ("task", "out", "seed"):
+            value = getattr(args, key)
+            if value is not None:
+                raw[key] = value
         cfg = ExperimentConfig.from_dict(raw)
         return run_task(cfg)
     except ConfigError as exc:

@@ -160,7 +160,12 @@ def _sc_pairs(engine: MatCoefEngine, i: int, a_res: int, m_res: int
               ) -> tuple[list[CriticalPair], int]:
     """Survivors for a supercuspidal query on the supported locus.  The
     inner block runs over the engine's shell table at transversal level
-    ceil(a/2) (a/2 when ramified)."""
+    ceil(a/2) (a/2 when ramified).
+
+    A kept shell row enters the outer congruence x0^2 = -a m / eta only
+    through eta mod p^(t-ceil(t/2)), so rows are grouped by that class: one
+    solve and one candidate lift per class, then the quadratic, coupled and
+    phase conditions on row x candidate arrays."""
     spec, m_mod = engine.spec, engine.m
     p, theta = spec.p, spec.theta
     a_cond, t = theta.level, spec.n - i
@@ -186,27 +191,46 @@ def _sc_pairs(engine: MatCoefEngine, i: int, a_res: int, m_res: int
     # the phase-linearization coordinate must match alpha
     keep = np.flatnonzero((A if theta.ramified else B) % sc3_mod == w)
     weight = Fraction(p, p - 1) / p**kx / len(A)
+    # eta reduced mod p^t keeps every product below in int64
+    eta_t = eta[keep] % pt
+    # the coupled condition, coordinate = nu_scale x0 a^-1 eta mod sc2_mod;
+    # when the shear depth satisfies e_E(i-n) >= -ceil(a/2) the nu_scale
+    # power swamps the modulus and it degenerates to the x0-free condition
+    # "trace coordinate = 0"
+    coord = (B if theta.ramified else A)[keep] % sc2_mod
+    slope = nu_scale * a_inv % sc2_mod * (eta_t % sc2_mod) % sc2_mod
+    # psi(p^-t (-x0 a^-1 eta)) = zeta_m^(x0 * lin mod p^t * m/p^t)
+    lin = -a_inv * eta_t % pt
+    scale = m_mod // pt
+    classes, cls = np.unique(eta_t % dx_mod, return_inverse=True)
     scanned = 0
     pairs = []
-    for a_j, b_j, ph, et in zip(A[keep].tolist(), B[keep].tolist(),
-                                phase[keep].tolist(), eta[keep].tolist()):
+    for c, eta_c in enumerate(classes.tolist()):
         # x0^2 = -a m / eta, written as x0^2 + (a m / eta) = 0
-        const = a_res * m_res * pow(et, -1, dx_mod) if t > kx else 0
-        roots = solve_quadratic_congruence(1, 0, const, p, t - kx)
-        x_cands = [x for r in roots for x in _unit_lifts(r, t - kx, kx, p)]
-        for x0 in x_cands:
-            scanned += 1
-            if (x0 * x0 * et + m_res * a_res) % dx_mod:
-                continue
-            # when the shear depth satisfies e_E(i-n) >= -ceil(a/2) the
-            # nu_scale power swamps the modulus and this degenerates to the
-            # x0-free condition "trace coordinate = 0"
-            coupled = nu_scale * x0 * a_inv * et
-            if ((b_j if theta.ramified else a_j) - coupled) % sc2_mod:
-                continue
-            e = (psi_exponent_scaled(p, t, m_res * pow(x0, -1, pt), m_mod)
-                 + psi_exponent_scaled(p, t, -x0 * a_inv * et, m_mod) + ph)
-            pairs.append(CriticalPair(x0, (a_j, b_j), e % m_mod, weight))
+        const = a_res * m_res * pow(eta_c, -1, dx_mod)
+        x_list = [x for r in solve_quadratic_congruence(1, 0, const, p, t - kx)
+                  for x in _unit_lifts(r, t - kx, kx, p)]
+        rows = np.flatnonzero(cls == c)
+        scanned += len(rows) * len(x_list)
+        if not x_list:
+            continue
+        x = np.array(x_list, dtype=np.int64)
+        kept = (x * x % dx_mod * eta_c + m_res * a_res) % dx_mod == 0
+        ok = kept & ((coord[rows, None] - slope[rows, None] * (x % sc2_mod))
+                     % sc2_mod == 0)
+        r_idx, x_idx = np.nonzero(ok)
+        if not len(r_idx):
+            continue
+        rows = rows[r_idx]
+        shell = keep[rows]
+        m_over_x = np.array([m_res * pow(v, -1, pt) % pt for v in x_list],
+                            dtype=np.int64)
+        e = ((m_over_x[x_idx] + x[x_idx] * lin[rows]) % pt * scale
+             + phase[shell]) % m_mod
+        pairs.extend(CriticalPair(x0, (a_j, b_j), e_j, weight)
+                     for x0, a_j, b_j, e_j in zip(
+                         x[x_idx].tolist(), A[shell].tolist(),
+                         B[shell].tolist(), e.tolist()))
     return pairs, scanned
 
 
@@ -250,9 +274,8 @@ def phi_fast_numerator(engine: MatCoefEngine, i: int, a: PAdicScalar,
         return CycloValue.zero(engine.m), diag
     pairs, scanned = critical_pairs(engine, i, a, madd)
     diag["pairs"], diag["scanned"] = len(pairs), scanned
-    counts = np.zeros(engine.m, dtype=np.int64)
-    for pair in pairs:
-        counts[pair.phase_exponent] += 1
+    counts = np.bincount(np.array([pair.phase_exponent for pair in pairs],
+                                  dtype=np.int64), minlength=engine.m)
     weight = pairs[0].weight if pairs else Fraction(1)
     return CycloValue.from_counts(engine.m, counts, weight), diag
 

@@ -12,11 +12,17 @@ from functools import lru_cache
 
 import numpy as np
 
+from gl2local.characters import alpha_of_theta, psi_exponent_scaled
 from gl2local.cyclotomic import CycloValue, _basis
 from gl2local.errors import PrecisionError
 from gl2local.matcoef import KStarElement
 from gl2local.quaternion import UpperHalfPoint, _iota_inf_exact, _mat_inverse
 from gl2local.residue import factorize, random_unit
+from gl2local.statphase import (
+    CriticalPair,
+    _unit_lifts,
+    solve_quadratic_congruence,
+)
 from gl2local.whittaker import required_precision
 
 # -- cyclotomic --------------------------------------------------------------
@@ -73,6 +79,13 @@ def one(m: int) -> CycloValue:
     return root_of_unity(m, 0)
 
 
+def _axis_index(m: int) -> tuple[np.ndarray, ...]:
+    """Per prime-power axis q of M, the index (M/q)^(-1) t mod q of zeta_M^t
+    on that axis, for every t in Z/M."""
+    t = np.arange(m, dtype=np.int64)
+    return tuple(pow(m // q, -1, q) * t % q for q in _basis(m).moduli)
+
+
 def _as_counts(x: CycloValue) -> np.ndarray:
     """A count vector over Z/M whose reduction is x / x.scale: each basis
     coordinate is read back as the exponent t with the same per-axis
@@ -80,8 +93,7 @@ def _as_counts(x: CycloValue) -> np.ndarray:
     basis = _basis(x.m)
     full = np.zeros(basis.moduli, dtype=x.coords.dtype)
     full[tuple(slice(0, s) for s in basis.shape)] = x.coords
-    return full.ravel()[np.ravel_multi_index(tuple(basis.axis_index),
-                                             basis.moduli)]
+    return full.ravel()[np.ravel_multi_index(_axis_index(x.m), basis.moduli)]
 
 
 def rotate(x: CycloValue, e: int) -> CycloValue:
@@ -93,6 +105,31 @@ def conj(x: CycloValue) -> CycloValue:
     """Complex conjugate: zeta_M^t -> zeta_M^(-t)."""
     return CycloValue.from_counts(x.m, np.roll(_as_counts(x)[::-1], 1),
                                   x.scale)
+
+
+def _fold_axis(arr: np.ndarray, p: int, a: int, axis: int) -> np.ndarray:
+    """Reduce axis indices from Z/p^a down to the power basis of Z[zeta_{p^a}]."""
+    q, step = p**a, p ** (a - 1)
+    phi = (p - 1) * step
+    arr = np.moveaxis(arr, axis, 0)
+    # every folded row e in [phi, q) lands entirely below phi, so the
+    # block subtractions are independent of each other
+    top = arr[phi:q]
+    for k in range(1, p):
+        arr[phi - k * step:q - k * step] -= top
+    return np.moveaxis(arr[:phi], 0, axis)
+
+
+def dense_reduce_counts(m: int, counts: np.ndarray) -> np.ndarray:
+    """Counts over exponents Z/m -> coordinates on the tensor basis, by
+    scattering all m exponents onto the prime-power grid and folding each
+    axis in turn."""
+    basis = _basis(m)
+    arr = np.zeros(basis.moduli, dtype=counts.dtype)
+    np.add.at(arr, _axis_index(m), counts)
+    for axis, (p, a) in enumerate(basis.factors):
+        arr = _fold_axis(arr, p, a, axis)
+    return arr
 
 
 def embed_counts(m: int, counts) -> complex:
@@ -154,6 +191,56 @@ def numerator(eng, i: int, x) -> CycloValue:
 
 def value(eng, i: int, x) -> complex:
     return numerator(eng, i, x).complex() / eng.c0_complex
+
+
+# -- stationary phase --------------------------------------------------------
+
+
+def sc_pairs_per_rep(engine, i: int, a_res: int, m_res: int
+                     ) -> tuple[list[CriticalPair], int]:
+    """Supercuspidal critical pairs with one congruence solve and one
+    candidate loop per kept shell representative; same contract as
+    statphase._sc_pairs."""
+    spec, m_mod = engine.spec, engine.m
+    p, theta = spec.p, spec.theta
+    a_cond, t = theta.level, spec.n - i
+    kx = (t + 1) // 2
+    dx_mod = p ** (t - kx)
+    pt = p**t
+    a_inv = pow(a_res, -1, pt)
+    alpha = alpha_of_theta(theta)
+    if theta.ramified:
+        level = h = a_cond // 2
+        sc2_mod = p ** (h - (level + 1) // 2)
+        sc3_mod = p ** (h - level // 2)
+        w = alpha.b.residue_unit((h + 1) // 2) % sc3_mod
+        nu_scale = p ** (h - t)
+    else:
+        level = (a_cond + 1) // 2
+        sc2_mod = sc3_mod = p ** (a_cond - level)
+        w = alpha.b.residue_unit(a_cond // 2) % sc3_mod if sc3_mod > 1 else 0
+        nu_scale = p ** (a_cond - t)
+    A, B, phase, eta = engine.weng.shell_table(level)
+    keep = np.flatnonzero((A if theta.ramified else B) % sc3_mod == w)
+    weight = Fraction(p, p - 1) / p**kx / len(A)
+    scanned = 0
+    pairs = []
+    for a_j, b_j, ph, et in zip(A[keep].tolist(), B[keep].tolist(),
+                                phase[keep].tolist(), eta[keep].tolist()):
+        const = a_res * m_res * pow(et, -1, dx_mod) if t > kx else 0
+        roots = solve_quadratic_congruence(1, 0, const, p, t - kx)
+        x_cands = [x for r in roots for x in _unit_lifts(r, t - kx, kx, p)]
+        for x0 in x_cands:
+            scanned += 1
+            if (x0 * x0 * et + m_res * a_res) % dx_mod:
+                continue
+            coupled = nu_scale * x0 * a_inv * et
+            if ((b_j if theta.ramified else a_j) - coupled) % sc2_mod:
+                continue
+            e = (psi_exponent_scaled(p, t, m_res * pow(x0, -1, pt), m_mod)
+                 + psi_exponent_scaled(p, t, -x0 * a_inv * et, m_mod) + ph)
+            pairs.append(CriticalPair(x0, (a_j, b_j), e % m_mod, weight))
+    return pairs, scanned
 
 
 # -- congruence unit ball ----------------------------------------------------

@@ -126,6 +126,7 @@ def test_largest_unit_sample_is_accepted():
     ({"task": "sweep", "configs": [{"task": "exponent"},
                                    [["task", "exponent"]]]},
      "config.configs[1]"),
+    (["not", "an", "object"], "config"),
 ])
 def test_new_rejections_exit_two_at_once(tmp_path, capsys, raw, path):
     t0 = time.perf_counter()

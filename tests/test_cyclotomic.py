@@ -4,10 +4,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gl2local.cyclotomic import CycloValue, euler_phi
+from gl2local.cyclotomic import CycloValue, _basis, euler_phi
 from gl2local.errors import BudgetError
 from gl2local.residue import factorize
-from oracles import conj, cyclotomic_poly, embed_counts, one, root_of_unity, rotate
+from oracles import (
+    conj,
+    cyclotomic_poly,
+    dense_reduce_counts,
+    embed_counts,
+    one,
+    root_of_unity,
+    rotate,
+)
 
 
 def test_factorize_and_phi():
@@ -65,6 +73,31 @@ def test_from_counts_matches_float_embedding():
         v = CycloValue.from_counts(m, counts)
         tol = 1e-9 * max(1, int(np.abs(counts).sum()))
         assert abs(v.complex() - embed_counts(m, counts)) < tol
+
+
+@pytest.mark.parametrize("m", [1, 2, 4, 162, 625, 1458, 2401, 3125, 12500,
+                               14406])
+def test_sparse_reduce_matches_dense_fold(m):
+    # one axis (2, 4, 5^4, 7^4, 5^5), two (2*3^4, 2*3^6, 4*5^5) and three
+    # (2*3*7^4) prime axes
+    rng = np.random.default_rng(m)
+    k = min(m, 8)
+    sparse = np.zeros(m, dtype=np.int64)
+    sparse[rng.choice(m, size=k, replace=False)] = rng.integers(-9, 10, size=k)
+    dense = rng.integers(1, 50, size=m) * rng.choice([-1, 1], size=m)
+    cases = [sparse, dense, np.zeros(m, dtype=np.int64), -np.abs(dense),
+             sparse.astype(object) * (2**70 + 1)]
+    for counts in cases:
+        got = _basis(m).reduce_counts(counts)
+        want = dense_reduce_counts(m, counts)
+        assert got.shape == want.shape
+        assert got.tolist() == want.tolist()
+    # int64 counts past 2^56 reduce exactly on object coordinates, also
+    # where a coordinate leaves the int64 range (every m > 4 here)
+    huge = dense * 2**57
+    want = dense_reduce_counts(m, huge.astype(object))
+    assert CycloValue.from_counts(m, huge).coords.tolist() == want.tolist()
+    assert m <= 4 or np.abs(want).max() >= 2**63
 
 
 def random_value(rng, m):

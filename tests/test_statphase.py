@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -6,6 +7,7 @@ from gl2local.characters import build_theta, primitive_char
 from gl2local.matcoef import MatCoefEngine, decay_bound
 from gl2local.residue import get_context
 from gl2local.statphase import (
+    _sc_pairs,
     critical_pairs,
     naive_term_count,
     phi_fast_numerator,
@@ -15,7 +17,7 @@ from gl2local.statphase import (
     sqrt_mod_prime,
 )
 from gl2local.whittaker import ReprSpec
-from oracles import root_of_unity
+from oracles import root_of_unity, sc_pairs_per_rep
 
 
 def ps_engine(p, n):
@@ -112,6 +114,28 @@ def test_sc_ram_fast_matches_naive_exactly(level, n, depths):
             fast, diag = phi_fast_numerator(engine, i, a, madd)
             assert fast.equals(naive), (i, a.unit, madd.unit)
             assert diag["pairs"] <= bound
+
+
+@pytest.mark.parametrize("p,ramified,level", [
+    (3, False, 3), (5, False, 3), (3, True, 4), (3, True, 6)])
+def test_sc_pairs_match_per_rep_oracle(p, ramified, level):
+    engine = sc_engine(p, ramified, level)
+    spec = engine.spec
+    sizes = []
+    for i in range(spec.n0 + 1, spec.n - 1):
+        pt = p ** (spec.n - i)
+        units = (1, 2, p + 1, pt - 1)
+        for a_res in units:
+            for m_res in units:
+                pairs, scanned = _sc_pairs(engine, i, a_res, m_res)
+                want, want_scanned = sc_pairs_per_rep(engine, i, a_res, m_res)
+                assert scanned == want_scanned
+                assert (Counter((q.x0, q.u0, q.phase_exponent) for q in pairs)
+                        == Counter((q.x0, q.u0, q.phase_exponent)
+                                   for q in want)), (i, a_res, m_res)
+                assert {q.weight for q in pairs} == {q.weight for q in want}
+                sizes.append(len(pairs))
+    assert min(sizes) == 0 < max(sizes)
 
 
 def test_fast_value_route():

@@ -56,7 +56,8 @@ class MultChar:
 
     chi(g^t) = zeta^(c t) with zeta of order phi(p^level).  The value at the
     uniformizer is fixed to 1 (all formulas downstream evaluate on units
-    only).  Exponents are reported modulo value_order = phi(p^level)/gcd.
+    only).  Exponents are reported modulo value_order = phi(p^level)/gcd;
+    `table` holds them indexed by the residue mod p^level, -1 at non-units.
     """
 
     def __init__(self, p: int, level: int, exp_on_gen: int):
@@ -70,6 +71,8 @@ class MultChar:
         g = math.gcd(self.exp_on_gen, self.group_order)
         self.value_order = self.group_order // g
         self._reduced_exp = self.exp_on_gen // g
+        log = self.ctx.log_table
+        self.table = np.where(log >= 0, self._reduced_exp * log % self.value_order, -1)
         self.conductor = self._compute_conductor()
 
     def _compute_conductor(self) -> int:
@@ -78,10 +81,7 @@ class MultChar:
         modulus = self.p**self.level
         for lvl in range(1, self.level + 1):
             step = self.p**lvl
-            if all(
-                self.exponent(1 + step * t) == 0
-                for t in range(modulus // step)
-            ):
+            if not self.table[1 + step * np.arange(modulus // step)].any():
                 return lvl
         raise AssertionError("character nontrivial on the trivial subgroup")
 
@@ -115,6 +115,18 @@ def all_primitive_chars(p: int, level: int) -> list[MultChar]:
     return out
 
 
+def _alpha_unit(p: int, exps: np.ndarray, coord: np.ndarray, q: int,
+                m: int) -> int:
+    """The unique unit w mod q with exps == (w coord mod q) (m/q) in Z/m on
+    every row, found exhaustively; AssertionError unless exactly one passes."""
+    w = np.arange(1, q)
+    w = w[w % p != 0]
+    found = w[(w[:, None] * coord % q * (m // q) == exps).all(axis=1)]
+    if len(found) != 1:
+        raise AssertionError(f"alpha search found {len(found)} candidates")
+    return int(found[0])
+
+
 @lru_cache(maxsize=None)
 def alpha_of_chi(chi: MultChar) -> PAdicScalar:
     """The unique alpha with v(alpha) = -a(chi) and chi(1+dx) = psi(alpha dx)
@@ -128,21 +140,9 @@ def alpha_of_chi(chi: MultChar) -> PAdicScalar:
     p = chi.p
     hi, lo = (a + 1) // 2, a // 2
     m = math.lcm(chi.value_order, p**lo)
-    mod_a = p**a
-    survivors = []
-    for w in range(1, p**lo):
-        if w % p == 0:
-            continue
-        if all(
-            chi.eval_exponent((1 + p**hi * t) % mod_a, m)
-            == psi_exponent_scaled(p, lo, w * t, m)
-            for t in range(p**lo)
-        ):
-            survivors.append(w)
-    if len(survivors) != 1:
-        raise AssertionError(f"alpha search found {len(survivors)} candidates")
-    ctx = get_context(p, lo)
-    return ctx.scalar(-a, survivors[0], lo)
+    t = np.arange(p**lo)
+    exps = chi.table[1 + p**hi * t] * (m // chi.value_order)
+    return get_context(p, lo).scalar(-a, _alpha_unit(p, exps, t, p**lo, m), lo)
 
 
 # ---------------------------------------------------------------------------
@@ -154,10 +154,12 @@ class UnitGroupE:
     """(o_E/p_E^L)^x on canonical integer coordinate pairs.
 
     Keys are (A, B) for A + B*sqrt(D) with A mod p^L, B mod p^L (unramified)
-    or A mod p^ceil(L/2), B mod p^floor(L/2) (ramified).  The group is realized
-    as the verified direct product of three explicit generators; the full
-    discrete-log table is built by enumeration and its size is asserted to
-    equal the group order, which certifies independence.
+    or A mod p^ceil(L/2), B mod p^floor(L/2) (ramified).  Tables over the
+    classes are int arrays at index(A, B) = A*mod_b + B; non-units hold -1.
+    The group is realized as the verified direct product of three explicit
+    generators: `dlog` (one row (e0, e1, e2) per index) is filled from the
+    products of all generator powers, and every unit index being hit exactly
+    once, i.e. the group order, certifies independence.
     """
 
     def __init__(self, p: int, ramified: bool, level: int):
@@ -202,8 +204,9 @@ class UnitGroupE:
             k >>= 1
         return acc
 
-    def conj_key(self, x: tuple[int, int]) -> tuple[int, int]:
-        return (x[0], -x[1] % self.mod_b)
+    def index(self, a, b):
+        """Table index of the class of a + b sqrt(D); ints or int arrays."""
+        return a % self.mod_a * self.mod_b + b % self.mod_b
 
     def element_order(self, x: tuple[int, int]) -> int:
         n = self.order
@@ -242,28 +245,23 @@ class UnitGroupE:
                     return self.power((a, b), p ** (2 * (lvl - 1)))
         raise ConstructionError("no generator of the quadratic residue field")
 
-    def _build_table(self) -> dict[tuple[int, int], tuple[int, int, int]]:
-        g0, g1, g2 = self.generators
-        o0, o1, o2 = self.gen_orders
-        table: dict[tuple[int, int], tuple[int, int, int]] = {}
-        x0 = (1, 0)
-        for e0 in range(o0):
-            x1 = x0
-            for e1 in range(o1):
-                x2 = x1
-                for e2 in range(o2):
-                    table[x2] = (e0, e1, e2)
-                    x2 = self.mul(x2, g2)
-                x1 = self.mul(x1, g1)
-            x0 = self.mul(x0, g0)
-        if len(table) != self.order:
+    def _build_table(self) -> np.ndarray:
+        # x = g0^e0 g1^e1 g2^e2 over all exponents, e2 varying fastest
+        a, b = np.ones(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
+        for g, o in zip(self.generators, self.gen_orders):
+            powers = [(1, 0)]
+            for _ in range(o - 1):
+                powers.append(self.mul(powers[-1], g))
+            pa, pb = np.array(powers, dtype=np.int64).T
+            a, b = self.mul((a[:, None], b[:, None]), (pa, pb))
+            a, b = a.ravel(), b.ravel()
+        table = np.full((self.mod_a * self.mod_b, 3), -1, dtype=np.int64)
+        table[self.index(a, b)] = np.stack(
+            np.unravel_index(np.arange(self.order), self.gen_orders), axis=1)
+        if np.count_nonzero(table[:, 0] >= 0) != self.order:
             raise ConstructionError(
                 "generators do not present the unit group as a direct product")
         return table
-
-    def f_unit_keys(self) -> list[tuple[int, int]]:
-        """Image of o^x among the keys."""
-        return [(u, 0) for u in range(1, self.mod_a) if u % self.p != 0]
 
 
 def _ff_order(p: int, d: int, a: int, b: int) -> int:
@@ -285,9 +283,10 @@ def get_unit_group(p: int, ramified: bool, level: int) -> UnitGroupE:
 class ThetaChar:
     """Character of E^x trivial on F^x, tabulated on (o_E/p_E^L)^x.
 
-    Stored as a dense exponent table over the unit-group keys together with
-    the sign at the uniformizer of E (forced to +1 in the unramified case,
-    where the uniformizer lies in F^x).
+    Stored as an exponent array `table` over the unit-group index
+    A*mod_b + B (-1 at non-units), computed from `group.dlog` in one
+    expression, together with the sign at the uniformizer of E (forced to
+    +1 in the unramified case, where the uniformizer lies in F^x).
     """
 
     def __init__(self, group: UnitGroupE, exps: tuple[int, int, int],
@@ -313,16 +312,15 @@ class ThetaChar:
             vo = math.lcm(vo, 2)
         self.value_order = vo
         scale = vo // (mg // g)
-        self.table = {
-            key: ((t0 * e0 * r0 + t1 * e1 * r1 + t2 * e2 * r2) // g * scale) % vo
-            for key, (e0, e1, e2) in group.dlog.items()
-        }
+        raw = group.dlog @ np.array([t0 * r0, t1 * r1, t2 * r2], dtype=np.int64)
+        self.table = np.where(group.dlog[:, 0] >= 0, raw // g * scale % vo, -1)
 
     def exponent(self, key: tuple[int, int]) -> int:
         """theta on the unit class of key, as an exponent mod value_order."""
-        a = key[0] % self.group.mod_a
-        b = key[1] % self.group.mod_b
-        return self.table[(a, b)]
+        e = int(self.table[self.group.index(*key)])
+        if e < 0:
+            raise ValueError(f"theta at the non-unit {key}")
+        return e
 
     def eval_exponent(self, key: tuple[int, int], m: int) -> int:
         if m % self.value_order:
@@ -340,34 +338,30 @@ class ThetaChar:
     def conductor(self) -> int:
         """Recomputed from the table (for cross-checking the construction)."""
         for target in range(self.level, 0, -1):
-            probe = _one_unit_keys(self.group, target - 1)
-            if any(self.exponent(k) != 0 for k in probe):
+            if self.table[_one_unit_keys(self.group, target - 1)].any():
                 return target
         return 0
 
     def is_regular(self) -> bool:
+        """theta differs from its Galois conjugate on some generator."""
         g = self.group
-        return any(self.exponent(g.conj_key(k)) != self.exponent(k)
-                   for k in g.generators)
+        a, b = np.array(g.generators).T
+        return bool((self.table[g.index(a, b)] != self.table[g.index(a, -b)]).any())
 
 
-def _one_unit_keys(group: UnitGroupE, depth: int) -> list[tuple[int, int]]:
-    """All classes of (1 + p_E^depth)/(1 + p_E^L); depth 0 gives every unit."""
+def _one_unit_keys(group: UnitGroupE, depth: int) -> np.ndarray:
+    """Indices of the classes of (1 + p_E^depth)/(1 + p_E^L), those of
+    1 + ca s + cb t sqrt(D) in (s, t) order; depth 0 gives every unit."""
     if depth <= 0:
-        return list(group.dlog)
-    p, lvl = group.p, group.level
-    out = []
+        return np.flatnonzero(group.dlog[:, 0] >= 0)
+    p = group.p
     if group.ramified:
-        ca = p ** ((depth + 1) // 2)
-        cb = p ** (depth // 2)
+        ca, cb = p ** ((depth + 1) // 2), p ** (depth // 2)
     else:
         ca = cb = p**depth
-    for s in range(group.mod_a // ca):
-        for t in range(group.mod_b // cb):
-            if s == 0 and t == 0:
-                continue
-            out.append(((1 + ca * s) % group.mod_a, (cb * t) % group.mod_b))
-    return out
+    s = np.arange(group.mod_a // ca)[:, None]
+    t = np.arange(group.mod_b // cb)
+    return group.index(1 + ca * s, cb * t).ravel()
 
 
 def build_theta(p: int, ramified: bool, level: int) -> ThetaChar:
@@ -386,10 +380,11 @@ def build_theta(p: int, ramified: bool, level: int) -> ThetaChar:
     mg = math.lcm(o0, o1, o2)
     r0, r1, r2 = mg // o0, mg // o1, mg // o2
 
-    f_triples = [group.dlog[k] for k in group.f_unit_keys()]
-    shell_triples = [group.dlog[k] for k in _one_unit_keys(group, level - 1)]
-    gen_pairs = [(group.dlog[g], group.dlog[group.conj_key(g)])
-                 for g in group.generators]
+    # rows of dlog at the classes of F (indices A*mod_b + 0) and of the
+    # deepest one-unit shell, as Python ints so the loops below stop early
+    f_rows = group.dlog[::group.mod_b]
+    f_triples = f_rows[f_rows[:, 0] >= 0].tolist()
+    shell_triples = group.dlog[_one_unit_keys(group, level - 1)].tolist()
 
     def raw(t, e):
         return (t[0] * e[0] * r0 + t[1] * e[1] * r1 + t[2] * e[2] * r2) % mg
@@ -399,11 +394,11 @@ def build_theta(p: int, ramified: bool, level: int) -> ThetaChar:
             for t2 in range(o2):
                 t = (t0, t1, t2)
                 if all(raw(t, e) == 0 for e in f_triples) \
-                        and any(raw(t, e) != 0 for e in shell_triples) \
-                        and any(raw(t, e) != raw(t, ec) for e, ec in gen_pairs):
+                        and any(raw(t, e) != 0 for e in shell_triples):
                     theta = ThetaChar(group, t, 1)
-                    assert theta.conductor() == level
-                    return theta
+                    if theta.is_regular():
+                        assert theta.conductor() == level
+                        return theta
     raise ConstructionError(
         f"no admissible character at level {level} "
         f"({'ramified' if ramified else 'unramified'}, p={p})")
@@ -419,70 +414,27 @@ def alpha_of_theta(theta: ThetaChar) -> QuadExtElement:
         raise ValueError("linearization needs conductor >= 2")
     p = theta.p
     group = theta.group
-    hi = (a + 1) // 2
-
     if theta.ramified:
         if a % 2:
             raise ValueError("ramified linearization needs even conductor")
         # alpha = w p^(-(a+2)/2) sqrt(p);  du = p^ceil(h/2) s + p^floor(h/2) t sqrt(p)
         # with h = a/2, so tr(alpha du) = 2 w t p^(floor(h/2) - a/2): the trace
         # pairing sees (and determines) w mod p^(a/2 - floor(h/2))
-        h = a // 2
-        ca, cb = p ** ((h + 1) // 2), p ** (h // 2)
-        sa, sb = group.mod_a // ca, group.mod_b // cb
-        tr_level = a // 2 - h // 2
-        m = math.lcm(theta.value_order, p**tr_level)
-        survivors = []
-        for w in range(1, p**tr_level):
-            if w % p == 0:
-                continue
-            ok = True
-            for s in range(sa):
-                for t in range(sb):
-                    key = ((1 + ca * s) % group.mod_a, cb * t % group.mod_b)
-                    lhs = theta.eval_exponent(key, m)
-                    rhs = psi_exponent_scaled(p, tr_level, 2 * w * t, m)
-                    if lhs != rhs:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                survivors.append(w)
-        if len(survivors) != 1:
-            raise AssertionError(f"alpha search found {len(survivors)} candidates")
-        ext = get_ext_context(p, tr_level, True)
-        b = ext.base.scalar(-(a + 2) // 2, survivors[0], tr_level)
-        return ext.element(ext.base.zero(), b)
-
-    # unramified: alpha = w * sqrt(D) * p^(-a); w determined mod p^floor(a/2)
-    lo = a // 2
-    d = group.d_unit
+        depth = h = a // 2
+        cb, lo, val = p ** (h // 2), a // 2 - h // 2, -(a + 2) // 2
+        coef = 2
+    else:
+        # alpha = w sqrt(D) p^(-a); du = p^ceil(a/2) (s + t sqrt(D)), so
+        # tr(alpha du) = 2 w t D p^(ceil(a/2) - a): w is determined mod p^floor(a/2)
+        depth = (a + 1) // 2
+        cb, lo, val = p**depth, a // 2, -a
+        coef = 2 * group.d_unit
+    keys = _one_unit_keys(group, depth)
     m = math.lcm(theta.value_order, p**lo)
-    mod_full = p**a
-    survivors = []
-    for w in range(1, p**lo):
-        if w % p == 0:
-            continue
-        ok = True
-        for s in range(p ** (a - hi)):
-            for t in range(p ** (a - hi)):
-                key = ((1 + p**hi * s) % mod_full, p**hi * t % mod_full)
-                lhs = theta.eval_exponent(key, m)
-                # tr(alpha du) = 2 w t d p^(hi - a)
-                rhs = psi_exponent_scaled(p, a - hi, 2 * w * t * d, m)
-                if lhs != rhs:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            survivors.append(w)
-    if len(survivors) != 1:
-        raise AssertionError(f"alpha search found {len(survivors)} candidates")
-    ext = get_ext_context(p, max(lo, 1), False)
-    b = ext.base.scalar(-a, survivors[0], lo)
-    return ext.element(ext.base.zero(), b)
+    exps = theta.table[keys] * (m // theta.value_order)
+    w = _alpha_unit(p, exps, coef * (keys % group.mod_b // cb), p**lo, m)
+    ext = get_ext_context(p, lo, theta.ramified)
+    return ext.element(ext.base.zero(), ext.base.scalar(val, w, lo))
 
 
 # ---------------------------------------------------------------------------
@@ -494,13 +446,14 @@ def gauss_c0_principal_series(mu: MultChar, m: int | None = None) -> CycloValue:
     """q^(-n0) * sum over units mod p^n0 of mu(u) psi(-u/p^n0), n0 = defining
     level of mu.  For primitive mu the magnitude is exactly q^(-n0/2)."""
     p, n0 = mu.p, mu.level
+    q = p**n0
     if m is None:
-        m = math.lcm(mu.value_order, p**n0)
-    counts = np.zeros(m, dtype=np.int64)
-    for u in mu.ctx.units(n0):
-        e = (mu.eval_exponent(u, m) + psi_exponent_scaled(p, n0, -u, m)) % m
-        counts[e] += 1
-    return CycloValue.from_counts(m, counts, Fraction(1, p**n0))
+        m = math.lcm(mu.value_order, q)
+    if m % mu.value_order or m % q:
+        raise ValueError(f"modulus {m} is not a multiple of {mu.value_order} and {q}")
+    u = np.flatnonzero(mu.table >= 0)
+    e = mu.table[u] * (m // mu.value_order) + (-u % q) * (m // q)
+    return CycloValue.from_counts(m, np.bincount(e % m, minlength=m), Fraction(1, q))
 
 
 def shell_table(theta: ThetaChar, k: int, m: int
@@ -517,24 +470,17 @@ def shell_table(theta: ThetaChar, k: int, m: int
     if m % q:
         raise ValueError(f"modulus {m} is not a multiple of {q}")
     reps = unit_shell_reps(get_ext_context(p, a, theta.ramified), k)
+    A, B = reps[:, 0], reps[:, 1]
     e_e = 2 if theta.ramified else 1
     pi_part = -theta.pi_exponent(-a - e_e + 1, m)
-    d = theta.group.d_unit
-    A = np.empty(len(reps), dtype=np.int64)
-    B = np.empty(len(reps), dtype=np.int64)
-    phase = np.empty(len(reps), dtype=np.int64)
-    eta = np.empty(len(reps), dtype=np.int64)
-    for j, (x, y) in enumerate(reps):
-        A[j], B[j] = x, y
-        if theta.ramified:
-            # tr(piE^c (A + B sqrt(p))) = 2 B p^(-a/2); N(piE^c) = -p^(-n)
-            tr, eta[j] = 2 * y, p * y * y - x * x
-        else:
-            # tr(p^c (A + B sqrt(d))) = 2 A p^(-a); N(p^c) = p^(-n)
-            tr, eta[j] = 2 * x, x * x - d * y * y
-        phase[j] = (pi_part - theta.eval_exponent((x, y), m)
-                    + tr % q * (m // q))
-    phase %= m
+    if theta.ramified:
+        # tr(piE^c (A + B sqrt(p))) = 2 B p^(-a/2); N(piE^c) = -p^(-n)
+        tr, eta = 2 * B, p * B * B - A * A
+    else:
+        # tr(p^c (A + B sqrt(d))) = 2 A p^(-a); N(p^c) = p^(-n)
+        tr, eta = 2 * A, A * A - theta.group.d_unit * B * B
+    theta_e = theta.table[theta.group.index(A, B)] * (m // theta.value_order)
+    phase = (pi_part - theta_e + tr % q * (m // q)) % m
     return A, B, phase, eta
 
 
@@ -574,15 +520,9 @@ def shell_norm_valuation(theta: ThetaChar) -> int:
     p, a = theta.p, theta.level
     e_e = 2 if theta.ramified else 1
     c = -a - e_e + 1
-    if theta.ramified:
-        base = c  # v(N(piE^c)) = v((-p)^c) with piE = sqrt(p)
-        for (A, B) in theta.group.dlog:
-            if (A * A - p * B * B) % p == 0:
-                raise AssertionError("non-unit norm on the shell")
-    else:
-        base = 2 * c
-        d = theta.group.d_unit
-        for (A, B) in theta.group.dlog:
-            if (A * A - d * B * B) % p == 0:
-                raise AssertionError("non-unit norm on the shell")
+    # v(N(piE^c)) = v((-p)^c) with piE = sqrt(p), else v(p^(2c))
+    base, d = (c, p) if theta.ramified else (2 * c, theta.group.d_unit)
+    A, B = np.divmod(_one_unit_keys(theta.group, 0), theta.group.mod_b)
+    if ((A * A - d * B * B) % p == 0).any():
+        raise AssertionError("non-unit norm on the shell")
     return base

@@ -17,8 +17,11 @@ from importlib import resources
 
 import numpy as np
 
+from .errors import BudgetError
 from .residue import factorize, is_prime, padic_valuation
 from .statphase import sqrt_mod_prime
+
+ENUMERATION_BUDGET = 10**7
 
 
 # -- Hilbert symbols ---------------------------------------------------------
@@ -549,7 +552,8 @@ def _counting_data(lattice: TidyLattice, z: UpperHalfPoint):
 def _ellipsoid_points(gram: np.ndarray, bound: float) -> np.ndarray:
     """Integer vectors with c^T gram c <= bound, one of each +-c pair (the
     last nonzero coordinate is positive); c = 0 excluded.  The innermost
-    coordinate is materialised as a contiguous range."""
+    coordinate is materialised as a contiguous range; BudgetError before a
+    range would take the rows past ENUMERATION_BUDGET."""
     eigs = np.linalg.eigvalsh(gram)
     if eigs[0] <= 0:
         raise ValueError("counting form is not positive definite")
@@ -557,6 +561,7 @@ def _ellipsoid_points(gram: np.ndarray, bound: float) -> np.ndarray:
     bound = bound * (1 + 1e-9) + 1e-9
     eps = 1e-9
     blocks = []
+    total = 0
     r33, r22, r11, r00 = chol[3, 3], chol[2, 2], chol[1, 1], chol[0, 0]
     lim3 = int(math.floor(math.sqrt(bound) / r33 + eps))
     for c3 in range(0, lim3 + 1):
@@ -588,6 +593,11 @@ def _ellipsoid_points(gram: np.ndarray, bound: float) -> np.ndarray:
                     lo = max(lo, 1)
                 if lo > hi:
                     continue
+                total += hi - lo + 1
+                if total > ENUMERATION_BUDGET:
+                    raise BudgetError(
+                        f"quaternion ellipsoid enumeration: {total} rows "
+                        f"exceed the budget of {ENUMERATION_BUDGET}")
                 run = np.empty((hi - lo + 1, 4), dtype=np.int64)
                 run[:, 0] = np.arange(lo, hi + 1)
                 run[:, 1], run[:, 2], run[:, 3] = c1, c2, c3

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import BudgetError, PrecisionError
 
 LOG_TABLE_BUDGET = 10**7
@@ -114,7 +116,7 @@ class PAdicContext:
         self.p = p
         self.prec_exp = prec_exp
         self.modulus = p**prec_exp
-        self._log_table: dict[int, int] | None = None
+        self._log_table: np.ndarray | None = None
         self._generator: int | None = None
 
     # -- unit-group tables ------------------------------------------------
@@ -126,30 +128,33 @@ class PAdicContext:
         return self._generator
 
     @property
-    def log_table(self) -> dict[int, int]:
-        """Discrete logs of all units mod p^K; refused past the size budget."""
+    def log_table(self) -> np.ndarray:
+        """Discrete logs indexed by the residue mod p^K, -1 at non-units;
+        refused past the size budget."""
         if self._log_table is None:
             if self.modulus > LOG_TABLE_BUDGET:
                 raise BudgetError(
                     f"log table for modulus {self.p}^{self.prec_exp} exceeds budget"
                 )
-            g = self.generator
-            table = {}
-            acc = 1
+            # powers g^0 .. g^(order-1), doubled block by block
             order = self.unit_count()
-            for t in range(order):
-                table[acc] = t
-                acc = acc * g % self.modulus
-            if acc != 1 or len(table) != order:
+            powers = np.ones(1, dtype=np.int64)
+            while len(powers) < order:
+                step = pow(self.generator, len(powers), self.modulus)
+                powers = np.concatenate([powers, powers * step % self.modulus])
+            table = np.full(self.modulus, -1, dtype=np.int64)
+            table[powers[:order]] = np.arange(order)
+            # every unit is hit exactly once iff the generator has full order
+            if np.count_nonzero(table >= 0) != order:
                 raise ArithmeticError("generator does not have full order")
             self._log_table = table
         return self._log_table
 
     def dlog(self, u: int) -> int:
-        u %= self.modulus
-        if u % self.p == 0:
+        t = int(self.log_table[u % self.modulus])
+        if t < 0:
             raise ValueError("discrete log of a non-unit")
-        return self.log_table[u]
+        return t
 
     def unit_count(self, level: int | None = None) -> int:
         k = self.prec_exp if level is None else level
@@ -256,9 +261,9 @@ class QuadExtElement:
         self.b = b
 
 
-def unit_shell_reps(ext: QuadExtContext, k: int) -> list[tuple[int, int]]:
-    """Exact transversal of o_E^x / (1 + p_E^k) as integer coordinate pairs
-    (A, B) representing A + B sqrt(D).
+def unit_shell_reps(ext: QuadExtContext, k: int) -> np.ndarray:
+    """Exact transversal of o_E^x / (1 + p_E^k) as the rows (A, B) of an
+    int64 array, representing A + B sqrt(D), in increasing (A, B) order.
 
     Sizes: q^(2k) - q^(2k-2) unramified, q^k - q^(k-1) ramified.
     """
@@ -268,23 +273,14 @@ def unit_shell_reps(ext: QuadExtContext, k: int) -> list[tuple[int, int]]:
     size = ext.residue_size() ** k - ext.residue_size() ** (k - 1)
     if size > LOG_TABLE_BUDGET:
         raise BudgetError(f"shell of size {size} exceeds enumeration budget")
-    reps: list[tuple[int, int]] = []
-    if not ext.ramified:
-        m = p**k
-        for a in range(m):
-            for b in range(m):
-                if a % p == 0 and b % p == 0:
-                    continue
-                reps.append((a, b))
-    else:
+    if ext.ramified:
         # A + B sqrt(p) unit <=> p does not divide A;
         # class determined by A mod p^ceil(k/2), B mod p^floor(k/2)  (k-1 halves up)
-        ma = p ** ((k + 1) // 2)
-        mb = p ** (k // 2)
-        for a in range(ma):
-            if a % p == 0:
-                continue
-            for b in range(mb):
-                reps.append((a, b))
+        ma, mb = p ** ((k + 1) // 2), p ** (k // 2)
+    else:
+        ma = mb = p**k
+    a, b = np.divmod(np.arange(ma * mb, dtype=np.int64), mb)
+    unit = a % p != 0 if ext.ramified else (a % p != 0) | (b % p != 0)
+    reps = np.stack([a[unit], b[unit]], axis=1)
     assert len(reps) == size
     return reps

@@ -274,10 +274,11 @@ def phi_fast_numerator(engine: MatCoefEngine, i: int, a: PAdicScalar,
         return CycloValue.zero(engine.m), diag
     pairs, scanned = critical_pairs(engine, i, a, madd)
     diag["pairs"], diag["scanned"] = len(pairs), scanned
+    if not pairs:
+        return CycloValue.zero(engine.m), diag
     counts = np.bincount(np.array([pair.phase_exponent for pair in pairs],
                                   dtype=np.int64), minlength=engine.m)
-    weight = pairs[0].weight if pairs else Fraction(1)
-    return CycloValue.from_counts(engine.m, counts, weight), diag
+    return CycloValue.from_counts(engine.m, counts, pairs[0].weight), diag
 
 
 def phi_fast_value(engine: MatCoefEngine, i: int, a: PAdicScalar,

@@ -61,7 +61,8 @@ class ReprSpec:
             raise ValueError("character level must equal its conductor")
         if not theta.is_regular():
             raise ValueError("character must differ from its Galois conjugate")
-        if any(theta.exponent(k) for k in theta.group.f_unit_keys()):
+        # the classes of F sit at the indices A*mod_b + 0; non-units hold -1
+        if (theta.table[::theta.group.mod_b] > 0).any():
             raise ValueError("character must be trivial on base-field units")
         if theta.ramified and theta.level % 2:
             raise ValueError("ramified conductor must be even")
@@ -121,14 +122,10 @@ class WhittakerEngine:
     # -- principal series tables ------------------------------------------
 
     def _init_ps_tables(self) -> None:
-        spec = self.spec
-        p, n0, m = spec.p, spec.n0, self.m
-        pn0 = p**n0
-        self._u_arr = np.array(spec.mu.ctx.units(n0), dtype=np.int64)
-        dense = np.zeros(pn0, dtype=np.int64)
-        for u in spec.mu.ctx.units(n0):
-            dense[u] = spec.mu.eval_exponent(u, m)
-        self._mu_dense = dense
+        mu = self.spec.mu
+        self._u_arr = np.flatnonzero(mu.table >= 0)
+        # mu in Z/m by residue mod p^n0; the non-units stay negative
+        self._mu_dense = mu.table * (self.m // mu.value_order)
 
     def _ps_shift_factor(self, i: int) -> np.ndarray:
         # mu(1 + u pi^(i-n0)) per unit u; constant 1 once i - n0 >= n0

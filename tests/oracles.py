@@ -170,8 +170,17 @@ def conjugated(theta):
     """theta o (Galois conjugation), as a ThetaChar with a permuted table."""
     out = type(theta)(theta.group, theta.exps, theta.pi_sign)
     g = theta.group
-    out.table = {k: theta.table[g.conj_key(k)] for k in theta.table}
+    index = np.arange(len(theta.table))
+    out.table = theta.table[g.index(index // g.mod_b, -index)]
     return out
+
+
+def unit_keys(group) -> list[tuple[int, int]]:
+    """(A, B) of every unit class, ordered as g0^e0 g1^e1 g2^e2 with
+    (e0, e1, e2) ascending."""
+    units = np.flatnonzero(group.dlog[:, 0] >= 0)
+    rank = np.ravel_multi_index(group.dlog[units].T, group.gen_orders)
+    return [divmod(int(k), group.mod_b) for k in units[np.argsort(rank)]]
 
 
 # -- Whittaker values --------------------------------------------------------

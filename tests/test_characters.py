@@ -25,7 +25,14 @@ from gl2local.characters import (
 from gl2local.cyclotomic import CycloValue
 from gl2local.errors import ConstructionError, PrecisionError
 from gl2local.residue import get_context
-from oracles import conj, conjugated, ext_valuation, root_of_unity, rotate
+from oracles import (
+    conj,
+    conjugated,
+    ext_valuation,
+    root_of_unity,
+    rotate,
+    unit_keys,
+)
 
 
 def test_psi_exponent_additive():
@@ -119,20 +126,49 @@ def test_unit_group_structure():
                                (True, 2, 6), (True, 4, 54)):
         g = get_unit_group(3, ram, lvl)
         assert g.order == expected
-        assert len(g.dlog) == expected
+        assert np.count_nonzero(g.dlog[:, 0] >= 0) == expected
         assert math.prod(g.gen_orders) == expected
+
+
+@pytest.mark.parametrize("ram,lvl", [(False, 2), (False, 3), (True, 2), (True, 4)])
+def test_unit_group_tables_exhaustive(ram, lvl):
+    # every unit index holds the exponents that rebuild its class from the
+    # generators; every non-unit index holds the -1 sentinel, also in theta
+    g = get_unit_group(3, ram, lvl)
+    theta = build_theta(3, ram, lvl)
+    assert g.dlog.shape == (g.mod_a * g.mod_b, 3)
+    for k, row in enumerate(g.dlog.tolist()):
+        a, b = divmod(k, g.mod_b)
+        if a % 3 == 0 and (ram or b % 3 == 0):
+            assert row == [-1, -1, -1] and theta.table[k] == -1
+            continue
+        x = (1, 0)
+        for gen, e in zip(g.generators, row):
+            x = g.mul(x, g.power(gen, e))
+        assert x == (a, b) and theta.table[k] >= 0
+
+
+def test_non_unit_lookups_raise():
+    with pytest.raises(ValueError):
+        get_context(5, 2).dlog(10)
+    with pytest.raises(ValueError):
+        MultChar(5, 2, 1).exponent(35)
+    with pytest.raises(ValueError):
+        build_theta(3, False, 2).exponent((3, 6))
+    with pytest.raises(ValueError):
+        build_theta(3, True, 2).exponent((0, 1))
 
 
 def test_unit_group_mul_matches_dlog():
     rng = random.Random(23)
     g = get_unit_group(3, False, 3)
-    keys = list(g.dlog)
+    keys = unit_keys(g)
     o = g.gen_orders
     for _ in range(2000):
         x, y = rng.choice(keys), rng.choice(keys)
-        ex, ey = g.dlog[x], g.dlog[y]
-        combined = tuple((a + b) % om for a, b, om in zip(ex, ey, o))
-        assert g.dlog[g.mul(x, y)] == combined
+        ex, ey = g.dlog[g.index(*x)], g.dlog[g.index(*y)]
+        combined = [(a + b) % om for a, b, om in zip(ex, ey, o)]
+        assert g.dlog[g.index(*g.mul(x, y))].tolist() == combined
 
 
 def test_build_theta_filters():
@@ -140,15 +176,16 @@ def test_build_theta_filters():
         theta = build_theta(3, ram, lvl)
         assert theta.conductor() == lvl
         assert theta.is_regular()
-        for k in theta.group.f_unit_keys():
-            assert theta.exponent(k) == 0
+        for u in range(1, theta.group.mod_a):
+            if u % 3:
+                assert theta.exponent((u, 0)) == 0
 
 
 def test_build_theta_multiplicative():
     rng = random.Random(31)
     theta = build_theta(3, False, 3)
     g = theta.group
-    keys = list(g.dlog)
+    keys = unit_keys(g)
     for _ in range(10_000):
         x, y = rng.choice(keys), rng.choice(keys)
         assert (theta.exponent(x) + theta.exponent(y)) % theta.value_order \
@@ -265,7 +302,7 @@ def shell_sum_oracle(theta: ThetaChar, m: int) -> CycloValue:
     p, a = theta.p, theta.level
     c = -a - (2 if theta.ramified else 1) + 1
     counts = np.zeros(m, dtype=np.int64)
-    for (A, B) in theta.group.dlog:
+    for (A, B) in unit_keys(theta.group):
         if theta.ramified:
             tr = psi_exponent_scaled(p, a // 2, 2 * B, m)  # 2 B p^((c+1)/2)
         else:

@@ -6,13 +6,25 @@ import time
 import pytest
 
 import gl2local.cli as cli
+from gl2local import quaternion
 from gl2local.cli import ConfigError, ExperimentConfig, main
+from gl2local.errors import BudgetError
 
 
 def write_config(tmp_path, cfg):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     return str(path)
+
+
+def test_lattice_enumeration_budget_names_layer_rows_and_limit(
+        tmp_path, monkeypatch):
+    monkeypatch.setattr(quaternion, "ENUMERATION_BUDGET", 1000)
+    cfg = ExperimentConfig.from_dict({"task": "counting",
+                                      "out": str(tmp_path / "c.csv")})
+    with pytest.raises(BudgetError, match=r"^quaternion ellipsoid "
+                       r"enumeration: \d+ rows exceed the budget of 1000$"):
+        cli.run_task(cfg)
 
 
 def test_config_minimal_defaults():

@@ -13,7 +13,7 @@ from gl2local.characters import (
 from gl2local.errors import PrecisionError
 from gl2local.residue import get_context
 from gl2local.whittaker import ReprSpec, WhittakerEngine, required_precision
-from oracles import numerator, value
+from oracles import numerator, unit_keys, value
 
 
 def _root(e: int, order: int) -> complex:
@@ -48,7 +48,7 @@ def sc_value_oracle(spec: ReprSpec, i: int, x_res: int) -> complex:
     inv = pow(x_res % pl, -1, pl) if lvl else 0
     num = 0j
     den = 0j
-    for (A, B) in reversed(list(theta.group.dlog)):
+    for (A, B) in reversed(unit_keys(theta.group)):
         chi = _root(-(pi_e + theta.exponent((A, B))) % vo, vo)
         if theta.ramified:
             add = _root(2 * B % p**n0, p**n0)

@@ -3,8 +3,9 @@
 Covers: Hilbert symbols and discriminants, maximal-order certificates via the
 trace form, sublattices with planned local shapes at split odd primes (built
 by Hensel-lifted local splittings), exact point counts in hyperbolic balls
-with prescribed reduced norm, and the exact-rational exponent arithmetic for
-the global bounds.
+with prescribed reduced norm (the norm equation solved exactly on each
+lattice line through the ellipsoid, after Fincke and Pohst, Math. Comp. 44
+(1985)), and the exact-rational exponent arithmetic for the global bounds.
 """
 
 from __future__ import annotations
@@ -549,69 +550,111 @@ def _counting_data(lattice: TidyLattice, z: UpperHalfPoint):
     return gram, f_int, den, basis_frame, form
 
 
-def _ellipsoid_points(gram: np.ndarray, bound: float) -> np.ndarray:
-    """Integer vectors with c^T gram c <= bound, one of each +-c pair (the
-    last nonzero coordinate is positive); c = 0 excluded.  The innermost
-    coordinate is materialised as a contiguous range; BudgetError before a
-    range would take the rows past ENUMERATION_BUDGET."""
+def _ellipsoid_lines(gram: np.ndarray, bound: float):
+    """The (c1, c2, c3) lines through the ellipsoid c^T gram c <= bound, in
+    order of c3, c2, c1, with the range [lo, hi] of c0 on each; one of each
+    +-c pair (the last nonzero coordinate is positive), c = 0 excluded.  The
+    limits are float Cholesky limits widened by eps; each level is expanded
+    from the one above with np.repeat.  BudgetError before the running total
+    of hi - lo + 1 passes ENUMERATION_BUDGET."""
     eigs = np.linalg.eigvalsh(gram)
     if eigs[0] <= 0:
         raise ValueError("counting form is not positive definite")
     chol = np.linalg.cholesky(gram + np.eye(4) * (eigs[0] * 1e-12)).T
     bound = bound * (1 + 1e-9) + 1e-9
     eps = 1e-9
-    blocks = []
-    total = 0
     r33, r22, r11, r00 = chol[3, 3], chol[2, 2], chol[1, 1], chol[0, 0]
-    lim3 = int(math.floor(math.sqrt(bound) / r33 + eps))
-    for c3 in range(0, lim3 + 1):
-        rem3 = bound - (c3 * r33) ** 2
-        if rem3 < 0:
-            continue
-        off2 = c3 * chol[2, 3]
-        lim = math.sqrt(rem3) / r22
-        for c2 in range(math.ceil(-lim - off2 / r22 - eps),
-                        math.floor(lim - off2 / r22 + eps) + 1):
-            if c3 == 0 and c2 < 0:
-                continue
-            rem2 = rem3 - (off2 + c2 * r22) ** 2
-            if rem2 < 0:
-                continue
-            off1 = c3 * chol[1, 3] + c2 * chol[1, 2]
-            lim = math.sqrt(rem2) / r11
-            for c1 in range(math.ceil(-lim - off1 / r11 - eps),
-                            math.floor(lim - off1 / r11 + eps) + 1):
-                if c3 == 0 and c2 == 0 and c1 < 0:
-                    continue
-                rem1 = rem2 - (off1 + c1 * r11) ** 2
-                if rem1 < 0:
-                    continue
-                off0 = c3 * chol[0, 3] + c2 * chol[0, 2] + c1 * chol[0, 1]
-                lo = math.ceil((-math.sqrt(rem1) - off0) / r00 - eps)
-                hi = math.floor((math.sqrt(rem1) - off0) / r00 + eps)
-                if c3 == 0 and c2 == 0 and c1 == 0:
-                    lo = max(lo, 1)
-                if lo > hi:
-                    continue
-                total += hi - lo + 1
-                if total > ENUMERATION_BUDGET:
-                    raise BudgetError(
-                        f"quaternion ellipsoid enumeration: {total} rows "
-                        f"exceed the budget of {ENUMERATION_BUDGET}")
-                run = np.empty((hi - lo + 1, 4), dtype=np.int64)
-                run[:, 0] = np.arange(lo, hi + 1)
-                run[:, 1], run[:, 2], run[:, 3] = c1, c2, c3
-                blocks.append(run)
-    if not blocks:
-        return np.empty((0, 4), dtype=np.int64)
-    return np.concatenate(blocks)
+    c3 = np.arange(int(math.floor(math.sqrt(bound) / r33 + eps)) + 1)
+    rem = bound - (c3 * r33) ** 2
+    keep = rem >= 0
+    coords, rem = [c3[keep]], rem[keep]
+    # level k: c_k in [ceil(-lim - off/diag - eps), floor(lim - off/diag + eps)]
+    # with off = sum_{j>k} c_j chol[k, j], lim = sqrt(rem) / diag
+    for k, diag in ((2, r22), (1, r11)):
+        off = sum(c * chol[k, 3 - j] for j, c in enumerate(coords))
+        lim = np.sqrt(rem) / diag
+        lo = np.ceil(-lim - off / diag - eps).astype(np.int64)
+        hi = np.floor(lim - off / diag + eps).astype(np.int64)
+        origin = ~np.any(coords, axis=0)
+        lo[origin] = np.maximum(lo[origin], 0)
+        parent, c = _expand(lo, hi)
+        coords = [v[parent] for v in coords] + [c]
+        rem = rem[parent] - (off[parent] + c * diag) ** 2
+        keep = rem >= 0
+        coords, rem = [v[keep] for v in coords], rem[keep]
+    off = sum(c * chol[0, 3 - j] for j, c in enumerate(coords))
+    root = np.sqrt(rem)
+    lo = np.ceil((-root - off) / r00 - eps).astype(np.int64)
+    hi = np.floor((root - off) / r00 + eps).astype(np.int64)
+    origin = ~np.any(coords, axis=0)
+    lo[origin] = np.maximum(lo[origin], 1)
+    keep = lo <= hi
+    lines = np.stack(coords[::-1], axis=1)[keep]
+    lo, hi = lo[keep], hi[keep]
+    total = np.cumsum(hi - lo + 1)
+    if len(total) and total[-1] > ENUMERATION_BUDGET:
+        raise BudgetError(
+            f"quaternion ellipsoid enumeration: "
+            f"{total[np.argmax(total > ENUMERATION_BUDGET)]} rows "
+            f"exceed the budget of {ENUMERATION_BUDGET}")
+    return lines, lo, hi
+
+
+def _expand(lo: np.ndarray, hi: np.ndarray):
+    """(parent index, value) for every integer of each range [lo[i], hi[i]],
+    in order."""
+    n = np.maximum(hi - lo + 1, 0)
+    parent = np.repeat(np.arange(len(lo)), n)
+    start = np.cumsum(n) - n
+    return parent, lo[parent] + np.arange(len(parent)) - start[parent]
+
+
+def _solve_lines(f_int: np.ndarray, den: int, lines: np.ndarray,
+                 lo: np.ndarray, hi: np.ndarray, norms: list[int]):
+    """Rows (c0, c1, c2, c3) with c0 in [lo, hi] on their line and exact
+    scaled norm c^T f_int c = den * m for some m in `norms` (sorted), in
+    order of line and c0, with their m.  On a line the scaled norm is the
+    integer quadratic F00 c0^2 + 2 B c0 + C, so c0 = (-B +- s) / F00 with
+    s^2 = B^2 - F00 (C - den m), decided on one lines x norms int64 table;
+    BudgetError if that table could pass 2**62."""
+    f00 = int(f_int[0, 0])
+    if f00 == 0:
+        raise ValueError("norm form has a zero leading coefficient")
+    reach = int(np.abs(lines).sum(axis=1).max(initial=0))
+    fmax = int(np.abs(f_int).max())
+    disc_bound = (fmax * reach) ** 2 \
+        + abs(f00) * (fmax * reach * reach + den * norms[-1])
+    if disc_bound >= 2**62:
+        raise BudgetError(f"quaternion line solve: discriminant bound "
+                          f"{disc_bound} exceeds 2**62")
+    b = lines @ f_int[0, 1:]
+    c = ((lines @ f_int[1:, 1:]) * lines).sum(axis=1)
+    target = den * np.array(norms, dtype=np.int64)
+    disc = b[:, None] ** 2 - f00 * (c[:, None] - target)
+    line, col = np.nonzero(disc >= 0)
+    d = disc[line, col]
+    s = np.sqrt(d.astype(float)).astype(np.int64)
+    s -= s * s > d
+    s += (s + 1) * (s + 1) <= d
+    square = s * s == d
+    line, col, s = line[square], col[square], s[square]
+    hits = []
+    for num, distinct in ((s - b[line], True), (-s - b[line], s > 0)):
+        c0 = num // f00
+        ok = distinct & (num % f00 == 0) & (lo[line] <= c0) & (c0 <= hi[line])
+        hits.append((line[ok], c0[ok], col[ok]))
+    line, c0, col = (np.concatenate(v) for v in zip(*hits))
+    order = np.lexsort((c0, line))
+    rows = np.column_stack((c0[order], lines[line[order]]))
+    return rows, target[col[order]] // den
 
 
 def _candidates_with_norms(lattice: TidyLattice, z: UpperHalfPoint, delta,
                            norms) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """Enumerate one representative per +-pair inside the converted ellipsoid
-    for the largest requested norm and keep those whose exact reduced norm is
-    in `norms`; returns (rows, norm values, exact Frobenius form)."""
+    """One representative per +-pair inside the converted ellipsoid for the
+    largest requested norm whose exact reduced norm is in `norms`, found by
+    solving the norm equation on each (c1, c2, c3) line; returns (rows, norm
+    values, exact Frobenius form)."""
     gram, f_int, den, _, form = _counting_data(lattice, z)
     norms = sorted(set(int(m) for m in norms))
     if norms and norms[0] < 1:
@@ -619,12 +662,8 @@ def _candidates_with_norms(lattice: TidyLattice, z: UpperHalfPoint, delta,
     if not norms:
         return np.empty((0, 4), dtype=np.int64), np.empty(0, dtype=np.int64), form
     bound = float((4 * Fraction(delta) + 2) * norms[-1])
-    cands = _ellipsoid_points(gram, bound)
-    if len(cands) == 0:
-        return cands, np.empty(0, dtype=np.int64), form
-    scaled = np.einsum("ij,jk,ik->i", cands, f_int, cands)
-    keep = np.isin(scaled, den * np.array(norms, dtype=np.int64))
-    return cands[keep], scaled[keep] // den, form
+    return (*_solve_lines(f_int, den, *_ellipsoid_lines(gram, bound), norms),
+            form)
 
 
 def _sqrt_sum_nonpositive(u: np.ndarray, v: np.ndarray, a: int) -> np.ndarray:
@@ -653,10 +692,7 @@ def _distance_ok_rows(form, a: int, delta, rows: np.ndarray,
 def count_lattice_points(lattice: TidyLattice, z: UpperHalfPoint, delta,
                          norm_value: int) -> int:
     """#{alpha in the lattice : nr(alpha) = norm_value, u(z, alpha z) <= delta},
-    exact (float enumeration bound, exact norm and distance filters)."""
-    delta = Fraction(delta)
-    if delta < 0:
-        raise ValueError("delta must be >= 0")
+    exact (float line limits, exact norm solve and distance filter)."""
     if norm_value < 1:
         raise ValueError("norm value must be >= 1")
     return norm_histogram(lattice, z, delta, [norm_value])[norm_value]
@@ -694,8 +730,11 @@ def count_lattice_points_box(lattice: TidyLattice, z: UpperHalfPoint, delta,
 
 def norm_histogram(lattice: TidyLattice, z: UpperHalfPoint, delta,
                    norms) -> dict[int, int]:
-    """Counts for every requested norm value in one enumeration pass."""
+    """Counts for every requested norm value in one enumeration pass;
+    ValueError for delta < 0."""
     delta = Fraction(delta)
+    if delta < 0:
+        raise ValueError("delta must be >= 0")
     norms = sorted(set(int(m) for m in norms))
     rows, m_vals, form = _candidates_with_norms(lattice, z, delta, norms)
     ok = _distance_ok_rows(form, lattice.order.algebra.a_h, delta, rows, m_vals)

@@ -291,3 +291,55 @@ def iota_inf(alg, frame_vec) -> np.ndarray:
     m = [float(e.r) + float(e.s) * math.sqrt(e.d)
          for e in _iota_inf_exact(alg, frame_vec)]
     return np.array([[m[0], m[1]], [m[2], m[3]]])
+
+
+def ellipsoid_points(gram: np.ndarray, bound: float) -> np.ndarray:
+    """Every integer vector with c^T gram c <= bound, one of each +-c pair
+    (the last nonzero coordinate is positive), c = 0 excluded, from the same
+    float Cholesky limits as `quaternion._ellipsoid_lines`; the innermost
+    coordinate is materialised as a contiguous range on each line."""
+    eigs = np.linalg.eigvalsh(gram)
+    if eigs[0] <= 0:
+        raise ValueError("counting form is not positive definite")
+    chol = np.linalg.cholesky(gram + np.eye(4) * (eigs[0] * 1e-12)).T
+    bound = bound * (1 + 1e-9) + 1e-9
+    eps = 1e-9
+    blocks = []
+    r33, r22, r11, r00 = chol[3, 3], chol[2, 2], chol[1, 1], chol[0, 0]
+    lim3 = int(math.floor(math.sqrt(bound) / r33 + eps))
+    for c3 in range(0, lim3 + 1):
+        rem3 = bound - (c3 * r33) ** 2
+        if rem3 < 0:
+            continue
+        off2 = c3 * chol[2, 3]
+        lim = math.sqrt(rem3) / r22
+        for c2 in range(math.ceil(-lim - off2 / r22 - eps),
+                        math.floor(lim - off2 / r22 + eps) + 1):
+            if c3 == 0 and c2 < 0:
+                continue
+            rem2 = rem3 - (off2 + c2 * r22) ** 2
+            if rem2 < 0:
+                continue
+            off1 = c3 * chol[1, 3] + c2 * chol[1, 2]
+            lim = math.sqrt(rem2) / r11
+            for c1 in range(math.ceil(-lim - off1 / r11 - eps),
+                            math.floor(lim - off1 / r11 + eps) + 1):
+                if c3 == 0 and c2 == 0 and c1 < 0:
+                    continue
+                rem1 = rem2 - (off1 + c1 * r11) ** 2
+                if rem1 < 0:
+                    continue
+                off0 = c3 * chol[0, 3] + c2 * chol[0, 2] + c1 * chol[0, 1]
+                lo = math.ceil((-math.sqrt(rem1) - off0) / r00 - eps)
+                hi = math.floor((math.sqrt(rem1) - off0) / r00 + eps)
+                if c3 == 0 and c2 == 0 and c1 == 0:
+                    lo = max(lo, 1)
+                if lo > hi:
+                    continue
+                run = np.empty((hi - lo + 1, 4), dtype=np.int64)
+                run[:, 0] = np.arange(lo, hi + 1)
+                run[:, 1], run[:, 2], run[:, 3] = c1, c2, c3
+                blocks.append(run)
+    if not blocks:
+        return np.empty((0, 4), dtype=np.int64)
+    return np.concatenate(blocks)

@@ -32,9 +32,13 @@ from gl2local.quaternion import (
     _counting_data,
     _distance_ok,
     _distance_ok_rows,
+    _solve_lines,
     _sqrt_sum_nonpositive,
 )
-from oracles import iota_inf, lattice_contains, point_pair_u, quat_conj
+from gl2local import quaternion
+from gl2local.errors import BudgetError
+from oracles import (ellipsoid_points, iota_inf, lattice_contains,
+                     point_pair_u, quat_conj)
 
 FIX = load_algebra_fixtures()
 ALG6, ORD6 = FIX["disc6"]
@@ -491,6 +495,99 @@ def test_counting_validation():
         count_lattice_points(lat, z, -1, 1)
     with pytest.raises(ValueError):
         count_lattice_points(lat, z, 1, 0)
+
+
+@pytest.mark.parametrize("delta", [-1, Fraction(-1, 4)])
+def test_negative_delta_is_refused_by_name(delta):
+    # -1 used to end in a math domain error; -1/4 leaves a positive
+    # ellipsoid bound and used to count
+    lat = build_tidy_lattice(ORD6, {})
+    z = UpperHalfPoint(Fraction(1, 2), Fraction(1))
+    with pytest.raises(ValueError, match=r"^delta must be >= 0$"):
+        norm_histogram(lat, z, delta, [1, 2])
+    with pytest.raises(ValueError, match=r"^delta must be >= 0$"):
+        counting_bound_report(lat, z, delta, 3)
+
+
+def _oracle_candidates(lat, z, delta, norms):
+    """The materialising enumeration followed by the exact norm filter."""
+    gram, f_int, den, _, _ = _counting_data(lat, z)
+    cands = ellipsoid_points(gram, float((4 * Fraction(delta) + 2) * max(norms)))
+    scaled = np.einsum("ij,jk,ik->i", cands, f_int, cands)
+    keep = np.isin(scaled, den * np.array(norms, dtype=np.int64))
+    return cands, cands[keep], scaled[keep] // den
+
+
+SOLVER_Z = [UpperHalfPoint(Fraction(0), Fraction(1)),
+            UpperHalfPoint(Fraction(1, 10), Fraction(6, 5)),
+            UpperHalfPoint(Fraction(-3, 7), Fraction(4, 5))]
+
+
+# {5: 1} gives the norm form a negative leading coefficient on both algebras
+@pytest.mark.parametrize("order,plan", [
+    (ORD6, {}), (ORD6, {5: 1}),
+    (ORD14, {}), (ORD14, {3: 1}), (ORD14, {3: 2}), (ORD14, {5: 1})])
+def test_line_solver_matches_materialized_enumeration(order, plan):
+    lat = build_tidy_lattice(order, plan)
+    a_h = order.algebra.a_h
+    norms = list(range(1, 21))
+    for z in SOLVER_Z:
+        for delta in (Fraction(1, 2), Fraction(7, 6), Fraction(1),
+                      Fraction(3, 2)):
+            rows, m_vals, form = _candidates_with_norms(lat, z, delta, norms)
+            _, want, want_m = _oracle_candidates(lat, z, delta, norms)
+            assert sorted(zip(map(tuple, rows.tolist()), m_vals.tolist())) \
+                == sorted(zip(map(tuple, want.tolist()), want_m.tolist()))
+            ok = _distance_ok_rows(form, a_h, delta, want, want_m)
+            values, counts = np.unique(want_m[ok], return_counts=True)
+            expect = dict.fromkeys(norms, 0)
+            expect.update(zip(values.tolist(), (2 * counts).tolist()))
+            assert norm_histogram(lat, z, delta, norms) == expect
+
+
+def test_enumeration_budget_counts_materialized_rows(monkeypatch):
+    lat = build_tidy_lattice(ORD6, {})
+    z = UpperHalfPoint(Fraction(1, 10), Fraction(6, 5))
+    cands, want, _ = _oracle_candidates(lat, z, 1, range(1, 21))
+    monkeypatch.setattr(quaternion, "ENUMERATION_BUDGET", len(cands))
+    rows, _, _ = _candidates_with_norms(lat, z, 1, range(1, 21))
+    assert rows.tolist() == want.tolist()
+    monkeypatch.setattr(quaternion, "ENUMERATION_BUDGET", len(cands) - 1)
+    with pytest.raises(BudgetError, match=rf"^quaternion ellipsoid enumeration: "
+                       rf"{len(cands)} rows exceed the budget of "
+                       rf"{len(cands) - 1}$"):
+        _candidates_with_norms(lat, z, 1, range(1, 21))
+
+
+def test_line_solver_int64_guard():
+    # entries near 2**31 on the line (1, 1, 1): B^2 alone passes 2**62
+    big = 2**31 - 1
+    f_int = np.full((4, 4), big, dtype=np.int64)
+    lines = np.array([[1, 1, 1]], dtype=np.int64)
+    lo, hi = np.array([-5]), np.array([5])
+    with pytest.raises(BudgetError, match=r"^quaternion line solve: "
+                       r"discriminant bound \d+ exceeds 2\*\*62$"):
+        _solve_lines(f_int, 1, lines, lo, hi, [1])
+    # the bound B^2 + |F00| (|C| + den m) = 2**61 + 2**30 m meets 2**62 at
+    # m = 2**31
+    f_int = np.full((4, 4), 2**30, dtype=np.int64)
+    lines = np.array([[1, 0, 0]], dtype=np.int64)
+    _solve_lines(f_int, 1, lines, lo, hi, [2**31 - 1])
+    with pytest.raises(BudgetError, match=rf"bound {2**62} exceeds"):
+        _solve_lines(f_int, 1, lines, lo, hi, [2**31])
+    # entries near 2**30 solve exactly: c0^2 + (2**30 - 1) = m
+    f_int = np.diag([1, 2**30 - 1, 1, 1]).astype(np.int64)
+    rows, m_vals = _solve_lines(f_int, 1, lines, np.array([-10]),
+                                np.array([10]), [2**30 - 1 + 49, 2**30 + 1])
+    assert rows.tolist() == [[-7, 1, 0, 0], [7, 1, 0, 0]]
+    assert m_vals.tolist() == [2**30 + 48] * 2
+    # a square discriminant near 2**60, and c0 past 2**30, stay exact
+    k = 2**30 + 1
+    rows, _ = _solve_lines(np.diag([1, 5, 1, 1]).astype(np.int64), 1, lines,
+                           np.array([0]), np.array([2**31]), [k * k + 5])
+    assert rows.tolist() == [[k, 1, 0, 0]]
+    with pytest.raises(ValueError, match="zero leading coefficient"):
+        _solve_lines(np.diag([0, 1, 1, 1]), 1, lines, lo, hi, [1])
 
 
 def test_histogram_subset_monotone_under_smaller_lattices():

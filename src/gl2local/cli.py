@@ -80,7 +80,7 @@ class ExperimentConfig:
     i_values: list[int] | None = None
     v_a_values: tuple[int, ...] = (-1, 0, 1, 2)
     units_per_class: int = 2
-    # counting parameters
+    # counting parameters; delta is also the exponent task's delta
     algebra: str = "disc6"
     plans: list[dict[int, int]] = field(default_factory=lambda: [{}])
     z: UpperHalfPoint = None
@@ -89,7 +89,6 @@ class ExperimentConfig:
     verify_box_max_norm: int = 0
     # exponent parameters
     eta1: Fraction = Fraction(0)
-    exp_delta: Fraction = Fraction(1)
     eta2: Fraction = Fraction(1, 2)
     a1: int | None = None
     # plumbing
@@ -204,7 +203,6 @@ class ExperimentConfig:
         cfg.eta1 = _parse_fraction(raw.get("eta1", cfg.eta1), f"{path}.eta1")
         cfg.eta2 = _parse_fraction(raw.get("eta2", cfg.eta2), f"{path}.eta2")
         if task == "exponent":
-            cfg.exp_delta = _parse_fraction(raw.get("delta", 1), f"{path}.delta")
             if not 0 <= cfg.eta1 <= cfg.eta2:
                 raise ConfigError(f"{path}.eta1", "need 0 <= eta1 <= eta2")
         cfg.a1 = raw.get("a1", None)
@@ -389,9 +387,9 @@ def run_speedup(cfg: ExperimentConfig) -> TaskResult:
 
 
 def run_exponent(cfg: ExperimentConfig) -> TaskResult:
-    sup = supnorm_exponent(cfg.eta1, cfg.exp_delta, cfg.eta2)
-    dep = depth_exponent(cfg.eta1, cfg.exp_delta, cfg.eta2)
-    rows = [{"eta1": cfg.eta1, "delta": cfg.exp_delta, "eta2": cfg.eta2,
+    sup = supnorm_exponent(cfg.eta1, cfg.delta, cfg.eta2)
+    dep = depth_exponent(cfg.eta1, cfg.delta, cfg.eta2)
+    rows = [{"eta1": cfg.eta1, "delta": cfg.delta, "eta2": cfg.eta2,
              "supnorm_exponent": sup, "depth_exponent": dep}]
     report = [f"C₁-exponent = {sup}, depth exponent = {dep}"]
     if cfg.a1 is not None:

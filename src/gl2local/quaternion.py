@@ -19,20 +19,19 @@ from importlib import resources
 import numpy as np
 
 from .errors import BudgetError
-from .residue import factorize, is_prime, padic_valuation
-from .statphase import sqrt_mod_prime
+from .residue import (
+    factorize,
+    is_prime,
+    legendre,
+    padic_valuation,
+    solve_quadratic_congruence,
+    sqrt_mod_prime,
+)
 
 ENUMERATION_BUDGET = 10**7
 
 
 # -- Hilbert symbols ---------------------------------------------------------
-
-def _legendre(a: int, p: int) -> int:
-    a %= p
-    if a == 0:
-        return 0
-    return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
-
 
 def local_hilbert_symbol(a: int, b: int, place) -> int:
     """Hilbert symbol (a,b) at a finite prime or at math.inf."""
@@ -48,7 +47,7 @@ def local_hilbert_symbol(a: int, b: int, place) -> int:
         omega = alpha * ((v * v - 1) // 8) + beta * ((u * u - 1) // 8)
         return -1 if (eps + omega) % 2 else 1
     sign = (-1) ** (alpha * beta * ((p - 1) // 2))
-    return sign * _legendre(u, p) ** beta * _legendre(v, p) ** alpha
+    return sign * legendre(u, p) ** beta * legendre(v, p) ** alpha
 
 
 def ramified_primes(a: int, b: int) -> list[int]:
@@ -268,18 +267,6 @@ def smith_divisors(mat) -> list[int]:
 
 # -- local splittings and tidy lattices --------------------------------------
 
-def _hensel_sqrt(a: int, p: int, k: int) -> int:
-    """Square root of a unit square mod p^k, p odd."""
-    r = sqrt_mod_prime(a % p, p)
-    if r is None or r == 0:
-        raise ValueError(f"{a} is not a unit square mod {p}")
-    mod = p
-    while mod < p**k:
-        mod = min(mod * mod, p**k)
-        r = (r + a * pow(r, -1, mod)) * pow(2, -1, mod) % mod
-    return r % p**k
-
-
 def _pure_split_pair(alg: QuaternionAlgebra, p: int):
     """Integer-coordinate pure quaternions V, W with V^2 a unit square mod p,
     W^2 a unit mod p, and VW = -WV; used to build the local matrix model."""
@@ -301,7 +288,7 @@ def _pure_split_pair(alg: QuaternionAlgebra, p: int):
     pures.sort(key=lambda v: sum(abs(c) for c in v))
     for v_cand in pures:
         s = square(v_cand)
-        if s.denominator != 1 or _legendre(int(s), p) != 1:
+        if s.denominator != 1 or legendre(int(s), p) != 1:
             continue
         for w_cand in pures:
             t = square(w_cand)
@@ -327,7 +314,10 @@ def local_split_matrices(alg: QuaternionAlgebra, p: int, prec: int):
     mod = p**prec
     v_cand, w_cand, basis = _pure_split_pair(alg, p)
     s, t = -alg.nr(v_cand), -alg.nr(w_cand)
-    rs = _hensel_sqrt(int(s) % mod, p, prec)
+    # s is a unit square mod p by the choice of V: lift sqrt_mod_prime
+    root_p = sqrt_mod_prime(int(s), p)
+    rs, = [r for r in solve_quadratic_congruence(1, 0, -int(s), p, prec)
+           if r % p == root_p]
     img = {
         0: ((1, 0), (0, 1)),
         1: ((rs, 0), (0, -rs % mod)),
@@ -701,30 +691,31 @@ def count_lattice_points(lattice: TidyLattice, z: UpperHalfPoint, delta,
 def count_lattice_points_box(lattice: TidyLattice, z: UpperHalfPoint, delta,
                              norm_value: int) -> int:
     """Independent enumerator: axis-aligned box from the inverse Gram, full
-    scan, same exact filters."""
+    scan, same exact filters.  The box is scanned one c0 slab at a time over
+    a shared (c1, c2, c3) grid: exact integer norm test on the whole slab,
+    then the float bound and the exact distance test on its survivors."""
     delta = Fraction(delta)
     gram, f_int, den, basis_frame, _ = _counting_data(lattice, z)
     bound = float((4 * delta + 2) * norm_value) * (1 + 1e-9) + 1e-9
     inv = np.linalg.inv(gram)
     lims = [int(math.floor(math.sqrt(bound * inv[k, k]) + 1e-9)) for k in range(4)]
     alg = lattice.order.algebra
+    rest = np.stack(np.meshgrid(*(np.arange(-lim, lim + 1) for lim in lims[1:]),
+                                indexing="ij"), axis=-1).reshape(-1, 3)
+    # c^T f_int c = (F00 c0 + 2 F[0,1:].rest) c0 + rest^T F[1:,1:] rest
+    lin = 2 * rest @ f_int[0, 1:]
+    quad = ((rest @ f_int[1:, 1:]) * rest).sum(axis=1)
     count = 0
     for c0 in range(-lims[0], lims[0] + 1):
-        for c1 in range(-lims[1], lims[1] + 1):
-            for c2 in range(-lims[2], lims[2] + 1):
-                for c3 in range(-lims[3], lims[3] + 1):
-                    arr = np.array((c0, c1, c2, c3), dtype=np.int64)
-                    if not arr.any():
-                        continue
-                    if arr @ f_int @ arr != den * norm_value:
-                        continue
-                    if float(arr @ gram @ arr) > bound:
-                        continue
-                    frame_vec = tuple(
-                        sum(Fraction(int(arr[k])) * basis_frame[k][idx]
-                            for k in range(4)) for idx in range(4))
-                    if _distance_ok(alg, frame_vec, z, delta, norm_value):
-                        count += 1
+        hits = rest[(f_int[0, 0] * c0 + lin) * c0 + quad == den * norm_value]
+        for arr in np.column_stack((np.full(len(hits), c0), hits)):
+            if not arr.any() or float(arr @ gram @ arr) > bound:
+                continue
+            frame_vec = tuple(
+                sum(Fraction(int(arr[k])) * basis_frame[k][idx]
+                    for k in range(4)) for idx in range(4))
+            if _distance_ok(alg, frame_vec, z, delta, norm_value):
+                count += 1
     return count
 
 

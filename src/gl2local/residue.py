@@ -1,6 +1,7 @@
 """p-adic scalars and quadratic extensions at finite precision, and the
-elementary number theory (factorization, primality, primitive roots, unit
-sampling) the package shares.
+elementary number theory (factorization, primality, primitive roots,
+Legendre symbols and square roots mod prime powers, unit sampling) the
+package shares.
 
 A scalar is stored as p^val * unit with the unit residue known modulo
 p^prec; reading more digits than are known raises PrecisionError instead of
@@ -68,6 +69,88 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def legendre(a: int, p: int) -> int:
+    """Legendre symbol (a/p) in {0, 1, -1} for an odd prime p (Euler's
+    criterion)."""
+    a %= p
+    if a == 0:
+        return 0
+    return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
+
+
+def smallest_nonresidue(p: int) -> int:
+    for r in range(2, p):
+        if legendre(r, p) == -1:
+            return r
+    raise ValueError("no quadratic non-residue found")
+
+
+def sqrt_mod_prime(a: int, p: int) -> int | None:
+    """Tonelli-Shanks square root of a mod an odd prime; None for
+    non-residues."""
+    if p == 2:
+        raise ValueError("p must be odd")
+    a %= p
+    if a == 0:
+        return 0
+    if legendre(a, p) != 1:
+        return None
+    # walk the 2-Sylow subgroup; for p = 3 mod 4 it is {1}, so r = a^((p+1)/4)
+    s, q = 0, p - 1
+    while q % 2 == 0:
+        s, q = s + 1, q // 2
+    m, c = s, pow(smallest_nonresidue(p), q, p)
+    t, r = pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c = i, b * b % p
+        t, r = t * c % p, r * b % p
+    return r
+
+
+def solve_quadratic_congruence(a: int, b: int, c: int, p: int,
+                               modulus_exp: int) -> list[int]:
+    """All residues x mod p^modulus_exp with a x^2 + b x + c = 0; p odd.
+
+    Base roots mod p come from the discriminant square root; lifting splits
+    or dies when the derivative degenerates, so degenerate inputs are fine.
+    """
+    if p == 2:
+        raise ValueError("p must be odd")
+    if modulus_exp <= 0:
+        return [0]
+    if a % p:
+        disc = (b * b - 4 * a * c) % p
+        root = sqrt_mod_prime(disc, p)
+        if root is None:
+            base = []
+        else:
+            inv = pow(2 * a, -1, p)
+            base = sorted({(-b + root) * inv % p, (-b - root) * inv % p})
+    elif b % p:
+        base = [-c * pow(b, -1, p) % p]
+    else:
+        base = list(range(p)) if c % p == 0 else []
+    roots = base
+    for j in range(1, modulus_exp):
+        mod_next = p ** (j + 1)
+        lifted = []
+        for r in roots:
+            val = (a * r * r + b * r + c) % mod_next
+            deriv = (2 * a * r + b) % p
+            if deriv:
+                lifted.append((r - val * pow(2 * a * r + b, -1, mod_next))
+                              % mod_next)
+            elif val == 0:
+                lifted.extend(r + t * p**j for t in range(p))
+        roots = lifted
+    return sorted(roots)
 
 
 def random_unit(p: int, digits: int, rng) -> int:
@@ -213,13 +296,6 @@ class PAdicScalar:
 # ---------------------------------------------------------------------------
 # quadratic extension E = F(sqrt(D))
 # ---------------------------------------------------------------------------
-
-
-def smallest_nonresidue(p: int) -> int:
-    for r in range(2, p):
-        if pow(r, (p - 1) // 2, p) == p - 1:
-            return r
-    raise ValueError("no quadratic non-residue found")
 
 
 @lru_cache(maxsize=None)

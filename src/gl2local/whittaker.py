@@ -125,14 +125,14 @@ class WhittakerEngine:
         mu = self.spec.mu
         self._u_arr = np.flatnonzero(mu.table >= 0)
         # mu in Z/m by residue mod p^n0; the non-units stay negative
-        self._mu_dense = mu.table * (self.m // mu.value_order)
+        self.mu_dense = mu.table * (self.m // mu.value_order)
 
     def _ps_shift_factor(self, i: int) -> np.ndarray:
         # mu(1 + u pi^(i-n0)) per unit u; constant 1 once i - n0 >= n0
         if i not in self._mu1_cache:
             p, n0 = self.spec.p, self.spec.n0
             arg = (1 + self._u_arr * p ** (i - n0)) % p**n0
-            self._mu1_cache[i] = self._mu_dense[arg]
+            self._mu1_cache[i] = self.mu_dense[arg]
         return self._mu1_cache[i]
 
     # -- supercuspidal shell tables ----------------------------------------
@@ -193,7 +193,7 @@ class WhittakerEngine:
             if cache and key in self._cache:
                 return self._cache[key]
             xu = (x_res * self._u_arr) % pn0
-            exps = (self._ps_shift_factor(i) + self._mu_dense[xu]
+            exps = (self._ps_shift_factor(i) + self.mu_dense[xu]
                     + ((-xu) % pn0) * (m // pn0)) % m
         else:
             lvl = spec.n - i

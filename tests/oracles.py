@@ -12,17 +12,21 @@ from functools import lru_cache
 
 import numpy as np
 
-from gl2local.characters import alpha_of_theta, psi_exponent_scaled
+from gl2local.characters import (
+    alpha_of_chi,
+    alpha_of_theta,
+    psi_exponent_scaled,
+)
 from gl2local.cyclotomic import CycloValue, _basis
 from gl2local.errors import PrecisionError
 from gl2local.matcoef import KStarElement
 from gl2local.quaternion import UpperHalfPoint, _iota_inf_exact, _mat_inverse
-from gl2local.residue import factorize, random_unit
-from gl2local.statphase import (
-    CriticalPair,
-    _unit_lifts,
+from gl2local.residue import (
+    factorize,
+    random_unit,
     solve_quadratic_congruence,
 )
+from gl2local.statphase import _unit_lifts
 from gl2local.whittaker import required_precision
 
 # -- cyclotomic --------------------------------------------------------------
@@ -205,11 +209,52 @@ def value(eng, i: int, x) -> complex:
 # -- stationary phase --------------------------------------------------------
 
 
+def ps_pairs_per_u0(engine, i: int, a_res: int, m_res: int
+                    ) -> tuple[list[tuple[int, int, int]], int, Fraction]:
+    """Principal-series critical pairs (x0, u0, phase) with both block
+    congruences tested on every candidate and the phases from the
+    characters' own evaluators; the scanned count and the shared weight
+    complete the contract of statphase._ps_pairs and ball_volume."""
+    spec, m_mod = engine.spec, engine.m
+    p, n0, mu = spec.p, spec.n0, spec.mu
+    t = spec.n - i
+    kx = (n0 + 1) // 2
+    ku = (t + 1) // 2
+    dx_mod = p ** (n0 - kx)
+    du_mod = p ** (t - ku)
+    shift = p ** (i - n0)
+    alpha = alpha_of_chi(mu)
+    w = alpha.residue_unit(n0 - kx) if n0 > kx else 0
+    pn0 = p**n0
+    weight = Fraction(p, p - 1) / p ** (kx + ku)
+    base_roots = solve_quadratic_congruence(
+        m_res, 2 * shift * m_res, -a_res, p, t - ku)
+    u_cands = [u for r in base_roots for u in _unit_lifts(r, t - ku, ku, p)]
+    scanned = 0
+    pairs = []
+    for u0 in u_cands:
+        slope = (a_res - shift * m_res * u0) % dx_mod
+        for x0 in _unit_lifts(w * pow(slope, -1, dx_mod) % dx_mod,
+                              n0 - kx, kx, p):
+            scanned += 1
+            if (x0 * (a_res - shift * m_res * u0) - w) % dx_mod:
+                continue
+            if (m_res * x0 * u0 * (u0 + shift) - w) % du_mod:
+                continue
+            e = (psi_exponent_scaled(p, t, m_res * x0 * u0, m_mod)
+                 + mu.eval_exponent((1 + pow(u0, -1, pn0) * shift) % pn0, m_mod)
+                 + mu.eval_exponent(a_res * x0 % pn0, m_mod)
+                 + psi_exponent_scaled(p, n0, -a_res * x0, m_mod)) % m_mod
+            pairs.append((x0, u0, e))
+    return pairs, scanned, weight
+
+
 def sc_pairs_per_rep(engine, i: int, a_res: int, m_res: int
-                     ) -> tuple[list[CriticalPair], int]:
-    """Supercuspidal critical pairs with one congruence solve and one
-    candidate loop per kept shell representative; same contract as
-    statphase._sc_pairs."""
+                     ) -> tuple[list[tuple[int, int, int, int]], int, Fraction]:
+    """Supercuspidal critical pairs (x0, A, B, phase) with one congruence
+    solve and one candidate loop per kept shell representative; the scanned
+    count and the shared weight complete the contract of statphase._sc_pairs
+    and ball_volume."""
     spec, m_mod = engine.spec, engine.m
     p, theta = spec.p, spec.theta
     a_cond, t = theta.level, spec.n - i
@@ -248,8 +293,8 @@ def sc_pairs_per_rep(engine, i: int, a_res: int, m_res: int
                 continue
             e = (psi_exponent_scaled(p, t, m_res * pow(x0, -1, pt), m_mod)
                  + psi_exponent_scaled(p, t, -x0 * a_inv * et, m_mod) + ph)
-            pairs.append(CriticalPair(x0, (a_j, b_j), e % m_mod, weight))
-    return pairs, scanned
+            pairs.append((x0, a_j, b_j, e % m_mod))
+    return pairs, scanned, weight
 
 
 # -- congruence unit ball ----------------------------------------------------

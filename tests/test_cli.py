@@ -108,16 +108,21 @@ def test_verify_support_example_exits_zero(tmp_path):
 
 
 def test_exponent_example_report_line(tmp_path):
-    out = tmp_path / "exp.csv"
-    code = main(["--config", write_config(tmp_path, {
-        "task": "exponent", "eta1": "0", "delta": "1", "eta2": "1/2",
-        "out": str(out)})])
-    assert code == 0
-    report = (out.parent / "exp.csv.report.txt").read_text()
-    assert "C₁-exponent = 5/12, depth exponent = 5/24" in report
-    rows = out.read_text().splitlines()
-    assert rows[0] == "eta1,delta,eta2,supnorm_exponent,depth_exponent"
-    assert rows[1] == "0,1,1/2,5/12,5/24"
+    for eta1, delta, line, row in (
+            ("0", "1", "C₁-exponent = 5/12, depth exponent = 5/24",
+             "0,1,1/2,5/12,5/24"),
+            ("1/8", "1/2", "C₁-exponent = 11/48, depth exponent = 11/96",
+             "1/8,1/2,1/2,11/48,11/96")):
+        out = tmp_path / "exp.csv"
+        code = main(["--config", write_config(tmp_path, {
+            "task": "exponent", "eta1": eta1, "delta": delta, "eta2": "1/2",
+            "out": str(out)})])
+        assert code == 0
+        report = (out.parent / "exp.csv.report.txt").read_text()
+        assert line in report
+        rows = out.read_text().splitlines()
+        assert rows[0] == "eta1,delta,eta2,supnorm_exponent,depth_exponent"
+        assert rows[1] == row
 
 
 def test_largest_unit_sample_is_accepted():

@@ -1,23 +1,28 @@
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from gl2local.characters import build_theta, primitive_char
 from gl2local.matcoef import MatCoefEngine, decay_bound
-from gl2local.residue import get_context
+from gl2local.residue import (
+    get_context,
+    solve_quadratic_congruence,
+    sqrt_mod_prime,
+)
 from gl2local.statphase import (
+    _ps_pairs,
     _sc_pairs,
+    ball_volume,
     critical_pairs,
     naive_term_count,
     phi_fast_numerator,
     phi_fast_value,
-    solve_quadratic_congruence,
     speedup_report,
-    sqrt_mod_prime,
 )
 from gl2local.whittaker import ReprSpec
-from oracles import root_of_unity, sc_pairs_per_rep
+from oracles import ps_pairs_per_u0, root_of_unity, sc_pairs_per_rep
 
 
 def ps_engine(p, n):
@@ -116,26 +121,40 @@ def test_sc_ram_fast_matches_naive_exactly(level, n, depths):
             assert diag["pairs"] <= bound
 
 
-@pytest.mark.parametrize("p,ramified,level", [
-    (3, False, 3), (5, False, 3), (3, True, 4), (3, True, 6)])
-def test_sc_pairs_match_per_rep_oracle(p, ramified, level):
-    engine = sc_engine(p, ramified, level)
-    spec = engine.spec
+def assert_pairs_match_oracle(engine, solver, oracle):
+    """Same rows (as a multiset), scanned count and weight as the oracle at
+    every interior depth, with units {1, 2, p+1, p^t-1}; some query has no
+    pairs and some has pairs."""
+    spec, p = engine.spec, engine.spec.p
+    width = 3 if spec.family == "ps" else 4
     sizes = []
     for i in range(spec.n0 + 1, spec.n - 1):
         pt = p ** (spec.n - i)
         units = (1, 2, p + 1, pt - 1)
         for a_res in units:
             for m_res in units:
-                pairs, scanned = _sc_pairs(engine, i, a_res, m_res)
-                want, want_scanned = sc_pairs_per_rep(engine, i, a_res, m_res)
+                pairs, scanned = solver(engine, i, a_res, m_res)
+                want, want_scanned, weight = oracle(engine, i, a_res, m_res)
+                assert pairs.dtype == np.int64
+                assert pairs.shape == (len(want), width)
                 assert scanned == want_scanned
-                assert (Counter((q.x0, q.u0, q.phase_exponent) for q in pairs)
-                        == Counter((q.x0, q.u0, q.phase_exponent)
-                                   for q in want)), (i, a_res, m_res)
-                assert {q.weight for q in pairs} == {q.weight for q in want}
+                assert (Counter(map(tuple, pairs.tolist()))
+                        == Counter(want)), (i, a_res, m_res)
+                assert ball_volume(engine, i) == weight
                 sizes.append(len(pairs))
     assert min(sizes) == 0 < max(sizes)
+
+
+@pytest.mark.parametrize("p,n", [(3, 6), (3, 8), (5, 6), (5, 8), (7, 6)])
+def test_ps_pairs_match_per_u0_oracle(p, n):
+    assert_pairs_match_oracle(ps_engine(p, n), _ps_pairs, ps_pairs_per_u0)
+
+
+@pytest.mark.parametrize("p,ramified,level", [
+    (3, False, 3), (5, False, 3), (3, True, 4), (3, True, 6)])
+def test_sc_pairs_match_per_rep_oracle(p, ramified, level):
+    assert_pairs_match_oracle(sc_engine(p, ramified, level), _sc_pairs,
+                              sc_pairs_per_rep)
 
 
 def test_fast_value_route():
@@ -182,14 +201,13 @@ def test_critical_pair_phases_are_roots_of_unity():
     a, madd = supported_grid(engine, 3, units=(1,))[0]
     pairs, scanned = critical_pairs(engine, 3, a, madd)
     assert scanned >= len(pairs) > 0
-    weight = None
-    for pair in pairs:
-        phase = root_of_unity(engine.m, pair.phase_exponent)
+    assert pairs.shape == (len(pairs), 4)
+    for e in pairs[:, -1].tolist():
+        phase = root_of_unity(engine.m, e)
         assert abs(abs(phase.complex()) - 1.0) < 1e-12
-        weight = pair.weight
     naive = engine.phi_numerator(3, a, madd).complex()
-    total = sum(root_of_unity(engine.m, pair.phase_exponent).complex()
-                for pair in pairs) * float(weight)
+    total = sum(root_of_unity(engine.m, e).complex()
+                for e in pairs[:, -1].tolist()) * float(ball_volume(engine, 3))
     assert abs(total - naive) < 1e-9
 
 

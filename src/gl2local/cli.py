@@ -123,8 +123,9 @@ class ExperimentConfig:
         cfg.n = raw.get("n", cfg.n)
         if not _is_int(cfg.n) or cfg.n < 2:
             raise ConfigError(f"{path}.n", "must be an integer >= 2")
-        if cfg.family == "ps" and cfg.n % 2:
-            raise ConfigError(f"{path}.n", "principal series requires even n")
+        if cfg.family == "ps" and (cfg.n % 2 or cfg.n < 4):
+            raise ConfigError(f"{path}.n",
+                              "principal series requires even n >= 4")
         if cfg.family == "sc-unramified" and (cfg.n % 2 or cfg.n < 4):
             raise ConfigError(f"{path}.n",
                               "unramified supercuspidal requires even n >= 4")

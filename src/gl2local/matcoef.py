@@ -1,7 +1,9 @@
 """Matrix coefficients of the newvector against shear-translated arguments.
 
 phi(i, a, m) averages psi(m x) times the newvector value at a x over the unit
-group; it is the ground truth every faster evaluator is checked against.  The
+group; it is the ground truth every faster evaluator is checked against.
+The average is exact: each unit's sparse Whittaker numerator, its phases
+shifted by the psi exponent, is scattered into one integer count vector.  The
 translated coefficient on the depth-one congruence unit ball reduces to
 phi(i, a, m) through an explicit row reduction, implemented here on exact
 integer residue matrices so no precision is lost in products or inverses.
@@ -62,7 +64,10 @@ class MatCoefEngine:
                    ) -> tuple[np.ndarray, Fraction]:
         """Count vector and normalization of the unit average; the grouped
         path collapses x-classes on which both factors are constant, the
-        ungrouped path iterates the full unit set for the stated average."""
+        ungrouped path iterates the full unit set for the stated average.
+        Each unit x contributes its sparse Whittaker numerator with every
+        phase shifted by the psi exponent of m x; all units are summed into
+        one int64 length-m vector by a single exact scatter."""
         key = self.query_key(i, a, madd)
         if key is None:
             return np.zeros(self.m, dtype=np.int64), Fraction(1)
@@ -74,11 +79,15 @@ class MatCoefEngine:
         pw = p**w_lvl
         pt = p**t
         scale_psi = self.m // pt
+        units = get_context(p, k_eff).units(k_eff)
+        phases, mults = zip(*(
+            self.weng.numerator_counts(i, a_res * x % pw, cache=cache_w)
+            for x in units))
+        shifts = np.repeat(m_unit * np.array(units) % pt * scale_psi,
+                           [len(ph) for ph in phases])
         accum = np.zeros(self.m, dtype=np.int64)
-        for x in get_context(p, k_eff).units(k_eff):
-            wc = self.weng.numerator_counts(i, a_res * x % pw, cache=cache_w)
-            shift = m_unit * x % pt * scale_psi
-            accum += np.roll(wc, shift) if shift else wc
+        np.add.at(accum, (np.concatenate(phases) + shifts) % self.m,
+                  np.concatenate(mults))
         norm = self.weng.numerator_scale() / ((p - 1) * p ** (k_eff - 1))
         return accum, norm
 
@@ -210,16 +219,20 @@ def support_expected_zero(spec: ReprSpec, i: int, v_a: int | None,
 def verify_support(engine: MatCoefEngine, i: int,
                    grid: list[tuple[PAdicScalar, PAdicScalar]]) -> list[dict]:
     """Evaluate every grid point and compare exact vanishing against the
-    support law; rows with violation=True are law breaches (expected none)."""
+    support law; rows with violation=True are law breaches (expected none).
+    Each distinct query_key is evaluated once and shared by its points."""
     spec = engine.spec
     rows = []
+    results: dict[tuple[int, int, int, int] | None, tuple[bool, complex]] = {}
     for a, madd in grid:
         v_a = None if a.is_zero else a.val
         v_m = None if madd.is_zero else madd.val
-        num = engine.phi_numerator(i, a, madd)
+        key = engine.query_key(i, a, madd)
+        if key not in results:
+            num = engine.phi_numerator(i, a, madd)
+            results[key] = num.is_zero(), num.complex() / engine.c0_complex
+        exact, value = results[key]
         expected = support_expected_zero(spec, i, v_a, v_m)
-        exact = num.is_zero()
-        value = num.complex() / engine.c0_complex
         rows.append({
             "p": spec.p, "n": spec.n, "family": spec.label, "i": i,
             "v_a": v_a, "a_unit": None if a.is_zero else a.unit,
@@ -265,19 +278,25 @@ def gram_dimension_estimate(engine: MatCoefEngine, sample_count: int, rng,
     else:
         elems = [KStarElement.random(spec.p, k, rng)
                  for _ in range(sample_count)]
-    gram = np.empty((sample_count, sample_count), dtype=complex)
     # entries share few distinct queries (486 of 8,515 at p=3, n=6 with 130
-    # elements); each is evaluated once
-    values: dict[tuple[int, int, int, int] | None, complex] = {}
+    # elements); each is evaluated once into a slot, the upper triangle of
+    # index names each entry's slot, and one gather fills the matrix
+    slots: dict[tuple[int, int, int, int] | None, int] = {}
+    values: list[complex] = []
+    index = np.zeros((sample_count, sample_count), dtype=np.intp)
     for s in range(sample_count):
         inv = elems[s].inv()
         for t in range(s, sample_count):
             query = decompose_k_star(inv.mul(elems[t]), spec)
             key = engine.query_key(*query)
-            if key not in values:
-                values[key] = engine.phi_value(*query)
-            gram[s, t] = values[key]
-            gram[t, s] = gram[s, t].conjugate()
+            if key not in slots:
+                slots[key] = len(values)
+                values.append(engine.phi_value(*query))
+            index[s, t] = slots[key]
+    gram = np.array(values, dtype=complex)[index]
+    # the lower triangle and the diagonal mirror the upper as conjugates,
+    # set rather than added so every zero keeps its sign
+    gram = np.where(np.tri(sample_count, dtype=bool), gram.T.conj(), gram)
     gram = (gram + gram.conj().T) / 2
     eigs = np.linalg.eigvalsh(gram)
     top = float(eigs[-1])

@@ -545,8 +545,9 @@ def _ellipsoid_lines(gram: np.ndarray, bound: float):
     order of c3, c2, c1, with the range [lo, hi] of c0 on each; one of each
     +-c pair (the last nonzero coordinate is positive), c = 0 excluded.  The
     limits are float Cholesky limits widened by eps; each level is expanded
-    from the one above with np.repeat.  BudgetError before the running total
-    of hi - lo + 1 passes ENUMERATION_BUDGET."""
+    from the one above with np.repeat.  BudgetError, before any level is
+    expanded, once its running total of hi - lo + 1 passes
+    ENUMERATION_BUDGET."""
     eigs = np.linalg.eigvalsh(gram)
     if eigs[0] <= 0:
         raise ValueError("counting form is not positive definite")
@@ -567,6 +568,7 @@ def _ellipsoid_lines(gram: np.ndarray, bound: float):
         hi = np.floor(lim - off / diag + eps).astype(np.int64)
         origin = ~np.any(coords, axis=0)
         lo[origin] = np.maximum(lo[origin], 0)
+        _check_budget(np.maximum(hi - lo + 1, 0))
         parent, c = _expand(lo, hi)
         coords = [v[parent] for v in coords] + [c]
         rem = rem[parent] - (off[parent] + c * diag) ** 2
@@ -581,13 +583,19 @@ def _ellipsoid_lines(gram: np.ndarray, bound: float):
     keep = lo <= hi
     lines = np.stack(coords[::-1], axis=1)[keep]
     lo, hi = lo[keep], hi[keep]
-    total = np.cumsum(hi - lo + 1)
+    _check_budget(hi - lo + 1)
+    return lines, lo, hi
+
+
+def _check_budget(sizes: np.ndarray) -> None:
+    """BudgetError naming the running total of sizes that first passes
+    ENUMERATION_BUDGET."""
+    total = np.cumsum(sizes)
     if len(total) and total[-1] > ENUMERATION_BUDGET:
         raise BudgetError(
             f"quaternion ellipsoid enumeration: "
             f"{total[np.argmax(total > ENUMERATION_BUDGET)]} rows "
             f"exceed the budget of {ENUMERATION_BUDGET}")
-    return lines, lo, hi
 
 
 def _expand(lo: np.ndarray, hi: np.ndarray):

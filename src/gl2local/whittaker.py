@@ -10,7 +10,10 @@ over one multiplicative shell of the extension.
 Values are returned as exact cyclotomic numerators together with the family
 Gauss constant C0; the true value is numerator / C0.  Keeping the quotient
 symbolic lets support tests assert exact zeros and lets downstream averages
-accumulate integer count vectors with a single basis reduction at the end.
+accumulate integer counts with a single basis reduction at the end.  A
+numerator is kept sparse, as its distinct phases in Z/m with their
+multiplicities, so an average over units adds short arrays, not length-m
+vectors.
 """
 
 from __future__ import annotations
@@ -101,8 +104,9 @@ def required_precision(spec: ReprSpec, i: int) -> int:
 class WhittakerEngine:
     """Evaluator for one representation at a fixed cyclotomic modulus.
 
-    Count vectors are cached per (shear depth, unit residue); the cache is
-    what makes grid averaging fast, and can be bypassed for timing honesty.
+    Sparse numerators (phases, multiplicities) are cached per (shear depth,
+    unit residue); the cache is what makes grid averaging fast, and can be
+    bypassed for timing honesty.
     """
 
     def __init__(self, spec: ReprSpec, m: int | None = None):
@@ -110,7 +114,7 @@ class WhittakerEngine:
         self.m = m if m is not None else spec.modulus()
         if self.m % spec.char_value_order or self.m % spec.p**spec.n0:
             raise ValueError("modulus not compatible with the representation")
-        self._cache: dict[tuple[int, int], np.ndarray] = {}
+        self._cache: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
         self._mu1_cache: dict[int, np.ndarray] = {}
         self._c0 = None
         self._c0_complex = None
@@ -179,10 +183,13 @@ class WhittakerEngine:
             return Fraction(1, self.spec.p**self.spec.n0)
         return Fraction(1, self.term_count())
 
-    def numerator_counts(self, i: int, x_res: int,
-                         cache: bool = True) -> np.ndarray:
-        """Integer count vector of the unnormalized sum for a unit residue
-        x_res; the value is from_counts(m, counts, numerator_scale()) / C0."""
+    def numerator_counts(self, i: int, x_res: int, cache: bool = True
+                         ) -> tuple[np.ndarray, np.ndarray]:
+        """The unnormalized sum for a unit residue x_res as read-only arrays
+        (phases, multiplicities): the distinct exponents in Z/m, ascending,
+        and how many terms land on each.  With counts the dense length-m
+        vector holding the multiplicities at the phases, the value is
+        from_counts(m, counts, numerator_scale()) / C0."""
         spec, p, m = self.spec, self.spec.p, self.m
         if not spec.n0 < i <= spec.n:
             raise ValueError(f"shear depth {i} outside (n0, n] for {spec}")
@@ -205,9 +212,9 @@ class WhittakerEngine:
             _, _, phase, eta = self.shell_table(spec.theta.level)
             inv = pow(x_res, -1, pl) if lvl else 0
             exps = (phase + ((-inv * eta) % pl) * (m // pl)) % m
-        counts = np.zeros(m, dtype=np.int64)
-        np.add.at(counts, exps, 1)
-        counts.flags.writeable = False
+        entry = np.unique(exps, return_counts=True)
+        for arr in entry:
+            arr.flags.writeable = False
         if cache:
-            self._cache[key] = counts
-        return counts
+            self._cache[key] = entry
+        return entry

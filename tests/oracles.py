@@ -198,8 +198,14 @@ def numerator(eng, i: int, x) -> CycloValue:
     if x.is_zero or x.val != 0:
         return CycloValue.zero(eng.m)
     res = x.residue_unit(required_precision(eng.spec, i))
-    return CycloValue.from_counts(eng.m, eng.numerator_counts(i, res),
+    return CycloValue.from_counts(eng.m, dense_counts(eng, i, res),
                                   eng.numerator_scale())
+
+
+def dense_counts(eng, i: int, x_res: int) -> np.ndarray:
+    """numerator_counts(i, x_res) as a dense int64 length-m count vector."""
+    phases, mult = eng.numerator_counts(i, x_res)
+    return np.bincount(np.repeat(phases, mult), minlength=eng.m)
 
 
 def value(eng, i: int, x) -> complex:

@@ -86,6 +86,7 @@ def test_config_minimal_defaults():
      "config.units_per_class"),
     ({"task": "counting", "plans": [], "verify_box_max_norm": 2},
      "config.plans"),
+    ({"task": "speedup", "n": 2}, "config.n"),
 ])
 def test_config_rejections_carry_field_paths(raw, path):
     with pytest.raises(ConfigError) as err:

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -557,6 +558,28 @@ def test_enumeration_budget_counts_materialized_rows(monkeypatch):
                        rf"{len(cands)} rows exceed the budget of "
                        rf"{len(cands) - 1}$"):
         _candidates_with_norms(lat, z, 1, range(1, 21))
+
+
+def test_enumeration_budget_checked_before_expansion(monkeypatch):
+    # CLI counting with L = 2000 asks for norms 1..2000 and their squares;
+    # the inner levels alone would need hundreds of GiB, so the refusal has
+    # to come before any level is expanded
+    expand = quaternion._expand
+
+    def guarded(lo, hi):
+        rows = int(np.maximum(hi - lo + 1, 0).sum())
+        assert rows <= quaternion.ENUMERATION_BUDGET, "expanded past budget"
+        return expand(lo, hi)
+
+    monkeypatch.setattr(quaternion, "_expand", guarded)
+    lat = build_tidy_lattice(ORD14, {})
+    z = UpperHalfPoint(Fraction(1, 10), Fraction(6, 5))
+    budget = range(1, 2001)
+    t0 = time.perf_counter()
+    with pytest.raises(BudgetError, match=r"^quaternion ellipsoid enumeration: "
+                       r"\d+ rows exceed the budget of 10000000$"):
+        norm_histogram(lat, z, 1, set(budget) | {m * m for m in budget})
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_line_solver_int64_guard():

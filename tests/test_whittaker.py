@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from gl2local.characters import (
@@ -13,7 +14,7 @@ from gl2local.characters import (
 from gl2local.errors import PrecisionError
 from gl2local.residue import get_context
 from gl2local.whittaker import ReprSpec, WhittakerEngine, required_precision
-from oracles import numerator, unit_keys, value
+from oracles import dense_counts, numerator, unit_keys, value
 
 
 def _root(e: int, order: int) -> complex:
@@ -206,9 +207,61 @@ def test_counts_cache_consistency():
     spec = sc_spec(3, False, 4)
     eng = WhittakerEngine(spec)
     a = eng.numerator_counts(3, 2)
-    b = eng.numerator_counts(3, 2, cache=False)
-    assert (a == b).all()
+    dense = dense_counts(eng, 3, 2)
+    phases, mult = eng.numerator_counts(3, 2, cache=False)
+    assert (np.bincount(np.repeat(phases, mult), minlength=eng.m)
+            == dense).all()
     assert eng.numerator_counts(3, 2) is a  # cached object reused
+
+
+def term_exponents(eng, i: int, x_res: int) -> list[int]:
+    """Exponent in Z/m of every term of the numerator sum, one per unit
+    (ps) or shell class (sc), from the character exponents directly."""
+    spec, m = eng.spec, eng.m
+    p, n0 = spec.p, spec.n0
+    if spec.family == "ps":
+        mu, pn0 = spec.mu, p**n0
+        step = m // mu.value_order
+        out = []
+        for u in mu.ctx.units(n0):
+            xu = x_res * u % pn0
+            shift = (1 + u * p ** (i - n0)) % pn0
+            out.append((mu.exponent(shift) * step + mu.exponent(xu) * step
+                        + (-xu) % pn0 * (m // pn0)) % m)
+        return out
+    theta = spec.theta
+    vo = theta.value_order
+    pi_e = theta.pi_exponent(-theta.level - (2 if theta.ramified else 1) + 1,
+                             vo)
+    pl = p ** (spec.n - i)
+    inv = pow(x_res % pl, -1, pl) if pl > 1 else 0
+    add_mod = p**n0 if theta.ramified else p**theta.level
+    out = []
+    for A, B in unit_keys(theta.group):
+        chi = -(pi_e + theta.exponent((A, B))) % vo * (m // vo)
+        if theta.ramified:
+            add, w = 2 * B % add_mod, -(A * A - p * B * B) % pl
+        else:
+            add, w = 2 * A % add_mod, (A * A - theta.group.d_unit * B * B) % pl
+        out.append((chi + add * (m // add_mod) + (-inv * w) % pl * (m // pl))
+                   % m)
+    return out
+
+
+@pytest.mark.parametrize("spec", [ps_spec(3, 6), ps_spec(5, 4),
+                                  sc_spec(3, False, 4), sc_spec(3, True, 5)],
+                         ids=["ps-3-6", "ps-5-4", "sc-unram-3-4", "sc-ram-3-5"])
+def test_sparse_entry_matches_term_scatter(spec):
+    eng = WhittakerEngine(spec)
+    for i in range(spec.n0 + 1, spec.n + 1):
+        for x_res in (1, 2, spec.p + 1, spec.p**spec.n - 1):
+            phases, mult = eng.numerator_counts(i, x_res)
+            assert len(phases) == len(mult)
+            assert len(phases) <= min(eng.m, eng.term_count())
+            assert not phases.flags.writeable and not mult.flags.writeable
+            want = np.zeros(eng.m, dtype=np.int64)
+            np.add.at(want, term_exponents(eng, i, x_res), 1)
+            assert (dense_counts(eng, i, x_res) == want).all()
 
 
 def test_shell_table_built_once_per_level():

@@ -1,15 +1,17 @@
 """Rational quaternion algebras and hyperbolic lattice-point counting.
 
 Covers: Hilbert symbols and discriminants, maximal-order certificates via the
-trace form, sublattices with planned local shapes at split odd primes (built
-by Hensel-lifted local splittings), exact point counts in hyperbolic balls
-with prescribed reduced norm (the norm equation solved exactly on each
-lattice line through the ellipsoid, after Fincke and Pohst, Math. Comp. 44
-(1985)), and the exact-rational exponent arithmetic for the global bounds.
+trace form, sublattices with planned local shapes at split odd primes (cut
+out by the two off-diagonal linear forms of a local splitting, mod p^r),
+exact point counts in hyperbolic balls with prescribed reduced norm (the
+norm equation solved exactly on each lattice line through the ellipsoid,
+after Fincke and Pohst, Math. Comp. 44 (1985)), and the exact-rational
+exponent arithmetic for the global bounds.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -29,6 +31,7 @@ from .residue import (
 )
 
 ENUMERATION_BUDGET = 10**7
+FILTRATION_LEVEL_BUDGET = 10**5
 
 
 # -- Hilbert symbols ---------------------------------------------------------
@@ -99,23 +102,28 @@ class QuaternionAlgebra:
         return x0 * x0 - a * x1 * x1 - b * x2 * x2 + a * b * x3 * x3
 
 
-def _mat_inverse(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Exact inverse by Gauss-Jordan elimination."""
+def _det_inverse(rows) -> tuple[Fraction, list[list[Fraction]]]:
+    """Exact determinant and inverse by one Gauss-Jordan elimination;
+    ValueError for a singular matrix."""
     n = len(rows)
     aug = [[Fraction(v) for v in row] + [Fraction(int(i == r)) for i in range(n)]
            for r, row in enumerate(rows)]
+    det = Fraction(1)
     for col in range(n):
         piv = next((r for r in range(col, n) if aug[r][col]), None)
         if piv is None:
             raise ValueError("singular matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
+        if piv != col:
+            aug[col], aug[piv] = aug[piv], aug[col]
+            det = -det
+        det *= aug[col][col]
         inv = 1 / aug[col][col]
         aug[col] = [v * inv for v in aug[col]]
         for r in range(n):
             if r != col and aug[r][col]:
                 f = aug[r][col]
                 aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+    return det, [row[n:] for row in aug]
 
 
 class RationalOrder:
@@ -128,7 +136,7 @@ class RationalOrder:
         self.basis = [tuple(Fraction(v) for v in row) for row in basis_rows]
         if len(self.basis) != 4:
             raise ValueError("an order needs 4 basis vectors")
-        self._inv = _mat_inverse([list(r) for r in self.basis])
+        _, self._inv = _det_inverse(self.basis)
         if not self._contains((Fraction(1), Fraction(0), Fraction(0), Fraction(0))):
             raise ValueError("order does not contain 1")
         for x in self.basis:
@@ -150,31 +158,11 @@ class RationalOrder:
     def reduced_discriminant(self) -> int:
         t = [[self.algebra.tr(self.algebra.mul(x, y)) for y in self.basis]
              for x in self.basis]
-        d = _int_det([[Fraction(v) for v in row] for row in t])
+        d, _ = _det_inverse(t)
         root = math.isqrt(abs(int(d)))
         if root * root != abs(int(d)):
             raise AssertionError("trace form determinant is not a square")
         return root
-
-
-def _int_det(rows) -> Fraction:
-    n = len(rows)
-    rows = [list(r) for r in rows]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if rows[r][col]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            det = -det
-        det *= rows[col][col]
-        inv = 1 / rows[col][col]
-        for r in range(col + 1, n):
-            f = rows[r][col] * inv
-            if f:
-                rows[r] = [v - f * w for v, w in zip(rows[r], rows[col])]
-    return det
 
 
 def verify_maximal_order(order: RationalOrder) -> bool:
@@ -260,100 +248,39 @@ def smith_normal_form(mat) -> tuple[list[list[int]], list[list[int]], list[list[
     return u, a, v
 
 
-def smith_divisors(mat) -> list[int]:
-    _, d, _ = smith_normal_form(mat)
-    return [d[t][t] for t in range(min(len(d), len(d[0])))]
-
-
 # -- local splittings and tidy lattices --------------------------------------
 
 def _pure_split_pair(alg: QuaternionAlgebra, p: int):
-    """Integer-coordinate pure quaternions V, W with V^2 a unit square mod p,
-    W^2 a unit mod p, and VW = -WV; used to build the local matrix model."""
+    """Integer-coordinate pure quaternions V, W with s = V^2 a unit square
+    mod p, t = W^2 a unit mod p, VW = -WV and the basis 1, V, W, VW of
+    determinant prime to p; returns s, t and the exact inverse of that basis
+    (rows over the 1, i, j, k frame)."""
     def square(x):
-        return alg.nr(x) * -1  # V pure => V^2 = -nr(V)
+        return -alg.nr(x)  # V pure => V^2 = -nr(V)
 
     def anticommute(x, y):
         return alg.nr(tuple(u + w for u, w in zip(x, y))) \
             == alg.nr(x) + alg.nr(y)
 
-    pures = []
-    rng = range(-2, 3)
-    for x1 in rng:
-        for x2 in rng:
-            for x3 in rng:
-                if x1 or x2 or x3:
-                    pures.append((Fraction(0), Fraction(x1), Fraction(x2),
-                                  Fraction(x3)))
-    pures.sort(key=lambda v: sum(abs(c) for c in v))
+    pures = sorted(((0, *x) for x in itertools.product(range(-2, 3), repeat=3)
+                    if any(x)), key=lambda v: sum(map(abs, v)))
     for v_cand in pures:
-        s = square(v_cand)
-        if s.denominator != 1 or legendre(int(s), p) != 1:
+        if legendre(square(v_cand), p) != 1:
             continue
         for w_cand in pures:
-            t = square(w_cand)
-            if t.denominator != 1 or int(t) % p == 0:
+            if square(w_cand) % p == 0 or not anticommute(v_cand, w_cand):
                 continue
-            if not anticommute(v_cand, w_cand):
-                continue
-            basis = [(Fraction(1), Fraction(0), Fraction(0), Fraction(0)),
-                     v_cand, w_cand, alg.mul(v_cand, w_cand)]
-            det = _int_det([list(r) for r in basis])
-            if det and det.numerator % p:
-                return v_cand, w_cand, basis
+            det, inv = _det_inverse([(1, 0, 0, 0), v_cand, w_cand,
+                                     alg.mul(v_cand, w_cand)])
+            if det % p:
+                return square(v_cand), square(w_cand), inv
     raise ValueError(f"no splitting strategy found for p={p}")
 
 
-def local_split_matrices(alg: QuaternionAlgebra, p: int, prec: int):
-    """Images of the frame 1, i, j, k in M2(Z/p^prec) under a splitting at p.
-
-    The model sends V to diag(sqrt(s), -sqrt(s)) and W to [[0, t], [1, 0]]
-    where s = V^2, t = W^2; the frame is recovered by exact linear algebra,
-    whose denominators must be prime to p.
-    """
-    mod = p**prec
-    v_cand, w_cand, basis = _pure_split_pair(alg, p)
-    s, t = -alg.nr(v_cand), -alg.nr(w_cand)
-    # s is a unit square mod p by the choice of V: lift sqrt_mod_prime
-    root_p = sqrt_mod_prime(int(s), p)
-    rs, = [r for r in solve_quadratic_congruence(1, 0, -int(s), p, prec)
-           if r % p == root_p]
-    img = {
-        0: ((1, 0), (0, 1)),
-        1: ((rs, 0), (0, -rs % mod)),
-        2: ((0, int(t) % mod), (1, 0)),
-    }
-    img[3] = _mat_mul(img[1], img[2], mod)
-    inv = _mat_inverse([list(r) for r in basis])
-    frames = []
-    for r in range(4):
-        acc = ((0, 0), (0, 0))
-        for sdx in range(4):
-            c = inv[r][sdx]
-            if c.denominator % p == 0:
-                raise ValueError("splitting basis change not p-integral")
-            ci = c.numerator * pow(c.denominator, -1, mod) % mod
-            acc = _mat_add(acc, _mat_scale(img[sdx], ci, mod), mod)
-        frames.append(acc)
-    a, b = alg.a_h, alg.b_h
-    assert _mat_mul(frames[1], frames[1], mod) == _mat_scale(img[0], a, mod)
-    assert _mat_mul(frames[2], frames[2], mod) == _mat_scale(img[0], b, mod)
-    assert _mat_mul(frames[1], frames[2], mod) == frames[3]
-    return frames
-
-
-def _mat_mul(x, y, mod):
-    return tuple(tuple(sum(x[r][k] * y[k][c] for k in range(2)) % mod
-                       for c in range(2)) for r in range(2))
-
-
-def _mat_add(x, y, mod):
-    return tuple(tuple((x[r][c] + y[r][c]) % mod for c in range(2))
-                 for r in range(2))
-
-
-def _mat_scale(x, f, mod):
-    return tuple(tuple(x[r][c] * f % mod for c in range(2)) for r in range(2))
+def _residue(c: Fraction, mod: int) -> int:
+    """The residue of a rational c mod `mod`; ValueError unless its
+    denominator is prime to mod."""
+    return c.numerator * pow(c.denominator, -1, mod) % mod
 
 
 @dataclass
@@ -377,15 +304,25 @@ class TidyLattice:
 
 
 def lattice_shape(coords) -> tuple[int, int, int]:
-    divs = smith_divisors(coords)
-    if divs[0] != 1:
+    _, d, _ = smith_normal_form(coords)
+    if d[0][0] != 1:
         raise AssertionError("lattice does not contain a unimodular vector")
-    return tuple(divs[1:])
+    return d[1][1], d[2][2], d[3][3]
 
 
 def build_tidy_lattice(order: RationalOrder, plan: dict[int, int]) -> TidyLattice:
-    """Impose, at each planned split odd prime, the local model whose
-    off-diagonal entries vanish mod p^r; the local shape is (1, p^r, p^r)."""
+    """The vectors of `order` whose image under a splitting at each planned
+    split odd prime p has off-diagonal entries = 0 mod p^r, r = plan[p]; the
+    local shape is (1, p^r, p^r).
+
+    With s = V^2, t = W^2 from `_pure_split_pair`, the splitting
+    V -> diag(sqrt s, -sqrt s), W -> [[0, t], [1, 0]] sends
+    c0 + c1 V + c2 W + c3 VW to off-diagonal entries t (c2 + sqrt(s) c3) and
+    c2 - sqrt(s) c3, so the conditions are these two linear forms mod p^r
+    (sqrt s taken mod p^r).  As p is odd and t, sqrt s are units, both
+    vanish iff c2 = c3 = 0 mod p^r: the factors t and sqrt s do not change
+    the lattice.  They are kept because the basis in `coords` comes from the
+    Smith form of the two forms and would change without them."""
     alg = order.algebra
     current = [[int(i == j) for j in range(4)] for i in range(4)]
     for p in sorted(plan):
@@ -394,33 +331,31 @@ def build_tidy_lattice(order: RationalOrder, plan: dict[int, int]) -> TidyLattic
             raise ValueError(f"plan prime {p} must be an odd split prime")
         if r < 1:
             raise ValueError("plan exponents must be >= 1")
-        prec = 2 * r + 2
-        mod_r = p**r
-        frames = local_split_matrices(alg, p, prec)
-        rows = []
+        mod = p**r
+        s, t, inv = _pure_split_pair(alg, p)
+        root_p = sqrt_mod_prime(s, p)
+        rs, = [x for x in solve_quadratic_congruence(1, 0, -s, p, r)
+               if x % p == root_p]
+        forms = [[], []]
         for vec in current:
+            # (c2, c3) of vec on the basis 1, V, W, VW, mod p^r
             frame_vec = order.element(vec)
-            acc = ((0, 0), (0, 0))
-            for idx in range(4):
-                c = frame_vec[idx]
-                ci = c.numerator * pow(c.denominator, -1, p**prec) % p**prec
-                acc = _mat_add(acc, _mat_scale(frames[idx], ci, p**prec), p**prec)
-            rows.append((acc[0][1] % mod_r, acc[1][0] % mod_r))
-        a_mat = [[rows[k][0] for k in range(4)], [rows[k][1] for k in range(4)]]
-        _, d, v = smith_normal_form(a_mat)
-        scale = [mod_r // math.gcd(d[t][t], mod_r) if t < 2 else 1
-                 for t in range(4)]
-        gen = [[v[r][c] * scale[c] for c in range(4)] for r in range(4)]
-        # rows of gen^T are the kernel generators in current-basis coordinates
-        gen_rows = [[gen[r][c] for r in range(4)] for c in range(4)]
-        if abs(_int_det([[Fraction(x) for x in row] for row in gen_rows])) \
-                != p ** (2 * r):
+            c2, c3 = (_residue(sum(x * row[col] for x, row in zip(frame_vec, inv)),
+                               mod) for col in (2, 3))
+            forms[0].append(t * (c2 + rs * c3) % mod)
+            forms[1].append((c2 - rs * c3) % mod)
+        _, d, v = smith_normal_form(forms)
+        scale = [mod // math.gcd(d[k][k], mod) if k < 2 else 1 for k in range(4)]
+        # v is unimodular, so the kernel has index prod(scale)
+        if math.prod(scale) != p ** (2 * r):
             raise AssertionError("local conditions did not cut index p^(2r)")
-        current = [[sum(g[k] * current[k][j] for k in range(4)) for j in range(4)]
-                   for g in gen_rows]
-    index = abs(int(_int_det([[Fraction(x) for x in row] for row in current])))
-    lat = TidyLattice(order, current, index, lattice_shape(current))
-    if math.prod(p ** (2 * r) for p, r in plan.items()) != index:
+        # the columns of v, scaled, generate the kernel in current-basis
+        # coordinates
+        current = [[sum(v[k][c] * scale[c] * current[k][j] for k in range(4))
+                    for j in range(4)] for c in range(4)]
+    shape = lattice_shape(current)
+    lat = TidyLattice(order, current, math.prod(shape), shape)
+    if math.prod(p ** (2 * r) for p, r in plan.items()) != lat.index:
         raise AssertionError("index does not match the plan")
     if not lat.is_tidy:
         raise AssertionError("constructed lattice is not tidy")
@@ -528,14 +463,11 @@ def _counting_data(lattice: TidyLattice, z: UpperHalfPoint):
     g_r, g_s, g_den = form
     gram = (g_r.astype(float) + math.sqrt(alg.a_h) * g_s.astype(float)) / g_den
     basis_frame = lattice.basis_in_frame()
-    # exact norm form: nr(sum c_k e_k) = c^T F c
-    f = [[Fraction(0)] * 4 for _ in range(4)]
-    for r in range(4):
-        for s in range(4):
-            both = tuple(u + v for u, v in zip(basis_frame[r], basis_frame[s]))
-            f[r][s] = (alg.nr(both) - alg.nr(basis_frame[r])
-                       - alg.nr(basis_frame[s])) / 2
-    den = math.lcm(*[v.denominator for row in f for v in row])
+    # exact norm form: nr(sum c_k e_k) = c^T F c, F = E diag(1, -a, -b, ab) E^T
+    e = np.array(basis_frame, dtype=object)
+    a, b = alg.a_h, alg.b_h
+    f = (e * np.array([1, -a, -b, a * b], dtype=object)) @ e.T
+    den = math.lcm(*[v.denominator for v in f.flat])
     f_int = np.array([[int(v * den) for v in row] for row in f], dtype=np.int64)
     return gram, f_int, den, basis_frame, form
 
@@ -545,8 +477,8 @@ def _ellipsoid_lines(gram: np.ndarray, bound: float):
     order of c3, c2, c1, with the range [lo, hi] of c0 on each; one of each
     +-c pair (the last nonzero coordinate is positive), c = 0 excluded.  The
     limits are float Cholesky limits widened by eps; each level is expanded
-    from the one above with np.repeat.  BudgetError, before any level is
-    expanded, once its running total of hi - lo + 1 passes
+    from the one above with np.repeat.  BudgetError, before a level is
+    expanded (c3 included), once its running total of hi - lo + 1 passes
     ENUMERATION_BUDGET."""
     eigs = np.linalg.eigvalsh(gram)
     if eigs[0] <= 0:
@@ -555,7 +487,10 @@ def _ellipsoid_lines(gram: np.ndarray, bound: float):
     bound = bound * (1 + 1e-9) + 1e-9
     eps = 1e-9
     r33, r22, r11, r00 = chol[3, 3], chol[2, 2], chol[1, 1], chol[0, 0]
-    c3 = np.arange(int(math.floor(math.sqrt(bound) / r33 + eps)) + 1)
+    lo = np.zeros(1, dtype=np.int64)
+    hi = np.array([math.floor(math.sqrt(bound) / r33 + eps)])
+    _check_budget(hi - lo + 1)
+    _, c3 = _expand(lo, hi)
     rem = bound - (c3 * r33) ** 2
     keep = rem >= 0
     coords, rem = [c3[keep]], rem[keep]
@@ -659,7 +594,12 @@ def _candidates_with_norms(lattice: TidyLattice, z: UpperHalfPoint, delta,
         raise ValueError("norm values must be >= 1")
     if not norms:
         return np.empty((0, 4), dtype=np.int64), np.empty(0, dtype=np.int64), form
-    bound = float((4 * Fraction(delta) + 2) * norms[-1])
+    exact = (4 * Fraction(delta) + 2) * norms[-1]
+    try:
+        bound = float(exact)
+    except OverflowError:
+        raise BudgetError(f"quaternion ellipsoid enumeration: bound {exact} "
+                          f"exceeds the float range") from None
     return (*_solve_lines(f_int, den, *_ellipsoid_lines(gram, bound), norms),
             form)
 
@@ -691,8 +631,6 @@ def count_lattice_points(lattice: TidyLattice, z: UpperHalfPoint, delta,
                          norm_value: int) -> int:
     """#{alpha in the lattice : nr(alpha) = norm_value, u(z, alpha z) <= delta},
     exact (float line limits, exact norm solve and distance filter)."""
-    if norm_value < 1:
-        raise ValueError("norm value must be >= 1")
     return norm_histogram(lattice, z, delta, [norm_value])[norm_value]
 
 
@@ -784,12 +722,16 @@ def depth_exponent(eta1, delta, eta2) -> Fraction:
 
 def filtration_schedule(a1_map: dict[int, int], eta1, eta2):
     """Per-prime arithmetic progressions eta1 -> eta2 of length a1+1, plus
-    the amplifier length exponent eta2/3."""
+    the amplifier length exponent eta2/3; BudgetError, before a progression
+    is built, if its a1 + 1 levels pass FILTRATION_LEVEL_BUDGET."""
     eta1, eta2 = Fraction(eta1), Fraction(eta2)
     schedule = {}
     for p, a1 in a1_map.items():
         if a1 < 1:
             raise ValueError("a1 must be >= 1")
+        if a1 + 1 > FILTRATION_LEVEL_BUDGET:
+            raise BudgetError(f"quaternion filtration schedule: {a1 + 1} levels "
+                              f"exceed the budget of {FILTRATION_LEVEL_BUDGET}")
         step = (eta2 - eta1) / a1
         schedule[p] = [eta1 + k * step for k in range(a1 + 1)]
     return schedule, eta2 / 3

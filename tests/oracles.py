@@ -20,7 +20,7 @@ from gl2local.characters import (
 from gl2local.cyclotomic import CycloValue, _basis
 from gl2local.errors import PrecisionError
 from gl2local.matcoef import KStarElement
-from gl2local.quaternion import UpperHalfPoint, _iota_inf_exact, _mat_inverse
+from gl2local.quaternion import UpperHalfPoint, _det_inverse, _iota_inf_exact
 from gl2local.residue import (
     factorize,
     random_unit,
@@ -325,7 +325,7 @@ def quat_conj(x):
 
 
 def lattice_contains(lat, order_coords) -> bool:
-    inv = _mat_inverse([[Fraction(v) for v in row] for row in lat.coords])
+    _, inv = _det_inverse(lat.coords)
     sol = [sum(Fraction(order_coords[k]) * inv[k][j] for k in range(4))
            for j in range(4)]
     return all(c.denominator == 1 for c in sol)

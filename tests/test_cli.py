@@ -27,6 +27,26 @@ def test_lattice_enumeration_budget_names_layer_rows_and_limit(
         cli.run_task(cfg)
 
 
+def test_huge_delta_is_refused_by_the_enumeration_budget(tmp_path):
+    # float((4 delta + 2) m) used to end in OverflowError
+    cfg = ExperimentConfig.from_dict({"task": "counting", "delta": "1e308",
+                                      "out": str(tmp_path / "c.csv")})
+    with pytest.raises(BudgetError, match=r"^quaternion ellipsoid "
+                       r"enumeration: bound \d+ exceeds the float range$"):
+        cli.run_task(cfg)
+
+
+def test_huge_a1_is_refused_at_once(tmp_path):
+    # a1 + 1 Fractions used to be built first: a hang for a1 = 10**30
+    cfg = ExperimentConfig.from_dict({"task": "exponent", "a1": 10**30,
+                                      "out": str(tmp_path / "e.csv")})
+    t0 = time.perf_counter()
+    with pytest.raises(BudgetError, match=rf"^quaternion filtration schedule: "
+                       rf"{10**30 + 1} levels exceed the budget of 100000$"):
+        cli.run_task(cfg)
+    assert time.perf_counter() - t0 < 1.0
+
+
 def test_config_minimal_defaults():
     cfg = ExperimentConfig.from_dict({"task": "decay"})
     assert (cfg.p, cfg.n, cfg.family) == (3, 6, "ps")

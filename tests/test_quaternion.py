@@ -23,7 +23,6 @@ from gl2local.quaternion import (
     lattice_shape,
     load_algebra_fixtures,
     local_hilbert_symbol,
-    local_split_matrices,
     norm_histogram,
     ramified_primes,
     smith_normal_form,
@@ -227,26 +226,14 @@ def test_smith_normal_form_random(shape):
 
 # -- local splittings and tidy lattices ----------------------------------------
 
-@pytest.mark.parametrize("alg,order,p", [(ALG14, ORD14, 3), (ALG6, ORD6, 5),
-                                         (ALG6, ORD6, 7), (ALG14, ORD14, 5)])
-def test_local_splitting_is_a_ring_map(alg, order, p):
-    prec = 4
-    mod = p**prec
-    frames = local_split_matrices(alg, p, prec)
-    one, im_i, im_j, im_k = frames
-    assert one == ((1, 0), (0, 1))
-    flat = []
-    for vec in order.basis:
-        acc = [[0, 0], [0, 0]]
-        for idx in range(4):
-            c = vec[idx]
-            ci = c.numerator * pow(c.denominator, -1, mod) % mod
-            for r in range(2):
-                for s in range(2):
-                    acc[r][s] = (acc[r][s] + ci * frames[idx][r][s]) % mod
-        flat.append([acc[0][0], acc[0][1], acc[1][0], acc[1][1]])
-    det = round(np.linalg.det(np.array(flat, dtype=float)))
-    assert det % p != 0  # order basis spans all of M2 mod p
+@pytest.mark.parametrize("order,plan", [
+    (ORD14, {3: 1}), (ORD14, {3: 2}), (ORD14, {5: 1}), (ORD14, {3: 1, 5: 1}),
+    (ORD6, {5: 1}), (ORD6, {7: 1})])
+def test_tidy_lattice_is_an_order(order, plan):
+    # off-diagonal entries = 0 mod p^r is a ring condition (an Eichler order
+    # of level p^r locally), so the lattice is closed under multiplication
+    lat = build_tidy_lattice(order, plan)
+    RationalOrder(order.algebra, lat.basis_in_frame())
 
 
 def test_tidy_lattice_shapes_and_index():
@@ -260,6 +247,18 @@ def test_tidy_lattice_shapes_and_index():
     assert (lat.index, lat.shape) == (49, (1, 7, 7))
     lat = build_tidy_lattice(ORD14, {3: 1, 5: 1})
     assert (lat.index, lat.shape, lat.is_tidy) == (225, (1, 15, 15), True)
+
+
+@pytest.mark.parametrize("order,plan,coords", [
+    (ORD14, {3: 1}, [[0, 0, 3, 0], [0, 0, 0, 3], [1, 0, 0, 0], [0, 1, 0, 0]]),
+    (ORD14, {3: 2}, [[0, 0, 9, 0], [0, 0, 27, -9], [1, 0, 0, 0], [0, 1, 0, 0]]),
+    (ORD6, {5: 2}, [[0, 25, 0, 175], [0, 75, 0, 500], [0, 0, 1, 0],
+                    [1, 0, 0, 0]])])
+def test_tidy_lattice_bases_frozen(order, plan, coords):
+    # the two forms vanish together iff c2 = c3 = 0 mod p^r, so the lattice
+    # does not see the factors t and sqrt(s); the basis from their Smith form
+    # does, and is pinned here
+    assert build_tidy_lattice(order, plan).coords == coords
 
 
 def test_tidy_lattices_nest():
@@ -582,6 +581,26 @@ def test_enumeration_budget_checked_before_expansion(monkeypatch):
     assert time.perf_counter() - t0 < 1.0
 
 
+def test_c3_level_budget_checked_before_expansion(monkeypatch):
+    # delta = 10**12 puts ~10**7 c3 values in the ellipsoid of norm 400; the
+    # c3 level has to be refused before it is allocated, as the others are
+    expand = quaternion._expand
+
+    def guarded(lo, hi):
+        rows = int(np.maximum(hi - lo + 1, 0).sum())
+        assert rows <= quaternion.ENUMERATION_BUDGET, "expanded past budget"
+        return expand(lo, hi)
+
+    monkeypatch.setattr(quaternion, "_expand", guarded)
+    lat = build_tidy_lattice(ORD14, {})
+    z = UpperHalfPoint(Fraction(1, 10), Fraction(6, 5))
+    t0 = time.perf_counter()
+    with pytest.raises(BudgetError, match=r"^quaternion ellipsoid enumeration: "
+                       r"\d+ rows exceed the budget of 10000000$"):
+        norm_histogram(lat, z, 10**12, range(1, 401))
+    assert time.perf_counter() - t0 < 1.0
+
+
 def test_line_solver_int64_guard():
     # entries near 2**31 on the line (1, 1, 1): B^2 alone passes 2**62
     big = 2**31 - 1
@@ -652,7 +671,7 @@ def test_depth_exponent_values():
     assert depth_exponent(0, 1, 1) == Fraction(1, 6)
 
 
-def test_filtration_schedule():
+def test_filtration_schedule(monkeypatch):
     sched, amp = filtration_schedule({3: 4}, 0, Fraction(1, 2))
     assert sched[3] == [0, Fraction(1, 8), Fraction(1, 4), Fraction(3, 8),
                         Fraction(1, 2)]
@@ -663,3 +682,8 @@ def test_filtration_schedule():
     assert math.prod(len(v) for v in sched.values()) == 12
     with pytest.raises(ValueError):
         filtration_schedule({3: 0}, 0, 1)
+    monkeypatch.setattr(quaternion, "FILTRATION_LEVEL_BUDGET", 5)
+    assert len(filtration_schedule({3: 4}, 0, 1)[0][3]) == 5
+    with pytest.raises(BudgetError, match=r"^quaternion filtration schedule: "
+                       r"6 levels exceed the budget of 5$"):
+        filtration_schedule({3: 5}, 0, 1)

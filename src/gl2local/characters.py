@@ -285,35 +285,25 @@ class ThetaChar:
 
     Stored as an exponent array `table` over the unit-group index
     A*mod_b + B (-1 at non-units), computed from `group.dlog` in one
-    expression, together with the sign at the uniformizer of E (forced to
-    +1 in the unramified case, where the uniformizer lies in F^x).
+    expression.  The value at the uniformizer of E is fixed to 1, as for
+    MultChar (in the unramified case the uniformizer lies in F^x anyway).
     """
 
-    def __init__(self, group: UnitGroupE, exps: tuple[int, int, int],
-                 pi_sign: int = 1):
+    def __init__(self, group: UnitGroupE, exps: tuple[int, int, int]):
         self.group = group
         self.p = group.p
         self.ramified = group.ramified
         self.level = group.level
         self.exps = exps
-        if pi_sign not in (1, -1):
-            raise ValueError("uniformizer value must be +-1")
-        if not group.ramified and pi_sign != 1:
-            raise ValueError("unramified uniformizer lies in F^x; value forced to 1")
-        self.pi_sign = pi_sign
 
         o0, o1, o2 = group.gen_orders
         mg = math.lcm(o0, o1, o2)
         r0, r1, r2 = mg // o0, mg // o1, mg // o2
         t0, t1, t2 = exps
         g = math.gcd(math.gcd(t0 * r0, t1 * r1), math.gcd(t2 * r2, mg))
-        vo = mg // g
-        if pi_sign == -1:
-            vo = math.lcm(vo, 2)
-        self.value_order = vo
-        scale = vo // (mg // g)
+        self.value_order = vo = mg // g
         raw = group.dlog @ np.array([t0 * r0, t1 * r1, t2 * r2], dtype=np.int64)
-        self.table = np.where(group.dlog[:, 0] >= 0, raw // g * scale % vo, -1)
+        self.table = np.where(group.dlog[:, 0] >= 0, raw // g % vo, -1)
 
     def exponent(self, key: tuple[int, int]) -> int:
         """theta on the unit class of key, as an exponent mod value_order."""
@@ -326,14 +316,6 @@ class ThetaChar:
         if m % self.value_order:
             raise ValueError("working modulus incompatible with value order")
         return self.exponent(key) * (m // self.value_order) % m
-
-    def pi_exponent(self, c: int, m: int) -> int:
-        """theta(piE^c) as an exponent in Z/m."""
-        if self.pi_sign == 1 or c % 2 == 0:
-            return 0
-        if m % 2:
-            raise ValueError("working modulus cannot express -1")
-        return m // 2
 
     def conductor(self) -> int:
         """Recomputed from the table (for cross-checking the construction)."""
@@ -395,7 +377,7 @@ def build_theta(p: int, ramified: bool, level: int) -> ThetaChar:
                 t = (t0, t1, t2)
                 if all(raw(t, e) == 0 for e in f_triples) \
                         and any(raw(t, e) != 0 for e in shell_triples):
-                    theta = ThetaChar(group, t, 1)
+                    theta = ThetaChar(group, t)
                     if theta.is_regular():
                         assert theta.conductor() == level
                         return theta
@@ -471,8 +453,6 @@ def shell_table(theta: ThetaChar, k: int, m: int
         raise ValueError(f"modulus {m} is not a multiple of {q}")
     reps = unit_shell_reps(get_ext_context(p, a, theta.ramified), k)
     A, B = reps[:, 0], reps[:, 1]
-    e_e = 2 if theta.ramified else 1
-    pi_part = -theta.pi_exponent(-a - e_e + 1, m)
     if theta.ramified:
         # tr(piE^c (A + B sqrt(p))) = 2 B p^(-a/2); N(piE^c) = -p^(-n)
         tr, eta = 2 * B, p * B * B - A * A
@@ -480,14 +460,13 @@ def shell_table(theta: ThetaChar, k: int, m: int
         # tr(p^c (A + B sqrt(d))) = 2 A p^(-a); N(p^c) = p^(-n)
         tr, eta = 2 * A, A * A - theta.group.d_unit * B * B
     theta_e = theta.table[theta.group.index(A, B)] * (m // theta.value_order)
-    phase = (pi_part - theta_e + tr % q * (m // q)) % m
+    phase = (tr % q * (m // q) - theta_e) % m
     return A, B, phase, eta
 
 
 def required_gauss_modulus(theta: ThetaChar) -> int:
     p, a = theta.p, theta.level
-    n0 = a // 2 if theta.ramified else a
-    return math.lcm(theta.value_order, p**n0 if theta.ramified else p**a, 2)
+    return math.lcm(theta.value_order, p ** (a // 2 if theta.ramified else a))
 
 
 def gauss_c0_shell(theta: ThetaChar, m: int | None = None) -> CycloValue:

@@ -460,7 +460,8 @@ def run_counting(cfg: ExperimentConfig) -> TaskResult:
     if cfg.verify_box_max_norm:
         lat = lattices[0]
         agree = True
-        for m in range(1, cfg.verify_box_max_norm + 1):
+        # largest box first, so a box past the budget is refused at once
+        for m in range(cfg.verify_box_max_norm, 0, -1):
             fast = count_lattice_points(lat, cfg.z, cfg.delta, m)
             slow = count_lattice_points_box(lat, cfg.z, cfg.delta, m)
             agree = agree and fast == slow
@@ -558,7 +559,9 @@ def main(argv=None) -> int:
         except OSError as exc:
             print(f"config error: config: {exc}", file=sys.stderr)
             return 2
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
+            # JSONDecodeError, UnicodeDecodeError, and an integer literal
+            # past the int-string conversion limit
             print(f"config error: config: invalid JSON ({exc})", file=sys.stderr)
             return 2
     try:

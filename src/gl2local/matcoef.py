@@ -20,26 +20,16 @@ from .residue import PAdicScalar, get_context, padic_valuation, random_unit
 from .whittaker import ReprSpec, WhittakerEngine, required_precision
 
 
-class MatCoefEngine:
-    """phi evaluator for one representation at a fixed cyclotomic modulus.
-
-    Values are exact numerators over the family Gauss constant C0, like the
-    newvector engine they wrap: phi = numerator / C0.
+class MatCoefEngine(WhittakerEngine):
+    """phi evaluator for one representation: the Whittaker engine at the
+    coefficient modulus, whose cyclotomic order also covers the psi factors
+    of the unit average.  Values are exact numerators over the family Gauss
+    constant C0: phi = numerator / C0.
     """
 
     def __init__(self, spec: ReprSpec):
         # additive arguments down to v(m) = -(n1 + 1) fit the modulus
-        self.spec = spec
-        self.weng = WhittakerEngine(spec, spec.modulus(spec.n1 + 1))
-        self.m = self.weng.m
-
-    @property
-    def c0(self) -> CycloValue:
-        return self.weng.c0
-
-    @property
-    def c0_complex(self) -> complex:
-        return self.weng.c0_complex
+        super().__init__(spec, spec.modulus(spec.n1 + 1))
 
     def query_key(self, i: int, a: PAdicScalar, madd: PAdicScalar
                   ) -> tuple[int, int, int, int] | None:
@@ -81,14 +71,14 @@ class MatCoefEngine:
         scale_psi = self.m // pt
         units = get_context(p, k_eff).units(k_eff)
         phases, mults = zip(*(
-            self.weng.numerator_counts(i, a_res * x % pw, cache=cache_w)
+            self.numerator_counts(i, a_res * x % pw, cache=cache_w)
             for x in units))
         shifts = np.repeat(m_unit * np.array(units) % pt * scale_psi,
                            [len(ph) for ph in phases])
         accum = np.zeros(self.m, dtype=np.int64)
         np.add.at(accum, (np.concatenate(phases) + shifts) % self.m,
                   np.concatenate(mults))
-        norm = self.weng.numerator_scale() / ((p - 1) * p ** (k_eff - 1))
+        norm = self.numerator_scale() / ((p - 1) * p ** (k_eff - 1))
         return accum, norm
 
     def phi_numerator(self, i: int, a: PAdicScalar, madd: PAdicScalar,

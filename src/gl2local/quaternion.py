@@ -585,13 +585,10 @@ def _solve_lines(f_int: np.ndarray, den: int, lines: np.ndarray,
 def _candidates_with_norms(lattice: TidyLattice, z: UpperHalfPoint, delta,
                            norms) -> tuple[np.ndarray, np.ndarray, tuple]:
     """One representative per +-pair inside the converted ellipsoid for the
-    largest requested norm whose exact reduced norm is in `norms`, found by
-    solving the norm equation on each (c1, c2, c3) line; returns (rows, norm
-    values, exact Frobenius form)."""
+    largest requested norm whose exact reduced norm is in `norms` (distinct
+    integers >= 1, ascending), found by solving the norm equation on each
+    (c1, c2, c3) line; returns (rows, norm values, exact Frobenius form)."""
     gram, f_int, den, _, form = _counting_data(lattice, z)
-    norms = sorted(set(int(m) for m in norms))
-    if norms and norms[0] < 1:
-        raise ValueError("norm values must be >= 1")
     if not norms:
         return np.empty((0, 4), dtype=np.int64), np.empty(0, dtype=np.int64), form
     exact = (4 * Fraction(delta) + 2) * norms[-1]
@@ -639,12 +636,18 @@ def count_lattice_points_box(lattice: TidyLattice, z: UpperHalfPoint, delta,
     """Independent enumerator: axis-aligned box from the inverse Gram, full
     scan, same exact filters.  The box is scanned one c0 slab at a time over
     a shared (c1, c2, c3) grid: exact integer norm test on the whole slab,
-    then the float bound and the exact distance test on its survivors."""
+    then the float bound and the exact distance test on its survivors.
+    BudgetError, before the grid is built, if the box has more than
+    ENUMERATION_BUDGET points."""
     delta = Fraction(delta)
     gram, f_int, den, basis_frame, _ = _counting_data(lattice, z)
     bound = float((4 * delta + 2) * norm_value) * (1 + 1e-9) + 1e-9
     inv = np.linalg.inv(gram)
     lims = [int(math.floor(math.sqrt(bound * inv[k, k]) + 1e-9)) for k in range(4)]
+    box = math.prod(2 * lim + 1 for lim in lims)
+    if box > ENUMERATION_BUDGET:
+        raise BudgetError(f"quaternion box enumeration: {box} rows exceed "
+                          f"the budget of {ENUMERATION_BUDGET}")
     alg = lattice.order.algebra
     rest = np.stack(np.meshgrid(*(np.arange(-lim, lim + 1) for lim in lims[1:]),
                                 indexing="ij"), axis=-1).reshape(-1, 3)
@@ -668,11 +671,13 @@ def count_lattice_points_box(lattice: TidyLattice, z: UpperHalfPoint, delta,
 def norm_histogram(lattice: TidyLattice, z: UpperHalfPoint, delta,
                    norms) -> dict[int, int]:
     """Counts for every requested norm value in one enumeration pass;
-    ValueError for delta < 0."""
+    ValueError for delta < 0 or a norm value < 1."""
     delta = Fraction(delta)
+    norms = sorted(set(int(m) for m in norms))
     if delta < 0:
         raise ValueError("delta must be >= 0")
-    norms = sorted(set(int(m) for m in norms))
+    if norms and norms[0] < 1:
+        raise ValueError("norm values must be >= 1")
     rows, m_vals, form = _candidates_with_norms(lattice, z, delta, norms)
     ok = _distance_ok_rows(form, lattice.order.algebra.a_h, delta, rows, m_vals)
     accepted = m_vals[ok]

@@ -45,7 +45,7 @@ def ball_volume(engine: MatCoefEngine, i: int) -> Fraction:
     outer = Fraction(p, p - 1) / p ** ((spec.n - i + 1) // 2)
     if spec.family == "ps":
         return outer / p ** ((spec.n0 + 1) // 2)
-    return outer / len(engine.weng.shell_table(_shell_level(spec.theta))[0])
+    return outer / len(engine.shell_table(_shell_level(spec.theta))[0])
 
 
 def _ps_pairs(engine: MatCoefEngine, i: int, a_res: int, m_res: int
@@ -64,7 +64,7 @@ def _ps_pairs(engine: MatCoefEngine, i: int, a_res: int, m_res: int
     shift = p ** (i - n0)
     w = alpha_of_chi(spec.mu).residue_unit(n0 - kx)
     pn0, pt = p**n0, p**t
-    mu = engine.weng.mu_dense
+    mu = engine.mu_dense
     # (du) with (dx) substituted: unit-discriminant quadratic in u0
     base_roots = solve_quadratic_congruence(
         m_res, 2 * shift * m_res, -a_res, p, t - ku)
@@ -118,7 +118,7 @@ def _sc_pairs(engine: MatCoefEngine, i: int, a_res: int, m_res: int
         sc2_mod = sc3_mod = p ** (a_cond - level)
         w = alpha.b.residue_unit(a_cond // 2) % sc3_mod if sc3_mod > 1 else 0
         nu_scale = p ** (a_cond - t)
-    A, B, phase, eta = engine.weng.shell_table(level)
+    A, B, phase, eta = engine.shell_table(level)
     # the phase-linearization coordinate must match alpha
     keep = np.flatnonzero((A if theta.ramified else B) % sc3_mod == w)
     # eta reduced mod p^t keeps every product below in int64
@@ -221,7 +221,7 @@ def naive_term_count(engine: MatCoefEngine, i: int, v_m: int) -> int:
     """Nominal inner-times-outer term count of the plain average."""
     spec = engine.spec
     k = max(spec.n0, spec.n - i, -v_m) + 1
-    return ((spec.p - 1) * spec.p ** (k - 1)) * engine.weng.term_count()
+    return ((spec.p - 1) * spec.p ** (k - 1)) * engine.term_count()
 
 
 def speedup_report(spec, i: int, grid) -> dict:

@@ -27,6 +27,7 @@ from .characters import (
     MultChar,
     ThetaChar,
     gauss_c0_principal_series,
+    gauss_c0_shell,
     shell_table,
 )
 from .cyclotomic import CycloValue
@@ -159,10 +160,7 @@ class WhittakerEngine:
             if self.spec.family == "ps":
                 self._c0 = gauss_c0_principal_series(self.spec.mu, self.m)
             else:
-                phase = self.shell_table(self.spec.theta.level)[2]
-                self._c0 = CycloValue.from_counts(
-                    self.m, np.bincount(phase, minlength=self.m),
-                    self.numerator_scale())
+                self._c0 = gauss_c0_shell(self.spec.theta, self.m)
         return self._c0
 
     @property

@@ -172,7 +172,7 @@ def ext_valuation(x) -> int:
 
 def conjugated(theta):
     """theta o (Galois conjugation), as a ThetaChar with a permuted table."""
-    out = type(theta)(theta.group, theta.exps, theta.pi_sign)
+    out = type(theta)(theta.group, theta.exps)
     g = theta.group
     index = np.arange(len(theta.table))
     out.table = theta.table[g.index(index // g.mod_b, -index)]
@@ -280,7 +280,7 @@ def sc_pairs_per_rep(engine, i: int, a_res: int, m_res: int
         sc2_mod = sc3_mod = p ** (a_cond - level)
         w = alpha.b.residue_unit(a_cond // 2) % sc3_mod if sc3_mod > 1 else 0
         nu_scale = p ** (a_cond - t)
-    A, B, phase, eta = engine.weng.shell_table(level)
+    A, B, phase, eta = engine.shell_table(level)
     keep = np.flatnonzero((A if theta.ramified else B) % sc3_mod == w)
     weight = Fraction(p, p - 1) / p**kx / len(A)
     scanned = 0

@@ -199,18 +199,6 @@ def test_build_theta_ramified_odd_level_impossible():
         build_theta(3, True, 3)
 
 
-def test_theta_pi_sign():
-    theta = build_theta(3, True, 4)
-    flipped = ThetaChar(theta.group, theta.exps, -1)
-    assert flipped.value_order % 2 == 0
-    m = flipped.value_order
-    assert flipped.pi_exponent(3, m) == m // 2
-    assert flipped.pi_exponent(2, m) == 0
-    unram = build_theta(3, False, 2)
-    with pytest.raises(ValueError):
-        ThetaChar(unram.group, unram.exps, -1)
-
-
 def test_alpha_of_theta_unramified():
     p = 3
     for a in (2, 3, 4):
@@ -278,15 +266,6 @@ def test_gauss_sc_window():
         assert abs(scaled - expected) < 1e-9
 
 
-def test_gauss_sc_flip_independence():
-    theta = build_theta(3, True, 4)
-    m = math.lcm(required_gauss_modulus(theta), 2)
-    c_plus = gauss_c0_supercuspidal(theta, m)
-    c_minus = gauss_c0_supercuspidal(ThetaChar(theta.group, theta.exps, -1), m)
-    assert c_minus.equals(-c_plus)  # shell exponent c is odd
-    assert abs(abs(c_minus.complex()) - abs(c_plus.complex())) < 1e-12
-
-
 def test_gauss_sc_shell_normalization():
     theta = build_theta(3, False, 2)
     q_e = 9
@@ -298,25 +277,26 @@ def test_gauss_sc_shell_normalization():
 
 def shell_sum_oracle(theta: ThetaChar, m: int) -> CycloValue:
     # sum over the shell u = piE^c (A + B sqrt(D)), (A, B) over the unit-group
-    # keys, of theta^(-1)(u) psi_E(u), at the shell-count normalization
+    # keys, of theta^(-1)(u) psi_E(u), at the shell-count normalization;
+    # theta(piE) = 1, so theta(u) = theta(A + B sqrt(D))
     p, a = theta.p, theta.level
-    c = -a - (2 if theta.ramified else 1) + 1
     counts = np.zeros(m, dtype=np.int64)
     for (A, B) in unit_keys(theta.group):
         if theta.ramified:
             tr = psi_exponent_scaled(p, a // 2, 2 * B, m)  # 2 B p^((c+1)/2)
         else:
             tr = psi_exponent_scaled(p, a, 2 * A, m)  # 2 A p^c
-        e = -theta.pi_exponent(c, m) - theta.eval_exponent((A, B), m) + tr
+        e = tr - theta.eval_exponent((A, B), m)
         counts[e % m] += 1
     return CycloValue.from_counts(m, counts, Fraction(1, theta.group.order))
 
 
-@pytest.mark.parametrize("ram,lvl,pi_sign", [
-    (False, 2, 1), (False, 3, 1), (True, 2, 1), (True, 4, 1), (True, 4, -1)])
-def test_gauss_sc_shell_matches_dlog_oracle(ram, lvl, pi_sign):
+# the trailing 1 of each id is theta(piE), which is 1 for every theta
+@pytest.mark.parametrize("ram,lvl", [(False, 2), (False, 3), (True, 2),
+                                     (True, 4)],
+                         ids=["False-2-1", "False-3-1", "True-2-1", "True-4-1"])
+def test_gauss_sc_shell_matches_dlog_oracle(ram, lvl):
     theta = build_theta(3, ram, lvl)
-    theta = ThetaChar(theta.group, theta.exps, pi_sign)
     m = required_gauss_modulus(theta)
     assert gauss_c0_shell(theta).equals(shell_sum_oracle(theta, m))
     m2 = 2 * 3 * m

@@ -1,7 +1,9 @@
 """Config validation, task runners, exit codes, determinism."""
 
+import hashlib
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -10,11 +12,36 @@ from gl2local import quaternion
 from gl2local.cli import ConfigError, ExperimentConfig, main
 from gl2local.errors import BudgetError
 
+CLI_OUTPUTS = Path(__file__).resolve().parent / "fixtures" / "cli_outputs.json"
+
 
 def write_config(tmp_path, cfg):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     return str(path)
+
+
+def output_digests(config: dict, workdir: Path) -> dict[str, str]:
+    """Run config through main() with its outputs under workdir/out and
+    return the sha256 of each file written, wall-clock sidecars excepted."""
+    out_dir = workdir / "out"
+    out_dir.mkdir(parents=True)
+    code = main(["--config", write_config(workdir, config),
+                 "--out", str(out_dir / "out.csv")])
+    assert code == 0
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(out_dir.iterdir())
+            if not path.name.endswith(".timings.txt")}
+
+
+def test_cli_outputs_match_frozen_digests(tmp_path):
+    # regenerate with scripts/freeze_cli_outputs.py
+    frozen = json.loads(CLI_OUTPUTS.read_text())
+    changed = [name for name, entry in frozen.items()
+               if output_digests(entry["config"], tmp_path / name)
+               != entry["sha256"]]
+    assert len(frozen) == 6
+    assert not changed
 
 
 def test_lattice_enumeration_budget_names_layer_rows_and_limit(
@@ -216,6 +243,22 @@ def test_broken_json_exits_two(tmp_path, capsys):
     path.write_text("{nope")
     assert main(["--config", str(path)]) == 2
     assert "invalid JSON" in capsys.readouterr().err
+
+
+def test_non_utf8_config_exits_two(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"task": "décay"}'.encode("latin-1"))
+    assert main(["--config", str(path)]) == 2
+    assert "config error: config: invalid JSON" in capsys.readouterr().err
+
+
+def test_overlong_integer_config_exits_two(tmp_path, capsys):
+    # past the int-string conversion limit (4300 digits) json raises
+    # ValueError, not JSONDecodeError
+    path = tmp_path / "long.json"
+    path.write_text('{"task": "decay", "p": ' + "7" * 5000 + "}")
+    assert main(["--config", str(path)]) == 2
+    assert "config error: config: invalid JSON" in capsys.readouterr().err
 
 
 def test_flags_override_config(tmp_path):

@@ -581,6 +581,28 @@ def test_enumeration_budget_checked_before_expansion(monkeypatch):
     assert time.perf_counter() - t0 < 1.0
 
 
+def test_box_budget_checked_before_the_grid(monkeypatch):
+    # verify_box_max_norm = 10**4 asks the box oracle for norms near 10**4:
+    # a box of ~1.6e10 points, ~4e7 (c1, c2, c3) rows per c0 slab
+    meshgrid = np.meshgrid
+
+    def guarded(*axes, **kwargs):
+        rows = math.prod(len(axis) for axis in axes)
+        assert rows <= quaternion.ENUMERATION_BUDGET, "grid past budget"
+        return meshgrid(*axes, **kwargs)
+
+    monkeypatch.setattr(quaternion.np, "meshgrid", guarded)
+    lat = build_tidy_lattice(ORD6, {})
+    z = UpperHalfPoint(Fraction(1, 10), Fraction(6, 5))
+    t0 = time.perf_counter()
+    with pytest.raises(BudgetError, match=r"^quaternion box enumeration: "
+                       r"\d+ rows exceed the budget of 10000000$"):
+        count_lattice_points_box(lat, z, 1, 10**4)
+    assert time.perf_counter() - t0 < 1.0
+    assert count_lattice_points_box(lat, z, 1, 20) \
+        == count_lattice_points(lat, z, 1, 20)
+
+
 def test_c3_level_budget_checked_before_expansion(monkeypatch):
     # delta = 10**12 puts ~10**7 c3 values in the ellipsoid of norm 400; the
     # c3 level has to be refused before it is allocated, as the others are

@@ -1,8 +1,9 @@
 """Regenerate tests/fixtures/cli_outputs.json.
 
-Runs six small configs through the CLI entry point, one per task shape
+Runs seven small configs through the CLI entry point, one per task shape
 (support on both families, a decay sweep over three families, speedup,
-exponent, counting with the box oracle), and records the sha256 of every
+exponent, counting with the box oracle), plus a counting run at z = i
+whose delta puts candidates exactly on the distance boundary, and records the sha256 of every
 file each run writes except the wall-clock `.timings.txt` sidecar.  The
 Tier-1 test `test_cli_outputs_match_frozen_digests` replays the configs
 stored with the digests.  Run once after any change meant to alter an
@@ -38,6 +39,10 @@ CONFIGS = {
     "counting-disc14": {
         "task": "counting", "algebra": "disc14", "plans": [{}, {"3": 1}],
         "L": 6, "delta": "7/6", "verify_box_max_norm": 3},
+    "counting-disc6-boundary": {
+        "task": "counting", "algebra": "disc6", "plans": [{}, {"5": 1}],
+        "z": {"x": 0, "y": 1}, "L": 6, "delta": "1/2",
+        "verify_box_max_norm": 6},
 }
 
 

@@ -20,7 +20,7 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import BudgetError
+from .errors import BudgetError, PrecisionError
 from .residue import (
     factorize,
     is_prime,
@@ -374,62 +374,34 @@ class UpperHalfPoint:
             raise ValueError("imaginary part must be positive")
 
 
-class QuadRat:
-    """Exact r + s*sqrt(d) arithmetic for the distance filter."""
-
-    __slots__ = ("r", "s", "d")
-
-    def __init__(self, r, s, d: int):
-        self.r, self.s, self.d = Fraction(r), Fraction(s), d
-
-    def __add__(self, o):
-        return QuadRat(self.r + o.r, self.s + o.s, self.d)
-
-    def __sub__(self, o):
-        return QuadRat(self.r - o.r, self.s - o.s, self.d)
-
-    def __mul__(self, o):
-        if isinstance(o, QuadRat):
-            return QuadRat(self.r * o.r + self.d * self.s * o.s,
-                           self.r * o.s + self.s * o.r, self.d)
-        return QuadRat(self.r * o, self.s * o, self.d)
-
-    def sign(self) -> int:
-        if self.s == 0:
-            return (self.r > 0) - (self.r < 0)
-        if self.r == 0:
-            return (self.s > 0) - (self.s < 0)
-        if self.r > 0 and self.s > 0:
-            return 1
-        if self.r < 0 and self.s < 0:
-            return -1
-        big = self.r * self.r - self.d * self.s * self.s
-        if big == 0:
-            return 0
-        return (big > 0) - (big < 0) if self.r > 0 else ((big < 0) - (big > 0))
-
-    def leq_rational(self, bound) -> bool:
-        return (self - QuadRat(bound, 0, self.d)).sign() <= 0
+def _iota_inf_exact(alg: QuaternionAlgebra, frames):
+    """Entries (a, b, c, d) of the real splitting of each frame row x, exact
+    as R + S*sqrt(a_h) with R, S object arrays of shape (rows, 4):
+    a = x0 + x1 r, b = b_h (x2 + x3 r), c = x2 - x3 r, d = x0 - x1 r."""
+    b = alg.b_h
+    x = np.asarray(frames, dtype=object).reshape(-1, 4)
+    rat = np.array([[1, 0, 0, 1], [0, 0, 0, 0], [0, b, 1, 0], [0, 0, 0, 0]],
+                   dtype=object)
+    irr = np.array([[0, 0, 0, 0], [1, 0, 0, -1], [0, 0, 0, 0], [0, b, -1, 0]],
+                   dtype=object)
+    return x @ rat, x @ irr
 
 
-def _iota_inf_exact(alg: QuaternionAlgebra, frame_vec):
-    """Entries of the real splitting as exact r + s*sqrt(a_h) pairs."""
-    a, b = alg.a_h, alg.b_h
-    x0, x1, x2, x3 = (Fraction(v) for v in frame_vec)
-    return (QuadRat(x0, x1, a), QuadRat(b * x2, b * x3, a),
-            QuadRat(x2, -x3, a), QuadRat(x0, -x1, a))
-
-
-def _distance_ok(alg, frame_vec, z: UpperHalfPoint, delta: Fraction,
-                 norm_value: int) -> bool:
-    """Exact check of u(g z, z) <= delta for det g = norm_value > 0."""
-    a_e, b_e, c_e, d_e = _iota_inf_exact(alg, frame_vec)
+def _distance_ok(alg, frames, z: UpperHalfPoint, delta, m_vals) -> np.ndarray:
+    """Exact u(g z, z) <= delta for the real splitting g of each row of
+    `frames` (integer or rational: object arrays of Fractions), det g =
+    m_vals > 0, by the direct formula |a z + b - z (c z + d)|^2 <=
+    4 m y^2 delta; independent of `_frobenius_form`."""
     x, y = z.x, z.y
-    # numerator of gz - z over Cz + D evaluated exactly
-    re = a_e * x + b_e - c_e * (x * x - y * y) - d_e * x
-    im = (a_e - c_e * (2 * x) - d_e) * y
-    lhs = re * re + im * im
-    return lhs.leq_rational(4 * Fraction(norm_value) * y * y * delta)
+    # (real, imaginary) part of a z + b - z (c z + d) from (a, b, c, d)
+    parts = np.array([[x, y], [1, 0], [y * y - x * x, -2 * x * y], [-x, -y]],
+                     dtype=object)
+    r, s = _iota_inf_exact(alg, frames)
+    (re_r, im_r), (re_s, im_s) = (r @ parts).T, (s @ parts).T
+    a = alg.a_h
+    bound = 4 * y * y * Fraction(delta) * np.asarray(m_vals).astype(object)
+    u = re_r * re_r + a * re_s * re_s + im_r * im_r + a * im_s * im_s - bound
+    return _sqrt_sum_nonpositive(u, 2 * (re_r * re_s + im_r * im_s), a)
 
 
 def _frobenius_form(lattice: TidyLattice, z: UpperHalfPoint):
@@ -438,30 +410,37 @@ def _frobenius_form(lattice: TidyLattice, z: UpperHalfPoint):
     denominator den with ||h(c)||^2 = (c^T G_r c + sqrt(a_h) c^T G_s c) / den.
     For nr(c) = m it equals 2 m (1 + 2 u(g z, z))."""
     alg = lattice.order.algebra
-    x, y = z.x, z.y
-    h = []
-    for vec in lattice.basis_in_frame():
-        a_e, b_e, c_e, d_e = _iota_inf_exact(alg, vec)
-        h.append((a_e - c_e * x,
-                  (a_e * x + b_e - c_e * (x * x) - d_e * x) * (1 / y),
-                  c_e * y, c_e * x + d_e))
-    zero = QuadRat(0, 0, alg.a_h)
-    gram = [[sum((u * v for u, v in zip(hk, hl)), zero) for hl in h] for hk in h]
-    den = math.lcm(*[q.denominator for row in gram for e in row
-                     for q in (e.r, e.s)])
-    g_r = np.array([[int(e.r * den) for e in row] for row in gram], dtype=object)
-    g_s = np.array([[int(e.s * den) for e in row] for row in gram], dtype=object)
+    x, y = Fraction(z.x), Fraction(z.y)
+    # h = (a - c x, (a x + b - c x^2 - d x) / y, c y, c x + d) from (a, b, c, d)
+    t_z = np.array([[1, x / y, 0, 0], [0, 1 / y, 0, 0],
+                    [-x, -x * x / y, y, x], [0, -x / y, 0, 1]], dtype=object)
+    r, s = _iota_inf_exact(alg, lattice.basis_in_frame())
+    h_r, h_s = r @ t_z, s @ t_z
+    g_r = h_r @ h_r.T + alg.a_h * (h_s @ h_s.T)
+    g_s = h_r @ h_s.T + h_s @ h_r.T
+    den = math.lcm(*[v.denominator for g in (g_r, g_s) for v in g.flat])
+    g_r, g_s = (np.array([[int(v * den) for v in row] for row in g], dtype=object)
+                for g in (g_r, g_s))
     return g_r, g_s, den
 
 
 def _counting_data(lattice: TidyLattice, z: UpperHalfPoint):
     """Float Gram matrix of the conjugated Frobenius form, rounded from the
     exact form, plus the exact integer norm form on lattice coordinates and
-    the exact form itself."""
+    the exact form itself.  PrecisionError if the float Gram matrix has an
+    eigenvalue <= 0 or no Cholesky factor, so neither enumerator can use it."""
     alg = lattice.order.algebra
     form = _frobenius_form(lattice, z)
     g_r, g_s, g_den = form
     gram = (g_r.astype(float) + math.sqrt(alg.a_h) * g_s.astype(float)) / g_den
+    try:
+        usable = np.linalg.eigvalsh(gram)[0] > 0
+        np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        usable = False
+    if not usable:
+        raise PrecisionError(f"quaternion counting form: float Gram matrix at "
+                             f"z = {z.x} + {z.y}i is not positive definite")
     basis_frame = lattice.basis_in_frame()
     # exact norm form: nr(sum c_k e_k) = c^T F c, F = E diag(1, -a, -b, ab) E^T
     e = np.array(basis_frame, dtype=object)
@@ -479,10 +458,8 @@ def _ellipsoid_lines(gram: np.ndarray, bound: float):
     limits are float Cholesky limits widened by eps; each level is expanded
     from the one above with np.repeat.  BudgetError, before a level is
     expanded (c3 included), once its running total of hi - lo + 1 passes
-    ENUMERATION_BUDGET."""
+    ENUMERATION_BUDGET.  `_counting_data` checks `gram`."""
     eigs = np.linalg.eigvalsh(gram)
-    if eigs[0] <= 0:
-        raise ValueError("counting form is not positive definite")
     chol = np.linalg.cholesky(gram + np.eye(4) * (eigs[0] * 1e-12)).T
     bound = bound * (1 + 1e-9) + 1e-9
     eps = 1e-9
@@ -602,7 +579,8 @@ def _candidates_with_norms(lattice: TidyLattice, z: UpperHalfPoint, delta,
 
 
 def _sqrt_sum_nonpositive(u: np.ndarray, v: np.ndarray, a: int) -> np.ndarray:
-    """Exact u + v*sqrt(a) <= 0, elementwise, for integer arrays and a > 0."""
+    """Exact u + v*sqrt(a) <= 0, elementwise, for integer or rational
+    (object arrays of Fractions) u, v and an integer a > 0."""
     uu, avv = u * u, a * v * v
     return np.where(u <= 0, (v <= 0) | (uu >= avv), (v < 0) & (uu <= avv))
 
@@ -635,11 +613,16 @@ def count_lattice_points_box(lattice: TidyLattice, z: UpperHalfPoint, delta,
                              norm_value: int) -> int:
     """Independent enumerator: axis-aligned box from the inverse Gram, full
     scan, same exact filters.  The box is scanned one c0 slab at a time over
-    a shared (c1, c2, c3) grid: exact integer norm test on the whole slab,
-    then the float bound and the exact distance test on its survivors.
-    BudgetError, before the grid is built, if the box has more than
-    ENUMERATION_BUDGET points."""
+    a shared (c1, c2, c3) grid: exact integer norm test and float bound on
+    each slab; the survivors of all slabs then go through one exact
+    `_distance_ok` call.  ValueError for delta < 0 or a norm value < 1, as
+    in `norm_histogram`; BudgetError, before the grid is built, if the box
+    has more than ENUMERATION_BUDGET points."""
     delta = Fraction(delta)
+    if delta < 0:
+        raise ValueError("delta must be >= 0")
+    if norm_value < 1:
+        raise ValueError("norm values must be >= 1")
     gram, f_int, den, basis_frame, _ = _counting_data(lattice, z)
     bound = float((4 * delta + 2) * norm_value) * (1 + 1e-9) + 1e-9
     inv = np.linalg.inv(gram)
@@ -648,24 +631,20 @@ def count_lattice_points_box(lattice: TidyLattice, z: UpperHalfPoint, delta,
     if box > ENUMERATION_BUDGET:
         raise BudgetError(f"quaternion box enumeration: {box} rows exceed "
                           f"the budget of {ENUMERATION_BUDGET}")
-    alg = lattice.order.algebra
     rest = np.stack(np.meshgrid(*(np.arange(-lim, lim + 1) for lim in lims[1:]),
                                 indexing="ij"), axis=-1).reshape(-1, 3)
     # c^T f_int c = (F00 c0 + 2 F[0,1:].rest) c0 + rest^T F[1:,1:] rest
     lin = 2 * rest @ f_int[0, 1:]
     quad = ((rest @ f_int[1:, 1:]) * rest).sum(axis=1)
-    count = 0
+    survivors = []
     for c0 in range(-lims[0], lims[0] + 1):
         hits = rest[(f_int[0, 0] * c0 + lin) * c0 + quad == den * norm_value]
-        for arr in np.column_stack((np.full(len(hits), c0), hits)):
-            if not arr.any() or float(arr @ gram @ arr) > bound:
-                continue
-            frame_vec = tuple(
-                sum(Fraction(int(arr[k])) * basis_frame[k][idx]
-                    for k in range(4)) for idx in range(4))
-            if _distance_ok(alg, frame_vec, z, delta, norm_value):
-                count += 1
-    return count
+        rows = np.column_stack((np.full(len(hits), c0), hits))
+        survivors.append(rows[((rows @ gram) * rows).sum(axis=1) <= bound])
+    rows = np.concatenate(survivors)
+    frames = rows.astype(object) @ np.array(basis_frame, dtype=object)
+    return int(_distance_ok(lattice.order.algebra, frames, z, delta,
+                            np.full(len(rows), norm_value)).sum())
 
 
 def norm_histogram(lattice: TidyLattice, z: UpperHalfPoint, delta,

@@ -339,9 +339,8 @@ def point_pair_u(z: UpperHalfPoint, w: UpperHalfPoint) -> Fraction:
 
 def iota_inf(alg, frame_vec) -> np.ndarray:
     """Float real splitting of a frame vector."""
-    m = [float(e.r) + float(e.s) * math.sqrt(e.d)
-         for e in _iota_inf_exact(alg, frame_vec)]
-    return np.array([[m[0], m[1]], [m[2], m[3]]])
+    r, s = _iota_inf_exact(alg, [frame_vec])
+    return (r.astype(float) + s.astype(float) * math.sqrt(alg.a_h)).reshape(2, 2)
 
 
 def ellipsoid_points(gram: np.ndarray, bound: float) -> np.ndarray:

@@ -40,7 +40,7 @@ def test_cli_outputs_match_frozen_digests(tmp_path):
     changed = [name for name, entry in frozen.items()
                if output_digests(entry["config"], tmp_path / name)
                != entry["sha256"]]
-    assert len(frozen) == 6
+    assert len(frozen) == 7
     assert not changed
 
 

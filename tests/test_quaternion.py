@@ -13,7 +13,6 @@ from gl2local.quaternion import (
     RationalOrder,
     TidyLattice,
     UpperHalfPoint,
-    QuadRat,
     build_tidy_lattice,
     count_lattice_points,
     count_lattice_points_box,
@@ -36,7 +35,7 @@ from gl2local.quaternion import (
     _sqrt_sum_nonpositive,
 )
 from gl2local import quaternion
-from gl2local.errors import BudgetError
+from gl2local.errors import BudgetError, PrecisionError
 from oracles import (ellipsoid_points, iota_inf, lattice_contains,
                      point_pair_u, quat_conj)
 
@@ -333,15 +332,6 @@ def test_real_splitting_is_a_ring_hom_with_norm_as_det():
             assert abs(np.linalg.det(mx) - float(alg.nr(x))) < 1e-9
 
 
-def test_quadratic_irrational_sign_logic():
-    assert QuadRat(-1, 1, 3).sign() == 1       # sqrt(3) - 1 > 0
-    assert QuadRat(7, -4, 3).sign() == 1       # 7 - 4 sqrt(3) > 0
-    assert QuadRat(-7, 4, 3).sign() == -1
-    assert QuadRat(2, -1, 4).sign() == 0       # 2 - sqrt(4) = 0
-    assert QuadRat(0, 0, 7).sign() == 0
-    assert QuadRat(Fraction(1, 3), Fraction(-1, 5), 2).leq_rational(Fraction(1, 2))
-
-
 def test_ellipsoid_form_identity():
     # the enumeration form equals 2 m (1 + 2u) for norm-m elements, which is
     # what converts the distance cutoff into the ellipsoid bound
@@ -390,10 +380,23 @@ def test_distance_filter_matches_float_distance():
         checked += 1
 
 
+def sqrt_sum_nonpositive_by_isqrt(u, v, a) -> bool:
+    """u + v sqrt(a) <= 0 for rationals u, v, scaled to integers and decided
+    by the bracket w <= sqrt(a v^2) < w + 1, w = isqrt(a v^2), which is exact
+    iff w^2 = a v^2."""
+    den = math.lcm(Fraction(u).denominator, Fraction(v).denominator)
+    u, v = int(u * den), int(v * den)
+    w = math.isqrt(a * v * v)
+    if v >= 0:  # sqrt(a v^2) <= -u
+        return w < -u or (w == -u and w * w == a * v * v)
+    return u <= w  # u <= sqrt(a v^2)
+
+
 def test_sqrt_sum_sign_rule():
-    def leq(u, v, a, dtype=np.int64):
-        return bool(_sqrt_sum_nonpositive(np.array([u], dtype=dtype),
-                                          np.array([v], dtype=dtype), a)[0])
+    def leq(u, v, a):
+        return bool(_sqrt_sum_nonpositive(np.array([Fraction(u)], dtype=object),
+                                          np.array([Fraction(v)], dtype=object),
+                                          a)[0])
     assert leq(-1, -1, 3)                      # u <= 0, v <= 0
     assert not leq(-1, 1, 3)                   # sqrt(3) - 1 > 0
     assert leq(-7, 4, 3)                       # 4 sqrt(3) - 7 < 0
@@ -403,14 +406,20 @@ def test_sqrt_sum_sign_rule():
     assert leq(2, -1, 4)                       # 2 - sqrt(4) = 0
     assert not leq(1, 0, 3) and not leq(1, 1, 3)  # u > 0, v >= 0
     assert leq(0, 0, 7)
-    grid = [(u, v) for u in range(-9, 10) for v in range(-6, 7)]
-    u = np.array([g[0] for g in grid])
-    v = np.array([g[1] for g in grid])
+    assert leq(Fraction(1, 3) - Fraction(1, 2), Fraction(-1, 5), 2)
+    assert not leq(Fraction(-1, 3), Fraction(1, 5), 3)  # sqrt(3)/5 > 1/3
+    grid = [(Fraction(k, q), Fraction(j, r)) for k in range(-9, 10)
+            for j in range(-6, 7) for q in (1, 2, 3) for r in (1, 5)]
+    u = np.array([g[0] for g in grid], dtype=object)
+    v = np.array([g[1] for g in grid], dtype=object)
+    ints = [k for k, (x, w) in enumerate(grid)
+            if x.denominator == w.denominator == 1]
     for a in (2, 3, 4, 7):
-        expect = [QuadRat(x, w, a).sign() <= 0 for x, w in grid]
+        expect = [sqrt_sum_nonpositive_by_isqrt(x, w, a) for x, w in grid]
         assert _sqrt_sum_nonpositive(u, v, a).tolist() == expect
-        assert _sqrt_sum_nonpositive(u.astype(object), v.astype(object),
-                                     a).tolist() == expect
+        assert _sqrt_sum_nonpositive(u[ints].astype(np.int64),
+                                     v[ints].astype(np.int64), a).tolist() \
+            == [expect[k] for k in ints]
 
 
 def _seeded_points(seed, count):
@@ -440,11 +449,8 @@ def test_distance_filter_matches_independent_oracle(order, plan, delta, z):
     rows, m_vals, form = _candidates_with_norms(lat, z, delta, range(1, 21))
     assert len(rows) > 50
     fast = _distance_ok_rows(form, alg.a_h, delta, rows, m_vals)
-    basis_frame = lat.basis_in_frame()
-    for c, m, ok in zip(rows.tolist(), m_vals.tolist(), fast.tolist()):
-        vec = tuple(sum(Fraction(c[k]) * basis_frame[k][i] for k in range(4))
-                    for i in range(4))
-        assert ok == _distance_ok(alg, vec, z, delta, m), (c, m)
+    frames = rows.astype(object) @ np.array(lat.basis_in_frame(), dtype=object)
+    assert _distance_ok(alg, frames, z, delta, m_vals).tolist() == fast.tolist()
     assert 0 < fast.sum() < len(rows)
     if z == UpperHalfPoint(Fraction(0), Fraction(1)):
         g_r, g_s, den = form
@@ -477,24 +483,47 @@ def test_distance_filter_exact_beyond_int64():
 
 # -- counting ------------------------------------------------------------------
 
-def test_two_enumerators_agree_exactly():
-    lat = build_tidy_lattice(ORD6, {})
-    z = UpperHalfPoint(Fraction(1, 2), Fraction(1))
-    for m in range(1, 21):
-        fast = count_lattice_points(lat, z, 1, m)
-        box = count_lattice_points_box(lat, z, 1, m)
-        assert fast == box, m
-        assert fast % 2 == 0
-    assert count_lattice_points(lat, z, 1, 1) >= 2
+@pytest.mark.parametrize("order,plan,delta,z", [
+    *[(o, p, d, UpperHalfPoint(Fraction(0), Fraction(1)))
+      for o, p, d in BOUNDARY_CASES],
+    (ORD14, {3: 1}, Fraction(1), UpperHalfPoint(Fraction(1, 10), Fraction(6, 5))),
+    (ORD6, {5: 1}, Fraction(3, 2), UpperHalfPoint(Fraction(-3, 7), Fraction(4, 5))),
+], ids=["disc6-boundary", "disc14-boundary", "disc14-3-1", "disc6-5-1"])
+def test_two_enumerators_agree_exactly(order, plan, delta, z):
+    lat = build_tidy_lattice(order, plan)
+    norms = range(1, 13)
+    hist = norm_histogram(lat, z, delta, norms)
+    assert any(hist.values())
+    assert [count_lattice_points_box(lat, z, delta, m) for m in norms] \
+        == [hist[m] for m in norms]
 
 
 def test_counting_validation():
+    # the box oracle used to count at delta = -1/4 and m = 0, and to end in
+    # a math domain error at delta = -1 and m = -1
     lat = build_tidy_lattice(ORD6, {})
     z = UpperHalfPoint(Fraction(1, 2), Fraction(1))
-    with pytest.raises(ValueError):
-        count_lattice_points(lat, z, -1, 1)
-    with pytest.raises(ValueError):
-        count_lattice_points(lat, z, 1, 0)
+    for count in (count_lattice_points, count_lattice_points_box):
+        for delta in (-1, Fraction(-1, 4)):
+            with pytest.raises(ValueError, match=r"^delta must be >= 0$"):
+                count(lat, z, delta, 1)
+        for m in (0, -1):
+            with pytest.raises(ValueError, match=r"^norm values must be >= 1$"):
+                count(lat, z, 1, m)
+
+
+@pytest.mark.parametrize("z", [
+    UpperHalfPoint(Fraction(0), Fraction(1, 10**30)),
+    UpperHalfPoint(Fraction(10**30), Fraction(1)),
+    UpperHalfPoint(Fraction(0), Fraction(10**8))], ids=["tiny-y", "huge-x", "big-y"])
+def test_unusable_float_gram_is_a_precision_error(z):
+    # the first two have a float eigenvalue <= 0 but a Cholesky factor, the
+    # third a positive spectrum but no factor; each used to end in an
+    # untyped ValueError, LinAlgError or math domain error
+    lat = build_tidy_lattice(ORD6, {})
+    for count in (count_lattice_points, count_lattice_points_box):
+        with pytest.raises(PrecisionError, match=r"^quaternion counting form: "):
+            count(lat, z, 1, 1)
 
 
 @pytest.mark.parametrize("delta", [-1, Fraction(-1, 4)])

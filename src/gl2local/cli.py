@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import random
@@ -19,7 +20,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .characters import build_theta, primitive_char
-from .matcoef import MatCoefEngine, decay_bound, verify_support
+from .matcoef import (
+    MatCoefEngine,
+    decay_bound,
+    evaluate_distinct,
+    verify_support,
+)
 from .quaternion import (
     UpperHalfPoint,
     build_tidy_lattice,
@@ -320,6 +326,9 @@ def run_verify_support(cfg: ExperimentConfig) -> TaskResult:
 
 
 def run_decay(cfg: ExperimentConfig) -> TaskResult:
+    """Fast coefficient values on the supported grid of each interior depth
+    against decay_bound.  Points share values by query_key: each distinct
+    key is evaluated once by phi_fast_value (evaluate_distinct)."""
     spec = build_spec(cfg)
     engine = MatCoefEngine(spec)
     rng = random.Random(cfg.seed)
@@ -331,8 +340,11 @@ def run_decay(cfg: ExperimentConfig) -> TaskResult:
     for i in i_values:
         worst = 0.0
         grid = build_grid(spec, i, cfg, rng, supported_only=True)
-        for a, madd in grid:
-            value = phi_fast_value(engine, i, a, madd)
+        values, slots = evaluate_distinct(
+            engine, ((i, a, madd) for a, madd in grid),
+            functools.partial(phi_fast_value, engine))
+        for (a, madd), slot in zip(grid, slots):
+            value = values[slot]
             ratio = abs(value) * spec.p ** ((spec.n - i) / 2)
             worst = max(worst, ratio)
             rows.append({

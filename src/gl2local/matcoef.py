@@ -30,6 +30,8 @@ class MatCoefEngine(WhittakerEngine):
     def __init__(self, spec: ReprSpec):
         # additive arguments down to v(m) = -(n1 + 1) fit the modulus
         super().__init__(spec, spec.modulus(spec.n1 + 1))
+        # statphase's supercuspidal critical-pair plans by depth t = n - i
+        self.sc_plans: dict[int, object] = {}
 
     def query_key(self, i: int, a: PAdicScalar, madd: PAdicScalar
                   ) -> tuple[int, int, int, int] | None:
@@ -206,22 +208,42 @@ def support_expected_zero(spec: ReprSpec, i: int, v_a: int | None,
     return v_m is not None and v_m <= -2
 
 
+def evaluate_distinct(engine: MatCoefEngine, queries, evaluate
+                      ) -> tuple[list, list[int]]:
+    """Evaluate an iterable of queries (i, a, m) sharing by query_key:
+    evaluate(i, a, m) runs once per distinct key, on the first query that
+    has it.  Returns (values, slots) with values[slots[k]] the value of the
+    k-th query; equal keys give equal coefficients, so a shared value is
+    exactly what the query's own evaluation would give."""
+    slot_of: dict[tuple[int, int, int, int] | None, int] = {}
+    values, slots = [], []
+    for query in queries:
+        key = engine.query_key(*query)
+        if key not in slot_of:
+            slot_of[key] = len(values)
+            values.append(evaluate(*query))
+        slots.append(slot_of[key])
+    return values, slots
+
+
 def verify_support(engine: MatCoefEngine, i: int,
                    grid: list[tuple[PAdicScalar, PAdicScalar]]) -> list[dict]:
     """Evaluate every grid point and compare exact vanishing against the
     support law; rows with violation=True are law breaches (expected none).
-    Each distinct query_key is evaluated once and shared by its points."""
+    Each distinct query_key is evaluated once (evaluate_distinct)."""
     spec = engine.spec
+
+    def evaluate(*query):
+        num = engine.phi_numerator(*query)
+        return num.is_zero(), num.complex() / engine.c0_complex
+
+    results, slots = evaluate_distinct(
+        engine, ((i, a, madd) for a, madd in grid), evaluate)
     rows = []
-    results: dict[tuple[int, int, int, int] | None, tuple[bool, complex]] = {}
-    for a, madd in grid:
+    for (a, madd), slot in zip(grid, slots):
         v_a = None if a.is_zero else a.val
         v_m = None if madd.is_zero else madd.val
-        key = engine.query_key(i, a, madd)
-        if key not in results:
-            num = engine.phi_numerator(i, a, madd)
-            results[key] = num.is_zero(), num.complex() / engine.c0_complex
-        exact, value = results[key]
+        exact, value = results[slot]
         expected = support_expected_zero(spec, i, v_a, v_m)
         rows.append({
             "p": spec.p, "n": spec.n, "family": spec.label, "i": i,
@@ -259,7 +281,7 @@ def gram_dimension_estimate(engine: MatCoefEngine, sample_count: int, rng,
     GRAM_TOL relative to its top eigenvalue.
     Passing elements explicitly lets stabilization checks nest samples.
     Entries are phi'(g_s^-1 g_t) = phi_value of the decomposed query, each
-    distinct query_key evaluated once and shared by every entry that has it."""
+    distinct query_key evaluated once (evaluate_distinct)."""
     spec = engine.spec
     k = spec.n1 + spec.n
     if elements is not None:
@@ -270,19 +292,18 @@ def gram_dimension_estimate(engine: MatCoefEngine, sample_count: int, rng,
                  for _ in range(sample_count)]
     # entries share few distinct queries (486 of 8,515 at p=3, n=6 with 130
     # elements); each is evaluated once into a slot, the upper triangle of
-    # index names each entry's slot, and one gather fills the matrix
-    slots: dict[tuple[int, int, int, int] | None, int] = {}
-    values: list[complex] = []
+    # index names each entry's slot (row by row, the triu_indices order), and
+    # one gather fills the matrix
+    def upper_queries():
+        for s in range(sample_count):
+            inv = elems[s].inv()
+            for t in range(s, sample_count):
+                yield decompose_k_star(inv.mul(elems[t]), spec)
+
+    values, slots = evaluate_distinct(engine, upper_queries(),
+                                      engine.phi_value)
     index = np.zeros((sample_count, sample_count), dtype=np.intp)
-    for s in range(sample_count):
-        inv = elems[s].inv()
-        for t in range(s, sample_count):
-            query = decompose_k_star(inv.mul(elems[t]), spec)
-            key = engine.query_key(*query)
-            if key not in slots:
-                slots[key] = len(values)
-                values.append(engine.phi_value(*query))
-            index[s, t] = slots[key]
+    index[np.triu_indices(sample_count)] = slots
     gram = np.array(values, dtype=complex)[index]
     # the lower triangle and the diagonal mirror the upper as conjugates,
     # set rather than added so every zero keeps its sign

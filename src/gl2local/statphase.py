@@ -8,6 +8,14 @@ whole average collapses to a short sum over surviving block representatives
 an identity at the stated moduli, so the result matches the plain average
 exactly, not merely to rounding.
 
+A supercuspidal query splits into work that depends only on the engine and
+the depth t = n - i, and work that depends on (a, m).  The first is an
+ScPlan, built once per (engine, t) and kept on the engine: the kept shell
+rows with their eta residues, the rows grouped by eta class, a root table
+over Z/p^(t-ceil(t/2)) giving every residue's unit square roots of its
+negative (with their inverses), and the ball volume.  A query then only
+inverts a, forms two row arrays and looks its roots up class by class.
+
 Boundary depths i in {n-1, n} keep the plain evaluator (the block analysis
 assumes i < n-1); queries off the support return exact zero.
 """
@@ -40,12 +48,13 @@ def _shell_level(theta) -> int:
 
 def ball_volume(engine: MatCoefEngine, i: int) -> Fraction:
     """The weight every critical pair of a depth-i query carries: the
-    normalized volume of one outer block times one inner block."""
+    normalized volume of one outer block times one inner block (for a
+    supercuspidal, the one held by the depth's plan)."""
     spec, p = engine.spec, engine.spec.p
+    if spec.family == "sc":
+        return sc_plan(engine, spec.n - i).volume
     outer = Fraction(p, p - 1) / p ** ((spec.n - i + 1) // 2)
-    if spec.family == "ps":
-        return outer / p ** ((spec.n0 + 1) // 2)
-    return outer / len(engine.shell_table(_shell_level(spec.theta))[0])
+    return outer / p ** ((spec.n0 + 1) // 2)
 
 
 def _ps_pairs(engine: MatCoefEngine, i: int, a_res: int, m_res: int
@@ -87,76 +96,121 @@ def _ps_pairs(engine: MatCoefEngine, i: int, a_res: int, m_res: int
     return np.array(rows, dtype=np.int64).reshape(-1, 3), scanned
 
 
+class ScPlan:
+    """The part of a supercuspidal query at depth t = n - i that does not
+    depend on (a, m), built once per engine and t by sc_plan.  Arrays are
+    read-only; the row arrays are indexed by kept shell row.
+
+    Kept rows are the shell rows whose phase-linearization coordinate
+    matches alpha.  The outer congruence x0^2 = -a m / eta reads eta only
+    mod dx_mod = p^(t-ceil(t/2)), so the kept rows are grouped by that class
+    (ascending, rows ascending within a class) with eta_c^-1 mod dx_mod, and
+    roots[r] holds the unit solutions x mod p^t of x^2 + r = 0 mod dx_mod
+    for every residue r, with x mod sc2_mod and x^-1 mod p^t beside them."""
+
+    __slots__ = ("pt", "dx_mod", "sc2_mod", "nu_scale", "scale", "A", "B",
+                 "phase", "eta_t", "eta_sc2", "coord", "classes", "roots",
+                 "volume")
+
+    def __init__(self, engine: MatCoefEngine, t: int):
+        p, theta = engine.spec.p, engine.spec.theta
+        a_cond = theta.level
+        kx = (t + 1) // 2
+        self.pt = pt = p**t
+        self.dx_mod = dx_mod = p ** (t - kx)
+        level = _shell_level(theta)
+        alpha = alpha_of_theta(theta)
+        if theta.ramified:
+            # component bounds of the inner ball p_E^level over o: a-part
+            # ceil(level/2), b-part ceil((level-1)/2)
+            sc2_mod = p ** (level - (level + 1) // 2)
+            sc3_mod = p ** (level - level // 2)
+            w = alpha.b.residue_unit((level + 1) // 2) % sc3_mod
+            self.nu_scale = p ** (level - t)
+        else:
+            sc2_mod = sc3_mod = p ** (a_cond - level)
+            w = (alpha.b.residue_unit(a_cond // 2) % sc3_mod
+                 if sc3_mod > 1 else 0)
+            self.nu_scale = p ** (a_cond - t)
+        self.sc2_mod = sc2_mod
+        self.scale = engine.m // pt
+        A, B, phase, eta = engine.shell_table(level)
+        self.volume = Fraction(p, p - 1) / p**kx / len(A)
+        # the phase-linearization coordinate must match alpha
+        keep = np.flatnonzero((A if theta.ramified else B) % sc3_mod == w)
+        self.A, self.B, self.phase = A[keep], B[keep], phase[keep]
+        # eta reduced mod p^t keeps every product of a query in int64
+        self.eta_t = eta[keep] % pt
+        self.eta_sc2 = self.eta_t % sc2_mod
+        # the coupled condition reads this coordinate mod sc2_mod
+        self.coord = (self.B if theta.ramified else self.A) % sc2_mod
+        classes, cls = np.unique(self.eta_t % dx_mod, return_inverse=True)
+        self.classes = [(pow(eta_c, -1, dx_mod), np.flatnonzero(cls == c))
+                        for c, eta_c in enumerate(classes.tolist())]
+        self.roots = []
+        for r in range(dx_mod):
+            x = [v for root in solve_quadratic_congruence(1, 0, r, p, t - kx)
+                 for v in _unit_lifts(root, t - kx, kx, p)]
+            x_arr = np.array(x, dtype=np.int64)
+            self.roots.append((x_arr, x_arr % sc2_mod, np.array(
+                [pow(v, -1, pt) for v in x], dtype=np.int64)))
+        for arr in (self.A, self.B, self.phase, self.eta_t, self.eta_sc2,
+                    self.coord, *(rows for _, rows in self.classes),
+                    *(arr for entry in self.roots for arr in entry)):
+            arr.flags.writeable = False
+
+
+def sc_plan(engine: MatCoefEngine, t: int) -> ScPlan:
+    """The engine's supercuspidal plan at depth t = n - i, built on first
+    use and kept on the engine (so it dies with the engine)."""
+    plan = engine.sc_plans.get(t)
+    if plan is None:
+        plan = engine.sc_plans[t] = ScPlan(engine, t)
+    return plan
+
+
 def _sc_pairs(engine: MatCoefEngine, i: int, a_res: int, m_res: int
               ) -> tuple[np.ndarray, int]:
     """Survivors for a supercuspidal query on the supported locus: rows
     (x0, A, B, phase) and the scanned candidate count.  The inner block runs
-    over the engine's shell table at transversal level _shell_level.
+    over the kept rows of the engine's shell table at transversal level
+    _shell_level, read from the depth's ScPlan.
 
-    A kept shell row enters the outer congruence x0^2 = -a m / eta only
-    through eta mod p^(t-ceil(t/2)), so rows are grouped by that class: one
-    solve and one candidate lift per class, whose lifts all satisfy the
-    outer congruence, then the coupled and phase conditions on row x
-    candidate arrays."""
-    spec, m_mod = engine.spec, engine.m
-    p, theta = spec.p, spec.theta
-    a_cond, t = theta.level, spec.n - i
-    kx = (t + 1) // 2
-    dx_mod = p ** (t - kx)
-    pt = p**t
+    A query only computes a^-1 and the two a-dependent row arrays: the
+    coupled-condition slope and the psi coefficient lin.  For each eta class
+    the solutions of x0^2 + a m eta_c^-1 = 0 are one lookup in the plan's
+    root table, and all of them satisfy the outer congruence; the coupled
+    and phase conditions then run on class rows x candidate arrays."""
+    plan = sc_plan(engine, engine.spec.n - i)
+    pt, sc2_mod, m_mod = plan.pt, plan.sc2_mod, engine.m
     a_inv = pow(a_res, -1, pt)
-    alpha = alpha_of_theta(theta)
-    level = _shell_level(theta)
-    if theta.ramified:
-        # component bounds of the inner ball p_E^level over o: a-part
-        # ceil(level/2), b-part ceil((level-1)/2)
-        sc2_mod = p ** (level - (level + 1) // 2)
-        sc3_mod = p ** (level - level // 2)
-        w = alpha.b.residue_unit((level + 1) // 2) % sc3_mod
-        nu_scale = p ** (level - t)
-    else:
-        sc2_mod = sc3_mod = p ** (a_cond - level)
-        w = alpha.b.residue_unit(a_cond // 2) % sc3_mod if sc3_mod > 1 else 0
-        nu_scale = p ** (a_cond - t)
-    A, B, phase, eta = engine.shell_table(level)
-    # the phase-linearization coordinate must match alpha
-    keep = np.flatnonzero((A if theta.ramified else B) % sc3_mod == w)
-    # eta reduced mod p^t keeps every product below in int64
-    eta_t = eta[keep] % pt
     # the coupled condition, coordinate = nu_scale x0 a^-1 eta mod sc2_mod;
     # when the shear depth satisfies e_E(i-n) >= -ceil(a/2) the nu_scale
     # power swamps the modulus and it degenerates to the x0-free condition
     # "trace coordinate = 0"
-    coord = (B if theta.ramified else A)[keep] % sc2_mod
-    slope = nu_scale * a_inv % sc2_mod * (eta_t % sc2_mod) % sc2_mod
+    slope = plan.nu_scale * a_inv % sc2_mod * plan.eta_sc2 % sc2_mod
     # psi(p^-t (-x0 a^-1 eta)) = zeta_m^(x0 * lin mod p^t * m/p^t)
-    lin = -a_inv * eta_t % pt
-    scale = m_mod // pt
-    classes, cls = np.unique(eta_t % dx_mod, return_inverse=True)
+    lin = -a_inv * plan.eta_t % pt
+    am = a_res * m_res
     scanned = 0
     blocks = [np.empty((0, 4), dtype=np.int64)]
-    for c, eta_c in enumerate(classes.tolist()):
+    for eta_c_inv, rows in plan.classes:
         # x0^2 = -a m / eta, written as x0^2 + (a m / eta) = 0
-        const = a_res * m_res * pow(eta_c, -1, dx_mod)
-        x_list = [x for r in solve_quadratic_congruence(1, 0, const, p, t - kx)
-                  for x in _unit_lifts(r, t - kx, kx, p)]
-        rows = np.flatnonzero(cls == c)
-        scanned += len(rows) * len(x_list)
-        if not x_list:
+        x, x_sc2, x_inv = plan.roots[am * eta_c_inv % plan.dx_mod]
+        scanned += len(rows) * len(x)
+        if not len(x):
             continue
-        x = np.array(x_list, dtype=np.int64)
-        ok = (coord[rows, None] - slope[rows, None] * (x % sc2_mod)) \
+        ok = (plan.coord[rows, None] - slope[rows, None] * x_sc2) \
             % sc2_mod == 0
         r_idx, x_idx = np.nonzero(ok)
         if not len(r_idx):
             continue
         rows = rows[r_idx]
-        shell = keep[rows]
-        m_over_x = np.array([m_res * pow(v, -1, pt) % pt for v in x_list],
-                            dtype=np.int64)
-        e = ((m_over_x[x_idx] + x[x_idx] * lin[rows]) % pt * scale
-             + phase[shell]) % m_mod
-        blocks.append(np.column_stack((x[x_idx], A[shell], B[shell], e)))
+        x0 = x[x_idx]
+        # psi(p^-t m / x0) psi(p^-t x0 lin) theta^-1 psi_E(shell row)
+        e = ((m_res * x_inv[x_idx] + x0 * lin[rows]) % pt * plan.scale
+             + plan.phase[rows]) % m_mod
+        blocks.append(np.column_stack((x0, plan.A[rows], plan.B[rows], e)))
     return np.concatenate(blocks), scanned
 
 

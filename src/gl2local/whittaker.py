@@ -27,7 +27,6 @@ from .characters import (
     MultChar,
     ThetaChar,
     gauss_c0_principal_series,
-    gauss_c0_shell,
     shell_table,
 )
 from .cyclotomic import CycloValue
@@ -160,7 +159,11 @@ class WhittakerEngine:
             if self.spec.family == "ps":
                 self._c0 = gauss_c0_principal_series(self.spec.mu, self.m)
             else:
-                self._c0 = gauss_c0_shell(self.spec.theta, self.m)
+                # gauss_c0_shell on the level-a table numerator_counts uses
+                phase = self.shell_table(self.spec.theta.level)[2]
+                self._c0 = CycloValue.from_counts(
+                    self.m, np.bincount(phase, minlength=self.m),
+                    self.numerator_scale())
         return self._c0
 
     @property

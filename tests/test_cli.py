@@ -2,15 +2,17 @@
 
 import hashlib
 import json
+import random
 import time
 from pathlib import Path
 
 import pytest
 
 import gl2local.cli as cli
-from gl2local import quaternion
+from gl2local import quaternion, statphase
 from gl2local.cli import ConfigError, ExperimentConfig, main
 from gl2local.errors import BudgetError
+from gl2local.matcoef import MatCoefEngine
 
 CLI_OUTPUTS = Path(__file__).resolve().parent / "fixtures" / "cli_outputs.json"
 
@@ -316,6 +318,62 @@ def test_sweep_merges_in_config_order(tmp_path):
                                           dict(raw, threads=1))]) == 0
     assert [(tmp_path / f"sweep.csv{s}").read_bytes()
             for s in suffixes] == first
+
+
+@pytest.mark.parametrize("p,n,family,i_values", [
+    (3, 10, "ps", [7, 8]), (5, 7, "sc-ramified", [4, 5])])
+def test_decay_evaluates_each_query_key_once(monkeypatch, p, n, family,
+                                             i_values):
+    raw = {"task": "decay", "p": p, "n": n, "family": family, "seed": 3,
+           "i_values": i_values, "units_per_class": 12}
+    cfg = ExperimentConfig.from_dict(raw)
+    keys = []
+    solve = statphase.critical_pairs
+
+    def counted(engine, i, a, madd):
+        keys.append(engine.query_key(i, a, madd))
+        return solve(engine, i, a, madd)
+
+    monkeypatch.setattr(statphase, "critical_pairs", counted)
+    rows = cli.run_decay(cfg).rows
+    monkeypatch.setattr(statphase, "critical_pairs", solve)
+    # the grid run_decay drew, rebuilt from the same seed, and evaluated
+    # point by point on a fresh engine
+    spec = cli.build_spec(cfg)
+    engine = MatCoefEngine(spec)
+    rng = random.Random(cfg.seed)
+    points = [(i, a, madd) for i in i_values
+              for a, madd in cli.build_grid(spec, i, cfg, rng,
+                                            supported_only=True)]
+    assert len(rows) == len(points)
+    distinct = {engine.query_key(*q) for q in points}
+    assert len(keys) == len(set(keys)) == len(distinct) < len(points)
+    assert set(keys) == distinct
+    for row, (i, a, madd) in zip(rows, points):
+        value = statphase.phi_fast_value(engine, i, a, madd)
+        assert (row["i"], row["a_unit"], row["m_unit"]) == (i, a.unit,
+                                                           madd.unit)
+        assert (row["re"], row["im"]) == (value.real, value.imag)
+
+
+def test_sweep_of_sc_cases_matches_each_case_alone(tmp_path):
+    cases = [{"task": "decay", "p": 5, "n": 6, "family": "sc-unramified"},
+             {"task": "decay", "p": 7, "n": 6, "family": "sc-unramified"},
+             {"task": "decay", "p": 5, "n": 7, "family": "sc-ramified"}]
+    out = tmp_path / "sweep.csv"
+    assert main(["--config", write_config(tmp_path, {
+        "task": "sweep", "out": str(out), "threads": 1, "seed": 4,
+        "configs": [dict(case, units_per_class=8) for case in cases]})]) == 0
+    header, *swept = out.read_text().splitlines()
+    alone = []
+    for k, case in enumerate(cases):
+        single = tmp_path / f"alone{k}.csv"
+        assert main(["--config", write_config(tmp_path, dict(
+            case, out=str(single), seed=4, units_per_class=8))]) == 0
+        single_header, *lines = single.read_text().splitlines()
+        assert single_header == header
+        alone.extend(lines)
+    assert swept == alone
 
 
 def test_sweep_summary_one_row_per_depth(tmp_path):

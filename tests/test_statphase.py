@@ -1,3 +1,4 @@
+import gc
 import random
 from collections import Counter
 
@@ -11,14 +12,17 @@ from gl2local.residue import (
     solve_quadratic_congruence,
     sqrt_mod_prime,
 )
+from gl2local import statphase
 from gl2local.statphase import (
     _ps_pairs,
     _sc_pairs,
+    _unit_lifts,
     ball_volume,
     critical_pairs,
     naive_term_count,
     phi_fast_numerator,
     phi_fast_value,
+    sc_plan,
     speedup_report,
 )
 from gl2local.whittaker import ReprSpec
@@ -151,10 +155,79 @@ def test_ps_pairs_match_per_u0_oracle(p, n):
 
 
 @pytest.mark.parametrize("p,ramified,level", [
-    (3, False, 3), (5, False, 3), (3, True, 4), (3, True, 6)])
+    (3, False, 3), (5, False, 3), (7, False, 3), (3, True, 4), (3, True, 6),
+    (5, True, 6)])
 def test_sc_pairs_match_per_rep_oracle(p, ramified, level):
     assert_pairs_match_oracle(sc_engine(p, ramified, level), _sc_pairs,
                               sc_pairs_per_rep)
+
+
+def test_sc_plan_built_once_per_depth_and_read_only(monkeypatch):
+    built = []
+
+    class CountedPlan(statphase.ScPlan):
+        def __init__(self, engine, t):
+            built.append(t)
+            super().__init__(engine, t)
+
+    monkeypatch.setattr(statphase, "ScPlan", CountedPlan)
+    engine = sc_engine(3, True, 6)  # n = 7, interior depths 4 and 5
+    depths = range(engine.spec.n0 + 1, engine.spec.n - 1)
+    for _ in range(2):
+        for i in depths:
+            for a, madd in supported_grid(engine, i):
+                critical_pairs(engine, i, a, madd)
+            ball_volume(engine, i)
+    assert sorted(built) == sorted(engine.spec.n - i for i in depths)
+    for t, plan in engine.sc_plans.items():
+        assert sc_plan(engine, t) is plan
+        arrays = [plan.A, plan.B, plan.phase, plan.eta_t, plan.eta_sc2,
+                  plan.coord, *(rows for _, rows in plan.classes),
+                  *(arr for entry in plan.roots for arr in entry)]
+        assert not any(arr.flags.writeable for arr in arrays)
+        # the classes partition the kept rows
+        rows = np.concatenate([rows for _, rows in plan.classes])
+        assert sorted(rows.tolist()) == list(range(len(plan.A)))
+
+
+@pytest.mark.parametrize("p,ramified,level", [
+    (3, False, 3), (5, False, 3), (7, False, 3), (3, True, 6), (5, True, 6)])
+def test_sc_plan_root_table_matches_congruence_solver(p, ramified, level):
+    engine = sc_engine(p, ramified, level)
+    for i in range(engine.spec.n0 + 1, engine.spec.n - 1):
+        t = engine.spec.n - i
+        kx = (t + 1) // 2
+        plan = sc_plan(engine, t)
+        assert plan.dx_mod == p ** (t - kx) and plan.pt == p**t
+        assert len(plan.roots) == plan.dx_mod
+        for r, (x, x_sc2, x_inv) in enumerate(plan.roots):
+            want = [v for root in solve_quadratic_congruence(1, 0, r, p,
+                                                             t - kx)
+                    for v in _unit_lifts(root, t - kx, kx, p)]
+            assert x.tolist() == want, (t, r)
+            assert (x_sc2 == x % plan.sc2_mod).all()
+            assert (x * x_inv % plan.pt == 1).all()
+        for eta_c_inv, rows in plan.classes:
+            assert (plan.eta_t[rows] * eta_c_inv % plan.dx_mod == 1).all()
+
+
+def test_sc_plans_never_cross_engines():
+    # engines alive in turn reuse object ids; each must read only its own
+    # plan, at the same depth t = 2 for p = 3, 5 and 7
+    for _ in range(2):
+        for p in (3, 5, 7, 3):
+            engine = sc_engine(p, False, 3)
+            i = engine.spec.n - 2
+            for a_res in (1, 2, p + 1):
+                pairs, scanned = _sc_pairs(engine, i, a_res, 1)
+                want, want_scanned, weight = sc_pairs_per_rep(
+                    engine, i, a_res, 1)
+                assert scanned == want_scanned
+                assert Counter(map(tuple, pairs.tolist())) == Counter(want)
+                assert ball_volume(engine, i) == weight
+            assert engine.sc_plans[2].pt == p * p
+            del engine
+            gc.collect()
 
 
 def test_fast_value_route():

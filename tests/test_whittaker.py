@@ -4,10 +4,12 @@ import math
 import numpy as np
 import pytest
 
+from gl2local import characters, whittaker
 from gl2local.characters import (
     MultChar,
     ThetaChar,
     build_theta,
+    gauss_c0_shell,
     get_unit_group,
     primitive_char,
 )
@@ -241,17 +243,36 @@ def test_sparse_entry_matches_term_scatter(spec):
             assert (dense_counts(eng, i, x_res) == want).all()
 
 
-def test_shell_table_built_once_per_level():
+def test_shell_table_built_once_per_level(monkeypatch):
+    # count builds through both bindings: the engine's and the one that the
+    # standalone gauss_c0_shell reads
+    build = characters.shell_table
+    builds = []
+
+    def counted(theta, k, m):
+        builds.append(k)
+        return build(theta, k, m)
+
+    monkeypatch.setattr(characters, "shell_table", counted)
+    monkeypatch.setattr(whittaker, "shell_table", counted)
     for spec in (sc_spec(3, False, 4), sc_spec(3, True, 5)):
-        eng = WhittakerEngine(spec)
         a = spec.theta.level
-        eng.numerator_counts(spec.n0 + 1, 1)
-        assert list(eng._sc_cache) == [a]
+        for c0_first in (False, True):
+            builds.clear()
+            eng = WhittakerEngine(spec)
+            if c0_first:
+                eng.c0
+            eng.numerator_counts(spec.n0 + 1, 1)
+            eng.c0
+            # numerator_counts and C0 share one level-a table, in either order
+            assert builds == [a]
+            assert list(eng._sc_cache) == [a]
         table = eng.shell_table(a)
         assert eng.shell_table(a) is table
         assert not any(arr.flags.writeable for arr in table)
         q_e = 3 if spec.ramified else 9
         assert len(table[0]) == q_e**a - q_e ** (a - 1)
         assert (table[3] % 3 != 0).all()  # eta is a unit on the shell
-        eng.c0
-        assert list(eng._sc_cache) == [a]  # C0 adds no engine table
+        builds.clear()
+        assert eng.c0.equals(gauss_c0_shell(spec.theta, eng.m))
+        assert builds == [a]  # the standalone function builds its own

@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .cyclotomic import CycloValue
-from .errors import BudgetError, ConstructionError
+from .errors import BudgetError, ConstructionError, int_text
 from .residue import (
     PAdicScalar,
     QuadExtElement,
@@ -177,7 +177,7 @@ class UnitGroupE:
         q_e = p if ramified else p * p
         self.order = q_e**level - q_e ** (level - 1)
         if self.order > GROUP_TABLE_BUDGET:
-            raise BudgetError(f"unit group of size {self.order} exceeds budget")
+            raise BudgetError(f"unit group of size {int_text(self.order)} exceeds budget")
         self.generators, self.gen_orders = self._find_generators()
         self.dlog = self._build_table()
 

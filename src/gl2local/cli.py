@@ -63,18 +63,109 @@ class ConfigError(Exception):
     def __init__(self, path: str, message: str):
         super().__init__(f"{path}: {message}")
         self.path = path
-        self.message = message
-
-
-def _parse_fraction(value, path: str) -> Fraction:
-    try:
-        return Fraction(str(value))
-    except (ValueError, ZeroDivisionError):
-        raise ConfigError(path, f"not a rational number: {value!r}") from None
 
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _parse_fraction(value, path: str) -> Fraction:
+    """A rational with at most a quarter of the int-string digit limit in
+    numerator and denominator, so a report can print sums of three."""
+    limit = sys.get_int_max_str_digits()
+    try:
+        text = str(value)
+        # Fraction builds 10**exp first; the mantissa has at most 2 * limit
+        # digits, so past 3 * limit the result is refused below anyway
+        _, e, exp = text.lower().partition("e")
+        if e and limit and abs(int(exp)) > 3 * limit:
+            raise ConfigError(path, f"more than {limit // 4} digits")
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ConfigError(path, f"not a rational number: {value!r}") from None
+    if limit and max(abs(value.numerator), value.denominator) >= 10**(limit // 4):
+        raise ConfigError(path, f"more than {limit // 4} digits")
+    return value
+
+
+def _parse_field(kind, value, lo, path: str):
+    """One JSON value checked against its FIELDS kind and least value lo."""
+    if isinstance(kind, tuple):
+        if value not in kind:
+            raise ConfigError(path, f"must be one of {kind}")
+    elif kind.endswith("?"):
+        return None if value is None else _parse_field(kind[:-1], value, lo, path)
+    elif kind == "int" and not _is_int(value):
+        raise ConfigError(path, "must be an integer")
+    elif kind == "ints" and not (isinstance(value, (list, tuple))
+                                 and all(map(_is_int, value))):
+        raise ConfigError(path, "must be a list of integers")
+    elif kind == "str" and not isinstance(value, str):
+        raise ConfigError(path, "must be a string")
+    elif kind == "prime" and not (_is_int(value) and 2 < value < PRIMALITY_BOUND
+                                  and is_prime(value)):
+        raise ConfigError(path, f"must be an odd prime below {PRIMALITY_BOUND}")
+    elif kind == "rational":
+        value = _parse_fraction(value, path)
+    elif kind == "point":
+        if not isinstance(value, dict):
+            raise ConfigError(path, "must be an object with fields x, y")
+        for key in value:
+            if key not in ("x", "y"):
+                raise ConfigError(f"{path}.{key}", "unknown field")
+        try:
+            value = UpperHalfPoint(_parse_fraction(value.get("x", 0), f"{path}.x"),
+                                   _parse_fraction(value.get("y", 1), f"{path}.y"))
+        except ValueError as exc:
+            raise ConfigError(path, str(exc)) from None
+    elif kind == "plans":
+        if not isinstance(value, list) or not value:
+            raise ConfigError(path, "must be a non-empty list of objects")
+        value = [_parse_plan(plan, f"{path}[{k}]") for k, plan in enumerate(value)]
+    if lo is not None and value < lo:
+        raise ConfigError(path, f"must be >= {lo}")
+    return value
+
+
+def _parse_plan(plan, path: str) -> dict[int, int]:
+    try:
+        parsed = {int(q): r for q, r in plan.items()}
+    except (AttributeError, TypeError, ValueError):
+        parsed = None
+    # a key such as "05" or " 5" would otherwise merge silently with "5"
+    if parsed is None or list(map(str, parsed)) != list(map(str, plan)):
+        raise ConfigError(path, "must be an object keyed by plain decimals")
+    for q, r in parsed.items():
+        _parse_field("prime", q, None, path)
+        _parse_field("int", r, 1, path)
+    return parsed
+
+
+# (JSON key, attribute, kind, least value) in check order; a kind is a tuple
+# of allowed values or a name _parse_field reads, "?" lets null keep a None
+# default.  Only task is required; a sweep's configs are parsed by its rule.
+FIELDS = (
+    ("task", "task", TASKS, None),
+    ("p", "p", "prime", None),
+    ("family", "family", FAMILIES, None),
+    ("n", "n", "int", 2),
+    ("i_values", "i_values", "ints?", None),
+    ("v_a_values", "v_a_values", "ints", None),
+    ("units_per_class", "units_per_class", "int", 1),
+    ("algebra", "algebra", "str", None),
+    ("plans", "plans", "plans", None),
+    ("z", "z", "point", None),
+    ("delta", "delta", "rational", 0),
+    ("L", "l_budget", "int", 1),
+    ("verify_box_max_norm", "verify_box_max_norm", "int", 0),
+    ("eta1", "eta1", "rational", None),
+    ("eta2", "eta2", "rational", None),
+    ("a1", "a1", "int?", 1),
+    ("out", "out", "str", None),
+    ("seed", "seed", "int", None),
+    ("threads", None, "int", 1),  # accepted for old configs; no effect
+    ("configs", "configs", "any", None),
+)
 
 
 @dataclass
@@ -89,7 +180,7 @@ class ExperimentConfig:
     # counting parameters; delta is also the exponent task's delta
     algebra: str = "disc6"
     plans: list[dict[int, int]] = field(default_factory=lambda: [{}])
-    z: UpperHalfPoint = None
+    z: UpperHalfPoint = UpperHalfPoint(Fraction(1, 10), Fraction(6, 5))
     delta: Fraction = Fraction(1)
     l_budget: int = 20
     verify_box_max_norm: int = 0
@@ -100,137 +191,77 @@ class ExperimentConfig:
     # plumbing
     out: str = "out.csv"
     seed: int = 0
-    configs: list | None = None
+    configs: list[ExperimentConfig] | None = None
 
     @classmethod
     def from_dict(cls, raw: dict, path: str = "config") -> "ExperimentConfig":
+        """`raw` checked row by row in FIELDS order, each cross-field rule
+        right after the last row it reads; ConfigError names the field."""
         if not isinstance(raw, dict):
             raise ConfigError(path, "must be a JSON object")
-        known = {"task", "p", "n", "family", "i_values", "v_a_values",
-                 "units_per_class", "algebra", "plans", "z", "delta",
-                 "L", "verify_box_max_norm", "eta1", "eta2", "a1",
-                 "out", "seed", "threads", "configs"}
+        known = [key for key, *_ in FIELDS]
         for key in raw:
             if key not in known:
                 raise ConfigError(f"{path}.{key}", "unknown field")
-        task = raw.get("task")
-        if task not in TASKS:
-            raise ConfigError(f"{path}.task", f"must be one of {TASKS}")
-        cfg = cls(task=task)
-        cfg.p = raw.get("p", cfg.p)
-        if _is_int(cfg.p) and cfg.p >= PRIMALITY_BOUND:
-            raise ConfigError(f"{path}.p",
-                              f"must be below {PRIMALITY_BOUND}")
-        if not (_is_int(cfg.p) and cfg.p % 2 and is_prime(cfg.p)):
-            raise ConfigError(f"{path}.p", "must be an odd prime")
-        cfg.family = raw.get("family", cfg.family)
-        if cfg.family not in FAMILIES:
-            raise ConfigError(f"{path}.family", f"must be one of {FAMILIES}")
-        cfg.n = raw.get("n", cfg.n)
-        if not _is_int(cfg.n) or cfg.n < 2:
-            raise ConfigError(f"{path}.n", "must be an integer >= 2")
-        if cfg.family == "ps" and (cfg.n % 2 or cfg.n < 4):
-            raise ConfigError(f"{path}.n",
-                              "principal series requires even n >= 4")
-        if cfg.family == "sc-unramified" and (cfg.n % 2 or cfg.n < 4):
-            raise ConfigError(f"{path}.n",
-                              "unramified supercuspidal requires even n >= 4")
-        if cfg.family == "sc-ramified" and (cfg.n % 2 == 0 or cfg.n < 3):
-            raise ConfigError(f"{path}.n",
-                              "ramified supercuspidal requires odd n >= 3")
-        cfg.i_values = raw.get("i_values", None)
-        n0 = cfg.n // 2
-        if cfg.i_values is not None and not (
-                isinstance(cfg.i_values, list)
-                and all(_is_int(i) and n0 < i <= cfg.n for i in cfg.i_values)):
-            raise ConfigError(f"{path}.i_values",
-                              f"must be a list of integers in ({n0}, {cfg.n}]")
-        v_a_values = raw.get("v_a_values", cfg.v_a_values)
-        if not (isinstance(v_a_values, (list, tuple))
-                and all(_is_int(v) for v in v_a_values)):
-            raise ConfigError(f"{path}.v_a_values", "must be a list of integers")
-        cfg.v_a_values = tuple(v_a_values)
-        cfg.units_per_class = raw.get("units_per_class", cfg.units_per_class)
-        if not _is_int(cfg.units_per_class) or cfg.units_per_class < 1:
-            raise ConfigError(f"{path}.units_per_class",
-                              "must be an integer >= 1")
+        cfg = cls(task=None)
+        for key, attr, kind, lo in FIELDS:
+            if key in raw or key == "task":
+                value = _parse_field(kind, raw.get(key), lo, f"{path}.{key}")
+                if attr:
+                    setattr(cfg, attr, value)
+            cfg._check_rules(key, path)
+        return cfg
+
+    def _check_rules(self, key: str, path: str) -> None:
+        """The cross-field rule that runs once row `key` is read."""
+        if key == "n":
+            odd = self.family == "sc-ramified"
+            if self.n % 2 != odd or self.n < 4 - odd:
+                raise ConfigError(f"{path}.n", f"{self.family} requires "
+                                  f"{'odd' if odd else 'even'} n >= {4 - odd}")
+        elif key == "i_values" and self.i_values is not None:
+            if not all(self.n // 2 < i <= self.n for i in self.i_values):
+                raise ConfigError(f"{path}.i_values", "must lie in "
+                                  f"({self.n // 2}, {self.n}]")
         # build_grid draws distinct units mod p^(n+2); there are more than
         # 2^(n+1) of them, so only a long units_per_class needs the count
-        if cfg.n + 1 < cfg.units_per_class.bit_length():
-            units = (cfg.p - 1) * cfg.p ** (cfg.n + 1)
-            if cfg.units_per_class > units:
+        elif key == "units_per_class" \
+                and self.n + 1 < self.units_per_class.bit_length():
+            units = (self.p - 1) * self.p ** (self.n + 1)
+            if self.units_per_class > units:
                 raise ConfigError(f"{path}.units_per_class",
                                   f"must be at most (p-1)p^(n+1) = {units}")
-        cfg.algebra = raw.get("algebra", cfg.algebra)
-        if not isinstance(cfg.algebra, str):
-            raise ConfigError(f"{path}.algebra", "must be a string")
-        plans = raw.get("plans", None)
-        if plans is not None:
-            if not isinstance(plans, list) or not plans:
-                raise ConfigError(f"{path}.plans",
-                                  "must be a non-empty list of objects")
-            cfg.plans = []
-            for k, plan in enumerate(plans):
-                if not isinstance(plan, dict):
-                    raise ConfigError(f"{path}.plans[{k}]", "must be an object")
-                try:
-                    parsed = {int(q): r for q, r in plan.items()}
-                except (TypeError, ValueError):
-                    parsed = None
-                if parsed is None or not all(map(_is_int, parsed.values())):
-                    raise ConfigError(f"{path}.plans[{k}]",
-                                      "keys and values must be integers")
-                if not all(2 < q < PRIMALITY_BOUND and is_prime(q)
-                           for q in parsed):
-                    raise ConfigError(f"{path}.plans[{k}]",
-                                      "keys must be odd primes")
-                if not all(r >= 1 for r in parsed.values()):
-                    raise ConfigError(f"{path}.plans[{k}]",
-                                      "exponents must be >= 1")
-                cfg.plans.append(parsed)
-        zraw = raw.get("z", {"x": "1/10", "y": "6/5"})
-        if not isinstance(zraw, dict):
-            raise ConfigError(f"{path}.z", "must be an object with fields x, y")
-        try:
-            cfg.z = UpperHalfPoint(_parse_fraction(zraw.get("x", 0), f"{path}.z.x"),
-                                   _parse_fraction(zraw.get("y", 1), f"{path}.z.y"))
-        except ValueError as exc:
-            raise ConfigError(f"{path}.z", str(exc)) from None
-        cfg.delta = _parse_fraction(raw.get("delta", cfg.delta), f"{path}.delta")
-        if cfg.delta < 0:
-            raise ConfigError(f"{path}.delta", "must be >= 0")
-        cfg.l_budget = raw.get("L", cfg.l_budget)
-        if not _is_int(cfg.l_budget) or cfg.l_budget < 1:
-            raise ConfigError(f"{path}.L", "must be an integer >= 1")
-        cfg.verify_box_max_norm = raw.get("verify_box_max_norm",
-                                          cfg.verify_box_max_norm)
-        if not _is_int(cfg.verify_box_max_norm) or cfg.verify_box_max_norm < 0:
-            raise ConfigError(f"{path}.verify_box_max_norm",
-                              "must be an integer >= 0")
-        cfg.eta1 = _parse_fraction(raw.get("eta1", cfg.eta1), f"{path}.eta1")
-        cfg.eta2 = _parse_fraction(raw.get("eta2", cfg.eta2), f"{path}.eta2")
-        if task == "exponent":
-            if not 0 <= cfg.eta1 <= cfg.eta2:
-                raise ConfigError(f"{path}.eta1", "need 0 <= eta1 <= eta2")
-        cfg.a1 = raw.get("a1", None)
-        if cfg.a1 is not None and (not _is_int(cfg.a1) or cfg.a1 < 1):
-            raise ConfigError(f"{path}.a1", "must be an integer >= 1")
-        cfg.out = raw.get("out", cfg.out)
-        if not isinstance(cfg.out, str):
-            raise ConfigError(f"{path}.out", "must be a path string")
-        cfg.seed = raw.get("seed", cfg.seed)
-        if not _is_int(cfg.seed):
-            raise ConfigError(f"{path}.seed", "must be an integer")
-        # accepted for old configs; sweeps run in order in one thread
-        threads = raw.get("threads", 1)
-        if not _is_int(threads) or threads < 1:
-            raise ConfigError(f"{path}.threads", "must be an integer >= 1")
-        cfg.configs = raw.get("configs", None)
-        if task == "sweep":
-            if not isinstance(cfg.configs, list):
+        elif key == "plans" and self.task == "counting":
+            fixtures = load_algebra_fixtures()
+            if self.algebra not in fixtures:
+                raise ConfigError(f"{path}.algebra",
+                                  f"unknown algebra (have {sorted(fixtures)})")
+            disc = fixtures[self.algebra][0].discriminant
+            for k, plan in enumerate(self.plans):
+                if any(disc % q == 0 for q in plan):
+                    raise ConfigError(f"{path}.plans[{k}]", "primes must be "
+                                      f"split in {self.algebra}")
+        elif key == "eta2" and self.task == "exponent" \
+                and not 0 <= self.eta1 <= self.eta2:
+            raise ConfigError(f"{path}.eta1", "need 0 <= eta1 <= eta2")
+        elif key == "configs" and self.task == "sweep":
+            if not isinstance(self.configs, list):
                 raise ConfigError(f"{path}.configs",
                                   "sweep requires a list of sub-configs")
-        return cfg
+            subs = []
+            for k, raw in enumerate(self.configs):
+                where = f"{path}.configs[{k}]"
+                if isinstance(raw, dict):
+                    if raw.get("task") == "sweep":
+                        raise ConfigError(f"{where}.task",
+                                          "nested sweeps are not supported")
+                    raw = {"seed": self.seed, **raw}
+                subs.append(ExperimentConfig.from_dict(raw, where))
+            tasks = sorted({sub.task for sub in subs})
+            if len(tasks) > 1:
+                raise ConfigError(f"{path}.configs", "sweep sub-tasks must "
+                                  f"share one schema, got {tasks}")
+            self.configs = subs
 
 
 def build_spec(cfg: ExperimentConfig) -> ReprSpec:
@@ -420,19 +451,12 @@ def _plan_label(plan: dict[int, int]) -> str:
 
 
 def run_counting(cfg: ExperimentConfig) -> TaskResult:
-    fixtures = load_algebra_fixtures()
-    if cfg.algebra not in fixtures:
-        raise ConfigError("config.algebra",
-                          f"unknown algebra (have {sorted(fixtures)})")
-    _, order = fixtures[cfg.algebra]
+    _, order = load_algebra_fixtures()[cfg.algebra]
     rows, report = [], []
     ok = True
     lattices, hists, reps = [], [], []
-    for k, plan in enumerate(cfg.plans):
-        try:
-            lat = build_tidy_lattice(order, plan)
-        except ValueError as exc:
-            raise ConfigError(f"config.plans[{k}]", str(exc)) from None
+    for plan in cfg.plans:
+        lat = build_tidy_lattice(order, plan)
         rep = counting_bound_report(lat, cfg.z, cfg.delta, cfg.l_budget)
         hist = rep["histogram"]
         lattices.append(lat)
@@ -484,34 +508,11 @@ def run_counting(cfg: ExperimentConfig) -> TaskResult:
 
 
 def run_sweep(cfg: ExperimentConfig) -> TaskResult:
-    sub_cfgs = []
-    for k, raw in enumerate(cfg.configs):
-        if not isinstance(raw, dict):
-            raise ConfigError(f"config.configs[{k}]", "must be a JSON object")
-        merged = dict(raw)
-        merged.setdefault("seed", cfg.seed)
-        sub = ExperimentConfig.from_dict(merged, path=f"config.configs[{k}]")
-        if sub.task in ("sweep",):
-            raise ConfigError(f"config.configs[{k}].task",
-                              "nested sweeps are not supported")
-        sub_cfgs.append(sub)
-    tasks = {sub.task for sub in sub_cfgs}
-    if len(tasks) > 1:
-        raise ConfigError("config.configs",
-                          f"sweep sub-tasks must share one schema, got {sorted(tasks)}")
-    results = []
-    for k, sub in enumerate(sub_cfgs):
-        # runners name fields from the top-level config; point at the sub-config
-        try:
-            results.append(RUNNERS[sub.task](sub))
-        except ConfigError as exc:
-            raise ConfigError(f"config.configs[{k}]"
-                              + exc.path.removeprefix("config"),
-                              exc.message) from None
+    results = [RUNNERS[sub.task](sub) for sub in cfg.configs]
     columns = results[0].columns if results else SUPPORT_COLUMNS
     rows, report, sidecars, summary = [], [], {}, []
     ok = True
-    for sub, res in zip(sub_cfgs, results):
+    for sub, res in zip(cfg.configs, results):
         rows.extend(res.rows)
         summary.extend(res.summary)
         report.append(f"[{sub.task} p={sub.p} n={sub.n} {sub.family}] "
@@ -520,7 +521,7 @@ def run_sweep(cfg: ExperimentConfig) -> TaskResult:
         ok = ok and res.ok
         for name, text in res.sidecars.items():
             sidecars[name] = sidecars.get(name, "") + text
-    if results and sub_cfgs[0].task == "decay":
+    if results and cfg.configs[0].task == "decay":
         sidecars["summary"] = render_csv(DECAY_SUMMARY_COLUMNS, summary)
     return TaskResult(columns, rows, report, ok, sidecars)
 
@@ -571,24 +572,21 @@ def main(argv=None) -> int:
         except OSError as exc:
             print(f"config error: config: {exc}", file=sys.stderr)
             return 2
-        except ValueError as exc:
-            # JSONDecodeError, UnicodeDecodeError, and an integer literal
-            # past the int-string conversion limit
+        except (ValueError, RecursionError) as exc:
+            # JSONDecodeError, UnicodeDecodeError, an integer literal past
+            # the int-string conversion limit, and nesting past the stack
             print(f"config error: config: invalid JSON ({exc})", file=sys.stderr)
             return 2
+    flags = {key: getattr(args, key) for key in ("task", "out", "seed")
+             if getattr(args, key) is not None}
     try:
-        # the flags merge into the parsed JSON, so its type is checked first
-        if not isinstance(raw, dict):
-            raise ConfigError("config", "must be a JSON object")
-        for key in ("task", "out", "seed"):
-            value = getattr(args, key)
-            if value is not None:
-                raw[key] = value
-        cfg = ExperimentConfig.from_dict(raw)
-        return run_task(cfg)
+        # from_dict refuses a raw value that is not an object, flags or not
+        cfg = ExperimentConfig.from_dict(
+            {**raw, **flags} if isinstance(raw, dict) else raw)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    return run_task(cfg)
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ exponent arithmetic for the global bounds.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -20,7 +21,7 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import BudgetError, PrecisionError
+from .errors import BudgetError, ConstructionError, PrecisionError, int_text
 from .residue import (
     factorize,
     is_prime,
@@ -171,9 +172,10 @@ def verify_maximal_order(order: RationalOrder) -> bool:
     return order.reduced_discriminant() == order.algebra.discriminant
 
 
+@functools.cache
 def load_algebra_fixtures() -> dict:
     """Named (algebra, verified maximal order) pairs from the packaged
-    fixture file."""
+    fixture file, built once per process; callers must not change them."""
     text = resources.files("gl2local").joinpath("data/algebras.json").read_text()
     out = {}
     for name, spec in json.loads(text).items():
@@ -274,7 +276,7 @@ def _pure_split_pair(alg: QuaternionAlgebra, p: int):
                                      alg.mul(v_cand, w_cand)])
             if det % p:
                 return square(v_cand), square(w_cand), inv
-    raise ValueError(f"no splitting strategy found for p={p}")
+    raise ConstructionError(f"no splitting strategy found for p={p}")
 
 
 def _residue(c: Fraction, mod: int) -> int:
@@ -427,11 +429,13 @@ def _frobenius_form(lattice: TidyLattice, z: UpperHalfPoint):
 def _counting_data(lattice: TidyLattice, z: UpperHalfPoint):
     """Float Gram matrix of the conjugated Frobenius form, rounded from the
     exact form, plus the exact integer norm form on lattice coordinates and
-    the exact form itself.  PrecisionError if the float Gram matrix has an
-    eigenvalue <= 0 or no Cholesky factor, so neither enumerator can use it."""
+    the exact form itself.  BudgetError for entries too wide for float or
+    int64, PrecisionError for a float Gram matrix with an eigenvalue <= 0 or
+    no Cholesky factor, as neither enumerator can use those."""
     alg = lattice.order.algebra
     form = _frobenius_form(lattice, z)
     g_r, g_s, g_den = form
+    _check_bits("float Gram matrix", [*g_r.flat, *g_s.flat, g_den], 1023)
     gram = (g_r.astype(float) + math.sqrt(alg.a_h) * g_s.astype(float)) / g_den
     try:
         usable = np.linalg.eigvalsh(gram)[0] > 0
@@ -447,8 +451,17 @@ def _counting_data(lattice: TidyLattice, z: UpperHalfPoint):
     a, b = alg.a_h, alg.b_h
     f = (e * np.array([1, -a, -b, a * b], dtype=object)) @ e.T
     den = math.lcm(*[v.denominator for v in f.flat])
-    f_int = np.array([[int(v * den) for v in row] for row in f], dtype=np.int64)
-    return gram, f_int, den, basis_frame, form
+    f_int = np.array([[int(v * den) for v in row] for row in f], dtype=object)
+    _check_bits("norm form", f_int.flat, 63)
+    return gram, f_int.astype(np.int64), den, basis_frame, form
+
+
+def _check_bits(layer: str, values, limit: int) -> None:
+    """BudgetError if an integer of `values` has more than `limit` bits."""
+    bits = max(abs(int(v)).bit_length() for v in values)
+    if bits > limit:
+        raise BudgetError(f"quaternion {layer}: entries of {bits} bits exceed "
+                          f"the limit of {limit} bits")
 
 
 def _ellipsoid_lines(gram: np.ndarray, bound: float):
@@ -572,8 +585,8 @@ def _candidates_with_norms(lattice: TidyLattice, z: UpperHalfPoint, delta,
     try:
         bound = float(exact)
     except OverflowError:
-        raise BudgetError(f"quaternion ellipsoid enumeration: bound {exact} "
-                          f"exceeds the float range") from None
+        raise BudgetError("quaternion ellipsoid enumeration: bound "
+                          f"{int_text(math.floor(exact))} exceeds the float range") from None
     return (*_solve_lines(f_int, den, *_ellipsoid_lines(gram, bound), norms),
             form)
 
@@ -714,8 +727,8 @@ def filtration_schedule(a1_map: dict[int, int], eta1, eta2):
         if a1 < 1:
             raise ValueError("a1 must be >= 1")
         if a1 + 1 > FILTRATION_LEVEL_BUDGET:
-            raise BudgetError(f"quaternion filtration schedule: {a1 + 1} levels "
-                              f"exceed the budget of {FILTRATION_LEVEL_BUDGET}")
+            raise BudgetError(f"quaternion filtration schedule: {int_text(a1 + 1)} "
+                              f"levels exceed the budget of {FILTRATION_LEVEL_BUDGET}")
         step = (eta2 - eta1) / a1
         schedule[p] = [eta1 + k * step for k in range(a1 + 1)]
     return schedule, eta2 / 3

@@ -1,5 +1,6 @@
 """Config validation, task runners, exit codes, determinism."""
 
+import copy
 import hashlib
 import json
 import random
@@ -11,10 +12,11 @@ import pytest
 import gl2local.cli as cli
 from gl2local import quaternion, statphase
 from gl2local.cli import ConfigError, ExperimentConfig, main
-from gl2local.errors import BudgetError
+from gl2local.errors import BudgetError, ConstructionError, PrecisionError
 from gl2local.matcoef import MatCoefEngine
 
 CLI_OUTPUTS = Path(__file__).resolve().parent / "fixtures" / "cli_outputs.json"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def write_config(tmp_path, cfg):
@@ -136,11 +138,141 @@ def test_config_minimal_defaults():
     ({"task": "counting", "plans": [], "verify_box_max_norm": 2},
      "config.plans"),
     ({"task": "speedup", "n": 2}, "config.n"),
+    ({"task": "counting", "z": {"x": 1, "y": 1, "w": 3}}, "config.z.w"),
+    ({"task": "counting", "plans": [{"5": 1, "05": 2}]}, "config.plans[0]"),
+    ({"task": "counting", "plans": [{" 5": 1}]}, "config.plans[0]"),
+    ({"task": "exponent", "delta": "1e999999"}, "config.delta"),
+    ({"task": "exponent", "eta2": "1e5000"}, "config.eta2"),
+    ({"task": "exponent", "delta": "9" * 4300}, "config.delta"),
+    ({"task": "counting", "z": {"y": "1/" + "7" * 1100}}, "config.z.y"),
+    ({"task": "counting", "z": {"x": "1e-99999999"}}, "config.z.x"),
+    ({"task": "counting", "algebra": "nope"}, "config.algebra"),
+    ({"task": "counting", "plans": [{"3": 1}]}, "config.plans[0]"),
+    ({"task": "sweep", "configs": [{"task": "decay", "p": 4}]},
+     "config.configs[0].p"),
+    ({"task": "sweep", "configs": [{"task": "sweep", "configs": []}]},
+     "config.configs[0].task"),
+    ({"task": "sweep", "configs": [{"task": "decay"}, {"task": "exponent"}]},
+     "config.configs"),
 ])
 def test_config_rejections_carry_field_paths(raw, path):
     with pytest.raises(ConfigError) as err:
         ExperimentConfig.from_dict(raw)
     assert err.value.path == path
+
+
+# one small valid config per task; the fuzzer changes one field of one of
+# them (or of the sweep's first sub-config) per case
+FUZZ_BASES = [
+    {"task": "verify-support", "i_values": [4], "units_per_class": 1},
+    {"task": "decay", "units_per_class": 1},
+    {"task": "speedup", "i_values": [4], "units_per_class": 1},
+    {"task": "exponent", "eta1": "1/8", "a1": 2},
+    {"task": "counting", "algebra": "disc14", "plans": [{}, {"3": 1}], "L": 3,
+     "verify_box_max_norm": 1},
+    {"task": "sweep", "configs": [
+        {"task": "decay", "units_per_class": 1},
+        {"task": "decay", "family": "sc-ramified", "n": 5,
+         "units_per_class": 1}]},
+]
+LONG_INT = int("9" * 4300)  # the most digits a JSON integer may have
+
+
+def fuzz_values(key, kind, lo) -> list:
+    """Values for one FIELDS row: wrong types, lo - 1 and lo, over-long
+    values, an unknown key inside an object and a nested sweep.  L stays
+    small: a large L does O(L) work before any budget refuses it, as does a
+    large even n or a large plan exponent, until a preflight estimate
+    refuses them first.  LONG_INT is odd, so n = LONG_INT meets the parity
+    rule first."""
+    values = [None, True, 2.5, "7", [], {}, [3, "x"], {"x": 1, "w": 2},
+              "9" * 5000, "1e99999999", "1/" + "7" * 2000, [LONG_INT],
+              [{"5": 1, "05": 1}], [{"task": "sweep", "configs": []}]]
+    if isinstance(kind, tuple):
+        values += kind
+    if lo is not None:
+        values += [str(lo - 1), str(lo)] if kind == "rational" else [lo - 1, lo]
+    if key != "L":
+        values.append(LONG_INT)
+    return values
+
+
+def test_config_fuzzer_exits_cleanly_or_raises_a_typed_error(tmp_path):
+    mutations = [(key, value) for key, _, kind, lo in cli.FIELDS
+                 for value in fuzz_values(key, kind, lo)]
+    mutations += [("bogus_key", 1), ("configs", [{"task": "sweep"}])]
+    # (base, mutate the sweep's first sub-config, key, value)
+    cases = [(base, sub, key, value) for base in FUZZ_BASES
+             for sub in ([False, True] if "configs" in base else [False])
+             for key, value in mutations]
+    path, out = tmp_path / "fuzz.json", str(tmp_path / "fuzz.csv")
+    codes = set()
+    for base, sub, key, value in random.Random(16).sample(cases, 600):
+        config = copy.deepcopy(base)
+        (config["configs"][0] if sub else config)[key] = value
+        text = json.dumps(config)
+        path.write_text(text)
+        try:
+            codes.add(main(["--config", str(path), "--out", out]))
+        except (BudgetError, PrecisionError, ConstructionError):
+            codes.add("typed")
+        except Exception as exc:
+            pytest.fail(f"{type(exc).__name__}: {exc} on config {text}")
+    assert codes <= {0, 1, 2, "typed"} and {0, 2} <= codes
+
+
+def test_readme_cli_section_names_every_field():
+    section = README.read_text(encoding="utf-8").split("\n## CLI\n")[1]
+    section = section.split("\n## ")[0]
+    assert [key for key, *_ in cli.FIELDS if f"`{key}`" not in section] == []
+
+
+def test_sweep_sub_configs_are_parsed_at_load():
+    cfg = ExperimentConfig.from_dict({"task": "sweep", "seed": 5, "configs": [
+        {"task": "decay"}, {"task": "decay", "n": 8, "seed": 2}]})
+    assert [(sub.n, sub.seed) for sub in cfg.configs] == [(6, 5), (8, 2)]
+
+
+def test_counting_loads_the_algebra_fixtures_once(tmp_path):
+    quaternion.load_algebra_fixtures.cache_clear()
+    assert main(["--config", write_config(tmp_path, {
+        "task": "counting", "algebra": "disc14", "L": 2,
+        "out": str(tmp_path / "c.csv")})]) == 0
+    assert quaternion.load_algebra_fixtures.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("plan,match", [
+    ({"5": 12}, r"norm form: entries of \d+ bits exceed the limit of 63 bits"),
+    ({"1000003": 1},
+     r"norm form: entries of \d+ bits exceed the limit of 63 bits"),
+    ({"5": 30}, r"float Gram matrix: entries of \d+ bits exceed the limit "
+                r"of 1023 bits"),
+])
+def test_oversized_counting_forms_are_refused_before_conversion(
+        tmp_path, plan, match):
+    # these used to end in an untyped OverflowError
+    cfg = ExperimentConfig.from_dict({"task": "counting", "plans": [plan],
+                                      "L": 2, "out": str(tmp_path / "c.csv")})
+    with pytest.raises(BudgetError, match=rf"^quaternion {match}$"):
+        cli.run_task(cfg)
+
+
+@pytest.mark.parametrize("raw,match", [
+    # (4 delta + 2) m passes the int-string digit limit
+    ({"task": "counting", "L": 2, "verify_box_max_norm": int("9" * 4300)},
+     r"^quaternion ellipsoid enumeration: bound ~2\*\*\d+ exceeds the float "
+     r"range$"),
+    ({"task": "exponent", "a1": int("9" * 4300)},
+     r"^quaternion filtration schedule: ~2\*\*\d+ levels exceed the budget "
+     r"of 100000$"),
+    ({"task": "decay", "family": "sc-ramified", "n": 20001},
+     r"^unit group of size ~2\*\*\d+ exceeds budget$"),
+])
+def test_refusals_of_unprintable_sizes_do_not_raise_again(tmp_path, raw,
+                                                          match):
+    cfg = ExperimentConfig.from_dict(dict(raw, out=str(tmp_path / "x.csv")))
+    with pytest.raises(BudgetError, match=match):
+        cli.run_task(cfg)
 
 
 def test_verify_support_example_exits_zero(tmp_path):
@@ -259,6 +391,14 @@ def test_overlong_integer_config_exits_two(tmp_path, capsys):
     # ValueError, not JSONDecodeError
     path = tmp_path / "long.json"
     path.write_text('{"task": "decay", "p": ' + "7" * 5000 + "}")
+    assert main(["--config", str(path)]) == 2
+    assert "config error: config: invalid JSON" in capsys.readouterr().err
+
+
+def test_deeply_nested_config_exits_two(tmp_path, capsys):
+    # json raises RecursionError, not ValueError, past the interpreter stack
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000)
     assert main(["--config", str(path)]) == 2
     assert "config error: config: invalid JSON" in capsys.readouterr().err
 

@@ -35,7 +35,7 @@ from gl2local.quaternion import (
     _sqrt_sum_nonpositive,
 )
 from gl2local import quaternion
-from gl2local.errors import BudgetError, PrecisionError
+from gl2local.errors import BudgetError, ConstructionError, PrecisionError
 from oracles import (ellipsoid_points, iota_inf, lattice_contains,
                      point_pair_u, quat_conj)
 
@@ -279,6 +279,14 @@ def test_plan_validation():
     for q in (0, 1, -5, 9, 25):  # 0 used to divide by zero, 9 and 25 to hang
         with pytest.raises(ValueError):
             build_tidy_lattice(ORD6, {q: 1})
+
+
+def test_missing_splitting_is_a_construction_error(monkeypatch):
+    # no candidate V squares to a unit square mod p
+    monkeypatch.setattr(quaternion, "legendre", lambda a, p: -1)
+    with pytest.raises(ConstructionError,
+                       match=r"^no splitting strategy found for p=5$"):
+        build_tidy_lattice(ORD6, {5: 1})
 
 
 def test_tidiness_predicate_rejects_unbalanced_shape():

@@ -23,6 +23,7 @@ import numpy as np
 from .cyclotomic import CycloValue
 from .errors import BudgetError, ConstructionError, int_text
 from .residue import (
+    MODULUS_BIT_BUDGET,
     PAdicScalar,
     QuadExtElement,
     factorize,
@@ -168,16 +169,23 @@ class UnitGroupE:
         self.p = p
         self.ramified = ramified
         self.level = level
+        q_e = p if ramified else p * p
+        # past MODULUS_BIT_BUDGET bits the size is refused unformed: forming
+        # q_e**level alone does not finish for a huge level
+        bits = level * math.log2(q_e)
+        if bits > MODULUS_BIT_BUDGET:
+            raise BudgetError(f"unit group of size "
+                              f"~2**{int(bits + math.log2(1 - 1 / q_e))} "
+                              f"exceeds budget")
+        self.order = q_e**level - q_e ** (level - 1)
+        if self.order > GROUP_TABLE_BUDGET:
+            raise BudgetError(f"unit group of size {int_text(self.order)} exceeds budget")
         self.d_unit = 1 if ramified else smallest_nonresidue(p)
         if ramified:
             self.mod_a = p ** ((level + 1) // 2)
             self.mod_b = p ** (level // 2)
         else:
             self.mod_a = self.mod_b = p**level
-        q_e = p if ramified else p * p
-        self.order = q_e**level - q_e ** (level - 1)
-        if self.order > GROUP_TABLE_BUDGET:
-            raise BudgetError(f"unit group of size {int_text(self.order)} exceeds budget")
         self.generators, self.gen_orders = self._find_generators()
         self.dlog = self._build_table()
 

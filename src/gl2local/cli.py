@@ -38,7 +38,7 @@ from .quaternion import (
     supnorm_exponent,
 )
 from .residue import PRIMALITY_BOUND, get_context, is_prime, random_unit
-from .statphase import phi_fast_value, speedup_report
+from .statphase import phi_fast_values, speedup_report
 from .whittaker import ReprSpec
 
 FAMILIES = ("ps", "sc-unramified", "sc-ramified")
@@ -316,12 +316,23 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _fmt_column(values: list) -> list[str]:
+    """_fmt of every value, by one map over the column when all values have
+    the same plain type (exact type: bool and numpy scalars take _fmt)."""
+    kinds = set(map(type, values))
+    if kinds == {float}:
+        return list(map(repr, values))
+    if kinds == {int} or kinds == {str}:
+        return list(map(str, values))
+    return list(map(_fmt, values))
+
+
 def render_csv(columns: list[str], rows: list[dict]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_fmt(row.get(c)) for c in columns])
+    writer.writerows(zip(*(_fmt_column([row.get(c) for row in rows])
+                           for c in columns)))
     return buf.getvalue()
 
 
@@ -358,8 +369,9 @@ def run_verify_support(cfg: ExperimentConfig) -> TaskResult:
 
 def run_decay(cfg: ExperimentConfig) -> TaskResult:
     """Fast coefficient values on the supported grid of each interior depth
-    against decay_bound.  Points share values by query_key: each distinct
-    key is evaluated once by phi_fast_value (evaluate_distinct)."""
+    against decay_bound.  Points share values by query_key
+    (evaluate_distinct), and the distinct keys of a depth are evaluated
+    together by one call of statphase's depth program, phi_fast_values."""
     spec = build_spec(cfg)
     engine = MatCoefEngine(spec)
     rng = random.Random(cfg.seed)
@@ -373,7 +385,7 @@ def run_decay(cfg: ExperimentConfig) -> TaskResult:
         grid = build_grid(spec, i, cfg, rng, supported_only=True)
         values, slots = evaluate_distinct(
             engine, ((i, a, madd) for a, madd in grid),
-            functools.partial(phi_fast_value, engine))
+            functools.partial(phi_fast_values, engine, i))
         for (a, madd), slot in zip(grid, slots):
             value = values[slot]
             ratio = abs(value) * spec.p ** ((spec.n - i) / 2)

@@ -10,9 +10,11 @@ each power is either a basis element or, by the relation
 zeta^{phi(p^a)} = -(1 + zeta^{p^(a-1)} + ... + zeta^{(p-2)p^(a-1)}), minus
 p-1 of them.  The per-axis images sit in small tables of size p^a x (p-1),
 so no reduction table in the size of M is ever materialized and the cost
-follows the number of nonzero exponents, not M.  Coordinates are exact
-integers and a value is zero iff every coordinate is zero; an optional
-Fraction scale carries measure normalizations exactly.  Values are built
+follows the number of nonzero exponents, not M.  The same scatter reduces
+the terms of many sums at once into one coordinate block, a row per sum
+(reduce_rows).  Coordinates are exact integers and a value is zero iff
+every coordinate is zero; an optional Fraction scale carries measure
+normalizations exactly.  Values are built
 from count vectors and support addition and rational scaling; the
 evaluators never multiply two values or divide by a Gauss sum: zero tests
 run on numerators and magnitudes go through the float embedding.
@@ -82,22 +84,27 @@ class _CycloBasis:
         self.axis_roots = roots
 
     def reduce_counts(self, counts: np.ndarray) -> np.ndarray:
-        """Counts over exponents Z/m -> coordinates on the tensor basis.
-
-        Only the nonzero exponents are reduced: each zeta_M^t maps to the
-        tensor product of its per-axis images, scattered into the flat
-        coordinate vector in one accumulation."""
+        """Counts over exponents Z/m -> coordinates on the tensor basis,
+        reducing only the nonzero exponents (reduce_rows with one row)."""
         # a boolean nonzero scan is several times faster than one on int64
         t = (counts != 0).nonzero()[0]
-        out = np.zeros(self.size, dtype=counts.dtype)
-        if not len(t):
-            return out.reshape(self.shape)
         vals = counts[t]
-        if vals.dtype != object and np.abs(vals).max() > 2**56:
-            vals, out = vals.astype(object), out.astype(object)
-        # one row per nonzero exponent: the flat coordinates it lands on
-        # and the signed count it adds there
-        index = np.zeros((len(t), 1), dtype=np.int16)
+        if vals.dtype != object and len(t) and np.abs(vals).max() > 2**56:
+            vals = vals.astype(object)
+        return self.reduce_rows(np.zeros(len(t), dtype=np.intp), t, vals, 1)[0]
+
+    def reduce_rows(self, rows: np.ndarray, t: np.ndarray, vals: np.ndarray,
+                    n_rows: int) -> np.ndarray:
+        """sum_k vals[k] * zeta_M^t[k] added into row rows[k] of an
+        (n_rows, *shape) coordinate block of vals' dtype.  Each zeta_M^t maps
+        to the tensor product of its per-axis images, and every term is
+        scattered into the flat block in one accumulation."""
+        out = np.zeros(n_rows * self.size, dtype=vals.dtype)
+        # one row per term: the flat coordinates it lands on (in the
+        # narrowest index type that holds them) and the signed count it adds
+        # there
+        narrow = np.int16 if len(out) <= np.iinfo(np.int16).max else np.int32
+        index = (rows * self.size).astype(narrow)[:, None]
         terms = vals[:, None]
         for q, axis_index, axis_sign in self.axis_tables:
             e = t % q
@@ -108,7 +115,7 @@ class _CycloBasis:
             terms = (terms[:, :, None]
                      * axis_sign.take(e, axis=0)[:, None, :]).reshape(shape)
         np.add.at(out, index.ravel(), terms.ravel())
-        return out.reshape(self.shape)
+        return out.reshape(n_rows, *self.shape)
 
     def embed(self, coords: np.ndarray) -> complex:
         acc = coords.astype(np.complex128)

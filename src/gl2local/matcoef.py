@@ -30,8 +30,8 @@ class MatCoefEngine(WhittakerEngine):
     def __init__(self, spec: ReprSpec):
         # additive arguments down to v(m) = -(n1 + 1) fit the modulus
         super().__init__(spec, spec.modulus(spec.n1 + 1))
-        # statphase's supercuspidal critical-pair plans by depth t = n - i
-        self.sc_plans: dict[int, object] = {}
+        # statphase's critical-pair plans by depth t = n - i
+        self.depth_plans: dict[int, object] = {}
 
     def query_key(self, i: int, a: PAdicScalar, madd: PAdicScalar
                   ) -> tuple[int, int, int, int] | None:
@@ -210,20 +210,22 @@ def support_expected_zero(spec: ReprSpec, i: int, v_a: int | None,
 
 def evaluate_distinct(engine: MatCoefEngine, queries, evaluate
                       ) -> tuple[list, list[int]]:
-    """Evaluate an iterable of queries (i, a, m) sharing by query_key:
-    evaluate(i, a, m) runs once per distinct key, on the first query that
-    has it.  Returns (values, slots) with values[slots[k]] the value of the
-    k-th query; equal keys give equal coefficients, so a shared value is
-    exactly what the query's own evaluation would give."""
+    """Evaluate an iterable of queries (i, a, m) sharing by query_key: the
+    batch evaluator evaluate(distinct, keys) gets the first query of each
+    distinct key, in order of first appearance, with those keys, and
+    returns one value per query.  Returns (values, slots) with
+    values[slots[k]] the value of the k-th query; equal keys give equal
+    coefficients, so a shared value is exactly what the query's own
+    evaluation would give."""
     slot_of: dict[tuple[int, int, int, int] | None, int] = {}
-    values, slots = [], []
+    distinct, slots = [], []
     for query in queries:
         key = engine.query_key(*query)
         if key not in slot_of:
-            slot_of[key] = len(values)
-            values.append(evaluate(*query))
+            slot_of[key] = len(distinct)
+            distinct.append(query)
         slots.append(slot_of[key])
-    return values, slots
+    return evaluate(distinct, list(slot_of)), slots
 
 
 def verify_support(engine: MatCoefEngine, i: int,
@@ -233,9 +235,10 @@ def verify_support(engine: MatCoefEngine, i: int,
     Each distinct query_key is evaluated once (evaluate_distinct)."""
     spec = engine.spec
 
-    def evaluate(*query):
-        num = engine.phi_numerator(*query)
-        return num.is_zero(), num.complex() / engine.c0_complex
+    def evaluate(queries, keys):
+        nums = [engine.phi_numerator(*query) for query in queries]
+        return [(num.is_zero(), num.complex() / engine.c0_complex)
+                for num in nums]
 
     results, slots = evaluate_distinct(
         engine, ((i, a, madd) for a, madd in grid), evaluate)
@@ -300,8 +303,9 @@ def gram_dimension_estimate(engine: MatCoefEngine, sample_count: int, rng,
             for t in range(s, sample_count):
                 yield decompose_k_star(inv.mul(elems[t]), spec)
 
-    values, slots = evaluate_distinct(engine, upper_queries(),
-                                      engine.phi_value)
+    values, slots = evaluate_distinct(
+        engine, upper_queries(),
+        lambda queries, keys: [engine.phi_value(*q) for q in queries])
     index = np.zeros((sample_count, sample_count), dtype=np.intp)
     index[np.triu_indices(sample_count)] = slots
     gram = np.array(values, dtype=complex)[index]

@@ -13,13 +13,16 @@ pairs a + b*sqrt(D).
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import BudgetError, PrecisionError
+from .errors import BudgetError, PrecisionError, int_text
 
 LOG_TABLE_BUDGET = 10**7
+# bit length of the largest modulus p^K a context may form
+MODULUS_BIT_BUDGET = 4096
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
@@ -196,6 +199,12 @@ class PAdicContext:
             raise ValueError(f"p must be an odd prime, got {p}")
         if prec_exp < 1:
             raise ValueError("precision exponent must be >= 1")
+        # checked before p**prec_exp is formed, which for a huge exponent
+        # would not finish
+        if prec_exp > MODULUS_BIT_BUDGET / math.log2(p):
+            raise BudgetError(
+                f"p-adic context: modulus {p}^{int_text(prec_exp)} exceeds "
+                f"the limit of {MODULUS_BIT_BUDGET} bits")
         self.p = p
         self.prec_exp = prec_exp
         self.modulus = p**prec_exp

@@ -8,29 +8,39 @@ whole average collapses to a short sum over surviving block representatives
 an identity at the stated moduli, so the result matches the plain average
 exactly, not merely to rounding.
 
-A supercuspidal query splits into work that depends only on the engine and
-the depth t = n - i, and work that depends on (a, m).  The first is an
-ScPlan, built once per (engine, t) and kept on the engine: the kept shell
-rows with their eta residues, the rows grouped by eta class, a root table
-over Z/p^(t-ceil(t/2)) giving every residue's unit square roots of its
-negative (with their inverses), and the ball volume.  A query then only
-inverts a, forms two row arrays and looks its roots up class by class.
+The analysis depends only on the engine and the depth t = n - i; a query
+only picks residues.  So each family has a plan per depth (PsPlan, ScPlan),
+built once per (engine, t) by depth_plan and kept on the engine: a root
+table over Z/p^(t-ceil(t/2)) for the quadratic inner or outer congruence,
+the inverse tables a query needs, the family's fixed rows, and the ball
+volume.  One array program per depth then serves every key of that depth:
+depth_pairs turns the key residues (a, m) of many queries into the critical
+pairs of all of them, int64 rows with a query column, and phi_fast_values
+counts (query, phase) once, scatters the counts into one integer
+(queries x basis) coordinate block and embeds it row by row.
+critical_pairs and phi_fast_numerator are its one-query case.
 
-Boundary depths i in {n-1, n} keep the plain evaluator (the block analysis
-assumes i < n-1); queries off the support return exact zero.
+Boundary depths i in {n-1, n} keep the plain evaluator, query by query (the
+block analysis assumes i < n-1); queries off the support are exact zero.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from fractions import Fraction
 
 import numpy as np
 
 from .characters import alpha_of_chi, alpha_of_theta
-from .cyclotomic import CycloValue
+from .cyclotomic import CycloValue, _basis
 from .matcoef import MatCoefEngine, decay_bound, support_expected_zero
 from .residue import PAdicScalar, solve_quadratic_congruence
+
+# supported keys of one depth per array program: bounds the candidate arrays
+# and the (keys x basis) coordinate block, 32 x 5,000 int64 (1.3 MB) at
+# m = 12,500
+DEPTH_CHUNK = 32
 
 
 def _unit_lifts(base: int, step_exp: int, target_exp: int, p: int) -> list[int]:
@@ -46,78 +56,104 @@ def _shell_level(theta) -> int:
     return theta.level // 2 if theta.ramified else (theta.level + 1) // 2
 
 
-def ball_volume(engine: MatCoefEngine, i: int) -> Fraction:
-    """The weight every critical pair of a depth-i query carries: the
-    normalized volume of one outer block times one inner block (for a
-    supercuspidal, the one held by the depth's plan)."""
-    spec, p = engine.spec, engine.spec.p
-    if spec.family == "sc":
-        return sc_plan(engine, spec.n - i).volume
-    outer = Fraction(p, p - 1) / p ** ((spec.n - i + 1) // 2)
-    return outer / p ** ((spec.n0 + 1) // 2)
+def _inverses(values: np.ndarray, mod: int) -> np.ndarray:
+    """values^-1 mod `mod` entrywise, 0 where a value is not a unit."""
+    return np.array([pow(v, -1, mod) if math.gcd(v, mod) == 1 else 0
+                     for v in values.ravel().tolist()],
+                    dtype=np.int64).reshape(values.shape)
 
 
-def _ps_pairs(engine: MatCoefEngine, i: int, a_res: int, m_res: int
-              ) -> tuple[np.ndarray, int]:
-    """Survivors for a principal-series query on the supported locus,
-    enumerated at block levels ceil(n0/2), ceil(t/2): rows (x0, u0, phase)
-    and the scanned candidate count.  Each x0 is lifted from the solution
-    of the linear outer congruence, so only the inner one is tested."""
-    spec, m_mod = engine.spec, engine.m
-    p, n0 = spec.p, spec.n0
-    t = spec.n - i
-    kx = (n0 + 1) // 2
-    ku = (t + 1) // 2
-    dx_mod = p ** (n0 - kx)
-    du_mod = p ** (t - ku)
-    shift = p ** (i - n0)
-    w = alpha_of_chi(spec.mu).residue_unit(n0 - kx)
-    pn0, pt = p**n0, p**t
-    mu = engine.mu_dense
-    # (du) with (dx) substituted: unit-discriminant quadratic in u0
-    base_roots = solve_quadratic_congruence(
-        m_res, 2 * shift * m_res, -a_res, p, t - ku)
-    u_cands = [u for r in base_roots for u in _unit_lifts(r, t - ku, ku, p)]
-    scanned = 0
-    rows = []
-    for u0 in u_cands:
-        mu_u = mu[(1 + pow(u0, -1, pn0) * shift) % pn0]
-        slope = (a_res - shift * m_res * u0) % dx_mod
-        for x0 in _unit_lifts(w * pow(slope, -1, dx_mod) % dx_mod,
-                              n0 - kx, kx, p):
-            scanned += 1
-            if (m_res * x0 * u0 * (u0 + shift) - w) % du_mod:
-                continue
-            # psi(p^-t m x0 u0) mu(1 + shift/u0) mu(a x0) psi(-p^-n0 a x0)
-            e = (m_res * x0 * u0 % pt * (m_mod // pt) + mu_u
-                 + mu[a_res * x0 % pn0]
-                 + -a_res * x0 % pn0 * (m_mod // pn0)) % m_mod
-            rows.append((x0, u0, int(e)))
-    return np.array(rows, dtype=np.int64).reshape(-1, 3), scanned
+def _padded(lists: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Integer lists as one zero-padded int64 table and the mask of its
+    entries."""
+    width = max(max(map(len, lists), default=0), 1)
+    table = np.zeros((len(lists), width), dtype=np.int64)
+    for r, x in enumerate(lists):
+        table[r, :len(x)] = x
+    return table, np.arange(width) < np.array([[len(x)] for x in lists])
 
 
-class ScPlan:
-    """The part of a supercuspidal query at depth t = n - i that does not
-    depend on (a, m), built once per engine and t by sc_plan.  Arrays are
-    read-only; the row arrays are indexed by kept shell row.
+def _root_table(p: int, t: int, b: int, sign: int
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """For every r mod p^(t-k), k = ceil(t/2): the unit residues mod p^k
+    reducing to a root of x^2 + b x + sign r = 0 mod p^(t-k), padded."""
+    k = (t + 1) // 2
+    return _padded([[x for root in solve_quadratic_congruence(
+        1, b, sign * r, p, t - k) for x in _unit_lifts(root, t - k, k, p)]
+        for r in range(p ** (t - k))])
 
-    Kept rows are the shell rows whose phase-linearization coordinate
-    matches alpha.  The outer congruence x0^2 = -a m / eta reads eta only
-    mod dx_mod = p^(t-ceil(t/2)), so the kept rows are grouped by that class
-    (ascending, rows ascending within a class) with eta_c^-1 mod dx_mod, and
-    roots[r] holds the unit solutions x mod p^t of x^2 + r = 0 mod dx_mod
-    for every residue r, with x mod sc2_mod and x^-1 mod p^t beside them."""
 
-    __slots__ = ("pt", "dx_mod", "sc2_mod", "nu_scale", "scale", "A", "B",
-                 "phase", "eta_t", "eta_sc2", "coord", "classes", "roots",
-                 "volume")
+class DepthPlan:
+    """What every query of one depth t = n - i shares, built once per engine
+    and t by depth_plan; arrays are read-only.  With k = ceil(t/2) the inner
+    block level, roots[r][root_ok[r]] are the unit residues mod p^k that
+    solve the family's quadratic congruence at the residue r mod root_mod =
+    p^(t-k), and volume is the weight of every critical pair."""
+
+    __slots__ = ("pt", "root_mod", "roots", "root_ok", "volume")
+
+    def _freeze(self) -> None:
+        for cls in type(self).__mro__:
+            for name in vars(cls).get("__slots__", ()):
+                value = getattr(self, name)
+                if isinstance(value, np.ndarray):
+                    value.flags.writeable = False
+
+
+class PsPlan(DepthPlan):
+    """Principal-series plan, block levels kx = ceil(n0/2) and k.  For a unit
+    m the inner congruence m u^2 + 2 shift m u - a = 0 is u^2 + 2 shift u -
+    a m^-1 = 0, so its roots u0 depend only on a m^-1 mod root_mod (m_inv
+    inverts m there): they are roots[a m^-1].  Beside each root, entries
+    holds (u0, mu(1 + shift/u0), shift u0 mod dx_mod).  The outer congruence
+    x0 (a - shift m u0) = w mod dx_mod = p^(n0-kx) is solved by the slope
+    table: x_lifts[s][x_ok[s]] are the unit lifts mod p^kx of w s^-1 for the
+    slope s."""
+
+    __slots__ = ("dx_mod", "m_inv", "entries", "x_lifts", "x_ok")
+
+    def __init__(self, engine: MatCoefEngine, t: int):
+        spec, p = engine.spec, engine.spec.p
+        n0 = spec.n0
+        kx = (n0 + 1) // 2
+        pn0 = p**n0
+        self.pt = p**t
+        self.root_mod = du = p ** (t - (t + 1) // 2)
+        self.dx_mod = dx = p ** (n0 - kx)
+        shift = p ** (spec.n - t - n0)
+        w = alpha_of_chi(spec.mu).residue_unit(n0 - kx)
+        self.volume = (Fraction(p, p - 1) / p ** ((t + 1) // 2)
+                       / p ** ((n0 + 1) // 2))
+        self.roots, self.root_ok = _root_table(p, t, 2 * shift, -1)
+        self.m_inv = _inverses(np.arange(du), du)
+        u0 = self.roots
+        self.entries = np.stack((
+            u0, engine.mu_dense[(1 + _inverses(u0, pn0) * (shift % pn0)) % pn0],
+            shift % dx * u0 % dx), axis=-1)
+        self.x_lifts, self.x_ok = _padded([
+            _unit_lifts(w * pow(s, -1, dx) % dx, n0 - kx, kx, p)
+            if math.gcd(s, dx) == 1 else [] for s in range(dx)])
+        self._freeze()
+
+
+class ScPlan(DepthPlan):
+    """Supercuspidal plan.  Kept rows are the shell rows (at transversal
+    level _shell_level) whose phase-linearization coordinate matches alpha;
+    the row arrays are indexed by kept row.  The outer congruence x0^2 = -a
+    m / eta reads eta only mod root_mod, so eta_inv holds each row's eta^-1
+    there and the candidates x0 of a (query, row) are roots[a m eta^-1].
+    root_inv holds each root's inverse mod p^t; nu is the coupled-condition
+    scale mod sc2_mod."""
+
+    __slots__ = ("sc2_mod", "nu", "A", "B", "phase", "eta_t", "eta_sc2",
+                 "coord", "eta_inv", "root_inv")
 
     def __init__(self, engine: MatCoefEngine, t: int):
         p, theta = engine.spec.p, engine.spec.theta
         a_cond = theta.level
         kx = (t + 1) // 2
         self.pt = pt = p**t
-        self.dx_mod = dx_mod = p ** (t - kx)
+        self.root_mod = dx_mod = p ** (t - kx)
         level = _shell_level(theta)
         alpha = alpha_of_theta(theta)
         if theta.ramified:
@@ -126,14 +162,14 @@ class ScPlan:
             sc2_mod = p ** (level - (level + 1) // 2)
             sc3_mod = p ** (level - level // 2)
             w = alpha.b.residue_unit((level + 1) // 2) % sc3_mod
-            self.nu_scale = p ** (level - t)
+            nu_scale = p ** (level - t)
         else:
             sc2_mod = sc3_mod = p ** (a_cond - level)
             w = (alpha.b.residue_unit(a_cond // 2) % sc3_mod
                  if sc3_mod > 1 else 0)
-            self.nu_scale = p ** (a_cond - t)
+            nu_scale = p ** (a_cond - t)
         self.sc2_mod = sc2_mod
-        self.scale = engine.m // pt
+        self.nu = nu_scale % sc2_mod
         A, B, phase, eta = engine.shell_table(level)
         self.volume = Fraction(p, p - 1) / p**kx / len(A)
         # the phase-linearization coordinate must match alpha
@@ -144,74 +180,113 @@ class ScPlan:
         self.eta_sc2 = self.eta_t % sc2_mod
         # the coupled condition reads this coordinate mod sc2_mod
         self.coord = (self.B if theta.ramified else self.A) % sc2_mod
-        classes, cls = np.unique(self.eta_t % dx_mod, return_inverse=True)
-        self.classes = [(pow(eta_c, -1, dx_mod), np.flatnonzero(cls == c))
-                        for c, eta_c in enumerate(classes.tolist())]
-        self.roots = []
-        for r in range(dx_mod):
-            x = [v for root in solve_quadratic_congruence(1, 0, r, p, t - kx)
-                 for v in _unit_lifts(root, t - kx, kx, p)]
-            x_arr = np.array(x, dtype=np.int64)
-            self.roots.append((x_arr, x_arr % sc2_mod, np.array(
-                [pow(v, -1, pt) for v in x], dtype=np.int64)))
-        for arr in (self.A, self.B, self.phase, self.eta_t, self.eta_sc2,
-                    self.coord, *(rows for _, rows in self.classes),
-                    *(arr for entry in self.roots for arr in entry)):
-            arr.flags.writeable = False
+        self.eta_inv = _inverses(self.eta_t % dx_mod, dx_mod)
+        self.roots, self.root_ok = _root_table(p, t, 0, 1)
+        self.root_inv = _inverses(self.roots, pt)
+        self._freeze()
 
 
-def sc_plan(engine: MatCoefEngine, t: int) -> ScPlan:
-    """The engine's supercuspidal plan at depth t = n - i, built on first
+def depth_plan(engine: MatCoefEngine, t: int) -> DepthPlan:
+    """The engine's plan for its family at depth t = n - i, built on first
     use and kept on the engine (so it dies with the engine)."""
-    plan = engine.sc_plans.get(t)
+    plan = engine.depth_plans.get(t)
     if plan is None:
-        plan = engine.sc_plans[t] = ScPlan(engine, t)
+        make = PsPlan if engine.spec.family == "ps" else ScPlan
+        plan = engine.depth_plans[t] = make(engine, t)
     return plan
 
 
-def _sc_pairs(engine: MatCoefEngine, i: int, a_res: int, m_res: int
-              ) -> tuple[np.ndarray, int]:
-    """Survivors for a supercuspidal query on the supported locus: rows
-    (x0, A, B, phase) and the scanned candidate count.  The inner block runs
-    over the kept rows of the engine's shell table at transversal level
-    _shell_level, read from the depth's ScPlan.
+def ball_volume(engine: MatCoefEngine, i: int) -> Fraction:
+    """The weight every critical pair of a depth-i query carries: the
+    normalized volume of one outer block times one inner block, held by the
+    depth's plan."""
+    return depth_plan(engine, engine.spec.n - i).volume
 
-    A query only computes a^-1 and the two a-dependent row arrays: the
-    coupled-condition slope and the psi coefficient lin.  For each eta class
-    the solutions of x0^2 + a m eta_c^-1 = 0 are one lookup in the plan's
-    root table, and all of them satisfy the outer congruence; the coupled
-    and phase conditions then run on class rows x candidate arrays."""
-    plan = sc_plan(engine, engine.spec.n - i)
-    pt, sc2_mod, m_mod = plan.pt, plan.sc2_mod, engine.m
-    a_inv = pow(a_res, -1, pt)
+
+def _ps_pairs(engine: MatCoefEngine, i: int, a_res: np.ndarray,
+              m_res: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """depth_pairs for principal series, block levels ceil(n0/2) and
+    ceil(t/2)."""
+    spec, m_mod, mu = engine.spec, engine.m, engine.mu_dense
+    plan = depth_plan(engine, spec.n - i)
+    du, pt = plan.root_mod, plan.pt
+    pn0 = spec.p**spec.n0
+    # u0 runs over the roots at a m^-1 mod du, x0 over the lifts of the
+    # solution of the outer congruence; du divides dx (t < n0 = n/2), so the
+    # inner congruence m x0 u0 (u0 + shift) = x0 (a - shift m u0) = w then
+    # holds mod du as well, and every candidate is a pair
+    c = a_res % du * plan.m_inv[m_res % du] % du
+    q, j = plan.root_ok[c].nonzero()
+    if not len(q):
+        return np.empty((0, 4), dtype=np.int64), np.zeros_like(a_res)
+    u0, mu_u, shift_u0 = plan.entries[c[q], j].T
+    slope = (a_res[q] - m_res[q] * shift_u0) % plan.dx_mod
+    k, j = plan.x_ok[slope].nonzero()
+    q, u0, mu_u = q[k], u0[k], mu_u[k]
+    x0 = plan.x_lifts[slope[k], j]
+    mx, ax = m_res[q] * x0, a_res[q] * x0
+    # psi(p^-t m x0 u0) mu(1 + shift/u0) mu(a x0) psi(-p^-n0 a x0)
+    e = (mx % pt * u0 % pt * (m_mod // pt) + mu_u + mu[ax % pn0]
+         + -ax % pn0 * (m_mod // pn0)) % m_mod
+    return (np.column_stack((q, x0, u0, e)),
+            np.bincount(q, minlength=len(a_res)))
+
+
+def _sc_pairs(engine: MatCoefEngine, i: int, a_res: np.ndarray,
+              m_res: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """depth_pairs for supercuspidals: the inner block runs over the kept
+    shell rows of the depth's ScPlan.  The solutions of x0^2 + a m eta^-1 = 0
+    of every (query, row) are one lookup in the root table, and all of them
+    satisfy the outer congruence; the coupled and phase conditions then run
+    on (query, row, candidate) arrays."""
+    plan = depth_plan(engine, engine.spec.n - i)
+    pt, sc2_mod, dx_mod, m_mod = plan.pt, plan.sc2_mod, plan.root_mod, engine.m
+    a_inv = np.array([pow(a, -1, pt) for a in a_res.tolist()],
+                     dtype=np.int64)
+    r = (a_res * m_res % dx_mod)[:, None] * plan.eta_inv % dx_mod
+    ok = plan.root_ok[r]
+    scanned = ok.sum(axis=(1, 2))
+    q, row, j = ok.nonzero()
+    root = r[q, row]
+    x0, x_inv = plan.roots[root, j], plan.root_inv[root, j]
     # the coupled condition, coordinate = nu_scale x0 a^-1 eta mod sc2_mod;
     # when the shear depth satisfies e_E(i-n) >= -ceil(a/2) the nu_scale
     # power swamps the modulus and it degenerates to the x0-free condition
     # "trace coordinate = 0"
-    slope = plan.nu_scale * a_inv % sc2_mod * plan.eta_sc2 % sc2_mod
-    # psi(p^-t (-x0 a^-1 eta)) = zeta_m^(x0 * lin mod p^t * m/p^t)
-    lin = -a_inv * plan.eta_t % pt
-    am = a_res * m_res
-    scanned = 0
-    blocks = [np.empty((0, 4), dtype=np.int64)]
-    for eta_c_inv, rows in plan.classes:
-        # x0^2 = -a m / eta, written as x0^2 + (a m / eta) = 0
-        x, x_sc2, x_inv = plan.roots[am * eta_c_inv % plan.dx_mod]
-        scanned += len(rows) * len(x)
-        if not len(x):
-            continue
-        ok = (plan.coord[rows, None] - slope[rows, None] * x_sc2) \
-            % sc2_mod == 0
-        r_idx, x_idx = np.nonzero(ok)
-        if not len(r_idx):
-            continue
-        rows = rows[r_idx]
-        x0 = x[x_idx]
-        # psi(p^-t m / x0) psi(p^-t x0 lin) theta^-1 psi_E(shell row)
-        e = ((m_res * x_inv[x_idx] + x0 * lin[rows]) % pt * plan.scale
-             + plan.phase[rows]) % m_mod
-        blocks.append(np.column_stack((x0, plan.A[rows], plan.B[rows], e)))
-    return np.concatenate(blocks), scanned
+    slope = plan.nu * a_inv[q] % sc2_mod * plan.eta_sc2[row] % sc2_mod
+    keep = (plan.coord[row] - slope * (x0 % sc2_mod)) % sc2_mod == 0
+    q, row, x0, x_inv = q[keep], row[keep], x0[keep], x_inv[keep]
+    # psi(p^-t m / x0) psi(-p^-t x0 a^-1 eta) theta^-1 psi_E(shell row)
+    lin = -a_inv[q] * plan.eta_t[row] % pt
+    e = ((m_res[q] * x_inv + x0 * lin) % pt * (m_mod // pt)
+         + plan.phase[row]) % m_mod
+    return np.column_stack((q, x0, plan.A[row], plan.B[row], e)), scanned
+
+
+def depth_pairs(engine: MatCoefEngine, i: int, a_res: np.ndarray,
+                m_res: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Critical pairs of supported interior queries of one depth i, given
+    as the int64 arrays of their query_key residues (a, and the unit of m
+    mod p^t), and the scanned candidate count per query.  Pairs are int64
+    rows (query, x0, u0, phase) for principal series and (query, x0, A, B,
+    phase) for supercuspidals, the query an index into the arrays and the
+    phase in Z/m last; every row carries the weight ball_volume(engine, i)."""
+    solve = _ps_pairs if engine.spec.family == "ps" else _sc_pairs
+    return solve(engine, i, a_res, m_res)
+
+
+def _depth_coords(engine: MatCoefEngine, query: np.ndarray,
+                  phase: np.ndarray, n_queries: int) -> np.ndarray:
+    """Integer coordinates of the sum of zeta_m^phase over each query's
+    pairs, one row per query, by one scatter through the cyclotomic axis
+    tables (which sums repeated (query, phase) pairs exactly)."""
+    return _basis(engine.m).reduce_rows(query, phase, np.ones_like(phase),
+                                        n_queries)
+
+
+def _check_depth(spec, i: int) -> None:
+    if not spec.n0 < i <= spec.n:
+        raise ValueError(f"shear depth {i} outside (n0, n] for {spec}")
 
 
 def _off_support(spec, i: int, a: PAdicScalar, madd: PAdicScalar) -> bool:
@@ -221,33 +296,31 @@ def _off_support(spec, i: int, a: PAdicScalar, madd: PAdicScalar) -> bool:
 
 def critical_pairs(engine: MatCoefEngine, i: int, a: PAdicScalar,
                    madd: PAdicScalar) -> tuple[np.ndarray, int]:
-    """Critical pairs of a supported interior query and the scanned
-    candidate count.  Pairs are int64 rows, (x0, u0, phase) for principal
-    series and (x0, A, B, phase) for supercuspidals, with the phase in Z/m
-    last; every row carries the weight ball_volume(engine, i).  Raises off
-    the fast range or off support (callers dispatch those cases)."""
+    """Critical pairs of one supported interior query and its scanned
+    candidate count: depth_pairs of that query alone, without the query
+    column.  Raises off the fast range or off support (callers dispatch
+    those cases)."""
     spec = engine.spec
     if not spec.n0 < i < spec.n - 1:
         raise ValueError("block decomposition applies to n0 < i < n-1 only")
     if _off_support(spec, i, a, madd):
         raise ValueError("query off the support locus")
-    t = spec.n - i
-    m_res = madd.residue_unit(t)
-    if spec.family == "ps":
-        return _ps_pairs(engine, i, a.residue_unit(spec.n0), m_res)
-    return _sc_pairs(engine, i, a.residue_unit(t), m_res)
+    _, a_res, _, m_res = engine.query_key(i, a, madd)
+    pairs, scanned = depth_pairs(engine, i, np.array([a_res]),
+                                 np.array([m_res]))
+    return pairs[:, 1:], int(scanned[0])
 
 
 def phi_fast_numerator(engine: MatCoefEngine, i: int, a: PAdicScalar,
                        madd: PAdicScalar) -> tuple[CycloValue, dict]:
-    """Fast phi numerator plus diagnostics (pair/scan counts, dispatch).
+    """Fast phi numerator plus diagnostics (pair/scan counts, dispatch):
+    the one-query case of phi_fast_values.
 
     Same normalization as MatCoefEngine.phi_numerator: divide by C0 for the
     actual coefficient value.
     """
     spec = engine.spec
-    if not spec.n0 < i <= spec.n:
-        raise ValueError(f"shear depth {i} outside (n0, n] for {spec}")
+    _check_depth(spec, i)
     diag = {"pairs": 0, "scanned": 0, "delegated": False,
             "off_support": False}
     if i >= spec.n - 1:
@@ -260,15 +333,48 @@ def phi_fast_numerator(engine: MatCoefEngine, i: int, a: PAdicScalar,
     diag["pairs"], diag["scanned"] = len(pairs), scanned
     if not len(pairs):
         return CycloValue.zero(engine.m), diag
-    counts = np.bincount(pairs[:, -1], minlength=engine.m)
-    return CycloValue.from_counts(engine.m, counts,
-                                  ball_volume(engine, i)), diag
+    coords = _depth_coords(engine, np.zeros(len(pairs), dtype=np.int64),
+                           pairs[:, -1], 1)[0]
+    return CycloValue(engine.m, coords, ball_volume(engine, i)), diag
 
 
 def phi_fast_value(engine: MatCoefEngine, i: int, a: PAdicScalar,
                    madd: PAdicScalar) -> complex:
     num, _ = phi_fast_numerator(engine, i, a, madd)
     return num.complex() / engine.c0_complex
+
+
+def phi_fast_values(engine: MatCoefEngine, i: int, queries: list,
+                    keys: list) -> list[complex]:
+    """phi_fast_value of each query (i, a, m) of depth i, keys[k] the
+    query_key of queries[k]; each value is bitwise the one phi_fast_value
+    gives.  Boundary depths go query by query.  Otherwise the supported
+    keys (a unit, t = n - i) run through depth_pairs and _depth_coords
+    DEPTH_CHUNK at a time, each coordinate row is embedded on its own, and
+    the zero value and the ball volume are computed once."""
+    spec = engine.spec
+    _check_depth(spec, i)
+    if i >= spec.n - 1:
+        return [phi_fast_value(engine, *query) for query in queries]
+    c0 = engine.c0_complex
+    values = [CycloValue.zero(engine.m).complex() / c0] * len(queries)
+    supported = [k for k, key in enumerate(keys)
+                 if key is not None and key[2] == spec.n - i]
+    basis = _basis(engine.m)
+    scale = complex(ball_volume(engine, i))
+    for start in range(0, len(supported), DEPTH_CHUNK):
+        chunk = supported[start:start + DEPTH_CHUNK]
+        pairs, _ = depth_pairs(
+            engine, i, np.array([keys[k][1] for k in chunk], dtype=np.int64),
+            np.array([keys[k][3] for k in chunk], dtype=np.int64))
+        # one coordinate row per query that has pairs
+        rows, query = np.unique(pairs[:, 0], return_inverse=True)
+        block = _depth_coords(engine, query, pairs[:, -1], len(rows))
+        # a row whose roots of unity cancel keeps the zero value
+        nonzero = block.reshape(len(rows), basis.size).any(axis=1)
+        for k in np.flatnonzero(nonzero).tolist():
+            values[chunk[rows[k]]] = scale * basis.embed(block[k]) / c0
+    return values
 
 
 def naive_term_count(engine: MatCoefEngine, i: int, v_m: int) -> int:

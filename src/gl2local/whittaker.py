@@ -213,7 +213,15 @@ class WhittakerEngine:
             _, _, phase, eta = self.shell_table(spec.theta.level)
             inv = pow(x_res, -1, pl) if lvl else 0
             exps = (phase + ((-inv * eta) % pl) * (m // pl)) % m
-        entry = np.unique(exps, return_counts=True)
+        if not cache and len(exps) > m:
+            # a dense count beats sorting once the shell outnumbers Z/m;
+            # cached entries keep np.unique, since one length-m count vector
+            # per entry left a process holding megabytes more memory
+            counts = np.bincount(exps, minlength=m)
+            phases = np.flatnonzero(counts)
+            entry = phases, counts[phases]
+        else:
+            entry = np.unique(exps, return_counts=True)
         for arr in entry:
             arr.flags.writeable = False
         if cache:

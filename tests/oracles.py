@@ -220,7 +220,8 @@ def ps_pairs_per_u0(engine, i: int, a_res: int, m_res: int
     """Principal-series critical pairs (x0, u0, phase) with both block
     congruences tested on every candidate and the phases from the
     characters' own evaluators; the scanned count and the shared weight
-    complete the contract of statphase._ps_pairs and ball_volume."""
+    complete the contract of statphase.depth_pairs (for one query) and
+    ball_volume."""
     spec, m_mod = engine.spec, engine.m
     p, n0, mu = spec.p, spec.n0, spec.mu
     t = spec.n - i
@@ -259,8 +260,8 @@ def sc_pairs_per_rep(engine, i: int, a_res: int, m_res: int
                      ) -> tuple[list[tuple[int, int, int, int]], int, Fraction]:
     """Supercuspidal critical pairs (x0, A, B, phase) with one congruence
     solve and one candidate loop per kept shell representative; the scanned
-    count and the shared weight complete the contract of statphase._sc_pairs
-    and ball_volume."""
+    count and the shared weight complete the contract of statphase.depth_pairs
+    (for one query) and ball_volume."""
     spec, m_mod = engine.spec, engine.m
     p, theta = spec.p, spec.theta
     a_cond, t = theta.level, spec.n - i

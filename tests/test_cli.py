@@ -257,6 +257,22 @@ def test_oversized_counting_forms_are_refused_before_conversion(
         cli.run_task(cfg)
 
 
+@pytest.mark.parametrize("family,match", [
+    ("ps", rf"^p-adic context: modulus 3\^{5 * 10**19} exceeds the limit of "
+           rf"4096 bits$"),
+    ("sc-unramified", r"^unit group of size ~2\*\*\d+ exceeds budget$")])
+def test_huge_n_is_refused_before_the_modulus_is_formed(tmp_path, family,
+                                                        match):
+    # p**(n // 2) used to be computed first: a hang for n = 10**20
+    cfg = ExperimentConfig.from_dict({"task": "decay", "n": 10**20,
+                                      "family": family,
+                                      "out": str(tmp_path / "d.csv")})
+    t0 = time.perf_counter()
+    with pytest.raises(BudgetError, match=match):
+        cli.run_task(cfg)
+    assert time.perf_counter() - t0 < 1.0
+
+
 @pytest.mark.parametrize("raw,match", [
     # (4 delta + 2) m passes the int-string digit limit
     ({"task": "counting", "L": 2, "verify_box_max_norm": int("9" * 4300)},
@@ -467,16 +483,19 @@ def test_decay_evaluates_each_query_key_once(monkeypatch, p, n, family,
     raw = {"task": "decay", "p": p, "n": n, "family": family, "seed": 3,
            "i_values": i_values, "units_per_class": 12}
     cfg = ExperimentConfig.from_dict(raw)
-    keys = []
-    solve = statphase.critical_pairs
+    depths, keys = [], []
+    evaluate = cli.phi_fast_values
 
-    def counted(engine, i, a, madd):
-        keys.append(engine.query_key(i, a, madd))
-        return solve(engine, i, a, madd)
+    def counted(engine, i, queries, batch_keys):
+        depths.append(i)
+        keys.extend(batch_keys)
+        return evaluate(engine, i, queries, batch_keys)
 
-    monkeypatch.setattr(statphase, "critical_pairs", counted)
+    # the depth program gets every distinct key of a depth in one call
+    monkeypatch.setattr(cli, "phi_fast_values", counted)
     rows = cli.run_decay(cfg).rows
-    monkeypatch.setattr(statphase, "critical_pairs", solve)
+    monkeypatch.undo()
+    assert depths == i_values
     # the grid run_decay drew, rebuilt from the same seed, and evaluated
     # point by point on a fresh engine
     spec = cli.build_spec(cfg)

@@ -135,6 +135,14 @@ def test_dlog_table():
     assert ctx.unit_count(3) == 100
 
 
+def test_modulus_bit_budget_guard():
+    # 3^2584 has 4096 bits; 3^2585, with 4098, is refused unformed
+    assert get_context(3, 2584).modulus.bit_length() == 4096
+    with pytest.raises(BudgetError, match=r"^p-adic context: modulus 3\^2585 "
+                       r"exceeds the limit of 4096 bits$"):
+        get_context(3, 2585)
+
+
 def test_dlog_budget_guard():
     ctx = get_context(5, 13)  # 5^13 > 10^7
     with pytest.raises(BudgetError):

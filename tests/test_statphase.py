@@ -14,15 +14,15 @@ from gl2local.residue import (
 )
 from gl2local import statphase
 from gl2local.statphase import (
-    _ps_pairs,
-    _sc_pairs,
     _unit_lifts,
     ball_volume,
     critical_pairs,
+    depth_pairs,
+    depth_plan,
     naive_term_count,
     phi_fast_numerator,
     phi_fast_value,
-    sc_plan,
+    phi_fast_values,
     speedup_report,
 )
 from gl2local.whittaker import ReprSpec
@@ -125,9 +125,10 @@ def test_sc_ram_fast_matches_naive_exactly(level, n, depths):
             assert diag["pairs"] <= bound
 
 
-def assert_pairs_match_oracle(engine, solver, oracle):
-    """Same rows (as a multiset), scanned count and weight as the oracle at
-    every interior depth, with units {1, 2, p+1, p^t-1}; some query has no
+def assert_pairs_match_oracle(engine, oracle):
+    """One depth_pairs call per interior depth over every key with a and m
+    in {1, 2, p+1, p^t-1}: each query's rows (as a multiset) and scanned
+    count match the oracle's, and so does the weight; some query has no
     pairs and some has pairs."""
     spec, p = engine.spec, engine.spec.p
     width = 3 if spec.family == "ps" else 4
@@ -135,43 +136,50 @@ def assert_pairs_match_oracle(engine, solver, oracle):
     for i in range(spec.n0 + 1, spec.n - 1):
         pt = p ** (spec.n - i)
         units = (1, 2, p + 1, pt - 1)
-        for a_res in units:
-            for m_res in units:
-                pairs, scanned = solver(engine, i, a_res, m_res)
-                want, want_scanned, weight = oracle(engine, i, a_res, m_res)
-                assert pairs.dtype == np.int64
-                assert pairs.shape == (len(want), width)
-                assert scanned == want_scanned
-                assert (Counter(map(tuple, pairs.tolist()))
-                        == Counter(want)), (i, a_res, m_res)
-                assert ball_volume(engine, i) == weight
-                sizes.append(len(pairs))
+        keys = [(a_res, m_res) for a_res in units for m_res in units]
+        a_arr, m_arr = np.array(keys, dtype=np.int64).T
+        pairs, scanned = depth_pairs(engine, i, a_arr, m_arr)
+        assert pairs.dtype == np.int64 and pairs.shape[1] == 1 + width
+        assert scanned.shape == (len(keys),)
+        for k, (a_res, m_res) in enumerate(keys):
+            want, want_scanned, weight = oracle(engine, i, a_res, m_res)
+            rows = pairs[pairs[:, 0] == k, 1:]
+            assert scanned[k] == want_scanned
+            assert (Counter(map(tuple, rows.tolist()))
+                    == Counter(want)), (i, a_res, m_res)
+            assert ball_volume(engine, i) == weight
+            sizes.append(len(rows))
     assert min(sizes) == 0 < max(sizes)
 
 
 @pytest.mark.parametrize("p,n", [(3, 6), (3, 8), (5, 6), (5, 8), (7, 6)])
 def test_ps_pairs_match_per_u0_oracle(p, n):
-    assert_pairs_match_oracle(ps_engine(p, n), _ps_pairs, ps_pairs_per_u0)
+    assert_pairs_match_oracle(ps_engine(p, n), ps_pairs_per_u0)
 
 
 @pytest.mark.parametrize("p,ramified,level", [
     (3, False, 3), (5, False, 3), (7, False, 3), (3, True, 4), (3, True, 6),
     (5, True, 6)])
 def test_sc_pairs_match_per_rep_oracle(p, ramified, level):
-    assert_pairs_match_oracle(sc_engine(p, ramified, level), _sc_pairs,
+    assert_pairs_match_oracle(sc_engine(p, ramified, level),
                               sc_pairs_per_rep)
 
 
-def test_sc_plan_built_once_per_depth_and_read_only(monkeypatch):
+def plan_arrays(plan) -> list[np.ndarray]:
+    return [getattr(plan, name) for cls in type(plan).__mro__
+            for name in vars(cls).get("__slots__", ())
+            if isinstance(getattr(plan, name), np.ndarray)]
+
+
+def assert_plans_built_once_per_depth(monkeypatch, engine, plan_class):
     built = []
 
-    class CountedPlan(statphase.ScPlan):
+    class CountedPlan(plan_class):
         def __init__(self, engine, t):
             built.append(t)
             super().__init__(engine, t)
 
-    monkeypatch.setattr(statphase, "ScPlan", CountedPlan)
-    engine = sc_engine(3, True, 6)  # n = 7, interior depths 4 and 5
+    monkeypatch.setattr(statphase, plan_class.__name__, CountedPlan)
     depths = range(engine.spec.n0 + 1, engine.spec.n - 1)
     for _ in range(2):
         for i in depths:
@@ -179,15 +187,34 @@ def test_sc_plan_built_once_per_depth_and_read_only(monkeypatch):
                 critical_pairs(engine, i, a, madd)
             ball_volume(engine, i)
     assert sorted(built) == sorted(engine.spec.n - i for i in depths)
-    for t, plan in engine.sc_plans.items():
-        assert sc_plan(engine, t) is plan
-        arrays = [plan.A, plan.B, plan.phase, plan.eta_t, plan.eta_sc2,
-                  plan.coord, *(rows for _, rows in plan.classes),
-                  *(arr for entry in plan.roots for arr in entry)]
-        assert not any(arr.flags.writeable for arr in arrays)
-        # the classes partition the kept rows
-        rows = np.concatenate([rows for _, rows in plan.classes])
-        assert sorted(rows.tolist()) == list(range(len(plan.A)))
+    for t, plan in engine.depth_plans.items():
+        assert depth_plan(engine, t) is plan
+        assert isinstance(plan, CountedPlan)
+        assert not any(arr.flags.writeable for arr in plan_arrays(plan))
+
+
+def test_sc_plan_built_once_per_depth_and_read_only(monkeypatch):
+    engine = sc_engine(3, True, 6)  # n = 7, interior depths 4 and 5
+    assert_plans_built_once_per_depth(monkeypatch, engine, statphase.ScPlan)
+    for plan in engine.depth_plans.values():
+        assert len(plan_arrays(plan)) == 10
+        # each kept row's eta^-1 modulo the root modulus
+        assert (plan.eta_t * plan.eta_inv % plan.root_mod == 1).all()
+
+
+def test_ps_plan_built_once_per_depth_and_read_only(monkeypatch):
+    engine = ps_engine(3, 10)  # n0 = 5, interior depths 6, 7 and 8
+    assert_plans_built_once_per_depth(monkeypatch, engine, statphase.PsPlan)
+    for plan in engine.depth_plans.values():
+        assert len(plan_arrays(plan)) == 6
+
+
+def unit_roots(p, t, b, c):
+    """The unit lifts mod p^ceil(t/2) of the roots of x^2 + b x + c = 0 mod
+    p^(t - ceil(t/2)), as the per-query solvers enumerate them."""
+    k = (t + 1) // 2
+    return [x for root in solve_quadratic_congruence(1, b, c, p, t - k)
+            for x in _unit_lifts(root, t - k, k, p)]
 
 
 @pytest.mark.parametrize("p,ramified,level", [
@@ -196,19 +223,52 @@ def test_sc_plan_root_table_matches_congruence_solver(p, ramified, level):
     engine = sc_engine(p, ramified, level)
     for i in range(engine.spec.n0 + 1, engine.spec.n - 1):
         t = engine.spec.n - i
-        kx = (t + 1) // 2
-        plan = sc_plan(engine, t)
-        assert plan.dx_mod == p ** (t - kx) and plan.pt == p**t
-        assert len(plan.roots) == plan.dx_mod
-        for r, (x, x_sc2, x_inv) in enumerate(plan.roots):
-            want = [v for root in solve_quadratic_congruence(1, 0, r, p,
-                                                             t - kx)
-                    for v in _unit_lifts(root, t - kx, kx, p)]
-            assert x.tolist() == want, (t, r)
-            assert (x_sc2 == x % plan.sc2_mod).all()
+        plan = depth_plan(engine, t)
+        assert plan.root_mod == p ** (t - (t + 1) // 2) and plan.pt == p**t
+        assert len(plan.roots) == plan.root_mod
+        for r in range(plan.root_mod):
+            x = plan.roots[r][plan.root_ok[r]]
+            assert x.tolist() == unit_roots(p, t, 0, r), (t, r)
+            x_inv = plan.root_inv[r][plan.root_ok[r]]
             assert (x * x_inv % plan.pt == 1).all()
-        for eta_c_inv, rows in plan.classes:
-            assert (plan.eta_t[rows] * eta_c_inv % plan.dx_mod == 1).all()
+
+
+@pytest.mark.parametrize("p,n", [(3, 6), (3, 10), (5, 6), (5, 8), (7, 6)])
+def test_ps_plan_root_table_matches_congruence_solver(p, n):
+    engine = ps_engine(p, n)
+    spec, pn0 = engine.spec, p ** engine.spec.n0
+    kx = (spec.n0 + 1) // 2
+    dx = p ** (spec.n0 - kx)
+    w = statphase.alpha_of_chi(spec.mu).residue_unit(spec.n0 - kx)
+    for i in range(spec.n0 + 1, spec.n - 1):
+        t, shift = spec.n - i, p ** (i - spec.n0)
+        plan = depth_plan(engine, t)
+        du = plan.root_mod
+        assert du == p ** (t - (t + 1) // 2) and plan.pt == p**t
+        assert len(plan.roots) == du and plan.dx_mod == dx
+        for r in range(du):
+            u0 = plan.roots[r][plan.root_ok[r]]
+            assert u0.tolist() == unit_roots(p, t, 2 * shift, -r), (t, r)
+            # the per-query quadratic m u^2 + 2 shift m u - a, with r = a/m
+            for m_res in (m for m in range(du) if m % p):
+                a_res = r * m_res % du
+                assert (sorted(solve_quadratic_congruence(
+                    m_res, 2 * shift * m_res, -a_res, p, t - (t + 1) // 2))
+                    == sorted(solve_quadratic_congruence(
+                        1, 2 * shift, -r, p, t - (t + 1) // 2)))
+                assert plan.m_inv[m_res] * m_res % du == 1
+            entries = plan.entries[r][plan.root_ok[r]]
+            assert entries[:, 0].tolist() == u0.tolist()
+            assert entries[:, 1].tolist() == [
+                engine.mu_dense[(1 + pow(u, -1, pn0) * shift) % pn0]
+                for u in u0.tolist()]
+            assert entries[:, 2].tolist() == [shift * u % dx
+                                              for u in u0.tolist()]
+        for s in range(dx):
+            lifts = plan.x_lifts[s][plan.x_ok[s]].tolist()
+            assert lifts == (_unit_lifts(w * pow(s, -1, dx) % dx,
+                                         spec.n0 - kx, kx, p)
+                             if s % p else [])
 
 
 def test_sc_plans_never_cross_engines():
@@ -218,14 +278,18 @@ def test_sc_plans_never_cross_engines():
         for p in (3, 5, 7, 3):
             engine = sc_engine(p, False, 3)
             i = engine.spec.n - 2
-            for a_res in (1, 2, p + 1):
-                pairs, scanned = _sc_pairs(engine, i, a_res, 1)
+            units = (1, 2, p + 1)
+            pairs, scanned = depth_pairs(engine, i,
+                                         np.array(units, dtype=np.int64),
+                                         np.ones(3, dtype=np.int64))
+            for k, a_res in enumerate(units):
                 want, want_scanned, weight = sc_pairs_per_rep(
                     engine, i, a_res, 1)
-                assert scanned == want_scanned
-                assert Counter(map(tuple, pairs.tolist())) == Counter(want)
+                assert scanned[k] == want_scanned
+                assert (Counter(map(tuple, pairs[pairs[:, 0] == k, 1:]
+                                    .tolist())) == Counter(want))
                 assert ball_volume(engine, i) == weight
-            assert engine.sc_plans[2].pt == p * p
+            assert engine.depth_plans[2].pt == p * p
             del engine
             gc.collect()
 
@@ -235,6 +299,37 @@ def test_fast_value_route():
     a, madd = supported_grid(engine, 4, units=(1,))[0]
     assert abs(phi_fast_value(engine, 4, a, madd)
                - engine.phi_value(4, a, madd)) < 1e-12
+
+
+def test_depth_values_are_bitwise_the_per_query_values(monkeypatch):
+    # 5 keys per array program puts chunk boundaries inside the batches
+    monkeypatch.setattr(statphase, "DEPTH_CHUNK", 5)
+    seen = Counter()
+    for engine in (ps_engine(3, 8), sc_engine(3, True, 6),
+                   sc_engine(5, False, 3)):
+        spec, p = engine.spec, engine.spec.p
+        ctx = get_context(p, spec.n + 4)
+        units = [u for u in range(1, 3 * p) if u % p][:7]
+        for i in range(spec.n0 + 1, spec.n + 1):
+            # the supported grid, then three queries off the support
+            grid = supported_grid(engine, i, units) + [
+                (ctx.scalar(1, 1), ctx.scalar(i - spec.n, 1)),
+                (ctx.scalar(0, 1), ctx.scalar(i - spec.n - 1, 1)),
+                (ctx.scalar(0, 2), ctx.zero())]
+            queries = [(i, a, madd) for a, madd in grid]
+            want = {id(q): repr(phi_fast_value(engine, *q)) for q in queries}
+            no_pairs = [q for q in queries[:len(units) ** 2]
+                        if i < spec.n - 1 and not len(
+                            critical_pairs(engine, *q)[0])]
+            for batch in (queries, queries[:1], no_pairs):
+                keys = [engine.query_key(*q) for q in batch]
+                got = phi_fast_values(engine, i, batch, keys)
+                assert [repr(v) for v in got] == [want[id(q)]
+                                                  for q in batch], i
+            seen["boundary" if i >= spec.n - 1 else "interior"] += 1
+            seen["no-pair batch"] += bool(no_pairs)
+            seen["some pairs"] += len(no_pairs) < len(units) ** 2
+    assert min(seen.values()) > 0 and len(seen) == 4
 
 
 # -- dispatch ----------------------------------------------------------------

@@ -238,6 +238,15 @@ def test_sparse_entry_matches_term_scatter(spec):
             assert len(phases) == len(mult)
             assert len(phases) <= min(eng.m, eng.term_count())
             assert not phases.flags.writeable and not mult.flags.writeable
+            # ascending distinct phases and positive multiplicities; the
+            # uncached entry, counted by np.bincount when the terms outnumber
+            # m (sc here), equals the cached np.unique one
+            assert (np.diff(phases) > 0).all() and (mult > 0).all()
+            for got, cached in zip(eng.numerator_counts(i, x_res,
+                                                        cache=False),
+                                   (phases, mult)):
+                assert got.dtype == cached.dtype == np.int64
+                assert (got == cached).all()
             want = np.zeros(eng.m, dtype=np.int64)
             np.add.at(want, term_exponents(eng, i, x_res), 1)
             assert (dense_counts(eng, i, x_res) == want).all()

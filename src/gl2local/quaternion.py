@@ -2,11 +2,12 @@
 
 Covers: Hilbert symbols and discriminants, maximal-order certificates via the
 trace form, sublattices with planned local shapes at split odd primes (cut
-out by the two off-diagonal linear forms of a local splitting, mod p^r),
-exact point counts in hyperbolic balls with prescribed reduced norm (the
-norm equation solved exactly on each lattice line through the ellipsoid,
-after Fincke and Pohst, Math. Comp. 44 (1985)), and the exact-rational
-exponent arithmetic for the global bounds.
+out by elimination mod p^r on two coordinates of a local splitting basis,
+the shape read from determinantal divisors), exact point counts in
+hyperbolic balls with prescribed reduced norm (the norm equation solved
+exactly on each lattice line through the ellipsoid, after Fincke and Pohst,
+Math. Comp. 44 (1985)), and the exact-rational exponent arithmetic for the
+global bounds.
 """
 
 from __future__ import annotations
@@ -22,14 +23,7 @@ from importlib import resources
 import numpy as np
 
 from .errors import BudgetError, ConstructionError, PrecisionError, int_text
-from .residue import (
-    factorize,
-    is_prime,
-    legendre,
-    padic_valuation,
-    solve_quadratic_congruence,
-    sqrt_mod_prime,
-)
+from .residue import factorize, is_prime, legendre, padic_valuation
 
 ENUMERATION_BUDGET = 10**7
 FILTRATION_LEVEL_BUDGET = 10**5
@@ -188,75 +182,13 @@ def load_algebra_fixtures() -> dict:
     return out
 
 
-# -- Smith normal form (small integer matrices) ------------------------------
-
-def smith_normal_form(mat) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
-    """(U, D, V) with U @ mat @ V = D diagonal, d1 | d2 | ..., U, V unimodular."""
-    a = [list(map(int, row)) for row in mat]
-    nr, nc = len(a), len(a[0])
-    u = [[int(i == j) for j in range(nr)] for i in range(nr)]
-    v = [[int(i == j) for j in range(nc)] for i in range(nc)]
-
-    def row_op(r1, r2, f):
-        a[r1] = [x - f * y for x, y in zip(a[r1], a[r2])]
-        u[r1] = [x - f * y for x, y in zip(u[r1], u[r2])]
-
-    def col_op(c1, c2, f):
-        for row in a:
-            row[c1] -= f * row[c2]
-        for row in v:
-            row[c1] -= f * row[c2]
-
-    def swap_rows(r1, r2):
-        a[r1], a[r2] = a[r2], a[r1]
-        u[r1], u[r2] = u[r2], u[r1]
-
-    def swap_cols(c1, c2):
-        for row in a:
-            row[c1], row[c2] = row[c2], row[c1]
-        for row in v:
-            row[c1], row[c2] = row[c2], row[c1]
-
-    for t in range(min(nr, nc)):
-        while True:
-            choices = [(abs(a[r][c]), r, c) for r in range(t, nr)
-                       for c in range(t, nc) if a[r][c]]
-            if not choices:
-                break
-            _, r, c = min(choices)
-            swap_rows(t, r)
-            swap_cols(t, c)
-            dirty = False
-            for r in range(t + 1, nr):
-                if a[r][t]:
-                    row_op(r, t, a[r][t] // a[t][t])
-                    dirty = dirty or a[r][t] != 0
-            for c in range(t + 1, nc):
-                f = a[t][c] // a[t][t]
-                if f:
-                    col_op(c, t, f)
-                dirty = dirty or a[t][c] != 0
-            if dirty:
-                continue
-            bad = next(((r, c) for r in range(t + 1, nr)
-                        for c in range(t + 1, nc) if a[r][c] % a[t][t]), None)
-            if bad is None:
-                break
-            a[t] = [x + y for x, y in zip(a[t], a[bad[0]])]
-            u[t] = [x + y for x, y in zip(u[t], u[bad[0]])]
-    for t in range(min(nr, nc)):
-        if a[t][t] < 0:
-            col_op(t, t, 2)  # negate: x - 2x = -x
-    return u, a, v
-
-
 # -- local splittings and tidy lattices --------------------------------------
 
 def _pure_split_pair(alg: QuaternionAlgebra, p: int):
     """Integer-coordinate pure quaternions V, W with s = V^2 a unit square
     mod p, t = W^2 a unit mod p, VW = -WV and the basis 1, V, W, VW of
-    determinant prime to p; returns s, t and the exact inverse of that basis
-    (rows over the 1, i, j, k frame)."""
+    determinant prime to p; returns the exact inverse of that basis (rows
+    over the 1, i, j, k frame)."""
     def square(x):
         return -alg.nr(x)  # V pure => V^2 = -nr(V)
 
@@ -275,7 +207,7 @@ def _pure_split_pair(alg: QuaternionAlgebra, p: int):
             det, inv = _det_inverse([(1, 0, 0, 0), v_cand, w_cand,
                                      alg.mul(v_cand, w_cand)])
             if det % p:
-                return square(v_cand), square(w_cand), inv
+                return inv
     raise ConstructionError(f"no splitting strategy found for p={p}")
 
 
@@ -305,26 +237,68 @@ class TidyLattice:
         return [self.order.element(row) for row in self.coords]
 
 
+def _det(m) -> int:
+    """Exact determinant of a small integer matrix, by cofactor expansion."""
+    if not m:
+        return 1
+    return sum((-1) ** j * m[0][j] * _det([row[:j] + row[j + 1:] for row in m[1:]])
+               for j in range(len(m)) if m[0][j])
+
+
 def lattice_shape(coords) -> tuple[int, int, int]:
-    _, d, _ = smith_normal_form(coords)
-    if d[0][0] != 1:
+    """Last three elementary divisors of the nonsingular 4 x 4 integer matrix
+    `coords`, d_k = D_k / D_(k-1) with D_k the gcd of its k x k minors (the
+    determinantal divisors: Cohen, A Course in Computational Algebraic
+    Number Theory, 2.4); AssertionError unless d_1 = 1."""
+    dets = [1]
+    for k in range(1, 5):
+        picks = list(itertools.combinations(range(4), k))
+        dets.append(math.gcd(*(_det([[coords[r][c] for c in cols] for r in rows])
+                               for rows in picks for cols in picks)))
+    d = [b // a for a, b in zip(dets, dets[1:])]
+    if d[0] != 1:
         raise AssertionError("lattice does not contain a unimodular vector")
-    return d[1][1], d[2][2], d[3][3]
+    return d[1], d[2], d[3]
+
+
+def _kernel_mod(forms, mod: int) -> list[list[int]]:
+    """A basis of {x in Z^n : f.x = 0 mod `mod` for each row f of `forms`}.
+    Gauss-Jordan mod `mod` gives each form a unit pivot at its own column,
+    zero at the other pivots; the rows, in column order, are mod e_j at each
+    pivot j and e_k minus its centred pivot multiples at each other column k.
+    AssertionError if a form has no unit pivot left (index below mod^2)."""
+    rows, pivots = [list(f) for f in forms], []
+    for i, row in enumerate(rows):
+        j = next((j for j, x in enumerate(row) if math.gcd(x, mod) == 1), None)
+        if j is None:
+            raise AssertionError(f"local conditions mod {mod} are not independent")
+        unit = pow(row[j], -1, mod)
+        rows[i] = row = [x * unit % mod for x in row]
+        for other in range(len(rows)):
+            if other != i:
+                f = rows[other][j]
+                rows[other] = [(x - f * y) % mod for x, y in zip(rows[other], row)]
+        pivots.append(j)
+    n = len(rows[0])
+    basis = [[int(i == k) for i in range(n)] for k in range(n)]
+    for k, vec in enumerate(basis):
+        if k in pivots:
+            vec[k] = mod
+        else:
+            for row, j in zip(rows, pivots):
+                vec[j] = -row[k] if 2 * row[k] <= mod else mod - row[k]
+    return basis
 
 
 def build_tidy_lattice(order: RationalOrder, plan: dict[int, int]) -> TidyLattice:
     """The vectors of `order` whose image under a splitting at each planned
     split odd prime p has off-diagonal entries = 0 mod p^r, r = plan[p]; the
-    local shape is (1, p^r, p^r).
-
-    With s = V^2, t = W^2 from `_pure_split_pair`, the splitting
-    V -> diag(sqrt s, -sqrt s), W -> [[0, t], [1, 0]] sends
-    c0 + c1 V + c2 W + c3 VW to off-diagonal entries t (c2 + sqrt(s) c3) and
-    c2 - sqrt(s) c3, so the conditions are these two linear forms mod p^r
-    (sqrt s taken mod p^r).  As p is odd and t, sqrt s are units, both
-    vanish iff c2 = c3 = 0 mod p^r: the factors t and sqrt s do not change
-    the lattice.  They are kept because the basis in `coords` comes from the
-    Smith form of the two forms and would change without them."""
+    local shape is (1, p^r, p^r).  With V, W from `_pure_split_pair`, s = V^2
+    and t = W^2, the splitting V -> diag(sqrt s, -sqrt s), W -> [[0, t],
+    [1, 0]] gives c0 + c1 V + c2 W + c3 VW the off-diagonal entries
+    t (c2 + sqrt(s) c3) and c2 - sqrt(s) c3.  As p is odd and t, sqrt s are
+    units, both vanish mod p^r iff c2 = c3 = 0 mod p^r, which `_kernel_mod`
+    imposes on the current basis, one prime at a time in sorted order."""
     alg = order.algebra
     current = [[int(i == j) for j in range(4)] for i in range(4)]
     for p in sorted(plan):
@@ -334,27 +308,13 @@ def build_tidy_lattice(order: RationalOrder, plan: dict[int, int]) -> TidyLattic
         if r < 1:
             raise ValueError("plan exponents must be >= 1")
         mod = p**r
-        s, t, inv = _pure_split_pair(alg, p)
-        root_p = sqrt_mod_prime(s, p)
-        rs, = [x for x in solve_quadratic_congruence(1, 0, -s, p, r)
-               if x % p == root_p]
-        forms = [[], []]
-        for vec in current:
-            # (c2, c3) of vec on the basis 1, V, W, VW, mod p^r
-            frame_vec = order.element(vec)
-            c2, c3 = (_residue(sum(x * row[col] for x, row in zip(frame_vec, inv)),
-                               mod) for col in (2, 3))
-            forms[0].append(t * (c2 + rs * c3) % mod)
-            forms[1].append((c2 - rs * c3) % mod)
-        _, d, v = smith_normal_form(forms)
-        scale = [mod // math.gcd(d[k][k], mod) if k < 2 else 1 for k in range(4)]
-        # v is unimodular, so the kernel has index prod(scale)
-        if math.prod(scale) != p ** (2 * r):
-            raise AssertionError("local conditions did not cut index p^(2r)")
-        # the columns of v, scaled, generate the kernel in current-basis
-        # coordinates
-        current = [[sum(v[k][c] * scale[c] * current[k][j] for k in range(4))
-                    for j in range(4)] for c in range(4)]
+        inv = _pure_split_pair(alg, p)
+        # (c2, c3) of each current vector on the basis 1, V, W, VW, mod p^r
+        frames = [order.element(vec) for vec in current]
+        forms = [[_residue(sum(x * row[col] for x, row in zip(frame, inv)), mod)
+                  for frame in frames] for col in (2, 3)]
+        current = [[sum(v * row[j] for v, row in zip(vec, current)) for j in range(4)]
+                   for vec in _kernel_mod(forms, mod)]
     shape = lattice_shape(current)
     lat = TidyLattice(order, current, math.prod(shape), shape)
     if math.prod(p ** (2 * r) for p, r in plan.items()) != lat.index:

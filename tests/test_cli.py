@@ -242,11 +242,11 @@ def test_counting_loads_the_algebra_fixtures_once(tmp_path):
 
 
 @pytest.mark.parametrize("plan,match", [
-    ({"5": 12}, r"norm form: entries of \d+ bits exceed the limit of 63 bits"),
-    ({"1000003": 1},
+    ({"5": 16}, r"norm form: entries of \d+ bits exceed the limit of 63 bits"),
+    ({"1000003": 2},
      r"norm form: entries of \d+ bits exceed the limit of 63 bits"),
-    ({"5": 30}, r"float Gram matrix: entries of \d+ bits exceed the limit "
-                r"of 1023 bits"),
+    ({"1009": 51}, r"float Gram matrix: entries of \d+ bits exceed the limit "
+                   r"of 1023 bits"),
 ])
 def test_oversized_counting_forms_are_refused_before_conversion(
         tmp_path, plan, match):
@@ -255,6 +255,16 @@ def test_oversized_counting_forms_are_refused_before_conversion(
                                       "L": 2, "out": str(tmp_path / "c.csv")})
     with pytest.raises(BudgetError, match=rf"^quaternion {match}$"):
         cli.run_task(cfg)
+
+
+def test_deep_plan_is_refused_before_a_square_root_is_lifted(tmp_path):
+    # a square root mod 5**2000 used to be lifted first: no exit in 20 s
+    cfg = ExperimentConfig.from_dict({"task": "counting", "plans": [{"5": 2000}],
+                                      "L": 2, "out": str(tmp_path / "c.csv")})
+    t0 = time.perf_counter()
+    with pytest.raises(BudgetError):
+        cli.run_task(cfg)
+    assert time.perf_counter() - t0 < 1.0
 
 
 @pytest.mark.parametrize("family,match", [

@@ -24,7 +24,6 @@ from gl2local.quaternion import (
     local_hilbert_symbol,
     norm_histogram,
     ramified_primes,
-    smith_normal_form,
     supnorm_exponent,
     verify_maximal_order,
     _candidates_with_norms,
@@ -181,16 +180,17 @@ def test_order_must_contain_one():
         RationalOrder(ALG6, rows)
 
 
-# -- Smith normal form ---------------------------------------------------------
+# -- elementary divisors --------------------------------------------------------
 
-def unimodular(mat):
+def exact_det(mat) -> int:
+    """Determinant by Gaussian elimination over the rationals."""
     rows = [[Fraction(v) for v in row] for row in mat]
-    det = 1
+    det = Fraction(1)
     n = len(rows)
     for col in range(n):
         piv = next((r for r in range(col, n) if rows[r][col]), None)
         if piv is None:
-            return False
+            return 0
         if piv != col:
             rows[col], rows[piv] = rows[piv], rows[col]
             det = -det
@@ -198,29 +198,40 @@ def unimodular(mat):
         for r in range(col + 1, n):
             f = rows[r][col] / rows[col][col]
             rows[r] = [v - f * w for v, w in zip(rows[r], rows[col])]
-    return abs(det) == 1
+    return int(det)
 
 
-@pytest.mark.parametrize("shape", [(4, 4), (2, 4), (3, 5)])
-def test_smith_normal_form_random(shape):
-    rng = random.Random(sum(shape))
+def test_lattice_shape_random():
+    # the seeded 4 x 4 matrices of the former Smith form test, kept when
+    # nonsingular and primitive (gcd of entries 1, so d_1 = 1)
+    rng = random.Random(8)
+    kept = 0
     for _ in range(40):
-        a = [[rng.randint(-9, 9) for _ in range(shape[1])]
-             for _ in range(shape[0])]
-        u, d, v = smith_normal_form(a)
-        prod = [[sum(u[r][k] * a[k][c] for k in range(shape[0]))
-                 for c in range(shape[1])] for r in range(shape[0])]
-        prod = [[sum(prod[r][k] * v[k][c] for k in range(shape[1]))
-                 for c in range(shape[1])] for r in range(shape[0])]
-        assert prod == d
-        assert unimodular(u) and unimodular(v)
-        diag = [d[t][t] for t in range(min(shape))]
-        for r in range(shape[0]):
-            for c in range(shape[1]):
-                if r != c:
-                    assert d[r][c] == 0
-        for x, y in zip(diag, diag[1:]):
-            assert x >= 0 and (x == 0 or y % x == 0)
+        a = [[rng.randint(-9, 9) for _ in range(4)] for _ in range(4)]
+        det = exact_det(a)
+        if det == 0 or math.gcd(*(v for row in a for v in row)) != 1:
+            continue
+        kept += 1
+        d = lattice_shape(a)
+        assert math.prod(d) == abs(det)
+        for x, y in zip((1, *d), d):
+            assert x > 0 and y % x == 0
+    assert kept >= 30
+
+
+def test_lattice_shape_of_a_disguised_diagonal():
+    # U diag(1, 2, 3, 4) V with U, V random products of elementary integer
+    # operations has the Smith form diag(1, 1, 2, 12)
+    rng = random.Random(9)
+    for _ in range(20):
+        a = [[int(i == j) * (i + 1) for j in range(4)] for i in range(4)]
+        for _ in range(12):
+            i, j = rng.sample(range(4), 2)
+            f = rng.randint(-3, 3)
+            a[i] = [x + f * y for x, y in zip(a[i], a[j])]  # row op
+            for row in a:  # column op
+                row[j] += f * row[i]
+        assert lattice_shape(a) == (1, 2, 12)
 
 
 # -- local splittings and tidy lattices ----------------------------------------
@@ -248,16 +259,66 @@ def test_tidy_lattice_shapes_and_index():
     assert (lat.index, lat.shape, lat.is_tidy) == (225, (1, 15, 15), True)
 
 
+# the bases that the former construction took from the Smith form of the
+# forms t (c2 + sqrt(s) c3), c2 - sqrt(s) c3, by (discriminant, plan)
+SMITH_BASES = {
+    (14, (3, 1)): [[0, 0, 3, 0], [0, 0, 0, 3], [1, 0, 0, 0], [0, 1, 0, 0]],
+    (14, (3, 2)): [[0, 0, 9, 0], [0, 0, 27, -9], [1, 0, 0, 0], [0, 1, 0, 0]],
+    (6, (5, 2)): [[0, 25, 0, 175], [0, 75, 0, 500], [0, 0, 1, 0], [1, 0, 0, 0]],
+    (6, (7, 2)): [[0, -49, 441, 0], [0, 12642, 11760, -25627], [1, 0, 0, 0],
+                  [0, -701, -652, 1421]],
+}
+
+
 @pytest.mark.parametrize("order,plan,coords", [
-    (ORD14, {3: 1}, [[0, 0, 3, 0], [0, 0, 0, 3], [1, 0, 0, 0], [0, 1, 0, 0]]),
-    (ORD14, {3: 2}, [[0, 0, 9, 0], [0, 0, 27, -9], [1, 0, 0, 0], [0, 1, 0, 0]]),
-    (ORD6, {5: 2}, [[0, 25, 0, 175], [0, 75, 0, 500], [0, 0, 1, 0],
-                    [1, 0, 0, 0]])])
+    (ORD14, {3: 1}, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 3, 0], [0, 0, 0, 3]]),
+    (ORD14, {3: 2}, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 9, 0], [0, 0, 0, 9]]),
+    (ORD6, {5: 2}, [[1, 0, 0, 0], [0, 25, 0, 0], [0, 0, 1, 0], [0, 0, 0, 25]]),
+    (ORD6, {7: 2}, [[1, 0, 0, 0], [0, 49, 0, 0], [0, 1, 1, 0], [0, 0, 0, 49]])])
 def test_tidy_lattice_bases_frozen(order, plan, coords):
-    # the two forms vanish together iff c2 = c3 = 0 mod p^r, so the lattice
-    # does not see the factors t and sqrt(s); the basis from their Smith form
-    # does, and is pinned here
-    assert build_tidy_lattice(order, plan).coords == coords
+    # the basis from elimination mod p^r is pinned, and spans the same
+    # lattice as the Smith form basis: each contains the other
+    lat = build_tidy_lattice(order, plan)
+    assert lat.coords == coords
+    smith_coords = SMITH_BASES[(order.algebra.discriminant, *plan.items())]
+    smith = TidyLattice(order, smith_coords, abs(exact_det(smith_coords)),
+                        lattice_shape(smith_coords))
+    assert all(lattice_contains(lat, row) for row in smith_coords)
+    assert all(lattice_contains(smith, row) for row in coords)
+    assert (smith.index, smith.shape) == (lat.index, lat.shape)
+
+
+def test_kernel_mod_random_forms():
+    # the basis solves both forms and has index mod^2, so it spans the whole
+    # solution set; seeded forms whose reduction mod p has rank 2
+    rng = random.Random(15)
+    for p, r in ((3, 1), (3, 4), (5, 2), (7, 3)) * 10:
+        mod = p**r
+        while True:
+            forms = [[rng.randrange(mod) for _ in range(4)] for _ in range(2)]
+            if any((a * d - b * c) % p for a, b in zip(*forms)
+                   for c, d in zip(*forms)):
+                break
+        basis = quaternion._kernel_mod(forms, mod)
+        assert all(sum(f * x for f, x in zip(form, vec)) % mod == 0
+                   for form in forms for vec in basis)
+        assert abs(exact_det(basis)) == mod**2
+
+
+@pytest.mark.parametrize("order,plan", [
+    (ORD6, {7: 2}), (ORD6, {7: 3}), (ORD6, {5: 1, 7: 2}), (ORD14, {3: 2, 11: 1})])
+def test_tidy_lattice_meets_its_local_conditions(order, plan):
+    # every basis vector has c2 = c3 = 0 mod p^r on the split basis 1, V, W,
+    # VW at each planned p; with the index p^(2r) per prime, the lattice is
+    # the whole solution set.  These plans have nonzero pivot multiples.
+    lat = build_tidy_lattice(order, plan)
+    for p, r in plan.items():
+        inv = quaternion._pure_split_pair(order.algebra, p)
+        for frame in lat.basis_in_frame():
+            for col in (2, 3):
+                c = sum(x * row[col] for x, row in zip(frame, inv))
+                assert c.denominator % p and c.numerator % p**r == 0
+    assert lat.index == math.prod(p ** (2 * r) for p, r in plan.items())
 
 
 def test_tidy_lattices_nest():
@@ -504,6 +565,18 @@ def test_two_enumerators_agree_exactly(order, plan, delta, z):
     assert any(hist.values())
     assert [count_lattice_points_box(lat, z, delta, m) for m in norms] \
         == [hist[m] for m in norms]
+
+
+@pytest.mark.parametrize("order,plan", [(ORD6, {7: 2}), (ORD14, {13: 2})],
+                         ids=["disc6-7-2", "disc14-13-2"])
+def test_deep_plans_count_on_the_eliminated_basis(order, plan):
+    # with the Smith form basis both were refused by the line-solve guard
+    lat = build_tidy_lattice(order, plan)
+    z = UpperHalfPoint(Fraction(1, 2), Fraction(1))
+    hist = norm_histogram(lat, z, 1, range(1, 15))
+    assert hist[1] >= 2
+    assert [count_lattice_points_box(lat, z, 1, m) for m in range(1, 5)] \
+        == [hist[m] for m in range(1, 5)]
 
 
 def test_counting_validation():

@@ -21,12 +21,11 @@ from functools import lru_cache
 import numpy as np
 
 from .cyclotomic import CycloValue
-from .errors import BudgetError, ConstructionError, int_text
+from .errors import BudgetError, ConstructionError
 from .residue import (
     MODULUS_BIT_BUDGET,
     PAdicScalar,
     QuadExtElement,
-    factorize,
     get_context,
     get_ext_context,
     primitive_root,
@@ -157,10 +156,15 @@ class UnitGroupE:
     Keys are (A, B) for A + B*sqrt(D) with A mod p^L, B mod p^L (unramified)
     or A mod p^ceil(L/2), B mod p^floor(L/2) (ramified).  Tables over the
     classes are int arrays at index(A, B) = A*mod_b + B; non-units hold -1.
-    The group is realized as the verified direct product of three explicit
-    generators: `dlog` (one row (e0, e1, e2) per index) is filled from the
-    products of all generator powers, and every unit index being hit exactly
-    once, i.e. the group order, certifies independence.
+    The group is realized as the direct product of three explicit generators
+    of expected orders o_j (`gen_orders`, whose product is the group order):
+    `dlog` (one row (e0, e1, e2) per index) is filled from the products of
+    all generator powers.  The certificate is two checks: g_j^(o_j) = 1 makes
+    (e0, e1, e2) -> prod g_j^(e_j) a homomorphism from the product of the
+    Z/o_j, and every unit index being hit exactly once makes it a bijection,
+    hence an isomorphism with inverse `dlog`.  A character with exponents t
+    on the generators takes the value exponent sum t_j e_j weights[j] mod
+    char_order, the lcm of the orders.
     """
 
     def __init__(self, p: int, ramified: bool, level: int):
@@ -173,13 +177,12 @@ class UnitGroupE:
         # past MODULUS_BIT_BUDGET bits the size is refused unformed: forming
         # q_e**level alone does not finish for a huge level
         bits = level * math.log2(q_e)
-        if bits > MODULUS_BIT_BUDGET:
-            raise BudgetError(f"unit group of size "
-                              f"~2**{int(bits + math.log2(1 - 1 / q_e))} "
-                              f"exceeds budget")
-        self.order = q_e**level - q_e ** (level - 1)
-        if self.order > GROUP_TABLE_BUDGET:
-            raise BudgetError(f"unit group of size {int_text(self.order)} exceeds budget")
+        self.order = (q_e**level - q_e ** (level - 1)
+                      if bits <= MODULUS_BIT_BUDGET else 0)
+        if not 0 < self.order <= GROUP_TABLE_BUDGET:
+            size = self.order or f"~2**{int(bits + math.log2(1 - 1 / q_e))}"
+            raise BudgetError(f"characters unit group: size {size} exceeds "
+                              f"the budget of {GROUP_TABLE_BUDGET}")
         self.d_unit = 1 if ramified else smallest_nonresidue(p)
         if ramified:
             self.mod_a = p ** ((level + 1) // 2)
@@ -187,6 +190,8 @@ class UnitGroupE:
         else:
             self.mod_a = self.mod_b = p**level
         self.generators, self.gen_orders = self._find_generators()
+        self.char_order = math.lcm(*self.gen_orders)
+        self.weights = tuple(self.char_order // o for o in self.gen_orders)
         self.dlog = self._build_table()
 
     # -- coordinate arithmetic ------------------------------------------------
@@ -216,13 +221,6 @@ class UnitGroupE:
         """Table index of the class of a + b sqrt(D); ints or int arrays."""
         return a % self.mod_a * self.mod_b + b % self.mod_b
 
-    def element_order(self, x: tuple[int, int]) -> int:
-        n = self.order
-        for f, _ in factorize(self.order):
-            while n % f == 0 and self.power(x, n // f) == (1, 0):
-                n //= f
-        return n
-
     # -- structure -------------------------------------------------------------
 
     def _find_generators(self):
@@ -237,11 +235,10 @@ class UnitGroupE:
             g0 = self._residue_field_generator()
             gens = [g0, ((1 + p) % self.mod_a, 0), (1, p % self.mod_b)]
             expect = [p * p - 1, p ** (lvl - 1), p ** (lvl - 1)]
-        orders = [self.element_order(g) for g in gens]
-        if orders != expect:
+        if any(self.power(g, o) != (1, 0) for g, o in zip(gens, expect)):
             raise ConstructionError(
-                f"unexpected generator orders {orders}, wanted {expect}")
-        return gens, orders
+                f"a generator does not satisfy its order {expect}")
+        return gens, expect
 
     def _residue_field_generator(self) -> tuple[int, int]:
         # search F_{p^2}^x for a generator, then kill the p-part of its lift
@@ -304,13 +301,10 @@ class ThetaChar:
         self.level = group.level
         self.exps = exps
 
-        o0, o1, o2 = group.gen_orders
-        mg = math.lcm(o0, o1, o2)
-        r0, r1, r2 = mg // o0, mg // o1, mg // o2
-        t0, t1, t2 = exps
-        g = math.gcd(math.gcd(t0 * r0, t1 * r1), math.gcd(t2 * r2, mg))
-        self.value_order = vo = mg // g
-        raw = group.dlog @ np.array([t0 * r0, t1 * r1, t2 * r2], dtype=np.int64)
+        w = [t * r for t, r in zip(exps, group.weights)]
+        g = math.gcd(*w, group.char_order)
+        self.value_order = vo = group.char_order // g
+        raw = group.dlog @ np.array(w, dtype=np.int64)
         self.table = np.where(group.dlog[:, 0] >= 0, raw // g % vo, -1)
 
     def exponent(self, key: tuple[int, int]) -> int:
@@ -367,8 +361,7 @@ def build_theta(p: int, ramified: bool, level: int) -> ThetaChar:
         raise ValueError("need level >= 2")
     group = get_unit_group(p, ramified, level)
     o0, o1, o2 = group.gen_orders
-    mg = math.lcm(o0, o1, o2)
-    r0, r1, r2 = mg // o0, mg // o1, mg // o2
+    mg, (r0, r1, r2) = group.char_order, group.weights
 
     # rows of dlog at the classes of F (indices A*mod_b + 0) and of the
     # deepest one-unit shell, as Python ints so the loops below stop early

@@ -35,6 +35,7 @@ from .quaternion import (
     depth_exponent,
     filtration_schedule,
     load_algebra_fixtures,
+    norm_histogram,
     supnorm_exponent,
 )
 from .residue import PRIMALITY_BOUND, get_context, is_prime, random_unit
@@ -506,13 +507,15 @@ def run_counting(cfg: ExperimentConfig) -> TaskResult:
         spread = f"(min {min(vals)!r}, max {max(vals)!r})" if vals else "(no data)"
         report.append(f"{key} window x64: {'ok' if window_ok else 'FAIL'} {spread}")
     if cfg.verify_box_max_norm:
-        lat = lattices[0]
-        agree = True
-        # largest box first, so a box past the budget is refused at once
-        for m in range(cfg.verify_box_max_norm, 0, -1):
-            fast = count_lattice_points(lat, cfg.z, cfg.delta, m)
+        lat, top = lattices[0], cfg.verify_box_max_norm
+        # largest norm first, so an ellipsoid or a box past its budget is
+        # refused at once; the fast side of the smaller norms is one histogram
+        agree = (count_lattice_points(lat, cfg.z, cfg.delta, top)
+                 == count_lattice_points_box(lat, cfg.z, cfg.delta, top))
+        fast = norm_histogram(lat, cfg.z, cfg.delta, range(1, top))
+        for m in range(top - 1, 0, -1):
             slow = count_lattice_points_box(lat, cfg.z, cfg.delta, m)
-            agree = agree and fast == slow
+            agree = agree and fast[m] == slow
         ok = ok and agree
         report.append(f"box-oracle agreement m<= {cfg.verify_box_max_norm}: "
                       f"{'ok' if agree else 'FAIL'}")

@@ -51,7 +51,8 @@ class _CycloBasis:
         if m < 1:
             raise ValueError("modulus must be positive")
         if euler_phi(m) > PHI_BUDGET:
-            raise BudgetError(f"phi({m}) = {euler_phi(m)} exceeds the cyclotomic budget")
+            raise BudgetError(f"cyclotomic basis: phi({m}) = {euler_phi(m)} "
+                              f"exceeds the budget of {PHI_BUDGET}")
         self.m = m
         self.factors = factorize(m) if m > 1 else []
         self.moduli = [p**a for p, a in self.factors] or [1]

@@ -21,15 +21,13 @@ from .whittaker import ReprSpec, WhittakerEngine, required_precision
 
 
 class MatCoefEngine(WhittakerEngine):
-    """phi evaluator for one representation: the Whittaker engine at the
-    coefficient modulus, whose cyclotomic order also covers the psi factors
-    of the unit average.  Values are exact numerators over the family Gauss
-    constant C0: phi = numerator / C0.
+    """phi evaluator for one representation: the Whittaker engine, whose
+    modulus also covers the psi factors of the unit average.  Values are
+    exact numerators over the family Gauss constant C0: phi = numerator / C0.
     """
 
     def __init__(self, spec: ReprSpec):
-        # additive arguments down to v(m) = -(n1 + 1) fit the modulus
-        super().__init__(spec, spec.modulus(spec.n1 + 1))
+        super().__init__(spec)
         # statphase's critical-pair plans by depth t = n - i
         self.depth_plans: dict[int, object] = {}
 

@@ -23,7 +23,7 @@ from importlib import resources
 import numpy as np
 
 from .errors import BudgetError, ConstructionError, PrecisionError, int_text
-from .residue import factorize, is_prime, legendre, padic_valuation
+from .residue import MODULUS_BIT_BUDGET, factorize, is_prime, legendre, padic_valuation
 
 ENUMERATION_BUDGET = 10**7
 FILTRATION_LEVEL_BUDGET = 10**5
@@ -307,6 +307,12 @@ def build_tidy_lattice(order: RationalOrder, plan: dict[int, int]) -> TidyLattic
             raise ValueError(f"plan prime {p} must be an odd split prime")
         if r < 1:
             raise ValueError("plan exponents must be >= 1")
+        # refused before elimination: the float Gram guard refuses past 1023 bits
+        bits = math.floor(r * Fraction(math.log2(p))) + 1
+        if bits > MODULUS_BIT_BUDGET:
+            raise BudgetError(f"quaternion tidy lattice: modulus {p}^{int_text(r)} "
+                              f"of {int_text(bits)} bits exceeds the budget of "
+                              f"{MODULUS_BIT_BUDGET} bits")
         mod = p**r
         inv = _pure_split_pair(alg, p)
         # (c2, c3) of each current vector on the basis 1, V, W, VW, mod p^r

@@ -226,8 +226,8 @@ class PAdicContext:
         if self._log_table is None:
             if self.modulus > LOG_TABLE_BUDGET:
                 raise BudgetError(
-                    f"log table for modulus {self.p}^{self.prec_exp} exceeds budget"
-                )
+                    f"residue log table: modulus {self.p}^{self.prec_exp} = "
+                    f"{self.modulus} exceeds the budget of {LOG_TABLE_BUDGET}")
             # powers g^0 .. g^(order-1), doubled block by block
             order = self.unit_count()
             powers = np.ones(1, dtype=np.int64)
@@ -248,11 +248,8 @@ class PAdicContext:
             raise ValueError("discrete log of a non-unit")
         return t
 
-    def unit_count(self, level: int | None = None) -> int:
-        k = self.prec_exp if level is None else level
-        if k < 1:
-            raise ValueError("level must be >= 1")
-        return (self.p - 1) * self.p ** (k - 1)
+    def unit_count(self) -> int:
+        return (self.p - 1) * self.p ** (self.prec_exp - 1)
 
     def units(self, level: int) -> list[int]:
         m = self.p**level
@@ -357,7 +354,8 @@ def unit_shell_reps(ext: QuadExtContext, k: int) -> np.ndarray:
     p = ext.p
     size = ext.residue_size() ** k - ext.residue_size() ** (k - 1)
     if size > LOG_TABLE_BUDGET:
-        raise BudgetError(f"shell of size {size} exceeds enumeration budget")
+        raise BudgetError(f"residue unit shell: size {size} exceeds the "
+                          f"budget of {LOG_TABLE_BUDGET}")
     if ext.ramified:
         # A + B sqrt(p) unit <=> p does not divide A;
         # class determined by A mod p^ceil(k/2), B mod p^floor(k/2)  (k-1 halves up)

@@ -10,14 +10,15 @@ exactly, not merely to rounding.
 
 The analysis depends only on the engine and the depth t = n - i; a query
 only picks residues.  So each family has a plan per depth (PsPlan, ScPlan),
-built once per (engine, t) by depth_plan and kept on the engine: a root
-table over Z/p^(t-ceil(t/2)) for the quadratic inner or outer congruence,
-the inverse tables a query needs, the family's fixed rows, and the ball
-volume.  One array program per depth then serves every key of that depth:
-depth_pairs turns the key residues (a, m) of many queries into the critical
-pairs of all of them, int64 rows with a query column, and phi_fast_values
-counts (query, phase) once, scatters the counts into one integer
-(queries x basis) coordinate block and embeds it row by row.
+built once per (engine, t) by depth_plan, the one place the family is
+chosen, and kept on the engine: a root table over Z/p^(t-ceil(t/2)) for the
+quadratic inner or outer congruence, the inverse tables a query needs, the
+family's fixed rows, the ball volume, and the family's pair program.  One
+array program per depth serves every key of that depth: depth_pairs hands
+the key residues (a, m) of many queries to the plan's pairs, which returns
+the critical pairs of all of them, int64 rows with a query column, and
+phi_fast_values counts (query, phase) once, scatters the counts into one
+integer (queries x basis) coordinate block and embeds it row by row.
 critical_pairs and phi_fast_numerator are its one-query case.
 
 Boundary depths i in {n-1, n} keep the plain evaluator, query by query (the
@@ -87,10 +88,17 @@ class DepthPlan:
     """What every query of one depth t = n - i shares, built once per engine
     and t by depth_plan; arrays are read-only.  With k = ceil(t/2) the inner
     block level, roots[r][root_ok[r]] are the unit residues mod p^k that
-    solve the family's quadratic congruence at the residue r mod root_mod =
-    p^(t-k), and volume is the weight of every critical pair."""
+    solve x^2 + b x + sign r = 0 at the residue r mod root_mod = p^(t-k), and
+    volume, p/(p-1) p^-k over the family's other block, is the weight of
+    every critical pair.  A plan's pairs(engine, a_res, m_res) is depth_pairs."""
 
     __slots__ = ("pt", "root_mod", "roots", "root_ok", "volume")
+
+    def __init__(self, p: int, t: int, b: int, sign: int):
+        self.pt = p**t
+        self.root_mod = p ** (t - (t + 1) // 2)
+        self.roots, self.root_ok = _root_table(p, t, b, sign)
+        self.volume = Fraction(p, p - 1) / p ** ((t + 1) // 2)
 
     def _freeze(self) -> None:
         for cls in type(self).__mro__:
@@ -117,15 +125,12 @@ class PsPlan(DepthPlan):
         n0 = spec.n0
         kx = (n0 + 1) // 2
         pn0 = p**n0
-        self.pt = p**t
-        self.root_mod = du = p ** (t - (t + 1) // 2)
-        self.dx_mod = dx = p ** (n0 - kx)
         shift = p ** (spec.n - t - n0)
+        super().__init__(p, t, 2 * shift, -1)
+        self.dx_mod = dx = p ** (n0 - kx)
         w = alpha_of_chi(spec.mu).residue_unit(n0 - kx)
-        self.volume = (Fraction(p, p - 1) / p ** ((t + 1) // 2)
-                       / p ** ((n0 + 1) // 2))
-        self.roots, self.root_ok = _root_table(p, t, 2 * shift, -1)
-        self.m_inv = _inverses(np.arange(du), du)
+        self.volume /= p**kx
+        self.m_inv = _inverses(np.arange(self.root_mod), self.root_mod)
         u0 = self.roots
         self.entries = np.stack((
             u0, engine.mu_dense[(1 + _inverses(u0, pn0) * (shift % pn0)) % pn0],
@@ -134,6 +139,32 @@ class PsPlan(DepthPlan):
             _unit_lifts(w * pow(s, -1, dx) % dx, n0 - kx, kx, p)
             if math.gcd(s, dx) == 1 else [] for s in range(dx)])
         self._freeze()
+
+    def pairs(self, engine: MatCoefEngine, a_res: np.ndarray,
+              m_res: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """depth_pairs for principal series, block levels ceil(n0/2) and
+        ceil(t/2)."""
+        m_mod, mu, pt = engine.m, engine.mu_dense, self.pt
+        du, pn0 = self.root_mod, engine.spec.p**engine.spec.n0
+        # u0 runs over the roots at a m^-1 mod du, x0 over the lifts of the
+        # solution of the outer congruence; du divides dx (t < n0 = n/2), so
+        # the inner congruence m x0 u0 (u0 + shift) = x0 (a - shift m u0) = w
+        # then holds mod du as well, and every candidate is a pair
+        c = a_res % du * self.m_inv[m_res % du] % du
+        q, j = self.root_ok[c].nonzero()
+        if not len(q):
+            return np.empty((0, 4), dtype=np.int64), np.zeros_like(a_res)
+        u0, mu_u, shift_u0 = self.entries[c[q], j].T
+        slope = (a_res[q] - m_res[q] * shift_u0) % self.dx_mod
+        k, j = self.x_ok[slope].nonzero()
+        q, u0, mu_u = q[k], u0[k], mu_u[k]
+        x0 = self.x_lifts[slope[k], j]
+        mx, ax = m_res[q] * x0, a_res[q] * x0
+        # psi(p^-t m x0 u0) mu(1 + shift/u0) mu(a x0) psi(-p^-n0 a x0)
+        e = (mx % pt * u0 % pt * (m_mod // pt) + mu_u + mu[ax % pn0]
+             + -ax % pn0 * (m_mod // pn0)) % m_mod
+        return (np.column_stack((q, x0, u0, e)),
+                np.bincount(q, minlength=len(a_res)))
 
 
 class ScPlan(DepthPlan):
@@ -151,9 +182,7 @@ class ScPlan(DepthPlan):
     def __init__(self, engine: MatCoefEngine, t: int):
         p, theta = engine.spec.p, engine.spec.theta
         a_cond = theta.level
-        kx = (t + 1) // 2
-        self.pt = pt = p**t
-        self.root_mod = dx_mod = p ** (t - kx)
+        super().__init__(p, t, 0, 1)
         level = _shell_level(theta)
         alpha = alpha_of_theta(theta)
         if theta.ramified:
@@ -171,19 +200,47 @@ class ScPlan(DepthPlan):
         self.sc2_mod = sc2_mod
         self.nu = nu_scale % sc2_mod
         A, B, phase, eta = engine.shell_table(level)
-        self.volume = Fraction(p, p - 1) / p**kx / len(A)
+        self.volume /= len(A)
         # the phase-linearization coordinate must match alpha
         keep = np.flatnonzero((A if theta.ramified else B) % sc3_mod == w)
         self.A, self.B, self.phase = A[keep], B[keep], phase[keep]
         # eta reduced mod p^t keeps every product of a query in int64
-        self.eta_t = eta[keep] % pt
+        self.eta_t = eta[keep] % self.pt
         self.eta_sc2 = self.eta_t % sc2_mod
         # the coupled condition reads this coordinate mod sc2_mod
         self.coord = (self.B if theta.ramified else self.A) % sc2_mod
-        self.eta_inv = _inverses(self.eta_t % dx_mod, dx_mod)
-        self.roots, self.root_ok = _root_table(p, t, 0, 1)
-        self.root_inv = _inverses(self.roots, pt)
+        self.eta_inv = _inverses(self.eta_t % self.root_mod, self.root_mod)
+        self.root_inv = _inverses(self.roots, self.pt)
         self._freeze()
+
+    def pairs(self, engine: MatCoefEngine, a_res: np.ndarray,
+              m_res: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """depth_pairs for supercuspidals: the inner block runs over the kept
+        shell rows.  The solutions of x0^2 + a m eta^-1 = 0 of every (query,
+        row) are one lookup in the root table, and all of them satisfy the
+        outer congruence; the coupled and phase conditions then run on
+        (query, row, candidate) arrays."""
+        pt, sc2_mod, dx_mod, m_mod = self.pt, self.sc2_mod, self.root_mod, engine.m
+        a_inv = np.array([pow(a, -1, pt) for a in a_res.tolist()],
+                         dtype=np.int64)
+        r = (a_res * m_res % dx_mod)[:, None] * self.eta_inv % dx_mod
+        ok = self.root_ok[r]
+        scanned = ok.sum(axis=(1, 2))
+        q, row, j = ok.nonzero()
+        root = r[q, row]
+        x0, x_inv = self.roots[root, j], self.root_inv[root, j]
+        # the coupled condition, coordinate = nu_scale x0 a^-1 eta mod
+        # sc2_mod; when the shear depth satisfies e_E(i-n) >= -ceil(a/2) the
+        # nu_scale power swamps the modulus and it degenerates to the
+        # x0-free condition "trace coordinate = 0"
+        slope = self.nu * a_inv[q] % sc2_mod * self.eta_sc2[row] % sc2_mod
+        keep = (self.coord[row] - slope * (x0 % sc2_mod)) % sc2_mod == 0
+        q, row, x0, x_inv = q[keep], row[keep], x0[keep], x_inv[keep]
+        # psi(p^-t m / x0) psi(-p^-t x0 a^-1 eta) theta^-1 psi_E(shell row)
+        lin = -a_inv[q] * self.eta_t[row] % pt
+        e = ((m_res[q] * x_inv + x0 * lin) % pt * (m_mod // pt)
+             + self.phase[row]) % m_mod
+        return np.column_stack((q, x0, self.A[row], self.B[row], e)), scanned
 
 
 def depth_plan(engine: MatCoefEngine, t: int) -> DepthPlan:
@@ -203,66 +260,6 @@ def ball_volume(engine: MatCoefEngine, i: int) -> Fraction:
     return depth_plan(engine, engine.spec.n - i).volume
 
 
-def _ps_pairs(engine: MatCoefEngine, i: int, a_res: np.ndarray,
-              m_res: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """depth_pairs for principal series, block levels ceil(n0/2) and
-    ceil(t/2)."""
-    spec, m_mod, mu = engine.spec, engine.m, engine.mu_dense
-    plan = depth_plan(engine, spec.n - i)
-    du, pt = plan.root_mod, plan.pt
-    pn0 = spec.p**spec.n0
-    # u0 runs over the roots at a m^-1 mod du, x0 over the lifts of the
-    # solution of the outer congruence; du divides dx (t < n0 = n/2), so the
-    # inner congruence m x0 u0 (u0 + shift) = x0 (a - shift m u0) = w then
-    # holds mod du as well, and every candidate is a pair
-    c = a_res % du * plan.m_inv[m_res % du] % du
-    q, j = plan.root_ok[c].nonzero()
-    if not len(q):
-        return np.empty((0, 4), dtype=np.int64), np.zeros_like(a_res)
-    u0, mu_u, shift_u0 = plan.entries[c[q], j].T
-    slope = (a_res[q] - m_res[q] * shift_u0) % plan.dx_mod
-    k, j = plan.x_ok[slope].nonzero()
-    q, u0, mu_u = q[k], u0[k], mu_u[k]
-    x0 = plan.x_lifts[slope[k], j]
-    mx, ax = m_res[q] * x0, a_res[q] * x0
-    # psi(p^-t m x0 u0) mu(1 + shift/u0) mu(a x0) psi(-p^-n0 a x0)
-    e = (mx % pt * u0 % pt * (m_mod // pt) + mu_u + mu[ax % pn0]
-         + -ax % pn0 * (m_mod // pn0)) % m_mod
-    return (np.column_stack((q, x0, u0, e)),
-            np.bincount(q, minlength=len(a_res)))
-
-
-def _sc_pairs(engine: MatCoefEngine, i: int, a_res: np.ndarray,
-              m_res: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """depth_pairs for supercuspidals: the inner block runs over the kept
-    shell rows of the depth's ScPlan.  The solutions of x0^2 + a m eta^-1 = 0
-    of every (query, row) are one lookup in the root table, and all of them
-    satisfy the outer congruence; the coupled and phase conditions then run
-    on (query, row, candidate) arrays."""
-    plan = depth_plan(engine, engine.spec.n - i)
-    pt, sc2_mod, dx_mod, m_mod = plan.pt, plan.sc2_mod, plan.root_mod, engine.m
-    a_inv = np.array([pow(a, -1, pt) for a in a_res.tolist()],
-                     dtype=np.int64)
-    r = (a_res * m_res % dx_mod)[:, None] * plan.eta_inv % dx_mod
-    ok = plan.root_ok[r]
-    scanned = ok.sum(axis=(1, 2))
-    q, row, j = ok.nonzero()
-    root = r[q, row]
-    x0, x_inv = plan.roots[root, j], plan.root_inv[root, j]
-    # the coupled condition, coordinate = nu_scale x0 a^-1 eta mod sc2_mod;
-    # when the shear depth satisfies e_E(i-n) >= -ceil(a/2) the nu_scale
-    # power swamps the modulus and it degenerates to the x0-free condition
-    # "trace coordinate = 0"
-    slope = plan.nu * a_inv[q] % sc2_mod * plan.eta_sc2[row] % sc2_mod
-    keep = (plan.coord[row] - slope * (x0 % sc2_mod)) % sc2_mod == 0
-    q, row, x0, x_inv = q[keep], row[keep], x0[keep], x_inv[keep]
-    # psi(p^-t m / x0) psi(-p^-t x0 a^-1 eta) theta^-1 psi_E(shell row)
-    lin = -a_inv[q] * plan.eta_t[row] % pt
-    e = ((m_res[q] * x_inv + x0 * lin) % pt * (m_mod // pt)
-         + plan.phase[row]) % m_mod
-    return np.column_stack((q, x0, plan.A[row], plan.B[row], e)), scanned
-
-
 def depth_pairs(engine: MatCoefEngine, i: int, a_res: np.ndarray,
                 m_res: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Critical pairs of supported interior queries of one depth i, given
@@ -271,8 +268,7 @@ def depth_pairs(engine: MatCoefEngine, i: int, a_res: np.ndarray,
     rows (query, x0, u0, phase) for principal series and (query, x0, A, B,
     phase) for supercuspidals, the query an index into the arrays and the
     phase in Z/m last; every row carries the weight ball_volume(engine, i)."""
-    solve = _ps_pairs if engine.spec.family == "ps" else _sc_pairs
-    return solve(engine, i, a_res, m_res)
+    return depth_plan(engine, engine.spec.n - i).pairs(engine, a_res, m_res)
 
 
 def _depth_coords(engine: MatCoefEngine, query: np.ndarray,

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -78,16 +79,13 @@ class ReprSpec:
             return "ps"
         return "sc-ram" if self.ramified else "sc-unram"
 
-    @property
-    def char_value_order(self) -> int:
-        return (self.mu or self.theta).value_order
-
-    def modulus(self, additive_level: int = 0) -> int:
-        """Root-of-unity order large enough for every term the evaluators
-        produce: the character values plus additive characters of level up
-        to max(additive_level, n0)."""
-        level = max(additive_level, self.n0)
-        return math.lcm(self.char_value_order, self.p**level)
+    def modulus(self) -> int:
+        """Root-of-unity order of every engine: the character values plus
+        additive characters of level up to n1 + 1, which covers the
+        Whittaker terms (level n0) and the psi factors of the unit average
+        down to v(m) = -(n1 + 1)."""
+        return math.lcm((self.mu or self.theta).value_order,
+                        self.p ** (self.n1 + 1))
 
     def __repr__(self) -> str:
         return f"ReprSpec({self.label}, p={self.p}, n={self.n})"
@@ -102,34 +100,27 @@ def required_precision(spec: ReprSpec, i: int) -> int:
 
 
 class WhittakerEngine:
-    """Evaluator for one representation at a fixed cyclotomic modulus.
+    """Evaluator for one representation at the cyclotomic modulus
+    spec.modulus().
 
     Sparse numerators (phases, multiplicities) are cached per (shear depth,
     unit residue); the cache is what makes grid averaging fast, and can be
     bypassed for timing honesty.
     """
 
-    def __init__(self, spec: ReprSpec, m: int | None = None):
+    def __init__(self, spec: ReprSpec):
         self.spec = spec
-        self.m = m if m is not None else spec.modulus()
-        if self.m % spec.char_value_order or self.m % spec.p**spec.n0:
-            raise ValueError("modulus not compatible with the representation")
+        self.m = spec.modulus()
         self._cache: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
         self._mu1_cache: dict[int, np.ndarray] = {}
-        self._c0 = None
-        self._c0_complex = None
         if spec.family == "ps":
-            self._init_ps_tables()
+            self._u_arr = np.flatnonzero(spec.mu.table >= 0)
+            # mu in Z/m by residue mod p^n0; the non-units stay negative
+            self.mu_dense = spec.mu.table * (self.m // spec.mu.value_order)
         else:
             self._sc_cache: dict[int, tuple[np.ndarray, ...]] = {}
 
     # -- principal series tables ------------------------------------------
-
-    def _init_ps_tables(self) -> None:
-        mu = self.spec.mu
-        self._u_arr = np.flatnonzero(mu.table >= 0)
-        # mu in Z/m by residue mod p^n0; the non-units stay negative
-        self.mu_dense = mu.table * (self.m // mu.value_order)
 
     def _ps_shift_factor(self, i: int) -> np.ndarray:
         # mu(1 + u pi^(i-n0)) per unit u; constant 1 once i - n0 >= n0
@@ -153,24 +144,18 @@ class WhittakerEngine:
 
     # -- evaluation ---------------------------------------------------------
 
-    @property
+    @cached_property
     def c0(self) -> CycloValue:
-        if self._c0 is None:
-            if self.spec.family == "ps":
-                self._c0 = gauss_c0_principal_series(self.spec.mu, self.m)
-            else:
-                # gauss_c0_shell on the level-a table numerator_counts uses
-                phase = self.shell_table(self.spec.theta.level)[2]
-                self._c0 = CycloValue.from_counts(
-                    self.m, np.bincount(phase, minlength=self.m),
-                    self.numerator_scale())
-        return self._c0
+        if self.spec.family == "ps":
+            return gauss_c0_principal_series(self.spec.mu, self.m)
+        # gauss_c0_shell on the level-a table numerator_counts uses
+        phase = self.shell_table(self.spec.theta.level)[2]
+        return CycloValue.from_counts(
+            self.m, np.bincount(phase, minlength=self.m), self.numerator_scale())
 
-    @property
+    @cached_property
     def c0_complex(self) -> complex:
-        if self._c0_complex is None:
-            self._c0_complex = self.c0.complex()
-        return self._c0_complex
+        return self.c0.complex()
 
     def term_count(self) -> int:
         if self.spec.family == "ps":

@@ -5,9 +5,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from gl2local import characters
 from gl2local.characters import (
     MultChar,
     ThetaChar,
+    UnitGroupE,
     all_primitive_chars,
     alpha_of_chi,
     alpha_of_theta,
@@ -157,6 +159,14 @@ def test_non_unit_lookups_raise():
         build_theta(3, False, 2).exponent((3, 6))
     with pytest.raises(ValueError):
         build_theta(3, True, 2).exponent((0, 1))
+
+
+def test_unit_group_refuses_a_non_generator(monkeypatch):
+    # a square mod 5 lifts to an element of order 2, not 4: the certificate
+    # (generator orders, then every unit hit exactly once) refuses the group
+    monkeypatch.setattr(characters, "primitive_root", lambda p: 4)
+    with pytest.raises(ConstructionError):
+        UnitGroupE(5, True, 3)
 
 
 def test_unit_group_mul_matches_dlog():

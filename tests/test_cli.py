@@ -11,9 +11,12 @@ import pytest
 
 import gl2local.cli as cli
 from gl2local import quaternion, statphase
+from gl2local.characters import UnitGroupE
 from gl2local.cli import ConfigError, ExperimentConfig, main
+from gl2local.cyclotomic import CycloValue
 from gl2local.errors import BudgetError, ConstructionError, PrecisionError
 from gl2local.matcoef import MatCoefEngine
+from gl2local.residue import get_context, get_ext_context, unit_shell_reps
 
 CLI_OUTPUTS = Path(__file__).resolve().parent / "fixtures" / "cli_outputs.json"
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -56,6 +59,26 @@ def test_lattice_enumeration_budget_names_layer_rows_and_limit(
     with pytest.raises(BudgetError, match=r"^quaternion ellipsoid "
                        r"enumeration: \d+ rows exceed the budget of 1000$"):
         cli.run_task(cfg)
+
+
+@pytest.mark.parametrize("refuse,match", [
+    (lambda: get_context(5, 13).log_table,
+     r"^residue log table: modulus 5\^13 = 1220703125 exceeds the budget of "
+     r"10000000$"),
+    (lambda: unit_shell_reps(get_ext_context(11, 9, False), 4),
+     r"^residue unit shell: size 212587320 exceeds the budget of 10000000$"),
+    (lambda: UnitGroupE(11, False, 4),
+     r"^characters unit group: size 212587320 exceeds the budget of "
+     r"10000000$"),
+    (lambda: UnitGroupE(3, False, 10**6),
+     r"^characters unit group: size ~2\*\*\d+ exceeds the budget of "
+     r"10000000$"),
+    (lambda: CycloValue.zero(10007),
+     r"^cyclotomic basis: phi\(10007\) = 10006 exceeds the budget of 10000$"),
+], ids=["log-table", "shell", "unit-group", "unit-group-unformed", "cyclotomic"])
+def test_table_budgets_name_layer_size_and_limit(refuse, match):
+    with pytest.raises(BudgetError, match=match):
+        refuse()
 
 
 def test_huge_delta_is_refused_by_the_enumeration_budget(tmp_path):
@@ -257,6 +280,20 @@ def test_oversized_counting_forms_are_refused_before_conversion(
         cli.run_task(cfg)
 
 
+def test_deep_plan_is_refused_before_elimination(tmp_path):
+    # 5**100000 used to be eliminated against first: 1.4 s before the float
+    # Gram guard refused it
+    cfg = ExperimentConfig.from_dict({"task": "counting",
+                                      "plans": [{"5": 100000}], "L": 2,
+                                      "out": str(tmp_path / "c.csv")})
+    t0 = time.perf_counter()
+    with pytest.raises(BudgetError, match=r"^quaternion tidy lattice: modulus "
+                       r"5\^100000 of 232193 bits exceeds the budget of 4096 "
+                       r"bits$"):
+        cli.run_task(cfg)
+    assert time.perf_counter() - t0 < 0.2
+
+
 def test_deep_plan_is_refused_before_a_square_root_is_lifted(tmp_path):
     # a square root mod 5**2000 used to be lifted first: no exit in 20 s
     cfg = ExperimentConfig.from_dict({"task": "counting", "plans": [{"5": 2000}],
@@ -270,7 +307,8 @@ def test_deep_plan_is_refused_before_a_square_root_is_lifted(tmp_path):
 @pytest.mark.parametrize("family,match", [
     ("ps", rf"^p-adic context: modulus 3\^{5 * 10**19} exceeds the limit of "
            rf"4096 bits$"),
-    ("sc-unramified", r"^unit group of size ~2\*\*\d+ exceeds budget$")])
+    ("sc-unramified", r"^characters unit group: size ~2\*\*\d+ exceeds the "
+                      r"budget of 10000000$")])
 def test_huge_n_is_refused_before_the_modulus_is_formed(tmp_path, family,
                                                         match):
     # p**(n // 2) used to be computed first: a hang for n = 10**20
@@ -292,7 +330,8 @@ def test_huge_n_is_refused_before_the_modulus_is_formed(tmp_path, family,
      r"^quaternion filtration schedule: ~2\*\*\d+ levels exceed the budget "
      r"of 100000$"),
     ({"task": "decay", "family": "sc-ramified", "n": 20001},
-     r"^unit group of size ~2\*\*\d+ exceeds budget$"),
+     r"^characters unit group: size ~2\*\*\d+ exceeds the budget of "
+     r"10000000$"),
 ])
 def test_refusals_of_unprintable_sizes_do_not_raise_again(tmp_path, raw,
                                                           match):

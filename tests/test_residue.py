@@ -132,7 +132,7 @@ def test_dlog_table():
     g = ctx.generator
     for u in ctx.units(3):
         assert pow(g, ctx.dlog(u), 125) == u
-    assert ctx.unit_count(3) == 100
+    assert get_context(5, 3).unit_count() == 100
 
 
 def test_modulus_bit_budget_guard():

@@ -14,6 +14,7 @@ from gl2local.characters import (
     primitive_char,
 )
 from gl2local.errors import PrecisionError
+from gl2local.matcoef import MatCoefEngine
 from gl2local.residue import get_context
 from gl2local.whittaker import ReprSpec, WhittakerEngine, required_precision
 from oracles import dense_counts, numerator, unit_keys, value
@@ -93,11 +94,13 @@ def test_spec_validation():
 
 
 def test_modulus_and_engine_guard():
-    spec = ps_spec(3, 4)
-    assert spec.modulus() == math.lcm(spec.mu.value_order, 9)
-    assert spec.modulus(4) % 81 == 0
-    with pytest.raises(ValueError):
-        WhittakerEngine(spec, m=9 if spec.mu.value_order != 9 else 3)
+    # one modulus per representation: the value order and p^(n1 + 1), which
+    # both engines use
+    for spec, vo, n1 in ((ps_spec(3, 4), 6, 2), (sc_spec(3, False, 4), 3, 2),
+                         (sc_spec(3, True, 5), 9, 3)):
+        assert ((spec.mu or spec.theta).value_order, spec.n1) == (vo, n1)
+        assert spec.modulus() == math.lcm(vo, 3 ** (n1 + 1))
+        assert WhittakerEngine(spec).m == MatCoefEngine(spec).m == spec.modulus()
 
 
 def test_support_zero_off_units():

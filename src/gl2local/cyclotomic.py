@@ -12,10 +12,10 @@ p-1 of them.  The per-axis images sit in small tables of size p^a x (p-1),
 so no reduction table in the size of M is ever materialized and the cost
 follows the number of nonzero exponents, not M.  The same scatter reduces
 the terms of many sums at once into one coordinate block, a row per sum
-(reduce_rows).  Coordinates are exact integers and a value is zero iff
-every coordinate is zero; an optional Fraction scale carries measure
-normalizations exactly.  Values are built
-from count vectors and support addition and rational scaling; the
+(reduce_rows, and reduce_counts on a block of count rows).  Coordinates
+are exact integers and a value is zero iff every coordinate is zero; an
+optional Fraction scale carries measure normalizations exactly.  Values
+are built from count vectors and support addition and rational scaling; the
 evaluators never multiply two values or divide by a Gauss sum: zero tests
 run on numerators and magnitudes go through the float embedding.
 """
@@ -85,14 +85,18 @@ class _CycloBasis:
         self.axis_roots = roots
 
     def reduce_counts(self, counts: np.ndarray) -> np.ndarray:
-        """Counts over exponents Z/m -> coordinates on the tensor basis,
-        reducing only the nonzero exponents (reduce_rows with one row)."""
+        """Counts over exponents Z/m -> coordinates on the tensor basis: a
+        length-m vector gives one coordinate array, an (n_rows, m) block
+        one coordinate row per count row.  Only the nonzero counts are
+        reduced, by one reduce_rows."""
+        block = counts.reshape(-1, self.m)
         # a boolean nonzero scan is several times faster than one on int64
-        t = (counts != 0).nonzero()[0]
-        vals = counts[t]
+        rows, t = (block != 0).nonzero()
+        vals = block[rows, t]
         if vals.dtype != object and len(t) and np.abs(vals).max() > 2**56:
             vals = vals.astype(object)
-        return self.reduce_rows(np.zeros(len(t), dtype=np.intp), t, vals, 1)[0]
+        return self.reduce_rows(rows, t, vals, len(block)).reshape(
+            counts.shape[:-1] + self.shape)
 
     def reduce_rows(self, rows: np.ndarray, t: np.ndarray, vals: np.ndarray,
                     n_rows: int) -> np.ndarray:

@@ -3,10 +3,11 @@
 phi(i, a, m) averages psi(m x) times the newvector value at a x over the unit
 group; it is the ground truth every faster evaluator is checked against.
 The average is exact: each unit's sparse Whittaker numerator, its phases
-shifted by the psi exponent, is scattered into one integer count vector.  The
-translated coefficient on the depth-one congruence unit ball reduces to
-phi(i, a, m) through an explicit row reduction, implemented here on exact
-integer residue matrices so no precision is lost in products or inverses.
+shifted by the psi exponent, is scattered into an integer count vector, one
+row per query key of a batch.  The translated coefficient on the depth-one
+congruence unit ball reduces to phi(i, a, m) through an explicit row
+reduction, implemented here on exact integer residue arrays, many matrices
+at once, so no precision is lost in products or inverses.
 """
 
 from __future__ import annotations
@@ -15,9 +16,22 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cyclotomic import CycloValue
-from .residue import PAdicScalar, get_context, padic_valuation, random_unit
+from .cyclotomic import CycloValue, _basis
+from .errors import PrecisionError
+from .residue import (
+    PAdicScalar,
+    get_context,
+    padic_valuation,
+    random_unit,
+    residue_dtype,
+    unit_inverses,
+)
 from .whittaker import ReprSpec, WhittakerEngine, required_precision
+
+# query keys per array program (Gram unit averages here, statphase's depth
+# programs): bounds the (keys x m) count block and the (keys x basis)
+# coordinate block, 32 x 12,500 int64 (3.2 MB) at m = 12,500
+DEPTH_CHUNK = 32
 
 
 class MatCoefEngine(WhittakerEngine):
@@ -52,34 +66,49 @@ class MatCoefEngine(WhittakerEngine):
     def phi_counts(self, i: int, a: PAdicScalar, madd: PAdicScalar,
                    grouped: bool = True, cache_w: bool = True
                    ) -> tuple[np.ndarray, Fraction]:
-        """Count vector and normalization of the unit average; the grouped
-        path collapses x-classes on which both factors are constant, the
-        ungrouped path iterates the full unit set for the stated average.
-        Each unit x contributes its sparse Whittaker numerator with every
-        phase shifted by the psi exponent of m x; all units are summed into
-        one int64 length-m vector by a single exact scatter."""
+        """Count vector (int64, length m) and normalization of the unit
+        average: the one-key case of key_counts, whose int64 block holds one
+        length-m row per key (callers bound it to DEPTH_CHUNK rows); zero
+        off the unit locus."""
         key = self.query_key(i, a, madd)
         if key is None:
             return np.zeros(self.m, dtype=np.int64), Fraction(1)
-        _, a_res, t, m_unit = key
-        spec, p = self.spec, self.spec.p
-        w_lvl = required_precision(spec, i)
-        k = max(spec.n0, spec.n - i, t) + 1
-        k_eff = max(w_lvl, t, 1) if grouped else k
-        pw = p**w_lvl
-        pt = p**t
-        scale_psi = self.m // pt
-        units = get_context(p, k_eff).units(k_eff)
-        phases, mults = zip(*(
-            self.numerator_counts(i, a_res * x % pw, cache=cache_w)
-            for x in units))
-        shifts = np.repeat(m_unit * np.array(units) % pt * scale_psi,
-                           [len(ph) for ph in phases])
-        accum = np.zeros(self.m, dtype=np.int64)
-        np.add.at(accum, (np.concatenate(phases) + shifts) % self.m,
+        counts, norms = self.key_counts([key], grouped, cache_w)
+        return counts[0], norms[0]
+
+    def key_counts(self, keys: list[tuple[int, int, int, int]],
+                   grouped: bool = True, cache_w: bool = True
+                   ) -> tuple[np.ndarray, list[Fraction]]:
+        """Count block (len(keys) x m, int64) and normalizations of the unit
+        averages of query keys (none None), row r for keys[r]; the grouped
+        path collapses x-classes on which both factors are constant, the
+        ungrouped path iterates the full unit set for the stated average.
+        Each unit x contributes its sparse Whittaker numerator with every
+        phase shifted by the psi exponent of m x, and every (key, phase)
+        term lands in the block by one exact scatter.  The block grows with
+        the keys: callers pass at most DEPTH_CHUNK at a time."""
+        spec, p, m = self.spec, self.spec.p, self.m
+        phases, mults, shifts, bases, norms = [], [], [], [], []
+        for row, (i, a_res, t, m_unit) in enumerate(keys):
+            w_lvl = required_precision(spec, i)
+            k_eff = (max(w_lvl, t, 1) if grouped
+                     else max(spec.n0, spec.n - i, t) + 1)
+            pw, pt = p**w_lvl, p**t
+            units = get_context(p, k_eff).units(k_eff)
+            for x in units:
+                ph, mu = self.numerator_counts(i, a_res * x % pw, cache=cache_w)
+                phases.append(ph)
+                mults.append(mu)
+            shifts.append(m_unit * np.array(units) % pt * (m // pt))
+            bases.append(np.full(len(units), row * m))
+            norms.append(self.numerator_scale() / ((p - 1) * p ** (k_eff - 1)))
+        sizes = [len(ph) for ph in phases]
+        shift = np.repeat(np.concatenate(shifts), sizes)
+        base = np.repeat(np.concatenate(bases), sizes)
+        block = np.zeros((len(keys), m), dtype=np.int64)
+        np.add.at(block.reshape(-1), (np.concatenate(phases) + shift) % m + base,
                   np.concatenate(mults))
-        norm = self.numerator_scale() / ((p - 1) * p ** (k_eff - 1))
-        return accum, norm
+        return block, norms
 
     def phi_numerator(self, i: int, a: PAdicScalar, madd: PAdicScalar,
                       grouped: bool = True, cache_w: bool = True
@@ -134,16 +163,6 @@ class KStarElement:
         vc = padic_valuation(self.c, self.p) if self.c else self.k
         return min(vb, vc, self.k)
 
-    def mul(self, other: "KStarElement") -> "KStarElement":
-        assert self.p == other.p and self.k == other.k
-        return KStarElement(
-            self.p, self.k,
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
     def inv(self) -> "KStarElement":
         # adjugate over det; the central determinant acts trivially, so the
         # adjugate itself represents the inverse for coefficient purposes
@@ -154,6 +173,57 @@ class KStarElement:
                             det_inv * self.a)
 
 
+def _entries(elems: list[KStarElement]) -> np.ndarray:
+    """Rows a, b, c, d of ball elements stored at one modulus p^k, as a
+    4 x len(elems) array of residue_dtype(p^k)."""
+    return np.array([(g.a, g.b, g.c, g.d) for g in elems],
+                    dtype=residue_dtype(elems[0].mod)).T
+
+
+def _valuations(x: np.ndarray, pows: np.ndarray) -> np.ndarray:
+    """min(v(x), k) entrywise, k where x = 0, given pows = p^0 .. p^k."""
+    v = np.zeros(x.shape, dtype=np.int64)
+    for q in pows[1:]:
+        v += x % q == 0
+    return v
+
+
+def _decompose_rows(spec: ReprSpec, p: int, k: int, entries
+                    ) -> tuple[np.ndarray, ...]:
+    """The row reduction of decompose_k_star on many ball elements at once:
+    entries are the arrays (a, b, c, d) mod p^k, int64 while 2 p^(2k) <
+    2^63 and Python integers above (residue_dtype), so every product of two
+    residues and every sum of two products is exact.  Returns arrays (i,
+    a_unit, a_prec, m_val, m_unit, m_prec): a = a_unit mod p^a_prec, a unit,
+    and m = p^m_val m_unit with m_unit known mod p^m_prec; m_prec = 0 (and
+    m_unit = 0) where m is zero.  ValueError if a row is not in the ball or
+    the modulus is short of p^(n1 + n)."""
+    n, n1 = spec.n, spec.n1
+    if spec.p != p or k < n1 + n:
+        raise ValueError("matrix stored at insufficient precision")
+    a, b, c, d = entries
+    if ((a % p == 0) | (d % p == 0)).any():
+        raise ValueError("diagonal entries must be units")
+    if ((b % p != 0) | (c % p != 0)).any():
+        raise ValueError("off-diagonal entries must be divisible by p")
+    mod = p**k
+    pows = np.array([p**j for j in range(k + 1)], dtype=residue_dtype(mod))
+    d_inv = unit_inverses(d, p, k)
+    det_d2 = (a * d - b * c) % mod * d_inv % mod * d_inv % mod
+    cd = c * d_inv % mod
+    v_c = _valuations(cd, pows)
+    deep = v_c + n1 >= n
+    i = np.where(deep, n, v_c + n1)
+    a_prec = np.where(deep, k, k - v_c)
+    # off the deep rows, cd = p^v_c w and a picks up w^-1
+    w_inv = unit_inverses(np.where(deep, 1, cd // pows[v_c]), p, k)
+    a_unit = det_d2 * w_inv % mod % pows[a_prec]
+    v_b = _valuations(b, pows)
+    m_prec = k - v_b
+    m_unit = b // pows[v_b] * d_inv % mod % pows[m_prec]
+    return i, a_unit, a_prec, v_b - n1, m_unit, m_prec
+
+
 def decompose_k_star(g: KStarElement, spec: ReprSpec
                      ) -> tuple[int, PAdicScalar, PAdicScalar]:
     """Parameters (i, a, m) with phi'(g) = phi(i, a, m).
@@ -162,33 +232,34 @@ def decompose_k_star(g: KStarElement, spec: ReprSpec
     reducing against the unit lower-right entry leaves an upper-triangular
     part times a lower shear of depth v(c) + n1; a unit-diagonal conjugation
     normalizes the shear and lands in the stated parameter form.  Depth at
-    least n is equivalent to depth exactly n.
+    least n is equivalent to depth exactly n.  The one-row case of the
+    array row reduction (int64 while 2 p^(2k) < 2^63, Python integers
+    above) that gram_dimension_estimate runs on all its entries.
     """
-    p, big_k = g.p, g.k
-    if spec.p != p or big_k < spec.n1 + spec.n:
-        raise ValueError("matrix stored at insufficient precision")
-    ctx = get_context(p, big_k)
-    mod = g.mod
-    n, n1 = spec.n, spec.n1
-    d_inv = pow(g.d, -1, mod)
-    det = (g.a * g.d - g.b * g.c) % mod
-    cd = g.c * d_inv % mod
-    v_c = padic_valuation(cd, p) if cd else big_k
-    if v_c + n1 >= n:
-        i = n
-        a_unit, a_prec = det * d_inv * d_inv, big_k
-    else:
-        i = v_c + n1
-        w = cd // p**v_c
-        a_prec = big_k - v_c
-        a_unit = det * d_inv * d_inv * pow(w, -1, p**a_prec)
-    a_out = ctx.scalar(0, a_unit, a_prec)
-    if g.b == 0:
-        m_out = ctx.zero()
-    else:
-        v_b = padic_valuation(g.b, p)
-        m_out = ctx.scalar(v_b - n1, g.b // p**v_b * d_inv, big_k - v_b)
-    return i, a_out, m_out
+    i, a_unit, a_prec, m_val, m_unit, m_prec = (
+        int(v[0]) for v in _decompose_rows(spec, g.p, g.k, _entries([g])))
+    ctx = get_context(g.p, g.k)
+    m_out = ctx.scalar(m_val, m_unit, m_prec) if m_prec else ctx.zero()
+    return i, ctx.scalar(0, a_unit, a_prec), m_out
+
+
+def k_star_keys(engine: MatCoefEngine, p: int, k: int, entries
+                ) -> np.ndarray:
+    """query_key(*decompose_k_star(g)) of many ball elements, given as
+    the entry arrays of _decompose_rows: int64 rows (i, a mod p^w, t, unit
+    of m mod p^t).  On the ball a is always a unit, so no key is None; the
+    precision and engine-modulus checks of query_key run on every row."""
+    spec = engine.spec
+    i, a_unit, a_prec, m_val, m_unit, m_prec = _decompose_rows(
+        spec, p, k, entries)
+    w = np.array([required_precision(spec, j) for j in range(spec.n + 1)])[i]
+    t = np.where((m_prec > 0) & (m_val < 0), -m_val, 0)
+    if (w > a_prec).any() or (t > m_prec).any():
+        raise PrecisionError("unit known to fewer digits than its key reads")
+    if engine.m % p ** int(t.max(initial=0)):
+        raise ValueError("additive argument too deep for the engine modulus")
+    return np.column_stack((i, a_unit % p**w, t, m_unit % p**t)
+                           ).astype(np.int64)
 
 
 # -- support law and decay bound ------------------------------------------
@@ -273,6 +344,22 @@ def decay_bound(spec: ReprSpec) -> int:
 GRAM_TOL = 1e-6
 
 
+def _key_values(engine: MatCoefEngine, keys: list) -> np.ndarray:
+    """phi_value of each query key (none None), bitwise: key_counts
+    DEPTH_CHUNK keys at a time, one reduce_counts of each count block, and
+    each coordinate row embedded and scaled as CycloValue.complex does."""
+    basis, c0 = _basis(engine.m), engine.c0_complex
+    values = np.full(len(keys), CycloValue.zero(engine.m).complex() / c0)
+    for start in range(0, len(keys), DEPTH_CHUNK):
+        counts, norms = engine.key_counts(keys[start:start + DEPTH_CHUNK])
+        coords = basis.reduce_counts(counts)
+        # a row whose roots of unity cancel keeps the zero value
+        nonzero = coords.reshape(len(counts), -1).any(axis=1)
+        for r in np.flatnonzero(nonzero).tolist():
+            values[start + r] = complex(norms[r]) * basis.embed(coords[r]) / c0
+    return values
+
+
 def gram_dimension_estimate(engine: MatCoefEngine, sample_count: int, rng,
                             return_spectrum: bool = False,
                             elements: list[KStarElement] | None = None):
@@ -281,32 +368,37 @@ def gram_dimension_estimate(engine: MatCoefEngine, sample_count: int, rng,
     stay below 4 q^n0.  Raises if the Gram matrix is not PSD within
     GRAM_TOL relative to its top eigenvalue.
     Passing elements explicitly lets stabilization checks nest samples.
-    Entries are phi'(g_s^-1 g_t) = phi_value of the decomposed query, each
-    distinct query_key evaluated once (evaluate_distinct)."""
+    Entries are phi'(g_s^-1 g_t) = phi_value of the decomposed query.  All
+    upper-triangle products are formed as four entry arrays, int64 while
+    2 p^(2k) < 2^63 and Python integers above (residue_dtype), and reduced
+    to query_key rows at once (k_star_keys); np.unique names each entry's
+    slot, and each distinct key is evaluated once (_key_values: count
+    blocks of at most DEPTH_CHUNK x m), bitwise as phi_prime_value."""
     spec = engine.spec
-    k = spec.n1 + spec.n
     if elements is not None:
         elems = elements
         sample_count = len(elems)
     else:
-        elems = [KStarElement.random(spec.p, k, rng)
+        elems = [KStarElement.random(spec.p, spec.n1 + spec.n, rng)
                  for _ in range(sample_count)]
-    # entries share few distinct queries (486 of 8,515 at p=3, n=6 with 130
-    # elements); each is evaluated once into a slot, the upper triangle of
-    # index names each entry's slot (row by row, the triu_indices order), and
-    # one gather fills the matrix
-    def upper_queries():
-        for s in range(sample_count):
-            inv = elems[s].inv()
-            for t in range(s, sample_count):
-                yield decompose_k_star(inv.mul(elems[t]), spec)
-
-    values, slots = evaluate_distinct(
-        engine, upper_queries(),
-        lambda queries, keys: [engine.phi_value(*q) for q in queries])
+    p, k = elems[0].p, elems[0].k
+    if any((g.p, g.k) != (p, k) for g in elems):
+        raise ValueError("ball elements stored at different moduli")
+    mod = p**k
+    upper = np.triu_indices(sample_count)
+    a1, b1, c1, d1 = _entries([g.inv() for g in elems])[:, upper[0]]
+    a2, b2, c2, d2 = _entries(elems)[:, upper[1]]
+    products = ((a1 * a2 + b1 * c2) % mod, (a1 * b2 + b1 * d2) % mod,
+                (c1 * a2 + d1 * c2) % mod, (c1 * b2 + d1 * d2) % mod)
+    # entries share few distinct keys (486 of 8,515 at p=3, n=6 with 130
+    # elements); the upper triangle of index names each entry's slot (row by
+    # row, the triu_indices order), and one gather fills the matrix
+    keys, slots = np.unique(k_star_keys(engine, p, k, products), axis=0,
+                            return_inverse=True)
+    values = _key_values(engine, [tuple(key) for key in keys.tolist()])
     index = np.zeros((sample_count, sample_count), dtype=np.intp)
-    index[np.triu_indices(sample_count)] = slots
-    gram = np.array(values, dtype=complex)[index]
+    index[upper] = slots.reshape(-1)
+    gram = values[index]
     # the lower triangle and the diagonal mirror the upper as conjugates,
     # set rather than added so every zero keeps its sign
     gram = np.where(np.tri(sample_count, dtype=bool), gram.T.conj(), gram)

@@ -538,23 +538,45 @@ def _solve_lines(f_int: np.ndarray, den: int, lines: np.ndarray,
     return rows, target[col[order]] // den
 
 
-def _candidates_with_norms(lattice: TidyLattice, z: UpperHalfPoint, delta,
-                           norms) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """One representative per +-pair inside the converted ellipsoid for the
-    largest requested norm whose exact reduced norm is in `norms` (distinct
-    integers >= 1, ascending), found by solving the norm equation on each
-    (c1, c2, c3) line; returns (rows, norm values, exact Frobenius form)."""
+def _ellipsoid(lattice: TidyLattice, z: UpperHalfPoint, delta, largest: int):
+    """Exact norm form, its denominator, the exact Frobenius form, and the
+    (c1, c2, c3) lines of the converted ellipsoid for the largest requested
+    norm with the range of c0 on each.  BudgetError if its bound passes the
+    float range or its rows pass ENUMERATION_BUDGET.  It reads the largest
+    norm alone, so callers run it before they list their norms."""
     gram, f_int, den, _, form = _counting_data(lattice, z)
-    if not norms:
-        return np.empty((0, 4), dtype=np.int64), np.empty(0, dtype=np.int64), form
-    exact = (4 * Fraction(delta) + 2) * norms[-1]
+    exact = (4 * Fraction(delta) + 2) * largest
     try:
         bound = float(exact)
     except OverflowError:
         raise BudgetError("quaternion ellipsoid enumeration: bound "
                           f"{int_text(math.floor(exact))} exceeds the float range") from None
-    return (*_solve_lines(f_int, den, *_ellipsoid_lines(gram, bound), norms),
-            form)
+    return f_int, den, form, _ellipsoid_lines(gram, bound)
+
+
+def _candidates_with_norms(lattice: TidyLattice, z: UpperHalfPoint, delta,
+                           norms) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """One representative per +-pair inside the converted ellipsoid for the
+    largest requested norm whose exact reduced norm is in `norms` (distinct
+    integers >= 1, ascending; a range is not walked before its ellipsoid is
+    checked), found by solving the norm equation on each (c1, c2, c3) line;
+    returns (rows, norm values, exact Frobenius form)."""
+    if not norms:
+        form = _counting_data(lattice, z)[4]
+        return np.empty((0, 4), dtype=np.int64), np.empty(0, dtype=np.int64), form
+    f_int, den, form, lines = _ellipsoid(lattice, z, delta, norms[-1])
+    return (*_solve_lines(f_int, den, *lines, norms), form)
+
+
+def _histogram(lattice: TidyLattice, delta, norms, rows: np.ndarray,
+               m_vals: np.ndarray, form) -> dict[int, int]:
+    """Counts for every norm of `norms` from the candidate rows with their
+    norm values, after the exact distance filter."""
+    ok = _distance_ok_rows(form, lattice.order.algebra.a_h, delta, rows, m_vals)
+    hist = dict.fromkeys(norms, 0)
+    values, counts = np.unique(m_vals[ok], return_counts=True)
+    hist.update(zip(values.tolist(), (2 * counts).tolist()))  # +-alpha pairs
+    return hist
 
 
 def _sqrt_sum_nonpositive(u: np.ndarray, v: np.ndarray, a: int) -> np.ndarray:
@@ -626,23 +648,27 @@ def count_lattice_points_box(lattice: TidyLattice, z: UpperHalfPoint, delta,
                             np.full(len(rows), norm_value)).sum())
 
 
+def _checked_delta(delta) -> Fraction:
+    delta = Fraction(delta)
+    if delta < 0:
+        raise ValueError("delta must be >= 0")
+    return delta
+
+
 def norm_histogram(lattice: TidyLattice, z: UpperHalfPoint, delta,
                    norms) -> dict[int, int]:
     """Counts for every requested norm value in one enumeration pass;
-    ValueError for delta < 0 or a norm value < 1."""
-    delta = Fraction(delta)
-    norms = sorted(set(int(m) for m in norms))
-    if delta < 0:
-        raise ValueError("delta must be >= 0")
+    ValueError for delta < 0 or a norm value < 1.  An ascending range is
+    read at its ends, so the float range and the ellipsoid budget of its
+    largest norm are checked before it is listed; other norms are sorted
+    first."""
+    delta = _checked_delta(delta)
+    if not (isinstance(norms, range) and norms.step > 0):
+        norms = sorted(set(int(m) for m in norms))
     if norms and norms[0] < 1:
         raise ValueError("norm values must be >= 1")
-    rows, m_vals, form = _candidates_with_norms(lattice, z, delta, norms)
-    ok = _distance_ok_rows(form, lattice.order.algebra.a_h, delta, rows, m_vals)
-    accepted = m_vals[ok]
-    hist = dict.fromkeys(norms, 0)
-    values, counts = np.unique(accepted, return_counts=True)
-    hist.update(zip(values.tolist(), (2 * counts).tolist()))  # +-alpha pairs
-    return hist
+    return _histogram(lattice, delta, norms,
+                      *_candidates_with_norms(lattice, z, delta, norms))
 
 
 def counting_bound_report(lattice: TidyLattice, z: UpperHalfPoint, delta,
@@ -650,11 +676,15 @@ def counting_bound_report(lattice: TidyLattice, z: UpperHalfPoint, delta,
     """Sum of counts over norms <= L and over squares m^2 (m <= L), with the
     growth-shape ratios against L + L^2/N and L + L^3/N, from one enumeration;
     "histogram" holds the counts for norms 1..L.  A smoke test of the growth
-    shape; no claim about the implied constant."""
+    shape; no claim about the implied constant.  The ellipsoid of the
+    largest norm, L^2, is checked before the norm set is built."""
+    delta = _checked_delta(delta)
     n_index = lattice.index
     budget = range(1, l_budget + 1)
-    hist = norm_histogram(lattice, z, delta,
-                          set(budget) | {m * m for m in budget})
+    f_int, den, form, lines = _ellipsoid(lattice, z, delta, l_budget**2)
+    norms = sorted(set(budget) | {m * m for m in budget})
+    hist = _histogram(lattice, delta, norms,
+                      *_solve_lines(f_int, den, *lines, norms), form)
     sum1 = sum(hist[m] for m in budget)
     sum2 = sum(hist[m * m] for m in budget)
     bd1 = l_budget + Fraction(l_budget**2, n_index)

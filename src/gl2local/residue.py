@@ -161,6 +161,36 @@ def random_unit(p: int, digits: int, rng) -> int:
     return rng.randrange(p ** (digits - 1)) * p + rng.randrange(1, p)
 
 
+def residue_dtype(modulus: int):
+    """Array dtype for residues mod `modulus`: int64 while a sum of two
+    products of residues fits (2 modulus^2 < 2^63), Python integers
+    (object) above that."""
+    return np.int64 if 2 * modulus * modulus < 2**63 else object
+
+
+@lru_cache(maxsize=None)
+def _inverse_table(p: int) -> np.ndarray:
+    table = np.array([0] + [pow(u, -1, p) for u in range(1, p)],
+                     dtype=np.int64)
+    table.flags.writeable = False
+    return table
+
+
+def unit_inverses(values, p: int, k: int) -> np.ndarray:
+    """values^-1 mod p^k entrywise in residue_dtype(p^k), 0 where a value
+    is not a unit (everywhere for k = 0): the inverse mod p from a table,
+    lifted by Hensel doubling x <- x (2 - v x), which doubles the digits
+    known at each step."""
+    mod = p**k
+    v = np.asarray(values).astype(residue_dtype(mod)) % mod
+    x = _inverse_table(p)[(v % p).astype(np.int64)].astype(v.dtype) % mod
+    digits = 1
+    while digits < k:
+        x = x * ((2 - v * x) % mod) % mod
+        digits *= 2
+    return x
+
+
 def padic_valuation(n: int, p: int) -> int:
     """Exponent of p in a nonzero integer n."""
     if n == 0:

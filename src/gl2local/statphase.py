@@ -35,13 +35,13 @@ import numpy as np
 
 from .characters import alpha_of_chi, alpha_of_theta
 from .cyclotomic import CycloValue, _basis
-from .matcoef import MatCoefEngine, decay_bound, support_expected_zero
-from .residue import PAdicScalar, solve_quadratic_congruence
-
-# supported keys of one depth per array program: bounds the candidate arrays
-# and the (keys x basis) coordinate block, 32 x 5,000 int64 (1.3 MB) at
-# m = 12,500
-DEPTH_CHUNK = 32
+from .matcoef import (
+    DEPTH_CHUNK,
+    MatCoefEngine,
+    decay_bound,
+    support_expected_zero,
+)
+from .residue import PAdicScalar, solve_quadratic_congruence, unit_inverses
 
 
 def _unit_lifts(base: int, step_exp: int, target_exp: int, p: int) -> list[int]:
@@ -55,13 +55,6 @@ def _shell_level(theta) -> int:
     """Transversal level of the supercuspidal inner block: ceil(a/2), a/2
     when ramified."""
     return theta.level // 2 if theta.ramified else (theta.level + 1) // 2
-
-
-def _inverses(values: np.ndarray, mod: int) -> np.ndarray:
-    """values^-1 mod `mod` entrywise, 0 where a value is not a unit."""
-    return np.array([pow(v, -1, mod) if math.gcd(v, mod) == 1 else 0
-                     for v in values.ravel().tolist()],
-                    dtype=np.int64).reshape(values.shape)
 
 
 def _padded(lists: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
@@ -92,11 +85,14 @@ class DepthPlan:
     volume, p/(p-1) p^-k over the family's other block, is the weight of
     every critical pair.  A plan's pairs(engine, a_res, m_res) is depth_pairs."""
 
-    __slots__ = ("pt", "root_mod", "roots", "root_ok", "volume")
+    __slots__ = ("t", "pt", "root_exp", "root_mod", "roots", "root_ok",
+                 "volume")
 
     def __init__(self, p: int, t: int, b: int, sign: int):
+        self.t = t
         self.pt = p**t
-        self.root_mod = p ** (t - (t + 1) // 2)
+        self.root_exp = t - (t + 1) // 2
+        self.root_mod = p**self.root_exp
         self.roots, self.root_ok = _root_table(p, t, b, sign)
         self.volume = Fraction(p, p - 1) / p ** ((t + 1) // 2)
 
@@ -130,10 +126,12 @@ class PsPlan(DepthPlan):
         self.dx_mod = dx = p ** (n0 - kx)
         w = alpha_of_chi(spec.mu).residue_unit(n0 - kx)
         self.volume /= p**kx
-        self.m_inv = _inverses(np.arange(self.root_mod), self.root_mod)
+        self.m_inv = unit_inverses(np.arange(self.root_mod), p,
+                                   self.root_exp)
         u0 = self.roots
+        u0_inv = unit_inverses(u0, p, n0)
         self.entries = np.stack((
-            u0, engine.mu_dense[(1 + _inverses(u0, pn0) * (shift % pn0)) % pn0],
+            u0, engine.mu_dense[(1 + u0_inv * (shift % pn0)) % pn0],
             shift % dx * u0 % dx), axis=-1)
         self.x_lifts, self.x_ok = _padded([
             _unit_lifts(w * pow(s, -1, dx) % dx, n0 - kx, kx, p)
@@ -209,8 +207,8 @@ class ScPlan(DepthPlan):
         self.eta_sc2 = self.eta_t % sc2_mod
         # the coupled condition reads this coordinate mod sc2_mod
         self.coord = (self.B if theta.ramified else self.A) % sc2_mod
-        self.eta_inv = _inverses(self.eta_t % self.root_mod, self.root_mod)
-        self.root_inv = _inverses(self.roots, self.pt)
+        self.eta_inv = unit_inverses(self.eta_t, p, self.root_exp)
+        self.root_inv = unit_inverses(self.roots, p, t)
         self._freeze()
 
     def pairs(self, engine: MatCoefEngine, a_res: np.ndarray,
@@ -221,8 +219,7 @@ class ScPlan(DepthPlan):
         outer congruence; the coupled and phase conditions then run on
         (query, row, candidate) arrays."""
         pt, sc2_mod, dx_mod, m_mod = self.pt, self.sc2_mod, self.root_mod, engine.m
-        a_inv = np.array([pow(a, -1, pt) for a in a_res.tolist()],
-                         dtype=np.int64)
+        a_inv = unit_inverses(a_res, engine.spec.p, self.t)
         r = (a_res * m_res % dx_mod)[:, None] * self.eta_inv % dx_mod
         ok = self.root_ok[r]
         scanned = ok.sum(axis=(1, 2))

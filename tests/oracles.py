@@ -23,6 +23,8 @@ from gl2local.matcoef import KStarElement
 from gl2local.quaternion import UpperHalfPoint, _det_inverse, _iota_inf_exact
 from gl2local.residue import (
     factorize,
+    get_context,
+    padic_valuation,
     random_unit,
     solve_quadratic_congruence,
 )
@@ -305,6 +307,55 @@ def sc_pairs_per_rep(engine, i: int, a_res: int, m_res: int
 
 
 # -- congruence unit ball ----------------------------------------------------
+
+
+def k_star_mul(g: KStarElement, h: KStarElement) -> KStarElement:
+    """The product g h of two ball elements at one modulus, entry by entry
+    in Python integers: the reference for the array products of the Gram
+    estimator."""
+    assert g.p == h.p and g.k == h.k
+    return KStarElement(g.p, g.k, g.a * h.a + g.b * h.c, g.a * h.b + g.b * h.d,
+                        g.c * h.a + g.d * h.c, g.c * h.b + g.d * h.d)
+
+
+def decompose_k_star_scalar(g: KStarElement, spec):
+    """decompose_k_star of one ball element in Python integers, scalar by
+    scalar: the reference for the array row reduction."""
+    p, k, n, n1 = g.p, g.k, spec.n, spec.n1
+    ctx = get_context(p, k)
+    d_inv = pow(g.d, -1, g.mod)
+    det = (g.a * g.d - g.b * g.c) % g.mod
+    cd = g.c * d_inv % g.mod
+    v_c = padic_valuation(cd, p) if cd else k
+    if v_c + n1 >= n:
+        i, a_unit, a_prec = n, det * d_inv * d_inv, k
+    else:
+        i, a_prec = v_c + n1, k - v_c
+        a_unit = det * d_inv * d_inv * pow(cd // p**v_c, -1, p**a_prec)
+    if g.b == 0:
+        return i, ctx.scalar(0, a_unit, a_prec), ctx.zero()
+    v_b = padic_valuation(g.b, p)
+    return (i, ctx.scalar(0, a_unit, a_prec),
+            ctx.scalar(v_b - n1, g.b // p**v_b * d_inv, k - v_b))
+
+
+def unit_average_counts(engine, key, grouped=True, cache_w=True):
+    """Count vector and normalization of the unit average of one query key,
+    unit by unit: each unit's dense Whittaker counts rolled by its psi
+    exponent, the per-key loop that MatCoefEngine.key_counts batches."""
+    i, a_res, t, m_unit = key
+    spec, p, m = engine.spec, engine.spec.p, engine.m
+    w = required_precision(spec, i)
+    k = max(w, t, 1) if grouped else max(spec.n0, spec.n - i, t) + 1
+    accum = np.zeros(m, dtype=np.int64)
+    for x in range(1, p**k):
+        if x % p:
+            phases, mults = engine.numerator_counts(i, a_res * x % p**w,
+                                                    cache=cache_w)
+            dense = np.zeros(m, dtype=np.int64)
+            dense[phases] = mults
+            accum += np.roll(dense, m_unit * x % p**t * (m // p**t))
+    return accum, engine.numerator_scale() / ((p - 1) * p ** (k - 1))
 
 
 def random_k_star_at_level(p: int, k: int, rng, level: int) -> KStarElement:

@@ -100,6 +100,21 @@ def test_sparse_reduce_matches_dense_fold(m):
     assert m <= 4 or np.abs(want).max() >= 2**63
 
 
+@pytest.mark.parametrize("m", [1, 162, 14406])
+def test_block_reduce_is_row_by_row(m):
+    # a block of count rows, a zero row among them, reduces to each row's
+    # coordinates, on int64 and on object coordinates
+    rng = np.random.default_rng(m + 1)
+    block = rng.integers(-9, 10, size=(5, m)) * (rng.random((5, m)) < 0.05)
+    block[2] = 0
+    basis = _basis(m)
+    for counts in (block, block * 2**57):
+        got = basis.reduce_counts(counts)
+        assert got.shape == (5,) + basis.shape
+        for row, coords in zip(counts, got):
+            assert coords.tolist() == basis.reduce_counts(row).tolist()
+
+
 def random_value(rng, m):
     counts = np.zeros(m, dtype=np.int64)
     for _ in range(rng.randrange(1, 6)):

@@ -8,15 +8,22 @@ from gl2local.characters import build_theta, primitive_char
 from gl2local.matcoef import (
     KStarElement,
     MatCoefEngine,
+    _entries,
     decay_bound,
     decompose_k_star,
     gram_dimension_estimate,
+    k_star_keys,
     support_expected_zero,
     verify_support,
 )
 from gl2local.residue import get_context, padic_valuation, random_unit
 from gl2local.whittaker import ReprSpec, required_precision
-from oracles import random_k_star_at_level
+from oracles import (
+    decompose_k_star_scalar,
+    k_star_mul,
+    random_k_star_at_level,
+    unit_average_counts,
+)
 
 
 def ps_spec(p, n):
@@ -139,7 +146,7 @@ def test_k_star_element_basics():
     rng = random.Random(3)
     g = KStarElement.random(3, 10, rng)
     assert g.level >= 1
-    h = g.mul(g.inv())
+    h = k_star_mul(g, g.inv())
     ident = KStarElement(3, 10, 1, 0, 0, 1)
     det = h.a * h.d - h.b * h.c
     assert h.b == 0 and h.c == 0 and h.a == h.d  # central element
@@ -276,16 +283,17 @@ def test_gram_shares_values_bitwise(spec, monkeypatch):
     for s in range(size):
         inv = elems[s].inv()
         for t in range(s, size):
-            ref[s, t] = ref_eng.phi_prime_value(inv.mul(elems[t]))
+            ref[s, t] = ref_eng.phi_prime_value(k_star_mul(inv, elems[t]))
             ref[t, s] = ref[s, t].conjugate()
     ref = (ref + ref.conj().T) / 2
     eng = MatCoefEngine(spec)
-    keys = {eng.query_key(*decompose_k_star(elems[s].inv().mul(elems[t]), spec))
+    keys = {eng.query_key(*decompose_k_star(k_star_mul(elems[s].inv(),
+                                                       elems[t]), spec))
             for s in range(size) for t in range(s, size)}
-    calls = []
-    phi_counts = eng.phi_counts
-    monkeypatch.setattr(eng, "phi_counts",
-                        lambda *args: calls.append(args) or phi_counts(*args))
+    received = []
+    key_counts = eng.key_counts
+    monkeypatch.setattr(eng, "key_counts", lambda batch, *args: (
+        received.extend(batch) or key_counts(batch, *args)))
     seen = []
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh",
@@ -294,7 +302,68 @@ def test_gram_shares_values_bitwise(spec, monkeypatch):
                                          elements=elems)
     assert seen[0].tobytes() == ref.tobytes()
     assert eigs.tobytes() == eigvalsh(ref).tobytes()
-    assert len(calls) == len(keys) < size * (size + 1) // 2
+    # each distinct key evaluated once: the batches receive exactly the keys
+    assert len(received) == len(set(received)) == len(keys) \
+        < size * (size + 1) // 2
+    assert set(received) == keys
+
+
+def scalar_parts(query):
+    i, a, m = query
+    return (i, a.val, a.unit, a.prec, m.is_zero, m.val, m.unit, m.prec)
+
+
+@pytest.mark.parametrize("spec", [ps_spec(3, 6), sc_spec(3, False, 4),
+                                  sc_spec(3, True, 5), ps_spec(3, 14)],
+                         ids=["ps-3-6", "sc-unram-3-4", "sc-ram-3-5",
+                              "ps-3-14"])
+def test_key_rows_match_query_key_of_decompose(spec):
+    # the array row reduction against query_key(*decompose_k_star(g)), row
+    # by row, on ball elements of every level and on products of them;
+    # (3,14,ps) stores at 3^21, where products of residues pass int64
+    rng = random.Random(89)
+    eng = MatCoefEngine(spec)
+    p, k = spec.p, spec.n1 + spec.n
+    elems = ([KStarElement(p, k, 1, 0, 0, 1), KStarElement(p, k, 2, 0, p, 1)]
+             + [KStarElement.random(p, k, rng) for _ in range(40)]
+             + [random_k_star_at_level(p, k, rng, lvl)
+                for lvl in range(1, k) for _ in range(3)])
+    elems += [k_star_mul(g.inv(), h) for g, h in zip(elems, elems[7:])]
+    entries = _entries(elems)
+    assert entries.dtype == (object if spec.n == 14 else np.int64)
+    rows = k_star_keys(eng, p, k, entries)
+    assert rows.dtype == np.int64
+    for g, row in zip(elems, rows.tolist()):
+        query = decompose_k_star(g, spec)
+        assert scalar_parts(query) == scalar_parts(
+            decompose_k_star_scalar(g, spec))
+        assert tuple(row) == eng.query_key(*query)
+
+
+def test_key_counts_match_per_key_phi_counts():
+    # one batch of keys of every depth, grouped or not, cached or not,
+    # against the per-key phi_counts and the unit-by-unit oracle
+    rng = random.Random(97)
+    for spec in (ps_spec(3, 6), sc_spec(3, False, 4), sc_spec(3, True, 5)):
+        eng = MatCoefEngine(spec)
+        k = spec.n1 + spec.n
+        queries = {}
+        for _ in range(40):
+            query = decompose_k_star(KStarElement.random(spec.p, k, rng), spec)
+            queries.setdefault(eng.query_key(*query), query)
+        keys = list(queries)
+        assert len({key[0] for key in keys}) > 1 and len(keys) > 10
+        for grouped in (True, False):
+            for cache_w in (True, False):
+                block, norms = eng.key_counts(keys, grouped, cache_w)
+                assert block.shape == (len(keys), eng.m)
+                for key, counts, norm in zip(keys, block, norms):
+                    one, one_norm = eng.phi_counts(*queries[key], grouped,
+                                                   cache_w)
+                    want, want_norm = unit_average_counts(eng, key, grouped,
+                                                          cache_w)
+                    assert (counts == one).all() and (one == want).all()
+                    assert norm == one_norm == want_norm
 
 
 def test_query_key_soundness():

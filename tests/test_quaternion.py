@@ -691,6 +691,25 @@ def test_enumeration_budget_checked_before_expansion(monkeypatch):
     assert time.perf_counter() - t0 < 1.0
 
 
+def test_refusals_come_before_the_norms_are_listed():
+    # an ascending range is read at its ends and the report's largest norm is
+    # L^2, so norm sets far too large to list are refused by the ellipsoid
+    # budget or the float range at once (they used to be sorted first)
+    lat = build_tidy_lattice(ORD6, {})
+    z = UpperHalfPoint(Fraction(1, 2), Fraction(1))
+    t0 = time.perf_counter()
+    for refuse in (lambda: norm_histogram(lat, z, 1, range(1, 10**50)),
+                   lambda: counting_bound_report(lat, z, 1, 10**6),
+                   lambda: counting_bound_report(lat, z, 1, 10**30)):
+        with pytest.raises(BudgetError, match=r"^quaternion ellipsoid "
+                           r"enumeration: \d+ rows exceed the budget of "
+                           r"10000000$"):
+            refuse()
+    with pytest.raises(BudgetError, match=r"exceeds the float range$"):
+        counting_bound_report(lat, z, 1, 10**200)
+    assert time.perf_counter() - t0 < 1.0
+
+
 def test_box_budget_checked_before_the_grid(monkeypatch):
     # verify_box_max_norm = 10**4 asks the box oracle for norms near 10**4:
     # a box of ~1.6e10 points, ~4e7 (c1, c2, c3) rows per c0 slab

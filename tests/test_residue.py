@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from gl2local.errors import BudgetError, PrecisionError
@@ -14,7 +15,9 @@ from gl2local.residue import (
     padic_valuation,
     primitive_root,
     random_unit,
+    residue_dtype,
     smallest_nonresidue,
+    unit_inverses,
     unit_shell_reps,
 )
 from oracles import ext_valuation
@@ -254,3 +257,16 @@ def test_shell_reps_budget():
     ext = get_ext_context(11, 9, ramified=False)
     with pytest.raises(BudgetError):
         unit_shell_reps(ext, 4)
+
+
+def test_unit_inverses_match_pow():
+    # Hensel doubling against pow on int64 and on Python-integer residues;
+    # non-units, and everything mod p^0, invert to 0
+    assert residue_dtype(2**31 - 1) == np.int64
+    assert residue_dtype(2**31) == object
+    for p, k in ((3, 0), (3, 1), (3, 6), (5, 3), (7, 2), (11, 5), (3, 25)):
+        mod = p**k
+        vals = list(range(-4, 3 * p + 4)) + [mod - 1, mod + 1, 5 * mod - 2]
+        got = unit_inverses(np.array(vals), p, k)
+        assert got.dtype == residue_dtype(mod)
+        assert got.tolist() == [pow(v, -1, mod) if v % p else 0 for v in vals]

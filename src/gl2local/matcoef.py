@@ -83,31 +83,60 @@ class MatCoefEngine(WhittakerEngine):
         averages of query keys (none None), row r for keys[r]; the grouped
         path collapses x-classes on which both factors are constant, the
         ungrouped path iterates the full unit set for the stated average.
-        Each unit x contributes its sparse Whittaker numerator with every
-        phase shifted by the psi exponent of m x, and every (key, phase)
-        term lands in the block by one exact scatter.  The block grows with
-        the keys: callers pass at most DEPTH_CHUNK at a time."""
+        Each unit x contributes the sparse Whittaker numerator of a x with
+        every phase shifted by the psi exponent of m x.  Keys are taken a
+        (depth, unit group) at a time, and every (key, phase) term of a
+        group lands in the block by one exact scatter: the cached path
+        reads the numerators of all its (key, unit) pairs from depth_table
+        at once, the uncached path calls numerator_counts per (key, unit).
+        The block grows with the keys: callers pass at most DEPTH_CHUNK."""
         spec, p, m = self.spec, self.spec.p, self.m
-        phases, mults, shifts, bases, norms = [], [], [], [], []
-        for row, (i, a_res, t, m_unit) in enumerate(keys):
-            w_lvl = required_precision(spec, i)
-            k_eff = (max(w_lvl, t, 1) if grouped
+        groups: dict[tuple[int, int], list[int]] = {}
+        for row, (i, _, t, _) in enumerate(keys):
+            k_eff = (max(required_precision(spec, i), t, 1) if grouped
                      else max(spec.n0, spec.n - i, t) + 1)
-            pw, pt = p**w_lvl, p**t
-            units = get_context(p, k_eff).units(k_eff)
-            for x in units:
-                ph, mu = self.numerator_counts(i, a_res * x % pw, cache=cache_w)
-                phases.append(ph)
-                mults.append(mu)
-            shifts.append(m_unit * np.array(units) % pt * (m // pt))
-            bases.append(np.full(len(units), row * m))
-            norms.append(self.numerator_scale() / ((p - 1) * p ** (k_eff - 1)))
-        sizes = [len(ph) for ph in phases]
-        shift = np.repeat(np.concatenate(shifts), sizes)
-        base = np.repeat(np.concatenate(bases), sizes)
+            groups.setdefault((i, k_eff), []).append(row)
+        rows = np.array(keys, dtype=np.int64).reshape(len(keys), 4)
+        norms: list[Fraction] = [Fraction(0)] * len(keys)
         block = np.zeros((len(keys), m), dtype=np.int64)
-        np.add.at(block.reshape(-1), (np.concatenate(phases) + shift) % m + base,
-                  np.concatenate(mults))
+        for (i, k_eff), members in groups.items():
+            norm = self.numerator_scale() / ((p - 1) * p ** (k_eff - 1))
+            for row in members:
+                norms[row] = norm
+            units = np.array(get_context(p, k_eff).units(k_eff))
+            _, a_res, t, m_unit = rows[members].T[:, :, None]
+            if cache_w:
+                lengths, phases, mults = self.depth_table(i)
+                pl = len(lengths)
+                sizes = lengths[lengths > 0]
+                # a x runs over every unit residue mod pl equally often, so
+                # a key's units, taken in rounds of the table's residue
+                # order, read the whole table once per round
+                order = np.argsort(a_res % pl * (units % pl) % pl, axis=1)
+                xs = units[order.reshape(len(members), len(sizes), -1)
+                           .transpose(0, 2, 1).reshape(len(members), -1)]
+                rounds = xs.size // len(sizes)
+                sizes = np.tile(sizes, rounds)
+                phase, mult = np.tile(phases, rounds), np.tile(mults, rounds)
+            else:
+                xs = np.broadcast_to(units, (len(members), len(units)))
+                pw = p**required_precision(spec, i)
+                entries = [self.numerator_counts(i, a * x % pw, cache=False)
+                           for a in a_res.ravel().tolist()
+                           for x in units.tolist()]
+                sizes = [len(ph) for ph, _ in entries]
+                phase = np.concatenate([ph for ph, _ in entries])
+                mult = np.concatenate([mu for _, mu in entries])
+            # psi exponent of m x per (key, unit), m known mod p^t
+            pt = p**t
+            index = np.repeat((m_unit * (xs % pt) % pt * (m // pt)).ravel(),
+                              sizes)
+            index += phase
+            index %= m
+            # every key of the group has the same number of terms
+            per_key = index.reshape(len(members), -1)
+            per_key += np.array(members)[:, None] * m
+            np.add.at(block.reshape(-1), index, mult)
         return block, norms
 
     def phi_numerator(self, i: int, a: PAdicScalar, madd: PAdicScalar,
@@ -360,6 +389,21 @@ def _key_values(engine: MatCoefEngine, keys: list) -> np.ndarray:
     return values
 
 
+def _share_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of an integer array in ascending lexicographic
+    order, and each row's slot among them: np.unique(rows, axis=0,
+    return_inverse=True) by one np.lexsort over the columns and a scan for
+    the boundaries between runs of equal rows, without the structured
+    sort behind axis=0."""
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    slots = np.empty(len(rows), dtype=np.intp)
+    slots[order] = np.cumsum(new) - 1
+    return ordered[new], slots
+
+
 def gram_dimension_estimate(engine: MatCoefEngine, sample_count: int, rng,
                             return_spectrum: bool = False,
                             elements: list[KStarElement] | None = None):
@@ -371,9 +415,11 @@ def gram_dimension_estimate(engine: MatCoefEngine, sample_count: int, rng,
     Entries are phi'(g_s^-1 g_t) = phi_value of the decomposed query.  All
     upper-triangle products are formed as four entry arrays, int64 while
     2 p^(2k) < 2^63 and Python integers above (residue_dtype), and reduced
-    to query_key rows at once (k_star_keys); np.unique names each entry's
-    slot, and each distinct key is evaluated once (_key_values: count
-    blocks of at most DEPTH_CHUNK x m), bitwise as phi_prime_value."""
+    to query_key rows at once (k_star_keys); _share_rows (one lexsort)
+    names each entry's slot, and each distinct key is evaluated once
+    (_key_values: count blocks of at most DEPTH_CHUNK x m, whose unit
+    averages gather from the per-depth Whittaker tables), bitwise as
+    phi_prime_value."""
     spec = engine.spec
     if elements is not None:
         elems = elements
@@ -393,11 +439,10 @@ def gram_dimension_estimate(engine: MatCoefEngine, sample_count: int, rng,
     # entries share few distinct keys (486 of 8,515 at p=3, n=6 with 130
     # elements); the upper triangle of index names each entry's slot (row by
     # row, the triu_indices order), and one gather fills the matrix
-    keys, slots = np.unique(k_star_keys(engine, p, k, products), axis=0,
-                            return_inverse=True)
+    keys, slots = _share_rows(k_star_keys(engine, p, k, products))
     values = _key_values(engine, [tuple(key) for key in keys.tolist()])
     index = np.zeros((sample_count, sample_count), dtype=np.intp)
-    index[upper] = slots.reshape(-1)
+    index[upper] = slots
     gram = values[index]
     # the lower triangle and the diagonal mirror the upper as conjugates,
     # set rather than added so every zero keeps its sign

@@ -23,7 +23,7 @@ from importlib import resources
 import numpy as np
 
 from .errors import BudgetError, ConstructionError, PrecisionError, int_text
-from .residue import MODULUS_BIT_BUDGET, factorize, is_prime, legendre, padic_valuation
+from .residue import check_modulus_bits, factorize, is_prime, legendre, padic_valuation
 
 ENUMERATION_BUDGET = 10**7
 FILTRATION_LEVEL_BUDGET = 10**5
@@ -308,11 +308,7 @@ def build_tidy_lattice(order: RationalOrder, plan: dict[int, int]) -> TidyLattic
         if r < 1:
             raise ValueError("plan exponents must be >= 1")
         # refused before elimination: the float Gram guard refuses past 1023 bits
-        bits = math.floor(r * Fraction(math.log2(p))) + 1
-        if bits > MODULUS_BIT_BUDGET:
-            raise BudgetError(f"quaternion tidy lattice: modulus {p}^{int_text(r)} "
-                              f"of {int_text(bits)} bits exceeds the budget of "
-                              f"{MODULUS_BIT_BUDGET} bits")
+        check_modulus_bits("quaternion tidy lattice", p, r)
         mod = p**r
         inv = _pure_split_pair(alg, p)
         # (c2, c3) of each current vector on the basis 1, V, W, VW, mod p^r
@@ -427,7 +423,7 @@ def _check_bits(layer: str, values, limit: int) -> None:
     bits = max(abs(int(v)).bit_length() for v in values)
     if bits > limit:
         raise BudgetError(f"quaternion {layer}: entries of {bits} bits exceed "
-                          f"the limit of {limit} bits")
+                          f"the budget of {limit} bits")
 
 
 def _ellipsoid_lines(gram: np.ndarray, bound: float):

@@ -14,6 +14,7 @@ pairs a + b*sqrt(D).
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -23,6 +24,20 @@ from .errors import BudgetError, PrecisionError, int_text
 LOG_TABLE_BUDGET = 10**7
 # bit length of the largest modulus p^K a context may form
 MODULUS_BIT_BUDGET = 4096
+
+
+def check_modulus_bits(layer: str, p: int, r: int) -> None:
+    """BudgetError naming the layer if p^r has more than MODULUS_BIT_BUDGET
+    bits; decided from r log2 p, before p^r is formed, which for a huge
+    exponent would not finish."""
+    bits = math.floor(r * Fraction(math.log2(p))) + 1
+    if bits > MODULUS_BIT_BUDGET:
+        # the float log2 p is off by up to bits / 2^53 bits in all: past
+        # 2^50 bits the count is given as a power of two
+        size = (int_text(bits) if bits < 2**50
+                else f"~2**{bits.bit_length() - 1}")
+        raise BudgetError(f"{layer}: modulus {p}^{int_text(r)} of {size} bits "
+                          f"exceeds the budget of {MODULUS_BIT_BUDGET} bits")
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
@@ -229,12 +244,7 @@ class PAdicContext:
             raise ValueError(f"p must be an odd prime, got {p}")
         if prec_exp < 1:
             raise ValueError("precision exponent must be >= 1")
-        # checked before p**prec_exp is formed, which for a huge exponent
-        # would not finish
-        if prec_exp > MODULUS_BIT_BUDGET / math.log2(p):
-            raise BudgetError(
-                f"p-adic context: modulus {p}^{int_text(prec_exp)} exceeds "
-                f"the limit of {MODULUS_BIT_BUDGET} bits")
+        check_modulus_bits("p-adic context", p, prec_exp)
         self.p = p
         self.prec_exp = prec_exp
         self.modulus = p**prec_exp

@@ -103,15 +103,18 @@ class WhittakerEngine:
     """Evaluator for one representation at the cyclotomic modulus
     spec.modulus().
 
-    Sparse numerators (phases, multiplicities) are cached per (shear depth,
-    unit residue); the cache is what makes grid averaging fast, and can be
-    bypassed for timing honesty.
+    Sparse numerators (phases, multiplicities) are cached one shear depth
+    at a time: depth_table lays the entries of every unit residue end to
+    end in one read-only table, which unit averages read whole, and each
+    cached numerator_counts entry is a view of it.  The cache is what makes
+    grid averaging fast, and can be bypassed for timing honesty.
     """
 
     def __init__(self, spec: ReprSpec):
         self.spec = spec
         self.m = spec.modulus()
         self._cache: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+        self._tables: dict[int, tuple[np.ndarray, ...]] = {}
         self._mu1_cache: dict[int, np.ndarray] = {}
         if spec.family == "ps":
             self._u_arr = np.flatnonzero(spec.mu.table >= 0)
@@ -169,39 +172,68 @@ class WhittakerEngine:
             return Fraction(1, self.spec.p**self.spec.n0)
         return Fraction(1, self.term_count())
 
+    def _residue_level(self, i: int) -> int:
+        """The depth-i numerator reads its residue x mod p^(this level):
+        n0 for principal series, n - i (0 at i = n) for supercuspidals."""
+        return self.spec.n0 if self.spec.family == "ps" else self.spec.n - i
+
+    def depth_table(self, i: int) -> tuple[np.ndarray, ...]:
+        """Every numerator of depth i as one read-only table (lengths,
+        phases, mults), built once per depth by one uncached
+        numerator_counts per unit residue: with pl = len(lengths) =
+        p^_residue_level(i), the entries of the unit residues mod pl lie end
+        to end in ascending residue order, lengths[x] terms for residue x
+        (0 off the units).  Each cached numerator_counts entry is a view of
+        it, so no entry is stored twice."""
+        if i not in self._tables:
+            p = self.spec.p
+            pl = p**self._residue_level(i)
+            # unit representatives 1..pl; at pl = 1 the one residue is 0
+            units = (np.flatnonzero(np.arange(1, pl + 1) % p) + 1).tolist()
+            entries = [self.numerator_counts(i, x, cache=False) for x in units]
+            residues = [x % pl for x in units]
+            lengths = np.zeros(pl, dtype=np.int64)
+            lengths[residues] = [len(phases) for phases, _ in entries]
+            table = (lengths,
+                     np.concatenate([phases for phases, _ in entries]),
+                     np.concatenate([mults for _, mults in entries]))
+            for arr in table:
+                arr.flags.writeable = False
+            _, phases, mults = table
+            ends = np.cumsum(lengths[residues]).tolist()
+            for x, start, end in zip(residues, [0] + ends, ends):
+                self._cache[i, x] = phases[start:end], mults[start:end]
+            self._tables[i] = table
+        return self._tables[i]
+
     def numerator_counts(self, i: int, x_res: int, cache: bool = True
                          ) -> tuple[np.ndarray, np.ndarray]:
         """The unnormalized sum for a unit residue x_res as read-only arrays
         (phases, multiplicities): the distinct exponents in Z/m, ascending,
         and how many terms land on each.  With counts the dense length-m
         vector holding the multiplicities at the phases, the value is
-        from_counts(m, counts, numerator_scale()) / C0."""
+        from_counts(m, counts, numerator_scale()) / C0.  The cached entry
+        is a view of depth_table(i)."""
         spec, p, m = self.spec, self.spec.p, self.m
         if not spec.n0 < i <= spec.n:
             raise ValueError(f"shear depth {i} outside (n0, n] for {spec}")
+        if x_res % p == 0:
+            raise ValueError(f"residue {x_res} is not a unit mod {p}")
+        pl = p**self._residue_level(i)
+        x_res %= pl
+        if cache:
+            if (i, x_res) not in self._cache:
+                self.depth_table(i)
+            return self._cache[i, x_res]
         if spec.family == "ps":
-            pn0 = p**spec.n0
-            x_res %= pn0
-            key = (i, x_res)
-            if cache and key in self._cache:
-                return self._cache[key]
-            xu = (x_res * self._u_arr) % pn0
+            xu = (x_res * self._u_arr) % pl
             exps = (self._ps_shift_factor(i) + self.mu_dense[xu]
-                    + ((-xu) % pn0) * (m // pn0)) % m
+                    + ((-xu) % pl) * (m // pl)) % m
         else:
-            lvl = spec.n - i
-            pl = p**lvl
-            x_res %= pl
-            key = (i, x_res)
-            if cache and key in self._cache:
-                return self._cache[key]
             _, _, phase, eta = self.shell_table(spec.theta.level)
-            inv = pow(x_res, -1, pl) if lvl else 0
-            exps = (phase + ((-inv * eta) % pl) * (m // pl)) % m
-        if not cache and len(exps) > m:
-            # a dense count beats sorting once the shell outnumbers Z/m;
-            # cached entries keep np.unique, since one length-m count vector
-            # per entry left a process holding megabytes more memory
+            exps = (phase + ((-pow(x_res, -1, pl) * eta) % pl) * (m // pl)) % m
+        if len(exps) > m:
+            # a dense count beats sorting once the shell outnumbers Z/m
             counts = np.bincount(exps, minlength=m)
             phases = np.flatnonzero(counts)
             entry = phases, counts[phases]
@@ -209,6 +241,4 @@ class WhittakerEngine:
             entry = np.unique(exps, return_counts=True)
         for arr in entry:
             arr.flags.writeable = False
-        if cache:
-            self._cache[key] = entry
         return entry

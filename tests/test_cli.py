@@ -3,7 +3,10 @@
 import copy
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -265,10 +268,11 @@ def test_counting_loads_the_algebra_fixtures_once(tmp_path):
 
 
 @pytest.mark.parametrize("plan,match", [
-    ({"5": 16}, r"norm form: entries of \d+ bits exceed the limit of 63 bits"),
+    ({"5": 16},
+     r"norm form: entries of \d+ bits exceed the budget of 63 bits"),
     ({"1000003": 2},
-     r"norm form: entries of \d+ bits exceed the limit of 63 bits"),
-    ({"1009": 51}, r"float Gram matrix: entries of \d+ bits exceed the limit "
+     r"norm form: entries of \d+ bits exceed the budget of 63 bits"),
+    ({"1009": 51}, r"float Gram matrix: entries of \d+ bits exceed the budget "
                    r"of 1023 bits"),
 ])
 def test_oversized_counting_forms_are_refused_before_conversion(
@@ -305,8 +309,8 @@ def test_deep_plan_is_refused_before_a_square_root_is_lifted(tmp_path):
 
 
 @pytest.mark.parametrize("family,match", [
-    ("ps", rf"^p-adic context: modulus 3\^{5 * 10**19} exceeds the limit of "
-           rf"4096 bits$"),
+    ("ps", rf"^p-adic context: modulus 3\^{5 * 10**19} of ~2\*\*66 bits "
+           rf"exceeds the budget of 4096 bits$"),
     ("sc-unramified", r"^characters unit group: size ~2\*\*\d+ exceeds the "
                       r"budget of 10000000$")])
 def test_huge_n_is_refused_before_the_modulus_is_formed(tmp_path, family,
@@ -475,6 +479,40 @@ def test_flags_override_config(tmp_path):
                                   "seed": 7, "out": str(out_a)})
     assert main(["--config", cfg, "--out", str(out_b), "--seed", "7"]) == 0
     assert out_b.exists() and not out_a.exists()
+
+
+NO_MASKED_ARRAYS = """
+import random, sys
+from gl2local.characters import primitive_char
+from gl2local.cli import main
+from gl2local.matcoef import MatCoefEngine, gram_dimension_estimate
+from gl2local.whittaker import ReprSpec
+engine = MatCoefEngine(ReprSpec.principal_series(primitive_char(3, 3)))
+gram_dimension_estimate(engine, 12, random.Random(1))
+for config in sys.argv[1:]:
+    assert main(["--config", config]) == 0
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_workload_paths_do_not_import_numpy_ma(tmp_path):
+    # a plain np.unique (no return_* output) imports numpy.ma on its first
+    # call, 9-18 ms; the Gram estimator, decay and counting need none
+    configs = []
+    for name, cfg in (("decay", {"task": "decay", "p": 3, "n": 6,
+                                 "family": "ps", "units_per_class": 2}),
+                      ("counting", {"task": "counting", "algebra": "disc14",
+                                    "L": 2})):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(dict(cfg, out=str(tmp_path / name))))
+        configs.append(str(path))
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    run = subprocess.run([sys.executable, "-c", NO_MASKED_ARRAYS, *configs],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "False"
 
 
 def test_same_seed_byte_identical_rerun(tmp_path):

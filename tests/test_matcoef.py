@@ -342,14 +342,24 @@ def test_key_rows_match_query_key_of_decompose(spec):
 
 def test_key_counts_match_per_key_phi_counts():
     # one batch of keys of every depth, grouped or not, cached or not,
-    # against the per-key phi_counts and the unit-by-unit oracle
+    # against the per-key phi_counts and the unit-by-unit oracle; the p = 5
+    # cases gather from depth tables of up to p^n0 = 125 residues, and draw
+    # fewer keys, since their ungrouped uncached averages run up to 5^5
+    # units of up to 15,000 shell terms per key
     rng = random.Random(97)
-    for spec in (ps_spec(3, 6), sc_spec(3, False, 4), sc_spec(3, True, 5)):
+    for spec, draws in ((ps_spec(3, 6), 40), (sc_spec(3, False, 4), 40),
+                        (sc_spec(3, True, 5), 40), (ps_spec(5, 6), 9),
+                        (sc_spec(5, False, 6), 9)):
         eng = MatCoefEngine(spec)
         k = spec.n1 + spec.n
+        # random elements sit mostly at ball level 1 (depth n1 + 1); one
+        # element at each of levels 2 and 3 reaches the deeper depths
+        elems = ([KStarElement.random(spec.p, k, rng) for _ in range(draws)]
+                 + [random_k_star_at_level(spec.p, k, rng, lvl)
+                    for lvl in (2, 3)])
         queries = {}
-        for _ in range(40):
-            query = decompose_k_star(KStarElement.random(spec.p, k, rng), spec)
+        for g in elems:
+            query = decompose_k_star(g, spec)
             queries.setdefault(eng.query_key(*query), query)
         keys = list(queries)
         assert len({key[0] for key in keys}) > 1 and len(keys) > 10

@@ -142,7 +142,7 @@ def test_modulus_bit_budget_guard():
     # 3^2584 has 4096 bits; 3^2585, with 4098, is refused unformed
     assert get_context(3, 2584).modulus.bit_length() == 4096
     with pytest.raises(BudgetError, match=r"^p-adic context: modulus 3\^2585 "
-                       r"exceeds the limit of 4096 bits$"):
+                       r"of 4098 bits exceeds the budget of 4096 bits$"):
         get_context(3, 2585)
 
 

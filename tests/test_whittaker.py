@@ -182,6 +182,9 @@ def test_range_and_precision_guards():
     for bad_i in (0, spec.n0, spec.n + 1):
         with pytest.raises(ValueError):
             numerator(eng, bad_i, ctx.scalar(0, 1))
+    for cache in (True, False):  # a residue that is not a unit
+        with pytest.raises(ValueError, match="not a unit"):
+            eng.numerator_counts(spec.n0 + 1, 3, cache=cache)
     shallow = get_context(3, 2).scalar(0, 1)  # n0 = 3 needs 3 digits
     with pytest.raises(PrecisionError):
         numerator(eng, 4, shallow)

@@ -27,14 +27,16 @@ from .matcoef import (
     verify_support,
 )
 from .quaternion import (
+    QuaternionAlgebra,
     UpperHalfPoint,
+    algebra_specs,
     build_tidy_lattice,
     count_lattice_points,
     count_lattice_points_box,
     counting_bound_report,
     depth_exponent,
     filtration_schedule,
-    load_algebra_fixtures,
+    load_algebra,
     norm_histogram,
     supnorm_exponent,
 )
@@ -233,11 +235,12 @@ class ExperimentConfig:
                 raise ConfigError(f"{path}.units_per_class",
                                   f"must be at most (p-1)p^(n+1) = {units}")
         elif key == "plans" and self.task == "counting":
-            fixtures = load_algebra_fixtures()
-            if self.algebra not in fixtures:
+            # names and Hilbert pairs only: no order is built here
+            specs = algebra_specs()
+            if self.algebra not in specs:
                 raise ConfigError(f"{path}.algebra",
-                                  f"unknown algebra (have {sorted(fixtures)})")
-            disc = fixtures[self.algebra][0].discriminant
+                                  f"unknown algebra (have {sorted(specs)})")
+            disc = QuaternionAlgebra(*specs[self.algebra]["hilbert"]).discriminant
             for k, plan in enumerate(self.plans):
                 if any(disc % q == 0 for q in plan):
                     raise ConfigError(f"{path}.plans[{k}]", "primes must be "
@@ -464,7 +467,7 @@ def _plan_label(plan: dict[int, int]) -> str:
 
 
 def run_counting(cfg: ExperimentConfig) -> TaskResult:
-    _, order = load_algebra_fixtures()[cfg.algebra]
+    _, order = load_algebra(cfg.algebra)
     rows, report = [], []
     ok = True
     lattices, hists, reps = [], [], []

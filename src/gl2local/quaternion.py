@@ -59,9 +59,6 @@ def ramified_primes(a: int, b: int) -> list[int]:
 
 # -- the algebra and its orders ----------------------------------------------
 
-Coords = tuple[Fraction, Fraction, Fraction, Fraction]
-
-
 class QuaternionAlgebra:
     """Basis 1, i, j, k with i^2 = a_h, j^2 = b_h, k = ij = -ji.
 
@@ -77,7 +74,7 @@ class QuaternionAlgebra:
         self.b_h = b_h
         self.discriminant = math.prod(ramified_primes(a_h, b_h))
 
-    def mul(self, x, y) -> Coords:
+    def mul(self, x, y) -> tuple:
         a, b = self.a_h, self.b_h
         x0, x1, x2, x3 = x
         y0, y1, y2, y3 = y
@@ -97,65 +94,83 @@ class QuaternionAlgebra:
         return x0 * x0 - a * x1 * x1 - b * x2 * x2 + a * b * x3 * x3
 
 
-def _det_inverse(rows) -> tuple[Fraction, list[list[Fraction]]]:
-    """Exact determinant and inverse by one Gauss-Jordan elimination;
-    ValueError for a singular matrix."""
+def _cleared(rows) -> tuple[list[list[int]], int]:
+    """Rows of rationals (ints or Fractions) as integer rows over their least
+    common denominator, by cross-multiplication."""
+    den = math.lcm(*(v.denominator for row in rows for v in row))
+    return [[v.numerator * (den // v.denominator) for v in row] for row in rows], den
+
+
+def _lowest_terms(den: int, *mats):
+    """Integer matrices over `den` divided by the gcd of den and every entry:
+    (*mats, den) with den the least common denominator of the quotients."""
+    g = math.gcd(den, *(v for m in mats for v in m.flat))
+    return (*(m // g for m in mats), den // g)
+
+
+def _det_adjugate(rows) -> tuple[int, list[list[int]]]:
+    """Determinant and adjugate of a square integer matrix by fraction-free
+    Gauss-Jordan elimination (Bareiss, Math. Comp. 22 (1968)): each step
+    divides exactly by the previous pivot, and [A | I] ends as
+    [d I | d A^-1] with d = +-det A.  ValueError for a singular matrix."""
     n = len(rows)
-    aug = [[Fraction(v) for v in row] + [Fraction(int(i == r)) for i in range(n)]
-           for r, row in enumerate(rows)]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col]), None)
+    aug = [[*row, *(int(i == r) for i in range(n))] for r, row in enumerate(rows)]
+    prev, sign = 1, 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if aug[r][k]), None)
         if piv is None:
             raise ValueError("singular matrix")
-        if piv != col:
-            aug[col], aug[piv] = aug[piv], aug[col]
-            det = -det
-        det *= aug[col][col]
-        inv = 1 / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
-    return det, [row[n:] for row in aug]
+        if piv != k:
+            aug[k], aug[piv] = aug[piv], aug[k]
+            sign = -sign
+        top = aug[k]
+        for i, row in enumerate(aug):
+            if i != k:
+                f = row[k]
+                aug[i] = [(top[k] * v - f * w) // prev for v, w in zip(row, top)]
+        prev = top[k]
+    return sign * prev, [[sign * v for v in row[n:]] for row in aug]
 
 
 class RationalOrder:
-    """An order given by basis rows over the 1,i,j,k frame; construction
-    checks that 1 is in the lattice and that it is closed under
-    multiplication."""
+    """An order held as an integer basis over one denominator: the rows of
+    `basis` / `den` over the 1, i, j, k frame.  Construction takes rational
+    rows (ints or Fractions) and checks that 1 is in the lattice and that it
+    is closed under multiplication."""
 
     def __init__(self, algebra: QuaternionAlgebra, basis_rows):
         self.algebra = algebra
-        self.basis = [tuple(Fraction(v) for v in row) for row in basis_rows]
-        if len(self.basis) != 4:
+        if len(basis_rows) != 4:
             raise ValueError("an order needs 4 basis vectors")
-        _, self._inv = _det_inverse(self.basis)
-        if not self._contains((Fraction(1), Fraction(0), Fraction(0), Fraction(0))):
+        self.basis, self.den = _cleared(basis_rows)
+        self._det, self._adj = _det_adjugate(self.basis)
+        if not self._contains((1, 0, 0, 0), 1):
             raise ValueError("order does not contain 1")
         for x in self.basis:
             for y in self.basis:
-                if not self._contains(self.algebra.mul(x, y)):
+                if not self._contains(self.algebra.mul(x, y), self.den**2):
                     raise ValueError("basis is not closed under multiplication")
 
-    def coords_of(self, frame_vec) -> Coords:
-        return tuple(sum(frame_vec[k] * self._inv[k][j] for k in range(4))
+    def _contains(self, vec, vec_den: int) -> bool:
+        """Whether the frame vector vec / vec_den is in the order: its
+        coordinates are vec adj(basis) den / (vec_den det(basis))."""
+        mod = vec_den * self._det
+        return all(sum(v * row[j] for v, row in zip(vec, self._adj)) * self.den
+                   % mod == 0 for j in range(4))
+
+    def element(self, coords) -> tuple:
+        """The frame numerators, over `den`, of the element with these
+        integer coordinates."""
+        return tuple(sum(c * row[j] for c, row in zip(coords, self.basis))
                      for j in range(4))
 
-    def _contains(self, frame_vec) -> bool:
-        return all(c.denominator == 1 for c in self.coords_of(frame_vec))
-
-    def element(self, coords) -> Coords:
-        return tuple(sum(Fraction(coords[r]) * self.basis[r][c] for r in range(4))
-                     for c in range(4))
-
     def reduced_discriminant(self) -> int:
+        # the trace form of the integer basis is den^2 times the order's
         t = [[self.algebra.tr(self.algebra.mul(x, y)) for y in self.basis]
              for x in self.basis]
-        d, _ = _det_inverse(t)
-        root = math.isqrt(abs(int(d)))
-        if root * root != abs(int(d)):
+        d = abs(_det_adjugate(t)[0]) // self.den**8
+        root = math.isqrt(d)
+        if root * root != d:
             raise AssertionError("trace form determinant is not a square")
         return root
 
@@ -167,19 +182,30 @@ def verify_maximal_order(order: RationalOrder) -> bool:
 
 
 @functools.cache
-def load_algebra_fixtures() -> dict:
-    """Named (algebra, verified maximal order) pairs from the packaged
-    fixture file, built once per process; callers must not change them."""
+def algebra_specs() -> dict:
+    """Name -> {"hilbert": pair, "max_order": rows as text} from the packaged
+    fixture file; nothing is built or certified."""
     text = resources.files("gl2local").joinpath("data/algebras.json").read_text()
-    out = {}
-    for name, spec in json.loads(text).items():
-        alg = QuaternionAlgebra(*spec["hilbert"])
-        order = RationalOrder(alg, [[Fraction(v) for v in row]
-                                    for row in spec["max_order"]])
-        if not verify_maximal_order(order):
-            raise AssertionError(f"fixture {name} failed the maximality check")
-        out[name] = (alg, order)
-    return out
+    return json.loads(text)
+
+
+@functools.cache
+def load_algebra(name: str):
+    """The named (algebra, verified maximal order) pair, built and certified
+    once per process; callers must not change it.  KeyError for a name
+    that `algebra_specs` does not have."""
+    spec = algebra_specs()[name]
+    alg = QuaternionAlgebra(*spec["hilbert"])
+    order = RationalOrder(alg, [[Fraction(v) for v in row]
+                                for row in spec["max_order"]])
+    if not verify_maximal_order(order):
+        raise AssertionError(f"fixture {name} failed the maximality check")
+    return alg, order
+
+
+def load_algebra_fixtures() -> dict:
+    """Every named (algebra, verified maximal order) pair."""
+    return {name: load_algebra(name) for name in algebra_specs()}
 
 
 # -- local splittings and tidy lattices --------------------------------------
@@ -187,8 +213,8 @@ def load_algebra_fixtures() -> dict:
 def _pure_split_pair(alg: QuaternionAlgebra, p: int):
     """Integer-coordinate pure quaternions V, W with s = V^2 a unit square
     mod p, t = W^2 a unit mod p, VW = -WV and the basis 1, V, W, VW of
-    determinant prime to p; returns the exact inverse of that basis (rows
-    over the 1, i, j, k frame)."""
+    determinant prime to p; returns the adjugate and the determinant of that
+    basis (rows over the 1, i, j, k frame)."""
     def square(x):
         return -alg.nr(x)  # V pure => V^2 = -nr(V)
 
@@ -204,17 +230,11 @@ def _pure_split_pair(alg: QuaternionAlgebra, p: int):
         for w_cand in pures:
             if square(w_cand) % p == 0 or not anticommute(v_cand, w_cand):
                 continue
-            det, inv = _det_inverse([(1, 0, 0, 0), v_cand, w_cand,
-                                     alg.mul(v_cand, w_cand)])
+            det, adj = _det_adjugate([(1, 0, 0, 0), v_cand, w_cand,
+                                      alg.mul(v_cand, w_cand)])
             if det % p:
-                return inv
+                return adj, det
     raise ConstructionError(f"no splitting strategy found for p={p}")
-
-
-def _residue(c: Fraction, mod: int) -> int:
-    """The residue of a rational c mod `mod`; ValueError unless its
-    denominator is prime to mod."""
-    return c.numerator * pow(c.denominator, -1, mod) % mod
 
 
 @dataclass
@@ -233,8 +253,14 @@ class TidyLattice:
         m1, m2, m3 = self.shape
         return self.index == m1 * m2 * m3 and (m1 * m2) % m3 == 0
 
-    def basis_in_frame(self):
+    def frames(self) -> list[tuple]:
+        """The basis over the 1, i, j, k frame, as numerators over order.den."""
         return [self.order.element(row) for row in self.coords]
+
+    def basis_in_frame(self) -> list[tuple]:
+        """The basis over the 1, i, j, k frame as rational rows."""
+        den = self.order.den
+        return [tuple(Fraction(v, den) for v in row) for row in self.frames()]
 
 
 def _det(m) -> int:
@@ -310,10 +336,12 @@ def build_tidy_lattice(order: RationalOrder, plan: dict[int, int]) -> TidyLattic
         # refused before elimination: the float Gram guard refuses past 1023 bits
         check_modulus_bits("quaternion tidy lattice", p, r)
         mod = p**r
-        inv = _pure_split_pair(alg, p)
-        # (c2, c3) of each current vector on the basis 1, V, W, VW, mod p^r
+        adj, det = _pure_split_pair(alg, p)
+        # (c2, c3) of each current vector on the basis 1, V, W, VW, mod p^r:
+        # its frame numerators times adj / (den det)
+        unit = pow(order.den * det, -1, mod)
         frames = [order.element(vec) for vec in current]
-        forms = [[_residue(sum(x * row[col] for x, row in zip(frame, inv)), mod)
+        forms = [[sum(x * row[col] for x, row in zip(frame, adj)) * unit % mod
                   for frame in frames] for col in (2, 3)]
         current = [[sum(v * row[j] for v, row in zip(vec, current)) for j in range(4)]
                    for vec in _kernel_mod(forms, mod)]
@@ -342,58 +370,60 @@ def _iota_inf_exact(alg: QuaternionAlgebra, frames):
     """Entries (a, b, c, d) of the real splitting of each frame row x, exact
     as R + S*sqrt(a_h) with R, S object arrays of shape (rows, 4):
     a = x0 + x1 r, b = b_h (x2 + x3 r), c = x2 - x3 r, d = x0 - x1 r."""
+    x0, x1, x2, x3 = np.asarray(frames, dtype=object).reshape(-1, 4).T
     b = alg.b_h
-    x = np.asarray(frames, dtype=object).reshape(-1, 4)
-    rat = np.array([[1, 0, 0, 1], [0, 0, 0, 0], [0, b, 1, 0], [0, 0, 0, 0]],
-                   dtype=object)
-    irr = np.array([[0, 0, 0, 0], [1, 0, 0, -1], [0, 0, 0, 0], [0, b, -1, 0]],
-                   dtype=object)
-    return x @ rat, x @ irr
+    return (np.stack([x0, b * x2, x2, x0], axis=1),
+            np.stack([x1, b * x3, -x3, -x1], axis=1))
 
 
 def _distance_ok(alg, frames, z: UpperHalfPoint, delta, m_vals) -> np.ndarray:
     """Exact u(g z, z) <= delta for the real splitting g of each row of
-    `frames` (integer or rational: object arrays of Fractions), det g =
-    m_vals > 0, by the direct formula |a z + b - z (c z + d)|^2 <=
-    4 m y^2 delta; independent of `_frobenius_form`."""
-    x, y = z.x, z.y
-    # (real, imaginary) part of a z + b - z (c z + d) from (a, b, c, d)
-    parts = np.array([[x, y], [1, 0], [y * y - x * x, -2 * x * y], [-x, -y]],
-                     dtype=object)
-    r, s = _iota_inf_exact(alg, frames)
+    `frames` (rational: ints or Fractions), det g = m_vals > 0, by the direct
+    formula |a z + b - z (c z + d)|^2 <= 4 m y^2 delta; independent of
+    `_frobenius_form`.  The denominators are cleared by cross-multiplication
+    (g -> e g scales both sides by e^2), and the test runs on Python
+    integers."""
+    rows, e = _cleared(np.asarray(frames, dtype=object).reshape(-1, 4))
+    [[x, y]], l = _cleared([[z.x, z.y]])
+    dn, dd = delta.as_integer_ratio()
+    # l^2 (real, imaginary) part of a z + b - z (c z + d) from (a, b, c, d)
+    parts = np.array([[l * x, l * y], [l * l, 0], [y * y - x * x, -2 * x * y],
+                      [-l * x, -l * y]], dtype=object)
+    r, s = _iota_inf_exact(alg, rows)
     (re_r, im_r), (re_s, im_s) = (r @ parts).T, (s @ parts).T
     a = alg.a_h
-    bound = 4 * y * y * Fraction(delta) * np.asarray(m_vals).astype(object)
-    u = re_r * re_r + a * re_s * re_s + im_r * im_r + a * im_s * im_s - bound
-    return _sqrt_sum_nonpositive(u, 2 * (re_r * re_s + im_r * im_s), a)
+    # both sides times (e l^2)^2 dd
+    bound = 4 * dn * (e * l * y) ** 2 * np.asarray(m_vals).astype(object)
+    u = dd * (re_r * re_r + a * re_s * re_s + im_r * im_r + a * im_s * im_s) - bound
+    return _sqrt_sum_nonpositive(u, 2 * dd * (re_r * re_s + im_r * im_s), a)
 
 
 def _frobenius_form(lattice: TidyLattice, z: UpperHalfPoint):
     """The conjugated Frobenius form ||h(c)||^2 on lattice coordinates, exact
-    over Z[sqrt(a_h)]: integer matrices G_r, G_s (object arrays) and a
-    denominator den with ||h(c)||^2 = (c^T G_r c + sqrt(a_h) c^T G_s c) / den.
-    For nr(c) = m it equals 2 m (1 + 2 u(g z, z))."""
+    over Z[sqrt(a_h)]: integer matrices G_r, G_s (object arrays) and the
+    least denominator den with ||h(c)||^2 = (c^T G_r c + sqrt(a_h) c^T G_s c)
+    / den.  For nr(c) = m it equals 2 m (1 + 2 u(g z, z))."""
     alg = lattice.order.algebra
-    x, y = Fraction(z.x), Fraction(z.y)
-    # h = (a - c x, (a x + b - c x^2 - d x) / y, c y, c x + d) from (a, b, c, d)
-    t_z = np.array([[1, x / y, 0, 0], [0, 1 / y, 0, 0],
-                    [-x, -x * x / y, y, x], [0, -x / y, 0, 1]], dtype=object)
-    r, s = _iota_inf_exact(alg, lattice.basis_in_frame())
+    [[x, y]], l = _cleared([[z.x, z.y]])
+    # l y h, with z = (x + y i) / l, from (a, b, c, d): h = (a - c z_x,
+    # (a z_x + b - c z_x^2 - d z_x) / z_y, c z_y, c z_x + d)
+    t_z = np.array([[l * y, l * x, 0, 0], [0, l * l, 0, 0],
+                    [-x * y, -x * x, y * y, x * y], [0, -l * x, 0, l * y]],
+                   dtype=object)
+    r, s = _iota_inf_exact(alg, lattice.frames())
     h_r, h_s = r @ t_z, s @ t_z
     g_r = h_r @ h_r.T + alg.a_h * (h_s @ h_s.T)
     g_s = h_r @ h_s.T + h_s @ h_r.T
-    den = math.lcm(*[v.denominator for g in (g_r, g_s) for v in g.flat])
-    g_r, g_s = (np.array([[int(v * den) for v in row] for row in g], dtype=object)
-                for g in (g_r, g_s))
-    return g_r, g_s, den
+    # the frames are den times the basis, so h is (den l y) times the true one
+    return _lowest_terms((lattice.order.den * l * y) ** 2, g_r, g_s)
 
 
 def _counting_data(lattice: TidyLattice, z: UpperHalfPoint):
     """Float Gram matrix of the conjugated Frobenius form, rounded from the
-    exact form, plus the exact integer norm form on lattice coordinates and
-    the exact form itself.  BudgetError for entries too wide for float or
-    int64, PrecisionError for a float Gram matrix with an eigenvalue <= 0 or
-    no Cholesky factor, as neither enumerator can use those."""
+    exact form, plus the exact integer norm form on lattice coordinates, its
+    denominator and the exact form.  BudgetError for entries too wide for
+    float or int64, PrecisionError for a float Gram matrix with an eigenvalue
+    <= 0 or no Cholesky factor, as neither enumerator can use those."""
     alg = lattice.order.algebra
     form = _frobenius_form(lattice, z)
     g_r, g_s, g_den = form
@@ -407,15 +437,13 @@ def _counting_data(lattice: TidyLattice, z: UpperHalfPoint):
     if not usable:
         raise PrecisionError(f"quaternion counting form: float Gram matrix at "
                              f"z = {z.x} + {z.y}i is not positive definite")
-    basis_frame = lattice.basis_in_frame()
     # exact norm form: nr(sum c_k e_k) = c^T F c, F = E diag(1, -a, -b, ab) E^T
-    e = np.array(basis_frame, dtype=object)
+    e = np.array(lattice.frames(), dtype=object)
     a, b = alg.a_h, alg.b_h
-    f = (e * np.array([1, -a, -b, a * b], dtype=object)) @ e.T
-    den = math.lcm(*[v.denominator for v in f.flat])
-    f_int = np.array([[int(v * den) for v in row] for row in f], dtype=object)
+    f_int, den = _lowest_terms(lattice.order.den ** 2,
+                               (e * np.array([1, -a, -b, a * b], dtype=object)) @ e.T)
     _check_bits("norm form", f_int.flat, 63)
-    return gram, f_int.astype(np.int64), den, basis_frame, form
+    return gram, f_int.astype(np.int64), den, form
 
 
 def _check_bits(layer: str, values, limit: int) -> None:
@@ -540,7 +568,7 @@ def _ellipsoid(lattice: TidyLattice, z: UpperHalfPoint, delta, largest: int):
     norm with the range of c0 on each.  BudgetError if its bound passes the
     float range or its rows pass ENUMERATION_BUDGET.  It reads the largest
     norm alone, so callers run it before they list their norms."""
-    gram, f_int, den, _, form = _counting_data(lattice, z)
+    gram, f_int, den, form = _counting_data(lattice, z)
     exact = (4 * Fraction(delta) + 2) * largest
     try:
         bound = float(exact)
@@ -558,7 +586,7 @@ def _candidates_with_norms(lattice: TidyLattice, z: UpperHalfPoint, delta,
     checked), found by solving the norm equation on each (c1, c2, c3) line;
     returns (rows, norm values, exact Frobenius form)."""
     if not norms:
-        form = _counting_data(lattice, z)[4]
+        form = _counting_data(lattice, z)[3]
         return np.empty((0, 4), dtype=np.int64), np.empty(0, dtype=np.int64), form
     f_int, den, form, lines = _ellipsoid(lattice, z, delta, norms[-1])
     return (*_solve_lines(f_int, den, *lines, norms), form)
@@ -582,20 +610,36 @@ def _sqrt_sum_nonpositive(u: np.ndarray, v: np.ndarray, a: int) -> np.ndarray:
     return np.where(u <= 0, (v <= 0) | (uu >= avv), (v < 0) & (uu <= avv))
 
 
+def _sign_rule_dtype(u_top: int, v_top: int, a: int):
+    """Array dtype for deciding u + v sqrt(a) <= 0 with |u| <= u_top and
+    |v| <= v_top: int64 while u^2 and a v^2 fit, Python integers (object)
+    above that, as `residue.residue_dtype`."""
+    return np.int64 if max(u_top * u_top, a * v_top * v_top) < 2**63 else object
+
+
 def _distance_ok_rows(form, a: int, delta, rows: np.ndarray,
                       m_vals: np.ndarray) -> np.ndarray:
     """Exact u(g z, z) <= delta for each row of lattice coordinates, g of
     reduced norm m_vals > 0, with `form` = (G_r, G_s, den) from
     `_frobenius_form` and a = a_h.  For det g = m this is the Frobenius bound
-    ||h||^2 <= (4 delta + 2) m, decided over Z[sqrt(a)] by sign rules on
-    Python integers (object arrays), so no size of rows can overflow."""
+    ||h||^2 <= (4 delta + 2) m, decided over Z[sqrt(a)] by sign rules.  With
+    M_i = max |c_i| over the rows, every partial sum of c^T G c is at most
+    M^T |G| M; when that bound keeps u^2 and a v^2 inside int64 the rule
+    runs on int64, else on Python integers, so the result is exact either
+    way."""
     g_r, g_s, den = form
-    ratio = 4 * Fraction(delta) + 2
-    # den * ratio.denominator * (||h||^2 - ratio m) = u + v sqrt(a)
-    c = rows.astype(object)
-    u = ratio.denominator * ((c @ g_r) * c).sum(axis=1) \
-        - ratio.numerator * den * m_vals.astype(object)
-    v = ratio.denominator * ((c @ g_s) * c).sum(axis=1)
+    dn, dd = delta.as_integer_ratio()
+    k = math.gcd(4 * dn + 2 * dd, dd)
+    num, rd = (4 * dn + 2 * dd) // k, dd // k  # 4 delta + 2 = num / rd
+    top = np.abs(rows).max(axis=0, initial=1).astype(object)
+    u_top, v_top = (rd * max(1, top @ np.abs(g) @ top) for g in (g_r, g_s))
+    u_top += num * den * int(m_vals.max(initial=1))
+    dtype = _sign_rule_dtype(u_top, v_top, a)
+    # den rd (||h||^2 - (4 delta + 2) m) = u + v sqrt(a)
+    c = rows.astype(dtype)
+    u = rd * ((c @ g_r.astype(dtype)) * c).sum(axis=1) \
+        - num * den * m_vals.astype(dtype)
+    v = rd * ((c @ g_s.astype(dtype)) * c).sum(axis=1)
     return _sqrt_sum_nonpositive(u, v, a)
 
 
@@ -615,12 +659,10 @@ def count_lattice_points_box(lattice: TidyLattice, z: UpperHalfPoint, delta,
     `_distance_ok` call.  ValueError for delta < 0 or a norm value < 1, as
     in `norm_histogram`; BudgetError, before the grid is built, if the box
     has more than ENUMERATION_BUDGET points."""
-    delta = Fraction(delta)
-    if delta < 0:
-        raise ValueError("delta must be >= 0")
+    delta = _checked_delta(delta)
     if norm_value < 1:
         raise ValueError("norm values must be >= 1")
-    gram, f_int, den, basis_frame, _ = _counting_data(lattice, z)
+    gram, f_int, den, _ = _counting_data(lattice, z)
     bound = float((4 * delta + 2) * norm_value) * (1 + 1e-9) + 1e-9
     inv = np.linalg.inv(gram)
     lims = [int(math.floor(math.sqrt(bound * inv[k, k]) + 1e-9)) for k in range(4)]
@@ -639,9 +681,12 @@ def count_lattice_points_box(lattice: TidyLattice, z: UpperHalfPoint, delta,
         rows = np.column_stack((np.full(len(hits), c0), hits))
         survivors.append(rows[((rows @ gram) * rows).sum(axis=1) <= bound])
     rows = np.concatenate(survivors)
-    frames = rows.astype(object) @ np.array(basis_frame, dtype=object)
+    # the rational basis, cleared here: the oracle shares no denominator
+    # with the Frobenius form
+    basis, e = _cleared(lattice.basis_in_frame())
+    frames = rows.astype(object) @ np.array(basis, dtype=object)
     return int(_distance_ok(lattice.order.algebra, frames, z, delta,
-                            np.full(len(rows), norm_value)).sum())
+                            np.full(len(rows), e * e * norm_value)).sum())
 
 
 def _checked_delta(delta) -> Fraction:

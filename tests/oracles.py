@@ -20,7 +20,7 @@ from gl2local.characters import (
 from gl2local.cyclotomic import CycloValue, _basis
 from gl2local.errors import PrecisionError
 from gl2local.matcoef import KStarElement
-from gl2local.quaternion import UpperHalfPoint, _det_inverse, _iota_inf_exact
+from gl2local.quaternion import UpperHalfPoint, _iota_inf_exact
 from gl2local.residue import (
     factorize,
     get_context,
@@ -376,11 +376,52 @@ def quat_conj(x):
     return (x[0], -x[1], -x[2], -x[3])
 
 
+def det_inverse(rows) -> tuple[Fraction, list[list[Fraction]]]:
+    """Exact determinant and inverse of a rational matrix by one Gauss-Jordan
+    elimination in Fractions; ValueError for a singular matrix."""
+    n = len(rows)
+    aug = [[Fraction(v) for v in row] + [Fraction(int(i == r)) for i in range(n)]
+           for r, row in enumerate(rows)]
+    det = Fraction(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if aug[r][col]), None)
+        if piv is None:
+            raise ValueError("singular matrix")
+        if piv != col:
+            aug[col], aug[piv] = aug[piv], aug[col]
+            det = -det
+        det *= aug[col][col]
+        inv = 1 / aug[col][col]
+        aug[col] = [v * inv for v in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                f = aug[r][col]
+                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
+    return det, [row[n:] for row in aug]
+
+
 def lattice_contains(lat, order_coords) -> bool:
-    _, inv = _det_inverse(lat.coords)
+    _, inv = det_inverse(lat.coords)
     sol = [sum(Fraction(order_coords[k]) * inv[k][j] for k in range(4))
            for j in range(4)]
     return all(c.denominator == 1 for c in sol)
+
+
+def frobenius_form(lattice, z: UpperHalfPoint):
+    """(G_r, G_s, den) of the conjugated Frobenius form in Fractions, from the
+    rational basis: h = iota(x) t_z entrywise over Q(sqrt(a_h)), den the lcm
+    of the entry denominators."""
+    alg = lattice.order.algebra
+    x, y = Fraction(z.x), Fraction(z.y)
+    t_z = np.array([[1, x / y, 0, 0], [0, 1 / y, 0, 0],
+                    [-x, -x * x / y, y, x], [0, -x / y, 0, 1]], dtype=object)
+    r, s = _iota_inf_exact(alg, lattice.basis_in_frame())
+    h_r, h_s = r @ t_z, s @ t_z
+    g_r = h_r @ h_r.T + alg.a_h * (h_s @ h_s.T)
+    g_s = h_r @ h_s.T + h_s @ h_r.T
+    den = math.lcm(*[v.denominator for g in (g_r, g_s) for v in g.flat])
+    return (*(np.array([[int(v * den) for v in row] for row in g], dtype=object)
+              for g in (g_r, g_s)), den)
 
 
 def point_pair_u(z: UpperHalfPoint, w: UpperHalfPoint) -> Fraction:

@@ -259,12 +259,19 @@ def test_sweep_sub_configs_are_parsed_at_load():
     assert [(sub.n, sub.seed) for sub in cfg.configs] == [(6, 5), (8, 2)]
 
 
-def test_counting_loads_the_algebra_fixtures_once(tmp_path):
-    quaternion.load_algebra_fixtures.cache_clear()
-    assert main(["--config", write_config(tmp_path, {
-        "task": "counting", "algebra": "disc14", "L": 2,
-        "out": str(tmp_path / "c.csv")})]) == 0
-    assert quaternion.load_algebra_fixtures.cache_info().misses == 1
+def test_counting_loads_the_algebra_fixtures_once(tmp_path, monkeypatch):
+    # reading the config certifies no order; the run certifies the named one
+    certified = []
+    check = quaternion.verify_maximal_order
+    monkeypatch.setattr(quaternion, "verify_maximal_order",
+                        lambda order: certified.append(order) or check(order))
+    quaternion.load_algebra.cache_clear()
+    config = {"task": "counting", "algebra": "disc14", "L": 2,
+              "out": str(tmp_path / "c.csv")}
+    ExperimentConfig.from_dict(config)
+    assert certified == []
+    assert main(["--config", write_config(tmp_path, config)]) == 0
+    assert [order.algebra.discriminant for order in certified] == [14]
 
 
 @pytest.mark.parametrize("plan,match", [

@@ -30,12 +30,15 @@ from gl2local.quaternion import (
     _counting_data,
     _distance_ok,
     _distance_ok_rows,
+    _det_adjugate,
+    _frobenius_form,
     _solve_lines,
     _sqrt_sum_nonpositive,
 )
 from gl2local import quaternion
 from gl2local.errors import BudgetError, ConstructionError, PrecisionError
-from oracles import (ellipsoid_points, iota_inf, lattice_contains,
+from oracles import (det_inverse, ellipsoid_points, frobenius_form, iota_inf,
+                     lattice_contains,
                      point_pair_u, quat_conj)
 
 FIX = load_algebra_fixtures()
@@ -234,6 +237,32 @@ def test_lattice_shape_of_a_disguised_diagonal():
         assert lattice_shape(a) == (1, 2, 12)
 
 
+def test_bareiss_matches_fraction_gauss_jordan():
+    # integer matrices directly; a rational one as N / e, with det N / e^4
+    # and inverse e adj(N) / det N; zeros force row swaps
+    rng = random.Random(21)
+    seen = {"int": 0, "rational": 0}
+    while min(seen.values()) < 60:
+        e = rng.choice([1, 2, 6, 35])
+        n = [[rng.choice([0, rng.randint(-30, 30)]) for _ in range(4)]
+             for _ in range(4)]
+        try:
+            det, inv = det_inverse([[Fraction(v, e) for v in row] for row in n])
+        except ValueError:
+            with pytest.raises(ValueError, match=r"^singular matrix$"):
+                _det_adjugate(n)
+            continue
+        d, adj = _det_adjugate(n)
+        assert Fraction(d, e**4) == det
+        assert [[Fraction(e * v, d) for v in row] for row in adj] == inv
+        seen["int" if e == 1 else "rational"] += 1
+    for singular in ([[1, 2, 3, 4], [2, 4, 6, 8], [0, 1, 0, 0], [0, 0, 1, 0]],
+                     [[0] * 4] * 4, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1],
+                                     [0, 0, 0, 7]]):
+        with pytest.raises(ValueError, match=r"^singular matrix$"):
+            _det_adjugate(singular)
+
+
 # -- local splittings and tidy lattices ----------------------------------------
 
 @pytest.mark.parametrize("order,plan", [
@@ -313,11 +342,13 @@ def test_tidy_lattice_meets_its_local_conditions(order, plan):
     # the whole solution set.  These plans have nonzero pivot multiples.
     lat = build_tidy_lattice(order, plan)
     for p, r in plan.items():
-        inv = quaternion._pure_split_pair(order.algebra, p)
-        for frame in lat.basis_in_frame():
+        # coordinates on 1, V, W, VW: frame numerators times adj / (den det)
+        adj, det = quaternion._pure_split_pair(order.algebra, p)
+        assert order.den * det % p
+        for frame in lat.frames():
             for col in (2, 3):
-                c = sum(x * row[col] for x, row in zip(frame, inv))
-                assert c.denominator % p and c.numerator % p**r == 0
+                c = sum(x * row[col] for x, row in zip(frame, adj))
+                assert c % p**r == 0
     assert lat.index == math.prod(p ** (2 * r) for p, r in plan.items())
 
 
@@ -406,7 +437,8 @@ def test_ellipsoid_form_identity():
     # what converts the distance cutoff into the ellipsoid bound
     lat = build_tidy_lattice(ORD6, {})
     z = UpperHalfPoint(Fraction(1, 10), Fraction(6, 5))
-    gram, _, _, basis_frame, _ = _counting_data(lat, z)
+    gram = _counting_data(lat, z)[0]
+    basis_frame = lat.basis_in_frame()
     zc = 0.1 + 1.2j
     rng = random.Random(13)
     checked = 0
@@ -427,7 +459,8 @@ def test_ellipsoid_form_identity():
 def test_distance_filter_matches_float_distance():
     lat = build_tidy_lattice(ORD6, {})
     z = UpperHalfPoint(Fraction(1, 10), Fraction(6, 5))
-    _, _, _, basis_frame, form = _counting_data(lat, z)
+    form = _counting_data(lat, z)[3]
+    basis_frame = lat.basis_in_frame()
     zc = 0.1 + 1.2j
     rng = random.Random(14)
     checked = 0
@@ -530,7 +563,87 @@ def test_distance_filter_matches_independent_oracle(order, plan, delta, z):
         assert on_boundary.any() and fast[on_boundary].all()
 
 
-def test_distance_filter_exact_beyond_int64():
+@pytest.mark.parametrize("order,plan", [
+    (ORD6, {}), (ORD6, {5: 1}), (ORD6, {5: 2}),
+    (ORD14, {}), (ORD14, {3: 1}), (ORD14, {3: 2})])
+def test_frobenius_form_matches_fraction_reference(order, plan):
+    # the same (G_r, G_s, den) triple, den in lowest terms, so the float Gram
+    # matrix rounded from it is the same bit for bit
+    lat = build_tidy_lattice(order, plan)
+    for z in (UpperHalfPoint(Fraction(1, 10), Fraction(8, 5)),
+              UpperHalfPoint(Fraction(1, 2), Fraction(1)),
+              UpperHalfPoint(Fraction(0), Fraction(10**4))):
+        g_r, g_s, den = _frobenius_form(lat, z)
+        want_r, want_s, want_den = frobenius_form(lat, z)
+        assert (g_r.tolist(), g_s.tolist(), den) \
+            == (want_r.tolist(), want_s.tolist(), want_den)
+
+
+def _filter_dtypes(monkeypatch):
+    """Record the dtype `_distance_ok_rows` picks on each call."""
+    picked = []
+    pick = quaternion._sign_rule_dtype
+    monkeypatch.setattr(quaternion, "_sign_rule_dtype",
+                        lambda *args: picked.append(pick(*args)) or picked[-1])
+    return picked
+
+
+# the counting report's norms at L = 14: 1..14 and the squares up to 14^2
+REPORT_NORMS = sorted(set(range(1, 15)) | {m * m for m in range(1, 15)})
+
+
+@pytest.mark.parametrize("order,plan,delta,z,norms", [
+    *[(o, p, d, UpperHalfPoint(Fraction(0), Fraction(1)), range(1, 21))
+      for o, p, d in BOUNDARY_CASES],
+    (ORD6, {}, Fraction(1), UpperHalfPoint(Fraction(1, 10), Fraction(6, 5)),
+     range(1, 21)),
+    (ORD6, {}, Fraction(3, 2), UpperHalfPoint(Fraction(-3, 7), Fraction(4, 5)),
+     range(1, 21)),
+    (ORD6, {5: 1}, Fraction(3, 2), UpperHalfPoint(Fraction(-3, 7), Fraction(4, 5)),
+     range(1, 21)),
+    *[(ORD14, plan, Fraction(1), UpperHalfPoint(Fraction(1, 10), Fraction(8, 5)),
+       REPORT_NORMS) for plan in ({}, {3: 1}, {3: 2})],
+])
+def test_distance_filter_branches_agree(order, plan, delta, z, norms, monkeypatch):
+    # the fixture row sets take the int64 branch, and Python integers decide
+    # every row alike
+    lat = build_tidy_lattice(order, plan)
+    rows, m_vals, form = _candidates_with_norms(lat, z, delta, norms)
+    a = order.algebra.a_h
+    picked = _filter_dtypes(monkeypatch)
+    fast = _distance_ok_rows(form, a, delta, rows, m_vals)
+    assert picked == [np.int64]
+    monkeypatch.setattr(quaternion, "_sign_rule_dtype", lambda *args: object)
+    assert _distance_ok_rows(form, a, delta, rows, m_vals).tolist() \
+        == fast.tolist()
+    assert 0 < fast.sum() < len(rows)
+
+
+def test_distance_filter_bound_is_tight_at_int64(monkeypatch):
+    # u^2 in [2^63, 2^64): int64 would wrap u^2 negative and flip each
+    # decision, so the bound must send both rows to Python integers.  On
+    # disc6 at 1/10 + 6i/5, den = 1152, and at delta = 1, 4 delta + 2 = 6:
+    # (0, 1, -1, 0) has c^T G_r c = 9506, c^T G_s c = 784 and
+    # (0, 1, 1, 0) has 9506 and -784.
+    lat = build_tidy_lattice(ORD6, {})
+    z = UpperHalfPoint(Fraction(1, 10), Fraction(6, 5))
+    form = _frobenius_form(lat, z)
+    g_r, g_s, den = form
+    assert den == 1152
+    picked = _filter_dtypes(monkeypatch)
+    for row, m in (([0, 1, -1, 0], 500_000), ([0, 600, 600, 0], 1)):
+        c = np.array([row], dtype=np.int64)
+        obj = c.astype(object)
+        u = int(((obj @ g_r) * obj).sum()) - 6 * den * m
+        v = int(((obj @ g_s) * obj).sum())
+        assert 2**63 <= u * u < 2**64
+        want = sqrt_sum_nonpositive_by_isqrt(u, v, ALG6.a_h)
+        got = _distance_ok_rows(form, ALG6.a_h, 1, c, np.array([m]))
+        assert got.tolist() == [want]
+    assert picked == [object, object]
+
+
+def test_distance_filter_exact_beyond_int64(monkeypatch):
     # alpha and k*alpha move z alike; at k = 10**7 the terms of the form
     # (over 10**14 * |G|) square past 2**63, and the decisions must not change
     for order, plan, delta in BOUNDARY_CASES:
@@ -539,9 +652,12 @@ def test_distance_filter_exact_beyond_int64():
         rows, m_vals, form = _candidates_with_norms(lat, z, delta, range(1, 9))
         a = order.algebra.a_h
         k = 10**7
+        picked = _filter_dtypes(monkeypatch)
         small = _distance_ok_rows(form, a, delta, rows, m_vals)
         big = _distance_ok_rows(form, a, delta, k * rows, k * k * m_vals)
         assert big.tolist() == small.tolist()
+        assert picked == [np.int64, object]
+        monkeypatch.undo()
     lat = build_tidy_lattice(ORD6, {})
     z = UpperHalfPoint(Fraction(-3, 7), Fraction(4, 5))
     rows, m_vals, form = _candidates_with_norms(lat, z, 1, range(1, 9))
@@ -621,7 +737,7 @@ def test_negative_delta_is_refused_by_name(delta):
 
 def _oracle_candidates(lat, z, delta, norms):
     """The materialising enumeration followed by the exact norm filter."""
-    gram, f_int, den, _, _ = _counting_data(lat, z)
+    gram, f_int, den, _ = _counting_data(lat, z)
     cands = ellipsoid_points(gram, float((4 * Fraction(delta) + 2) * max(norms)))
     scaled = np.einsum("ij,jk,ik->i", cands, f_int, cands)
     keep = np.isin(scaled, den * np.array(norms, dtype=np.int64))

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import io
 import json
 import random
@@ -20,12 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .characters import build_theta, primitive_char
-from .matcoef import (
-    MatCoefEngine,
-    decay_bound,
-    evaluate_distinct,
-    verify_support,
-)
+from .matcoef import MatCoefEngine, decay_bound, share_keys, verify_support
 from .quaternion import (
     QuaternionAlgebra,
     UpperHalfPoint,
@@ -373,9 +367,8 @@ def run_verify_support(cfg: ExperimentConfig) -> TaskResult:
 
 def run_decay(cfg: ExperimentConfig) -> TaskResult:
     """Fast coefficient values on the supported grid of each interior depth
-    against decay_bound.  Points share values by query_key
-    (evaluate_distinct), and the distinct keys of a depth are evaluated
-    together by one call of statphase's depth program, phi_fast_values."""
+    against decay_bound.  Points share values by key (share_keys), and the
+    distinct keys of a depth go to one call of phi_fast_values."""
     spec = build_spec(cfg)
     engine = MatCoefEngine(spec)
     rng = random.Random(cfg.seed)
@@ -387,9 +380,8 @@ def run_decay(cfg: ExperimentConfig) -> TaskResult:
     for i in i_values:
         worst = 0.0
         grid = build_grid(spec, i, cfg, rng, supported_only=True)
-        values, slots = evaluate_distinct(
-            engine, ((i, a, madd) for a, madd in grid),
-            functools.partial(phi_fast_values, engine, i))
+        keys, slots = share_keys(engine, i, grid)
+        values = phi_fast_values(engine, i, keys)
         for (a, madd), slot in zip(grid, slots):
             value = values[slot]
             ratio = abs(value) * spec.p ** ((spec.n - i) / 2)

@@ -13,6 +13,7 @@ at once, so no precision is lost in products or inverses.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -26,12 +27,21 @@ from .residue import (
     residue_dtype,
     unit_inverses,
 )
-from .whittaker import ReprSpec, WhittakerEngine, required_precision
+from .whittaker import (
+    ReprSpec,
+    WhittakerEngine,
+    check_depth,
+    required_precision,
+)
 
-# query keys per array program (Gram unit averages here, statphase's depth
-# programs): bounds the (keys x m) count block and the (keys x basis)
-# coordinate block, 32 x 12,500 int64 (3.2 MB) at m = 12,500
+# key rows per call of a count program (key_values): bounds the (keys x m)
+# count block and the (keys x basis) coordinate block, 32 x 12,500 int64
+# (3.2 MB) at m = 12,500
 DEPTH_CHUNK = 32
+
+# (key, phase) terms per scatter of key_counts, one key at least: a (5,8,ps)
+# support key has up to ~10^6, each term 24 bytes of index and multiplicity
+TERM_CAP = 2**18
 
 
 class MatCoefEngine(WhittakerEngine):
@@ -44,32 +54,61 @@ class MatCoefEngine(WhittakerEngine):
         super().__init__(spec)
         # statphase's critical-pair plans by depth t = n - i
         self.depth_plans: dict[int, object] = {}
+        # required_precision by depth, for the key rule
+        self._precision = np.array([required_precision(spec, i)
+                                    for i in range(spec.n + 1)])
+
+    @cached_property
+    def zero_value(self) -> complex:
+        """phi_value of a zero numerator, zeros signed as C0 leaves them."""
+        return CycloValue.zero(self.m).complex() / self.c0_complex
+
+    def key_rows(self, i, a_unit, a_prec, m_val, m_unit, m_prec
+                 ) -> np.ndarray:
+        """The key rule on arrays of points (i, a, m), i in (n0, n], a =
+        a_unit mod p^a_prec a unit, m = p^m_val m_unit with m_unit known mod
+        p^m_prec (m_val >= 0 where m = 0): int64 rows (i, a mod p^w, t, unit
+        of m mod p^t), w = required_precision(spec, i), t = max(-v(m), 0).
+        Points with equal rows have equal phi_counts.  ValueError if a t is
+        too deep for the engine modulus, PrecisionError if a unit is known
+        to fewer digits than its row reads."""
+        p = self.spec.p
+        t = np.maximum(-m_val, 0)
+        if self.m % p ** int(t.max(initial=0)):
+            raise ValueError("additive argument too deep for the engine "
+                             "modulus")
+        w = self._precision[i]
+        if ((w > a_prec) | (t > m_prec)).any():
+            raise PrecisionError("unit known to fewer digits than its key "
+                                 "reads")
+        return np.array((i, a_unit % p**w, t, m_unit % p**t)
+                        ).T.astype(np.int64)
+
+    def query_keys(self, i: int, grid: list[tuple[PAdicScalar, PAdicScalar]]
+                   ) -> tuple[np.ndarray, list[bool]]:
+        """key_rows of the depth-i points (a, m) of grid with a unit a (units
+        past int64 as Python integers), and the mask of those points."""
+        check_depth(self.spec, i)
+        on = [not a.is_zero and a.val == 0 for a, _ in grid]
+        rows = [(a.unit, a.prec, 0, 0, 0) if m.is_zero
+                else (a.unit, a.prec, m.val, m.unit, m.prec)
+                for (a, m), unit in zip(grid, on) if unit]
+        big = max(map(max, rows), default=0) >> 63
+        cols = np.array(rows, dtype=object if big else np.int64
+                        ).reshape(-1, 5).T
+        return self.key_rows(np.full(len(rows), i), *cols), on
 
     def query_key(self, i: int, a: PAdicScalar, madd: PAdicScalar
                   ) -> tuple[int, int, int, int] | None:
-        """What the unit average depends on: (i, a mod p^w, t, unit of m mod
-        p^t) with w = required_precision(spec, i) and t = -v(m) when v(m) < 0,
-        else 0; None off the unit locus of a, where the average is zero.
-        Queries with equal keys have equal phi_counts."""
-        if a.is_zero or a.val != 0:
-            return None
-        t = 0
-        m_unit = 0
-        if not madd.is_zero and madd.val < 0:
-            t = -madd.val
-            if self.m % self.spec.p**t:
-                raise ValueError("additive argument too deep for the "
-                                 "engine modulus")
-            m_unit = madd.residue_unit(t)
-        return i, a.residue_unit(required_precision(self.spec, i)), t, m_unit
+        """The one-row case of query_keys; None off the unit locus."""
+        rows, on = self.query_keys(i, [(a, madd)])
+        return tuple(rows[0].tolist()) if on[0] else None
 
     def phi_counts(self, i: int, a: PAdicScalar, madd: PAdicScalar,
                    grouped: bool = True, cache_w: bool = True
                    ) -> tuple[np.ndarray, Fraction]:
         """Count vector (int64, length m) and normalization of the unit
-        average: the one-key case of key_counts, whose int64 block holds one
-        length-m row per key (callers bound it to DEPTH_CHUNK rows); zero
-        off the unit locus."""
+        average, the one-key case of key_counts; zero off the unit locus."""
         key = self.query_key(i, a, madd)
         if key is None:
             return np.zeros(self.m, dtype=np.int64), Fraction(1)
@@ -85,11 +124,9 @@ class MatCoefEngine(WhittakerEngine):
         ungrouped path iterates the full unit set for the stated average.
         Each unit x contributes the sparse Whittaker numerator of a x with
         every phase shifted by the psi exponent of m x.  Keys are taken a
-        (depth, unit group) at a time, and every (key, phase) term of a
-        group lands in the block by one exact scatter: the cached path
-        reads the numerators of all its (key, unit) pairs from depth_table
-        at once, the uncached path calls numerator_counts per (key, unit).
-        The block grows with the keys: callers pass at most DEPTH_CHUNK."""
+        (depth, unit group) at a time, in slices of at most TERM_CAP terms
+        (one key at least), each added to the block by one exact scatter:
+        cached, from depth_table at once, else per (key, unit)."""
         spec, p, m = self.spec, self.spec.p, self.m
         groups: dict[tuple[int, int], list[int]] = {}
         for row, (i, _, t, _) in enumerate(keys):
@@ -104,40 +141,59 @@ class MatCoefEngine(WhittakerEngine):
             for row in members:
                 norms[row] = norm
             units = np.array(get_context(p, k_eff).units(k_eff))
-            _, a_res, t, m_unit = rows[members].T[:, :, None]
-            if cache_w:
-                lengths, phases, mults = self.depth_table(i)
-                pl = len(lengths)
-                sizes = lengths[lengths > 0]
-                # a x runs over every unit residue mod pl equally often, so
-                # a key's units, taken in rounds of the table's residue
-                # order, read the whole table once per round
-                order = np.argsort(a_res % pl * (units % pl) % pl, axis=1)
-                xs = units[order.reshape(len(members), len(sizes), -1)
-                           .transpose(0, 2, 1).reshape(len(members), -1)]
-                rounds = xs.size // len(sizes)
-                sizes = np.tile(sizes, rounds)
-                phase, mult = np.tile(phases, rounds), np.tile(mults, rounds)
-            else:
-                xs = np.broadcast_to(units, (len(members), len(units)))
-                pw = p**required_precision(spec, i)
-                entries = [self.numerator_counts(i, a * x % pw, cache=False)
-                           for a in a_res.ravel().tolist()
-                           for x in units.tolist()]
-                sizes = [len(ph) for ph, _ in entries]
-                phase = np.concatenate([ph for ph, _ in entries])
-                mult = np.concatenate([mu for _, mu in entries])
-            # psi exponent of m x per (key, unit), m known mod p^t
-            pt = p**t
-            index = np.repeat((m_unit * (xs % pt) % pt * (m // pt)).ravel(),
-                              sizes)
-            index += phase
-            index %= m
-            # every key of the group has the same number of terms
-            per_key = index.reshape(len(members), -1)
-            per_key += np.array(members)[:, None] * m
-            np.add.at(block.reshape(-1), index, mult)
+            # a numerator has at most min(m, term_count) phases
+            step = TERM_CAP // (len(units) * min(m, self.term_count())) or 1
+            # a slice's term arrays die with its call, before the next one
+            for lo in range(0, len(members), step):
+                np.add.at(block.reshape(-1), *self._terms(
+                    rows, members[lo:lo + step], i, units, cache_w))
         return block, norms
+
+    def _terms(self, rows: np.ndarray, part: list[int], i: int,
+               units: np.ndarray, cache_w: bool
+               ) -> tuple[np.ndarray, np.ndarray]:
+        """Flat block indices and multiplicities of the (key, phase) terms
+        of the key rows part, all of depth i and averaged over units."""
+        spec, p, m = self.spec, self.spec.p, self.m
+        _, a_res, t, m_unit = rows[part].T[:, :, None]
+        if cache_w:
+            lengths, phases, mults = self.depth_table(i)
+            pl = len(lengths)
+            sizes = lengths[lengths > 0]
+            # a x runs over every unit residue mod pl equally often, so a
+            # key's units, taken in rounds of the table's residue order,
+            # read the whole table once per round
+            order = np.argsort(a_res % pl * (units % pl) % pl, axis=1)
+            xs = units[order.reshape(len(part), len(sizes), -1)
+                       .transpose(0, 2, 1).reshape(len(part), -1)]
+            rounds = xs.size // len(sizes)
+            sizes = np.tile(sizes, rounds)
+            index = np.tile(phases, rounds)
+            mult = np.tile(mults, rounds)
+        else:
+            xs = np.broadcast_to(units, (len(part), len(units)))
+            pw = p**required_precision(spec, i)
+            entries = [self.numerator_counts(i, a * x % pw, cache=False)
+                       for a in a_res.ravel().tolist()
+                       for x in units.tolist()]
+            sizes = [len(ph) for ph, _ in entries]
+            index = np.concatenate([ph for ph, _ in entries])
+            mult = np.concatenate([mu for _, mu in entries])
+        # psi exponent of m x per (key, unit), m known mod p^t
+        pt = p**t
+        index += np.repeat((m_unit * (xs % pt) % pt * (m // pt)).ravel(),
+                           sizes)
+        index %= m
+        # every key of the slice has the same number of terms
+        per_key = index.reshape(len(part), -1)
+        per_key += np.array(part)[:, None] * m
+        return index, mult
+
+    def average_coords(self, keys: np.ndarray) -> tuple[np.ndarray, list]:
+        """The unit-average count program of key_values: key_counts of the
+        key rows, reduced, and their norms."""
+        counts, norms = self.key_counts(list(map(tuple, keys.tolist())))
+        return _basis(self.m).reduce_counts(counts), norms
 
     def phi_numerator(self, i: int, a: PAdicScalar, madd: PAdicScalar,
                       grouped: bool = True, cache_w: bool = True
@@ -274,21 +330,59 @@ def decompose_k_star(g: KStarElement, spec: ReprSpec
 
 def k_star_keys(engine: MatCoefEngine, p: int, k: int, entries
                 ) -> np.ndarray:
-    """query_key(*decompose_k_star(g)) of many ball elements, given as
-    the entry arrays of _decompose_rows: int64 rows (i, a mod p^w, t, unit
-    of m mod p^t).  On the ball a is always a unit, so no key is None; the
-    precision and engine-modulus checks of query_key run on every row."""
-    spec = engine.spec
-    i, a_unit, a_prec, m_val, m_unit, m_prec = _decompose_rows(
-        spec, p, k, entries)
-    w = np.array([required_precision(spec, j) for j in range(spec.n + 1)])[i]
-    t = np.where((m_prec > 0) & (m_val < 0), -m_val, 0)
-    if (w > a_prec).any() or (t > m_prec).any():
-        raise PrecisionError("unit known to fewer digits than its key reads")
-    if engine.m % p ** int(t.max(initial=0)):
-        raise ValueError("additive argument too deep for the engine modulus")
-    return np.column_stack((i, a_unit % p**w, t, m_unit % p**t)
-                           ).astype(np.int64)
+    """query_key(*decompose_k_star(g)) of many ball elements, given as the
+    entry arrays of _decompose_rows (on the ball a is a unit): key_rows of
+    the decomposed rows."""
+    return engine.key_rows(*_decompose_rows(engine.spec, p, k, entries))
+
+
+# -- one key program: shared keys, chunked values --------------------------
+
+
+def _share_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of an integer array, ascending, and each row's slot
+    among them: np.unique(rows, axis=0, return_inverse=True) by one
+    np.lexsort and a scan for the ends of runs of equal rows."""
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    slots = np.empty(len(rows), dtype=np.intp)
+    slots[order] = np.cumsum(new) - 1
+    return ordered[new], slots
+
+
+def share_keys(engine: MatCoefEngine, i: int,
+               grid: list[tuple[PAdicScalar, PAdicScalar]]
+               ) -> tuple[np.ndarray, list[int]]:
+    """The distinct key rows of the depth-i points of grid (query_keys,
+    _share_rows) and each point's slot among them; a point off the unit
+    locus, an exact zero, gets the slot len(keys)."""
+    rows, on = engine.query_keys(i, grid)
+    keys, slots = _share_rows(rows)
+    point_slots = np.full(len(grid), len(keys))
+    point_slots[np.array(on, dtype=bool)] = slots
+    return keys, point_slots.tolist()
+
+
+def key_values(engine: MatCoefEngine, keys: np.ndarray, coords_of
+               ) -> tuple[list[complex], np.ndarray]:
+    """phi_value of each int64 key row as a Python complex, and the mask of
+    rows whose numerator is not exactly zero.  The count program coords_of
+    gives the coordinate block and each row's rational scale of DEPTH_CHUNK
+    rows at a time; a nonzero row is embedded and scaled as CycloValue
+    does, bitwise, and a zero row keeps engine.zero_value."""
+    basis, c0 = _basis(engine.m), engine.c0_complex
+    values = [engine.zero_value] * len(keys)
+    nonzero = np.zeros(len(keys), dtype=bool)
+    for start in range(0, len(keys), DEPTH_CHUNK):
+        coords, scales = coords_of(keys[start:start + DEPTH_CHUNK])
+        found = coords.reshape(len(coords), -1).any(axis=1)
+        nonzero[start:start + len(coords)] = found
+        for r in np.flatnonzero(found).tolist():
+            values[start + r] = complex(scales[r]) * basis.embed(
+                coords[r]) / c0
+    return values, nonzero
 
 
 # -- support law and decay bound ------------------------------------------
@@ -306,45 +400,21 @@ def support_expected_zero(spec: ReprSpec, i: int, v_a: int | None,
     return v_m is not None and v_m <= -2
 
 
-def evaluate_distinct(engine: MatCoefEngine, queries, evaluate
-                      ) -> tuple[list, list[int]]:
-    """Evaluate an iterable of queries (i, a, m) sharing by query_key: the
-    batch evaluator evaluate(distinct, keys) gets the first query of each
-    distinct key, in order of first appearance, with those keys, and
-    returns one value per query.  Returns (values, slots) with
-    values[slots[k]] the value of the k-th query; equal keys give equal
-    coefficients, so a shared value is exactly what the query's own
-    evaluation would give."""
-    slot_of: dict[tuple[int, int, int, int] | None, int] = {}
-    distinct, slots = [], []
-    for query in queries:
-        key = engine.query_key(*query)
-        if key not in slot_of:
-            slot_of[key] = len(distinct)
-            distinct.append(query)
-        slots.append(slot_of[key])
-    return evaluate(distinct, list(slot_of)), slots
-
-
 def verify_support(engine: MatCoefEngine, i: int,
                    grid: list[tuple[PAdicScalar, PAdicScalar]]) -> list[dict]:
     """Evaluate every grid point and compare exact vanishing against the
     support law; rows with violation=True are law breaches (expected none).
-    Each distinct query_key is evaluated once (evaluate_distinct)."""
+    Each distinct key is evaluated once (share_keys) by the unit average."""
     spec = engine.spec
-
-    def evaluate(queries, keys):
-        nums = [engine.phi_numerator(*query) for query in queries]
-        return [(num.is_zero(), num.complex() / engine.c0_complex)
-                for num in nums]
-
-    results, slots = evaluate_distinct(
-        engine, ((i, a, madd) for a, madd in grid), evaluate)
+    keys, slots = share_keys(engine, i, grid)
+    values, nonzero = key_values(engine, keys, engine.average_coords)
+    values.append(engine.zero_value)
+    nonzero = nonzero.tolist() + [False]
     rows = []
     for (a, madd), slot in zip(grid, slots):
         v_a = None if a.is_zero else a.val
         v_m = None if madd.is_zero else madd.val
-        exact, value = results[slot]
+        value, exact = values[slot], not nonzero[slot]
         expected = support_expected_zero(spec, i, v_a, v_m)
         rows.append({
             "p": spec.p, "n": spec.n, "family": spec.label, "i": i,
@@ -373,37 +443,6 @@ def decay_bound(spec: ReprSpec) -> int:
 GRAM_TOL = 1e-6
 
 
-def _key_values(engine: MatCoefEngine, keys: list) -> np.ndarray:
-    """phi_value of each query key (none None), bitwise: key_counts
-    DEPTH_CHUNK keys at a time, one reduce_counts of each count block, and
-    each coordinate row embedded and scaled as CycloValue.complex does."""
-    basis, c0 = _basis(engine.m), engine.c0_complex
-    values = np.full(len(keys), CycloValue.zero(engine.m).complex() / c0)
-    for start in range(0, len(keys), DEPTH_CHUNK):
-        counts, norms = engine.key_counts(keys[start:start + DEPTH_CHUNK])
-        coords = basis.reduce_counts(counts)
-        # a row whose roots of unity cancel keeps the zero value
-        nonzero = coords.reshape(len(counts), -1).any(axis=1)
-        for r in np.flatnonzero(nonzero).tolist():
-            values[start + r] = complex(norms[r]) * basis.embed(coords[r]) / c0
-    return values
-
-
-def _share_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of an integer array in ascending lexicographic
-    order, and each row's slot among them: np.unique(rows, axis=0,
-    return_inverse=True) by one np.lexsort over the columns and a scan for
-    the boundaries between runs of equal rows, without the structured
-    sort behind axis=0."""
-    order = np.lexsort(rows.T[::-1])
-    ordered = rows[order]
-    new = np.ones(len(rows), dtype=bool)
-    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    slots = np.empty(len(rows), dtype=np.intp)
-    slots[order] = np.cumsum(new) - 1
-    return ordered[new], slots
-
-
 def gram_dimension_estimate(engine: MatCoefEngine, sample_count: int, rng,
                             return_spectrum: bool = False,
                             elements: list[KStarElement] | None = None):
@@ -415,11 +454,9 @@ def gram_dimension_estimate(engine: MatCoefEngine, sample_count: int, rng,
     Entries are phi'(g_s^-1 g_t) = phi_value of the decomposed query.  All
     upper-triangle products are formed as four entry arrays, int64 while
     2 p^(2k) < 2^63 and Python integers above (residue_dtype), and reduced
-    to query_key rows at once (k_star_keys); _share_rows (one lexsort)
-    names each entry's slot, and each distinct key is evaluated once
-    (_key_values: count blocks of at most DEPTH_CHUNK x m, whose unit
-    averages gather from the per-depth Whittaker tables), bitwise as
-    phi_prime_value."""
+    to key rows at once (k_star_keys); _share_rows names each entry's
+    slot, and key_values evaluates each distinct key once by the unit
+    average, bitwise as phi_prime_value."""
     spec = engine.spec
     if elements is not None:
         elems = elements
@@ -440,10 +477,10 @@ def gram_dimension_estimate(engine: MatCoefEngine, sample_count: int, rng,
     # elements); the upper triangle of index names each entry's slot (row by
     # row, the triu_indices order), and one gather fills the matrix
     keys, slots = _share_rows(k_star_keys(engine, p, k, products))
-    values = _key_values(engine, [tuple(key) for key in keys.tolist()])
+    values, _ = key_values(engine, keys, engine.average_coords)
     index = np.zeros((sample_count, sample_count), dtype=np.intp)
     index[upper] = slots
-    gram = values[index]
+    gram = np.array(values)[index]
     # the lower triangle and the diagonal mirror the upper as conjugates,
     # set rather than added so every zero keeps its sign
     gram = np.where(np.tri(sample_count, dtype=bool), gram.T.conj(), gram)

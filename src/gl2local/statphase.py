@@ -13,16 +13,13 @@ only picks residues.  So each family has a plan per depth (PsPlan, ScPlan),
 built once per (engine, t) by depth_plan, the one place the family is
 chosen, and kept on the engine: a root table over Z/p^(t-ceil(t/2)) for the
 quadratic inner or outer congruence, the inverse tables a query needs, the
-family's fixed rows, the ball volume, and the family's pair program.  One
-array program per depth serves every key of that depth: depth_pairs hands
-the key residues (a, m) of many queries to the plan's pairs, which returns
-the critical pairs of all of them, int64 rows with a query column, and
-phi_fast_values counts (query, phase) once, scatters the counts into one
-integer (queries x basis) coordinate block and embeds it row by row.
-critical_pairs and phi_fast_numerator are its one-query case.
-
-Boundary depths i in {n-1, n} keep the plain evaluator, query by query (the
-block analysis assumes i < n-1); queries off the support are exact zero.
+family's fixed rows, the ball volume, and the family's pair program.
+depth_pairs hands the key residues (a, m) of many queries to the plan's
+pairs, which returns all their critical pairs, int64 rows with a query
+column.  That is the depth count program of matcoef.key_values, run by
+phi_fast_values; critical_pairs and phi_fast_numerator are its one-query
+case.  Boundary depths i in {n-1, n} (the block analysis assumes i < n-1)
+take the unit-average count program; keys off the support are zero.
 """
 
 from __future__ import annotations
@@ -36,12 +33,13 @@ import numpy as np
 from .characters import alpha_of_chi, alpha_of_theta
 from .cyclotomic import CycloValue, _basis
 from .matcoef import (
-    DEPTH_CHUNK,
     MatCoefEngine,
     decay_bound,
+    key_values,
     support_expected_zero,
 )
 from .residue import PAdicScalar, solve_quadratic_congruence, unit_inverses
+from .whittaker import check_depth
 
 
 def _unit_lifts(base: int, step_exp: int, target_exp: int, p: int) -> list[int]:
@@ -268,20 +266,6 @@ def depth_pairs(engine: MatCoefEngine, i: int, a_res: np.ndarray,
     return depth_plan(engine, engine.spec.n - i).pairs(engine, a_res, m_res)
 
 
-def _depth_coords(engine: MatCoefEngine, query: np.ndarray,
-                  phase: np.ndarray, n_queries: int) -> np.ndarray:
-    """Integer coordinates of the sum of zeta_m^phase over each query's
-    pairs, one row per query, by one scatter through the cyclotomic axis
-    tables (which sums repeated (query, phase) pairs exactly)."""
-    return _basis(engine.m).reduce_rows(query, phase, np.ones_like(phase),
-                                        n_queries)
-
-
-def _check_depth(spec, i: int) -> None:
-    if not spec.n0 < i <= spec.n:
-        raise ValueError(f"shear depth {i} outside (n0, n] for {spec}")
-
-
 def _off_support(spec, i: int, a: PAdicScalar, madd: PAdicScalar) -> bool:
     return support_expected_zero(spec, i, None if a.is_zero else a.val,
                                  None if madd.is_zero else madd.val)
@@ -298,22 +282,17 @@ def critical_pairs(engine: MatCoefEngine, i: int, a: PAdicScalar,
         raise ValueError("block decomposition applies to n0 < i < n-1 only")
     if _off_support(spec, i, a, madd):
         raise ValueError("query off the support locus")
-    _, a_res, _, m_res = engine.query_key(i, a, madd)
-    pairs, scanned = depth_pairs(engine, i, np.array([a_res]),
-                                 np.array([m_res]))
+    key, _ = engine.query_keys(i, [(a, madd)])
+    pairs, scanned = depth_pairs(engine, i, key[:, 1], key[:, 3])
     return pairs[:, 1:], int(scanned[0])
 
 
 def phi_fast_numerator(engine: MatCoefEngine, i: int, a: PAdicScalar,
                        madd: PAdicScalar) -> tuple[CycloValue, dict]:
-    """Fast phi numerator plus diagnostics (pair/scan counts, dispatch):
-    the one-query case of phi_fast_values.
-
-    Same normalization as MatCoefEngine.phi_numerator: divide by C0 for the
-    actual coefficient value.
-    """
+    """Fast phi numerator plus diagnostics (pair/scan counts, dispatch),
+    the one-query case of phi_fast_values; divide by C0 for the value."""
     spec = engine.spec
-    _check_depth(spec, i)
+    check_depth(spec, i)
     diag = {"pairs": 0, "scanned": 0, "delegated": False,
             "off_support": False}
     if i >= spec.n - 1:
@@ -326,8 +305,9 @@ def phi_fast_numerator(engine: MatCoefEngine, i: int, a: PAdicScalar,
     diag["pairs"], diag["scanned"] = len(pairs), scanned
     if not len(pairs):
         return CycloValue.zero(engine.m), diag
-    coords = _depth_coords(engine, np.zeros(len(pairs), dtype=np.int64),
-                           pairs[:, -1], 1)[0]
+    phase = pairs[:, -1]
+    coords = _basis(engine.m).reduce_rows(np.zeros_like(phase), phase,
+                                          np.ones_like(phase), 1)[0]
     return CycloValue(engine.m, coords, ball_volume(engine, i)), diag
 
 
@@ -337,37 +317,27 @@ def phi_fast_value(engine: MatCoefEngine, i: int, a: PAdicScalar,
     return num.complex() / engine.c0_complex
 
 
-def phi_fast_values(engine: MatCoefEngine, i: int, queries: list,
-                    keys: list) -> list[complex]:
-    """phi_fast_value of each query (i, a, m) of depth i, keys[k] the
-    query_key of queries[k]; each value is bitwise the one phi_fast_value
-    gives.  Boundary depths go query by query.  Otherwise the supported
-    keys (a unit, t = n - i) run through depth_pairs and _depth_coords
-    DEPTH_CHUNK at a time, each coordinate row is embedded on its own, and
-    the zero value and the ball volume are computed once."""
+def phi_fast_values(engine: MatCoefEngine, i: int, keys: np.ndarray
+                    ) -> list[complex]:
+    """phi_fast_value of each int64 key row of depth i, bitwise, by
+    matcoef.key_values: at boundary depths with the unit average, else with
+    the depth program, where the keys of a chunk on the support (t = n - i)
+    go through depth_pairs and one scatter sums each key's pairs into its
+    coordinate row, of weight ball_volume(engine, i)."""
     spec = engine.spec
-    _check_depth(spec, i)
+    check_depth(spec, i)
     if i >= spec.n - 1:
-        return [phi_fast_value(engine, *query) for query in queries]
-    c0 = engine.c0_complex
-    values = [CycloValue.zero(engine.m).complex() / c0] * len(queries)
-    supported = [k for k, key in enumerate(keys)
-                 if key is not None and key[2] == spec.n - i]
-    basis = _basis(engine.m)
-    scale = complex(ball_volume(engine, i))
-    for start in range(0, len(supported), DEPTH_CHUNK):
-        chunk = supported[start:start + DEPTH_CHUNK]
-        pairs, _ = depth_pairs(
-            engine, i, np.array([keys[k][1] for k in chunk], dtype=np.int64),
-            np.array([keys[k][3] for k in chunk], dtype=np.int64))
-        # one coordinate row per query that has pairs
-        rows, query = np.unique(pairs[:, 0], return_inverse=True)
-        block = _depth_coords(engine, query, pairs[:, -1], len(rows))
-        # a row whose roots of unity cancel keeps the zero value
-        nonzero = block.reshape(len(rows), basis.size).any(axis=1)
-        for k in np.flatnonzero(nonzero).tolist():
-            values[chunk[rows[k]]] = scale * basis.embed(block[k]) / c0
-    return values
+        return key_values(engine, keys, engine.average_coords)[0]
+    basis, volume = _basis(engine.m), ball_volume(engine, i)
+
+    def depth_coords(chunk: np.ndarray) -> tuple[np.ndarray, list]:
+        on = np.flatnonzero(chunk[:, 2] == spec.n - i)
+        pairs, _ = depth_pairs(engine, i, chunk[on, 1], chunk[on, 3])
+        phase = pairs[:, -1]
+        return (basis.reduce_rows(on[pairs[:, 0]], phase, np.ones_like(phase),
+                                  len(chunk)), [volume] * len(chunk))
+
+    return key_values(engine, keys, depth_coords)[0]
 
 
 def naive_term_count(engine: MatCoefEngine, i: int, v_m: int) -> int:

@@ -91,6 +91,12 @@ class ReprSpec:
         return f"ReprSpec({self.label}, p={self.p}, n={self.n})"
 
 
+def check_depth(spec: ReprSpec, i: int) -> None:
+    """ValueError unless the shear depth i lies in (n0, n]."""
+    if not spec.n0 < i <= spec.n:
+        raise ValueError(f"shear depth {i} outside (n0, n] for {spec}")
+
+
 def required_precision(spec: ReprSpec, i: int) -> int:
     """Residue precision of the diagonal argument that pins the value down:
     the answer depends on x only through x mod p^(this level)."""
@@ -215,8 +221,7 @@ class WhittakerEngine:
         from_counts(m, counts, numerator_scale()) / C0.  The cached entry
         is a view of depth_table(i)."""
         spec, p, m = self.spec, self.spec.p, self.m
-        if not spec.n0 < i <= spec.n:
-            raise ValueError(f"shear depth {i} outside (n0, n] for {spec}")
+        check_depth(spec, i)
         if x_res % p == 0:
             raise ValueError(f"residue {x_res} is not a unit mod {p}")
         pl = p**self._residue_level(i)

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from gl2local import matcoef
 from gl2local.characters import build_theta, primitive_char
 from gl2local.matcoef import (
     KStarElement,
@@ -81,6 +82,52 @@ def test_support_law_inner_depths():
     # supported points sit exactly at v(a) = 0, v(m) = i - n
     for r in supported:
         assert r["v_a"] == 0 and r["v_m"] == i - spec.n
+
+
+@pytest.mark.parametrize("spec", [ps_spec(3, 6), ps_spec(5, 6),
+                                  sc_spec(3, False, 4), sc_spec(3, True, 5)],
+                         ids=["ps-3-6", "ps-5-6", "sc-unram-3-4",
+                              "sc-ram-3-5"])
+def test_verify_support_rows_match_point_by_point(spec):
+    # every depth, the boundary depths n - 1 and n among them, on grids
+    # with zero and non-unit a (off the unit locus), zero and deep m, and
+    # twins that share a key; each row, field by field in repr, against
+    # the row built from its own phi_numerator on a fresh engine.  At
+    # (5,6,ps) a zero value divided by C0 has a negative real zero
+    rng = random.Random(101)
+    p = spec.p
+    ctx = get_context(p, spec.n + 4)
+    eng, ref = MatCoefEngine(spec), MatCoefEngine(spec)
+    for i in range(spec.n0 + 1, spec.n + 1):
+        units = [random_unit(p, 8, rng) for _ in range(3)]
+        units += [units[0] + p ** (spec.n + 1)]
+        a_values = [ctx.zero()] + [ctx.scalar(v, u) for v in (-1, 0, 1)
+                                   for u in units]
+        m_values = [ctx.zero()] + [ctx.scalar(v, u)
+                                   for v in range(i - spec.n - 2, 2)
+                                   for u in units[::2]]
+        grid = [(a, madd) for a in a_values for madd in m_values]
+        rows = verify_support(eng, i, grid)
+        assert len(rows) == len(grid)
+        for (a, madd), row in zip(grid, rows):
+            num = ref.phi_numerator(i, a, madd)
+            value = num.complex() / ref.c0_complex
+            v_a = None if a.is_zero else a.val
+            v_m = None if madd.is_zero else madd.val
+            expected = support_expected_zero(spec, i, v_a, v_m)
+            want = {
+                "p": p, "n": spec.n, "family": spec.label, "i": i,
+                "v_a": v_a, "a_unit": None if a.is_zero else a.unit,
+                "v_m": v_m, "m_unit": None if madd.is_zero else madd.unit,
+                "re": value.real, "im": value.imag, "abs": abs(value),
+                "ratio_normalized": abs(value) * p ** ((spec.n - i) / 2),
+                "expected_zero": expected, "exact_zero": num.is_zero(),
+                "violation": expected and not num.is_zero()}
+            assert {k: repr(v) for k, v in row.items()} \
+                == {k: repr(v) for k, v in want.items()}, (i, a, madd)
+            assert all(type(row[k]) is float
+                       for k in ("re", "im", "abs", "ratio_normalized"))
+        assert not all(r["exact_zero"] for r in rows)
 
 
 def test_support_law_boundary_depths():
@@ -340,13 +387,16 @@ def test_key_rows_match_query_key_of_decompose(spec):
         assert tuple(row) == eng.query_key(*query)
 
 
-def test_key_counts_match_per_key_phi_counts():
+def test_key_counts_match_per_key_phi_counts(monkeypatch):
     # one batch of keys of every depth, grouped or not, cached or not,
     # against the per-key phi_counts and the unit-by-unit oracle; the p = 5
     # cases gather from depth tables of up to p^n0 = 125 residues, and draw
     # fewer keys, since their ungrouped uncached averages run up to 5^5
-    # units of up to 15,000 shell terms per key
+    # units of up to 15,000 shell terms per key.  The batch runs twice:
+    # with the term cap, and with a cap of one term, which puts every key
+    # of a (depth, unit group) in a scatter of its own
     rng = random.Random(97)
+    slices = []  # (cap, keys) of each scatter
     for spec, draws in ((ps_spec(3, 6), 40), (sc_spec(3, False, 4), 40),
                         (sc_spec(3, True, 5), 40), (ps_spec(5, 6), 9),
                         (sc_spec(5, False, 6), 9)):
@@ -363,17 +413,35 @@ def test_key_counts_match_per_key_phi_counts():
             queries.setdefault(eng.query_key(*query), query)
         keys = list(queries)
         assert len({key[0] for key in keys}) > 1 and len(keys) > 10
+        terms = eng._terms
+        monkeypatch.setattr(eng, "_terms", lambda rows, part, *args: (
+            slices.append((matcoef.TERM_CAP, len(part)))
+            or terms(rows, part, *args)))
         for grouped in (True, False):
             for cache_w in (True, False):
-                block, norms = eng.key_counts(keys, grouped, cache_w)
-                assert block.shape == (len(keys), eng.m)
-                for key, counts, norm in zip(keys, block, norms):
+                want = []
+                for key in keys:
                     one, one_norm = eng.phi_counts(*queries[key], grouped,
                                                    cache_w)
-                    want, want_norm = unit_average_counts(eng, key, grouped,
-                                                          cache_w)
-                    assert (counts == one).all() and (one == want).all()
-                    assert norm == one_norm == want_norm
+                    counts, norm = unit_average_counts(eng, key, grouped,
+                                                       cache_w)
+                    assert (one == counts).all() and one_norm == norm
+                    want.append((one, one_norm))
+                for cap in (matcoef.TERM_CAP, 1):
+                    start = len(slices)
+                    with monkeypatch.context() as patch:
+                        patch.setattr(matcoef, "TERM_CAP", cap)
+                        block, norms = eng.key_counts(keys, grouped, cache_w)
+                    assert block.shape == (len(keys), eng.m)
+                    for counts, norm, (one, one_norm) in zip(block, norms,
+                                                             want):
+                        assert (counts == one).all() and norm == one_norm
+                    # every key lands in exactly one slice
+                    assert sum(size for _, size in slices[start:]) \
+                        == len(keys)
+    # the cap of one splits groups the term cap keeps whole
+    assert max(size for cap, size in slices if cap > 1) > 1
+    assert {size for cap, size in slices if cap == 1} == {1}
 
 
 def test_query_key_soundness():
@@ -423,6 +491,26 @@ def test_query_key_soundness():
                             shared += 1
                             assert naive(twin).equals(want), (spec, twin)
         assert shared >= 100, shared
+
+
+def test_query_keys_of_units_past_int64():
+    # units of 50 digits go through the key rule as Python integers and
+    # give the keys of the same units reduced below int64
+    rng = random.Random(107)
+    for spec in (ps_spec(3, 6), sc_spec(3, True, 5)):
+        eng = MatCoefEngine(spec)
+        wide, short = get_context(3, 50), get_context(3, 20)
+        for i in range(spec.n0 + 1, spec.n + 1):
+            units = [random_unit(3, 50, rng) for _ in range(6)]
+            grid = [(ctx.scalar(v_a, u), ctx.scalar(v_m, u * 7))
+                    for ctx in (wide, short) for u in units
+                    for v_a in (0, 1) for v_m in (-2, 0)]
+            rows, on = eng.query_keys(i, grid)
+            half = len(rows) // 2
+            assert max(units) >> 63 and rows.dtype == np.int64
+            assert (rows[:half] == rows[half:]).all()
+            assert on == [v_a == 0 for _ in (0, 1) for _ in units
+                          for v_a in (0, 1) for _ in (-2, 0)]
 
 
 def test_precision_doubling_stable():

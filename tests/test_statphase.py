@@ -12,7 +12,7 @@ from gl2local.residue import (
     solve_quadratic_congruence,
     sqrt_mod_prime,
 )
-from gl2local import statphase
+from gl2local import matcoef, statphase
 from gl2local.statphase import (
     _unit_lifts,
     ball_volume,
@@ -302,8 +302,20 @@ def test_fast_value_route():
 
 
 def test_depth_values_are_bitwise_the_per_query_values(monkeypatch):
-    # 5 keys per array program puts chunk boundaries inside the batches
-    monkeypatch.setattr(statphase, "DEPTH_CHUNK", 5)
+    # 5 keys per count program puts chunk boundaries inside the batches;
+    # the chunk loop is matcoef.key_values, and the spy on its count
+    # program sees each chunk
+    monkeypatch.setattr(matcoef, "DEPTH_CHUNK", 5)
+    chunks = []
+    key_values = statphase.key_values
+
+    def spy(engine, keys, coords_of):
+        def counted(chunk):
+            chunks.append(len(chunk))
+            return coords_of(chunk)
+        return key_values(engine, keys, counted)
+
+    monkeypatch.setattr(statphase, "key_values", spy)
     seen = Counter()
     for engine in (ps_engine(3, 8), sc_engine(3, True, 6),
                    sc_engine(5, False, 3)):
@@ -311,25 +323,31 @@ def test_depth_values_are_bitwise_the_per_query_values(monkeypatch):
         ctx = get_context(p, spec.n + 4)
         units = [u for u in range(1, 3 * p) if u % p][:7]
         for i in range(spec.n0 + 1, spec.n + 1):
-            # the supported grid, then three queries off the support
+            # the supported grid, then three queries off the support, one
+            # of them off the unit locus (no key)
             grid = supported_grid(engine, i, units) + [
                 (ctx.scalar(1, 1), ctx.scalar(i - spec.n, 1)),
                 (ctx.scalar(0, 1), ctx.scalar(i - spec.n - 1, 1)),
                 (ctx.scalar(0, 2), ctx.zero())]
-            queries = [(i, a, madd) for a, madd in grid]
-            want = {id(q): repr(phi_fast_value(engine, *q)) for q in queries}
-            no_pairs = [q for q in queries[:len(units) ** 2]
+            want = {id(point): repr(phi_fast_value(engine, i, *point))
+                    for point in grid}
+            no_pairs = [point for point in grid[:len(units) ** 2]
                         if i < spec.n - 1 and not len(
-                            critical_pairs(engine, *q)[0])]
-            for batch in (queries, queries[:1], no_pairs):
-                keys = [engine.query_key(*q) for q in batch]
-                got = phi_fast_values(engine, i, batch, keys)
-                assert [repr(v) for v in got] == [want[id(q)]
-                                                  for q in batch], i
+                            critical_pairs(engine, i, *point)[0])]
+            for batch in (grid, grid[:1], no_pairs):
+                keys, on = engine.query_keys(i, batch)
+                chunks.clear()
+                got = phi_fast_values(engine, i, keys)
+                assert [repr(v) for v in got] == [
+                    want[id(point)] for point, key in zip(batch, on) if key], i
+                assert chunks == [min(5, len(keys) - lo)
+                                  for lo in range(0, len(keys), 5)]
+                seen["two chunks"] += len(chunks) > 1
+                seen["off locus"] += not all(on)
             seen["boundary" if i >= spec.n - 1 else "interior"] += 1
             seen["no-pair batch"] += bool(no_pairs)
             seen["some pairs"] += len(no_pairs) < len(units) ** 2
-    assert min(seen.values()) > 0 and len(seen) == 4
+    assert min(seen.values()) > 0 and len(seen) == 6
 
 
 # -- dispatch ----------------------------------------------------------------

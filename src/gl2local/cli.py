@@ -19,7 +19,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .characters import build_theta, primitive_char
-from .matcoef import MatCoefEngine, decay_bound, share_keys, verify_support
+from .matcoef import (
+    MatCoefEngine,
+    decay_bound,
+    point_row,
+    share_keys,
+    verify_support,
+)
 from .quaternion import (
     QuaternionAlgebra,
     UpperHalfPoint,
@@ -383,15 +389,9 @@ def run_decay(cfg: ExperimentConfig) -> TaskResult:
         keys, slots = share_keys(engine, i, grid)
         values = phi_fast_values(engine, i, keys)
         for (a, madd), slot in zip(grid, slots):
-            value = values[slot]
-            ratio = abs(value) * spec.p ** ((spec.n - i) / 2)
-            worst = max(worst, ratio)
-            rows.append({
-                "p": spec.p, "n": spec.n, "family": spec.label, "i": i,
-                "v_a": a.val, "a_unit": a.unit, "v_m": madd.val,
-                "m_unit": madd.unit, "re": value.real, "im": value.imag,
-                "abs": abs(value), "ratio_normalized": ratio,
-            })
+            row = point_row(spec, i, a, madd, values[slot])
+            worst = max(worst, row["ratio_normalized"])
+            rows.append(row)
         good = worst <= bound + 1e-9
         ok = ok and good
         report.append(f"i={i}: {len(grid)} points, max normalized ratio "

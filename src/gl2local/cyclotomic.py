@@ -108,7 +108,7 @@ class _CycloBasis:
         # one row per term: the flat coordinates it lands on (in the
         # narrowest index type that holds them) and the signed count it adds
         # there
-        narrow = np.int16 if len(out) <= np.iinfo(np.int16).max else np.int32
+        narrow = np.int16 if len(out) < 2**15 else np.int32
         index = (rows * self.size).astype(narrow)[:, None]
         terms = vals[:, None]
         for q, axis_index, axis_sign in self.axis_tables:

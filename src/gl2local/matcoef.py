@@ -54,9 +54,11 @@ class MatCoefEngine(WhittakerEngine):
         super().__init__(spec)
         # statphase's critical-pair plans by depth t = n - i
         self.depth_plans: dict[int, object] = {}
-        # required_precision by depth, for the key rule
+        # required_precision by depth, and v_p(m), the deepest t whose
+        # psi factors the modulus holds, for the key rule
         self._precision = np.array([required_precision(spec, i)
                                     for i in range(spec.n + 1)])
+        self._t_max = padic_valuation(self.m, spec.p)
 
     @cached_property
     def zero_value(self) -> complex:
@@ -65,44 +67,50 @@ class MatCoefEngine(WhittakerEngine):
 
     def key_rows(self, i, a_unit, a_prec, m_val, m_unit, m_prec
                  ) -> np.ndarray:
-        """The key rule on arrays of points (i, a, m), i in (n0, n], a =
-        a_unit mod p^a_prec a unit, m = p^m_val m_unit with m_unit known mod
-        p^m_prec (m_val >= 0 where m = 0): int64 rows (i, a mod p^w, t, unit
-        of m mod p^t), w = required_precision(spec, i), t = max(-v(m), 0).
-        Points with equal rows have equal phi_counts.  ValueError if a t is
-        too deep for the engine modulus, PrecisionError if a unit is known
-        to fewer digits than its row reads."""
-        p = self.spec.p
-        t = np.maximum(-m_val, 0)
-        if self.m % p ** int(t.max(initial=0)):
+        """The key rule on points (i, a, m), i in (n0, n], a = a_unit mod
+        p^a_prec a unit, m = p^m_val m_unit with m_unit known mod p^m_prec
+        (m_val >= 0 where m = 0), given as arrays or, for one point, as
+        Python integers: int64 rows (i, a mod p^w, t, unit of m mod p^t),
+        w = required_precision(spec, i), t = max(-v(m), 0), of shape (4,)
+        for one point.  Points with equal rows have equal phi_counts.
+        ValueError if a t is too deep for the engine modulus, PrecisionError
+        if a unit is known to fewer digits than its row reads."""
+        p, m = self.spec.p, self.m
+        # operators and np.count_nonzero take Python integers as well as
+        # arrays, so that one point builds no array before its row
+        t = -m_val * (m_val < 0)
+        if np.count_nonzero(t > self._t_max):
             raise ValueError("additive argument too deep for the engine "
                              "modulus")
         w = self._precision[i]
-        if ((w > a_prec) | (t > m_prec)).any():
+        if np.count_nonzero((w > a_prec) | (t > m_prec)):
             raise PrecisionError("unit known to fewer digits than its key "
                                  "reads")
-        return np.array((i, a_unit % p**w, t, m_unit % p**t)
-                        ).T.astype(np.int64)
+        # p^w and p^t divide m, and the units taken mod m first leave
+        # Python integers past int64 out of the int64 arithmetic
+        return np.array((i, a_unit % m % p**w, t, m_unit % m % p**t),
+                        dtype=np.int64).T
 
     def query_keys(self, i: int, grid: list[tuple[PAdicScalar, PAdicScalar]]
                    ) -> tuple[np.ndarray, list[bool]]:
         """key_rows of the depth-i points (a, m) of grid with a unit a (units
         past int64 as Python integers), and the mask of those points."""
         check_depth(self.spec, i)
-        on = [not a.is_zero and a.val == 0 for a, _ in grid]
-        rows = [(a.unit, a.prec, 0, 0, 0) if m.is_zero
-                else (a.unit, a.prec, m.val, m.unit, m.prec)
-                for (a, m), unit in zip(grid, on) if unit]
+        points = [_point_columns(a, madd) for a, madd in grid]
+        rows = [cols for cols in points if cols is not None]
         big = max(map(max, rows), default=0) >> 63
         cols = np.array(rows, dtype=object if big else np.int64
                         ).reshape(-1, 5).T
-        return self.key_rows(np.full(len(rows), i), *cols), on
+        return (self.key_rows(np.full(len(rows), i), *cols),
+                [cols is not None for cols in points])
 
     def query_key(self, i: int, a: PAdicScalar, madd: PAdicScalar
                   ) -> tuple[int, int, int, int] | None:
-        """The one-row case of query_keys; None off the unit locus."""
-        rows, on = self.query_keys(i, [(a, madd)])
-        return tuple(rows[0].tolist()) if on[0] else None
+        """The one-row case of query_keys, key_rows on the point's Python
+        integers; None off the unit locus."""
+        check_depth(self.spec, i)
+        cols = _point_columns(a, madd)
+        return None if cols is None else tuple(self.key_rows(i, *cols).tolist())
 
     def phi_counts(self, i: int, a: PAdicScalar, madd: PAdicScalar,
                    grouped: bool = True, cache_w: bool = True
@@ -112,15 +120,14 @@ class MatCoefEngine(WhittakerEngine):
         key = self.query_key(i, a, madd)
         if key is None:
             return np.zeros(self.m, dtype=np.int64), Fraction(1)
-        counts, norms = self.key_counts([key], grouped, cache_w)
+        counts, norms = self.key_counts(np.array([key]), grouped, cache_w)
         return counts[0], norms[0]
 
-    def key_counts(self, keys: list[tuple[int, int, int, int]],
-                   grouped: bool = True, cache_w: bool = True
-                   ) -> tuple[np.ndarray, list[Fraction]]:
+    def key_counts(self, keys: np.ndarray, grouped: bool = True,
+                   cache_w: bool = True) -> tuple[np.ndarray, list[Fraction]]:
         """Count block (len(keys) x m, int64) and normalizations of the unit
-        averages of query keys (none None), row r for keys[r]; the grouped
-        path collapses x-classes on which both factors are constant, the
+        averages of int64 key rows, row r for keys[r]; the grouped path
+        collapses x-classes on which both factors are constant, the
         ungrouped path iterates the full unit set for the stated average.
         Each unit x contributes the sparse Whittaker numerator of a x with
         every phase shifted by the psi exponent of m x.  Keys are taken a
@@ -128,14 +135,14 @@ class MatCoefEngine(WhittakerEngine):
         (one key at least), each added to the block by one exact scatter:
         cached, from depth_table at once, else per (key, unit)."""
         spec, p, m = self.spec, self.spec.p, self.m
+        rows = np.asarray(keys, dtype=np.int64).reshape(-1, 4)
         groups: dict[tuple[int, int], list[int]] = {}
-        for row, (i, _, t, _) in enumerate(keys):
+        for row, (i, _, t, _) in enumerate(rows.tolist()):
             k_eff = (max(required_precision(spec, i), t, 1) if grouped
                      else max(spec.n0, spec.n - i, t) + 1)
             groups.setdefault((i, k_eff), []).append(row)
-        rows = np.array(keys, dtype=np.int64).reshape(len(keys), 4)
-        norms: list[Fraction] = [Fraction(0)] * len(keys)
-        block = np.zeros((len(keys), m), dtype=np.int64)
+        norms: list[Fraction] = [Fraction(0)] * len(rows)
+        block = np.zeros((len(rows), m), dtype=np.int64)
         for (i, k_eff), members in groups.items():
             norm = self.numerator_scale() / ((p - 1) * p ** (k_eff - 1))
             for row in members:
@@ -173,7 +180,7 @@ class MatCoefEngine(WhittakerEngine):
         else:
             xs = np.broadcast_to(units, (len(part), len(units)))
             pw = p**required_precision(spec, i)
-            entries = [self.numerator_counts(i, a * x % pw, cache=False)
+            entries = [self.numerator_counts(i, a * x % pw)
                        for a in a_res.ravel().tolist()
                        for x in units.tolist()]
             sizes = [len(ph) for ph, _ in entries]
@@ -207,11 +214,22 @@ class MatCoefEngine(WhittakerEngine):
     # -- translated coefficient on the congruence unit ball -----------------
 
     def phi_prime_numerator(self, g: "KStarElement") -> CycloValue:
-        i, a, madd = decompose_k_star(g, self.spec)
-        return self.phi_numerator(i, a, madd)
+        """The unit average of the key of g, k_star_keys on its one
+        element."""
+        coords, norms = self.average_coords(k_star_keys(self, g.p, g.k,
+                                                        _entries([g])))
+        return CycloValue(self.m, coords[0], norms[0])
 
     def phi_prime_value(self, g: "KStarElement") -> complex:
         return self.phi_prime_numerator(g).complex() / self.c0_complex
+
+
+def _point_columns(a: PAdicScalar, madd: PAdicScalar) -> tuple | None:
+    """The key_rows columns (a_unit, a_prec, m_val, m_unit, m_prec) of a
+    point (a, m), a zero m holding val = unit = 0; None off the unit locus,
+    where the average is zero."""
+    return (None if a.is_zero or a.val
+            else (a.unit, a.prec, madd.val, madd.unit, madd.prec))
 
 
 class KStarElement:
@@ -400,6 +418,22 @@ def support_expected_zero(spec: ReprSpec, i: int, v_a: int | None,
     return v_m is not None and v_m <= -2
 
 
+def point_row(spec: ReprSpec, i: int, a: PAdicScalar, madd: PAdicScalar,
+              value: complex | None = None) -> dict:
+    """The point columns of a CSV row: p, n, family, i, and v_a, a_unit,
+    v_m, m_unit (None for a zero argument); with a value also re, im, abs
+    and ratio_normalized = |value| p^((n - i)/2)."""
+    row = {"p": spec.p, "n": spec.n, "family": spec.label, "i": i,
+           "v_a": None if a.is_zero else a.val,
+           "a_unit": None if a.is_zero else a.unit,
+           "v_m": None if madd.is_zero else madd.val,
+           "m_unit": None if madd.is_zero else madd.unit}
+    if value is not None:
+        row.update(re=value.real, im=value.imag, abs=abs(value),
+                   ratio_normalized=abs(value) * spec.p ** ((spec.n - i) / 2))
+    return row
+
+
 def verify_support(engine: MatCoefEngine, i: int,
                    grid: list[tuple[PAdicScalar, PAdicScalar]]) -> list[dict]:
     """Evaluate every grid point and compare exact vanishing against the
@@ -412,19 +446,12 @@ def verify_support(engine: MatCoefEngine, i: int,
     nonzero = nonzero.tolist() + [False]
     rows = []
     for (a, madd), slot in zip(grid, slots):
-        v_a = None if a.is_zero else a.val
-        v_m = None if madd.is_zero else madd.val
-        value, exact = values[slot], not nonzero[slot]
-        expected = support_expected_zero(spec, i, v_a, v_m)
-        rows.append({
-            "p": spec.p, "n": spec.n, "family": spec.label, "i": i,
-            "v_a": v_a, "a_unit": None if a.is_zero else a.unit,
-            "v_m": v_m, "m_unit": None if madd.is_zero else madd.unit,
-            "re": value.real, "im": value.imag, "abs": abs(value),
-            "ratio_normalized": abs(value) * spec.p ** ((spec.n - i) / 2),
-            "expected_zero": expected, "exact_zero": exact,
-            "violation": expected and not exact,
-        })
+        row = point_row(spec, i, a, madd, values[slot])
+        exact = not nonzero[slot]
+        expected = support_expected_zero(spec, i, row["v_a"], row["v_m"])
+        row.update(expected_zero=expected, exact_zero=exact,
+                   violation=expected and not exact)
+        rows.append(row)
     return rows
 
 

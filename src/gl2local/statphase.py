@@ -16,10 +16,12 @@ quadratic inner or outer congruence, the inverse tables a query needs, the
 family's fixed rows, the ball volume, and the family's pair program.
 depth_pairs hands the key residues (a, m) of many queries to the plan's
 pairs, which returns all their critical pairs, int64 rows with a query
-column.  That is the depth count program of matcoef.key_values, run by
-phi_fast_values; critical_pairs and phi_fast_numerator are its one-query
-case.  Boundary depths i in {n-1, n} (the block analysis assumes i < n-1)
-take the unit-average count program; keys off the support are zero.
+column.  depth_coords sums them into coordinate rows: it is the depth count
+program of matcoef.key_values, run by phi_fast_values on many key rows and
+by phi_fast_numerator on the one row of a query (query_key), which the
+speedup criterion times; critical_pairs is depth_pairs of one query.
+Boundary depths i in {n-1, n} (the block analysis assumes i < n-1) take the
+unit-average count program; keys off the support (t != n - i) are zero.
 """
 
 from __future__ import annotations
@@ -32,12 +34,7 @@ import numpy as np
 
 from .characters import alpha_of_chi, alpha_of_theta
 from .cyclotomic import CycloValue, _basis
-from .matcoef import (
-    MatCoefEngine,
-    decay_bound,
-    key_values,
-    support_expected_zero,
-)
+from .matcoef import MatCoefEngine, decay_bound, key_values, point_row
 from .residue import PAdicScalar, solve_quadratic_congruence, unit_inverses
 from .whittaker import check_depth
 
@@ -159,7 +156,7 @@ class PsPlan(DepthPlan):
         # psi(p^-t m x0 u0) mu(1 + shift/u0) mu(a x0) psi(-p^-n0 a x0)
         e = (mx % pt * u0 % pt * (m_mod // pt) + mu_u + mu[ax % pn0]
              + -ax % pn0 * (m_mod // pn0)) % m_mod
-        return (np.column_stack((q, x0, u0, e)),
+        return (np.array((q, x0, u0, e)).T,
                 np.bincount(q, minlength=len(a_res)))
 
 
@@ -235,7 +232,7 @@ class ScPlan(DepthPlan):
         lin = -a_inv[q] * self.eta_t[row] % pt
         e = ((m_res[q] * x_inv + x0 * lin) % pt * (m_mod // pt)
              + self.phase[row]) % m_mod
-        return np.column_stack((q, x0, self.A[row], self.B[row], e)), scanned
+        return np.array((q, x0, self.A[row], self.B[row], e)).T, scanned
 
 
 def depth_plan(engine: MatCoefEngine, t: int) -> DepthPlan:
@@ -266,49 +263,52 @@ def depth_pairs(engine: MatCoefEngine, i: int, a_res: np.ndarray,
     return depth_plan(engine, engine.spec.n - i).pairs(engine, a_res, m_res)
 
 
-def _off_support(spec, i: int, a: PAdicScalar, madd: PAdicScalar) -> bool:
-    return support_expected_zero(spec, i, None if a.is_zero else a.val,
-                                 None if madd.is_zero else madd.val)
+def depth_coords(engine: MatCoefEngine, i: int, keys: np.ndarray
+                 ) -> tuple[np.ndarray, list[Fraction], np.ndarray]:
+    """The depth count program of key_values at an interior depth i: the
+    coordinate rows of int64 key rows, their scale ball_volume(engine, i),
+    and each row's critical-pair count.  The keys on the support (t = n - i)
+    go through depth_pairs, and one scatter sums each key's pairs into its
+    row, so a key without pairs keeps a zero row."""
+    on = (keys[:, 2] == engine.spec.n - i).nonzero()[0]
+    pairs, _ = depth_pairs(engine, i, keys[on, 1], keys[on, 3])
+    rows, phase = on[pairs[:, 0]], pairs[:, -1]
+    coords = _basis(engine.m).reduce_rows(
+        rows, phase, np.ones(len(phase), dtype=np.int64), len(keys))
+    return (coords, [ball_volume(engine, i)] * len(keys),
+            np.bincount(rows, minlength=len(keys)))
 
 
 def critical_pairs(engine: MatCoefEngine, i: int, a: PAdicScalar,
                    madd: PAdicScalar) -> tuple[np.ndarray, int]:
     """Critical pairs of one supported interior query and its scanned
     candidate count: depth_pairs of that query alone, without the query
-    column.  Raises off the fast range or off support (callers dispatch
-    those cases)."""
+    column.  Raises off the fast range and off the support, where the
+    query has no key or its key has t != n - i."""
     spec = engine.spec
     if not spec.n0 < i < spec.n - 1:
         raise ValueError("block decomposition applies to n0 < i < n-1 only")
-    if _off_support(spec, i, a, madd):
+    key = engine.query_key(i, a, madd)
+    if key is None or key[2] != spec.n - i:
         raise ValueError("query off the support locus")
-    key, _ = engine.query_keys(i, [(a, madd)])
-    pairs, scanned = depth_pairs(engine, i, key[:, 1], key[:, 3])
+    pairs, scanned = depth_pairs(engine, i, np.array([key[1]]),
+                                 np.array([key[3]]))
     return pairs[:, 1:], int(scanned[0])
 
 
 def phi_fast_numerator(engine: MatCoefEngine, i: int, a: PAdicScalar,
-                       madd: PAdicScalar) -> tuple[CycloValue, dict]:
-    """Fast phi numerator plus diagnostics (pair/scan counts, dispatch),
-    the one-query case of phi_fast_values; divide by C0 for the value."""
-    spec = engine.spec
-    check_depth(spec, i)
-    diag = {"pairs": 0, "scanned": 0, "delegated": False,
-            "off_support": False}
-    if i >= spec.n - 1:
-        diag["delegated"] = True
-        return engine.phi_numerator(i, a, madd), diag
-    if _off_support(spec, i, a, madd):
-        diag["off_support"] = True
-        return CycloValue.zero(engine.m), diag
-    pairs, scanned = critical_pairs(engine, i, a, madd)
-    diag["pairs"], diag["scanned"] = len(pairs), scanned
-    if not len(pairs):
-        return CycloValue.zero(engine.m), diag
-    phase = pairs[:, -1]
-    coords = _basis(engine.m).reduce_rows(np.zeros_like(phase), phase,
-                                          np.ones_like(phase), 1)[0]
-    return CycloValue(engine.m, coords, ball_volume(engine, i)), diag
+                       madd: PAdicScalar) -> tuple[CycloValue, int]:
+    """Fast phi numerator and its critical-pair count, the one-row case of
+    phi_fast_values: the unit average (phi_numerator) at i >= n - 1, else
+    an exact zero off the unit locus and depth_coords on the query's key
+    (query_key).  Divide by C0 for the value."""
+    if i >= engine.spec.n - 1:
+        return engine.phi_numerator(i, a, madd), 0
+    key = engine.query_key(i, a, madd)
+    if key is None:
+        return CycloValue.zero(engine.m), 0
+    coords, scales, pairs = depth_coords(engine, i, np.array([key]))
+    return CycloValue(engine.m, coords[0], scales[0]), int(pairs[0])
 
 
 def phi_fast_value(engine: MatCoefEngine, i: int, a: PAdicScalar,
@@ -321,23 +321,11 @@ def phi_fast_values(engine: MatCoefEngine, i: int, keys: np.ndarray
                     ) -> list[complex]:
     """phi_fast_value of each int64 key row of depth i, bitwise, by
     matcoef.key_values: at boundary depths with the unit average, else with
-    the depth program, where the keys of a chunk on the support (t = n - i)
-    go through depth_pairs and one scatter sums each key's pairs into its
-    coordinate row, of weight ball_volume(engine, i)."""
-    spec = engine.spec
-    check_depth(spec, i)
-    if i >= spec.n - 1:
-        return key_values(engine, keys, engine.average_coords)[0]
-    basis, volume = _basis(engine.m), ball_volume(engine, i)
-
-    def depth_coords(chunk: np.ndarray) -> tuple[np.ndarray, list]:
-        on = np.flatnonzero(chunk[:, 2] == spec.n - i)
-        pairs, _ = depth_pairs(engine, i, chunk[on, 1], chunk[on, 3])
-        phase = pairs[:, -1]
-        return (basis.reduce_rows(on[pairs[:, 0]], phase, np.ones_like(phase),
-                                  len(chunk)), [volume] * len(chunk))
-
-    return key_values(engine, keys, depth_coords)[0]
+    depth_coords."""
+    check_depth(engine.spec, i)
+    program = (engine.average_coords if i >= engine.spec.n - 1
+               else lambda chunk: depth_coords(engine, i, chunk)[:2])
+    return key_values(engine, keys, program)[0]
 
 
 def naive_term_count(engine: MatCoefEngine, i: int, v_m: int) -> int:
@@ -354,37 +342,32 @@ def speedup_report(spec, i: int, grid) -> dict:
     shared = MatCoefEngine(spec)
     c0 = shared.c0_complex
     rows = []
-    total_naive = total_fast = 0.0
-    max_dev = 0.0
-    max_pairs = 0
     for a, madd in grid:
         t0 = time.perf_counter()
         cold = MatCoefEngine(spec)
         naive_num = cold.phi_numerator(i, a, madd, grouped=False,
                                        cache_w=False)
         t1 = time.perf_counter()
-        fast_num, diag = phi_fast_numerator(shared, i, a, madd)
+        fast_num, pairs = phi_fast_numerator(shared, i, a, madd)
         t2 = time.perf_counter()
         naive_val = naive_num.complex() / c0
         fast_val = fast_num.complex() / c0
         dev = abs(fast_val - naive_val)
         if abs(naive_val) > 1e-12:
             dev /= abs(naive_val)
-        total_naive += t1 - t0
-        total_fast += t2 - t1
-        max_dev = max(max_dev, dev)
-        max_pairs = max(max_pairs, diag["pairs"])
         rows.append({
-            "p": spec.p, "n": spec.n, "family": spec.label, "i": i,
-            "v_a": a.val, "a_unit": a.unit, "v_m": madd.val,
-            "m_unit": madd.unit, "naive_s": t1 - t0, "fast_s": t2 - t1,
+            **point_row(spec, i, a, madd), "naive_s": t1 - t0,
+            "fast_s": t2 - t1,
             "naive_terms": naive_term_count(shared, i, madd.val),
-            "fast_pairs": diag["pairs"], "deviation": dev,
+            "fast_pairs": pairs, "deviation": dev,
         })
+    naive_s = sum(row["naive_s"] for row in rows)
+    fast_s = sum(row["fast_s"] for row in rows)
     return {"rows": rows, "summary": {
         "p": spec.p, "n": spec.n, "family": spec.label, "i": i,
-        "queries": len(rows), "naive_s": total_naive, "fast_s": total_fast,
-        "speedup": total_naive / total_fast if total_fast else float("inf"),
-        "max_deviation": max_dev, "max_pairs": max_pairs,
+        "queries": len(rows), "naive_s": naive_s, "fast_s": fast_s,
+        "speedup": naive_s / fast_s if fast_s else float("inf"),
+        "max_deviation": max((row["deviation"] for row in rows), default=0.0),
+        "max_pairs": max((row["fast_pairs"] for row in rows), default=0),
         "pair_bound": decay_bound(spec),
     }}

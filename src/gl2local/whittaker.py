@@ -111,15 +111,14 @@ class WhittakerEngine:
 
     Sparse numerators (phases, multiplicities) are cached one shear depth
     at a time: depth_table lays the entries of every unit residue end to
-    end in one read-only table, which unit averages read whole, and each
-    cached numerator_counts entry is a view of it.  The cache is what makes
-    grid averaging fast, and can be bypassed for timing honesty.
+    end in one read-only table, which unit averages read whole.  The table
+    is what makes grid averaging fast; numerator_counts computes one entry
+    afresh, the timing-honest path.
     """
 
     def __init__(self, spec: ReprSpec):
         self.spec = spec
         self.m = spec.modulus()
-        self._cache: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
         self._tables: dict[int, tuple[np.ndarray, ...]] = {}
         self._mu1_cache: dict[int, np.ndarray] = {}
         if spec.family == "ps":
@@ -185,51 +184,41 @@ class WhittakerEngine:
 
     def depth_table(self, i: int) -> tuple[np.ndarray, ...]:
         """Every numerator of depth i as one read-only table (lengths,
-        phases, mults), built once per depth by one uncached
-        numerator_counts per unit residue: with pl = len(lengths) =
-        p^_residue_level(i), the entries of the unit residues mod pl lie end
-        to end in ascending residue order, lengths[x] terms for residue x
-        (0 off the units).  Each cached numerator_counts entry is a view of
-        it, so no entry is stored twice."""
+        phases, mults), built once per depth by one numerator_counts per
+        unit residue: with pl = len(lengths) = p^_residue_level(i), the
+        entries of the unit residues mod pl lie end to end in ascending
+        residue order, lengths[x] terms for residue x (0 off the units).
+        It is the engine's one numerator cache."""
         if i not in self._tables:
             p = self.spec.p
             pl = p**self._residue_level(i)
             # unit representatives 1..pl; at pl = 1 the one residue is 0
             units = (np.flatnonzero(np.arange(1, pl + 1) % p) + 1).tolist()
-            entries = [self.numerator_counts(i, x, cache=False) for x in units]
-            residues = [x % pl for x in units]
+            entries = [self.numerator_counts(i, x) for x in units]
             lengths = np.zeros(pl, dtype=np.int64)
-            lengths[residues] = [len(phases) for phases, _ in entries]
+            lengths[[x % pl for x in units]] = [len(phases)
+                                                for phases, _ in entries]
             table = (lengths,
                      np.concatenate([phases for phases, _ in entries]),
                      np.concatenate([mults for _, mults in entries]))
             for arr in table:
                 arr.flags.writeable = False
-            _, phases, mults = table
-            ends = np.cumsum(lengths[residues]).tolist()
-            for x, start, end in zip(residues, [0] + ends, ends):
-                self._cache[i, x] = phases[start:end], mults[start:end]
             self._tables[i] = table
         return self._tables[i]
 
-    def numerator_counts(self, i: int, x_res: int, cache: bool = True
+    def numerator_counts(self, i: int, x_res: int
                          ) -> tuple[np.ndarray, np.ndarray]:
         """The unnormalized sum for a unit residue x_res as read-only arrays
-        (phases, multiplicities): the distinct exponents in Z/m, ascending,
-        and how many terms land on each.  With counts the dense length-m
-        vector holding the multiplicities at the phases, the value is
-        from_counts(m, counts, numerator_scale()) / C0.  The cached entry
-        is a view of depth_table(i)."""
+        (phases, multiplicities), computed afresh: the distinct exponents in
+        Z/m, ascending, and how many terms land on each.  With counts the
+        dense length-m vector holding the multiplicities at the phases, the
+        value is from_counts(m, counts, numerator_scale()) / C0."""
         spec, p, m = self.spec, self.spec.p, self.m
         check_depth(spec, i)
         if x_res % p == 0:
             raise ValueError(f"residue {x_res} is not a unit mod {p}")
         pl = p**self._residue_level(i)
         x_res %= pl
-        if cache:
-            if (i, x_res) not in self._cache:
-                self.depth_table(i)
-            return self._cache[i, x_res]
         if spec.family == "ps":
             xu = (x_res * self._u_arr) % pl
             exps = (self._ps_shift_factor(i) + self.mu_dense[xu]

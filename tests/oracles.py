@@ -342,7 +342,9 @@ def decompose_k_star_scalar(g: KStarElement, spec):
 def unit_average_counts(engine, key, grouped=True, cache_w=True):
     """Count vector and normalization of the unit average of one query key,
     unit by unit: each unit's dense Whittaker counts rolled by its psi
-    exponent, the per-key loop that MatCoefEngine.key_counts batches."""
+    exponent, the per-key loop that MatCoefEngine.key_counts batches.  Every
+    entry is computed afresh by numerator_counts, so cache_w, the engine's
+    switch between depth_table and numerator_counts, changes nothing here."""
     i, a_res, t, m_unit = key
     spec, p, m = engine.spec, engine.spec.p, engine.m
     w = required_precision(spec, i)
@@ -350,8 +352,7 @@ def unit_average_counts(engine, key, grouped=True, cache_w=True):
     accum = np.zeros(m, dtype=np.int64)
     for x in range(1, p**k):
         if x % p:
-            phases, mults = engine.numerator_counts(i, a_res * x % p**w,
-                                                    cache=cache_w)
+            phases, mults = engine.numerator_counts(i, a_res * x % p**w)
             dense = np.zeros(m, dtype=np.int64)
             dense[phases] = mults
             accum += np.roll(dense, m_unit * x % p**t * (m // p**t))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gl2local.characters import build_theta, primitive_char
-from gl2local.matcoef import MatCoefEngine, decay_bound
+from gl2local.matcoef import MatCoefEngine, decay_bound, share_keys
 from gl2local.residue import (
     get_context,
     solve_quadratic_congruence,
@@ -96,10 +96,10 @@ def test_ps_fast_matches_naive_exactly(p, n, depths):
     for i in depths:
         for a, madd in supported_grid(engine, i):
             naive = engine.phi_numerator(i, a, madd)
-            fast, diag = phi_fast_numerator(engine, i, a, madd)
+            fast, pairs = phi_fast_numerator(engine, i, a, madd)
             assert fast.equals(naive), (i, a.unit, madd.unit)
-            assert 0 < diag["pairs"] <= bound or naive.is_zero()
-            assert diag["pairs"] <= bound
+            assert 0 < pairs <= bound or naive.is_zero()
+            assert pairs <= bound
 
 
 def test_sc_unram_fast_matches_naive_exactly():
@@ -107,9 +107,9 @@ def test_sc_unram_fast_matches_naive_exactly():
     bound = decay_bound(engine.spec)
     for a, madd in supported_grid(engine, 4):
         naive = engine.phi_numerator(4, a, madd)
-        fast, diag = phi_fast_numerator(engine, 4, a, madd)
+        fast, pairs = phi_fast_numerator(engine, 4, a, madd)
         assert fast.equals(naive)
-        assert diag["pairs"] <= bound
+        assert pairs <= bound
 
 
 @pytest.mark.parametrize("level,n,depths", [(4, 5, (3,)), (6, 7, (4, 5))])
@@ -120,9 +120,9 @@ def test_sc_ram_fast_matches_naive_exactly(level, n, depths):
     for i in depths:
         for a, madd in supported_grid(engine, i):
             naive = engine.phi_numerator(i, a, madd)
-            fast, diag = phi_fast_numerator(engine, i, a, madd)
+            fast, pairs = phi_fast_numerator(engine, i, a, madd)
             assert fast.equals(naive), (i, a.unit, madd.unit)
-            assert diag["pairs"] <= bound
+            assert pairs <= bound
 
 
 def assert_pairs_match_oracle(engine, oracle):
@@ -331,6 +331,14 @@ def test_depth_values_are_bitwise_the_per_query_values(monkeypatch):
                 (ctx.scalar(0, 2), ctx.zero())]
             want = {id(point): repr(phi_fast_value(engine, i, *point))
                     for point in grid}
+            # each query alone is the one-row batch of its key, and a query
+            # off the unit locus is the zero a batch gives a point without
+            # a key
+            for point in grid:
+                keys, on = engine.query_keys(i, [point])
+                one = (phi_fast_values(engine, i, keys) if on[0]
+                       else [engine.zero_value])
+                assert [repr(v) for v in one] == [want[id(point)]], i
             no_pairs = [point for point in grid[:len(units) ** 2]
                         if i < spec.n - 1 and not len(
                             critical_pairs(engine, i, *point)[0])]
@@ -355,12 +363,18 @@ def test_depth_values_are_bitwise_the_per_query_values(monkeypatch):
 def test_off_support_returns_exact_zero():
     engine = ps_engine(3, 6)
     ctx = get_context(3, 10)
-    num, diag = phi_fast_numerator(engine, 4, ctx.scalar(1, 1), ctx.scalar(-2, 1))
-    assert diag["off_support"] and num.is_zero()
-    num, diag = phi_fast_numerator(engine, 4, ctx.scalar(0, 1), ctx.scalar(-1, 1))
-    assert diag["off_support"] and num.is_zero()
-    num, diag = phi_fast_numerator(engine, 4, ctx.scalar(0, 1), ctx.zero())
-    assert diag["off_support"] and num.is_zero()
+    num, pairs = phi_fast_numerator(engine, 4, ctx.scalar(1, 1), ctx.scalar(-2, 1))
+    assert pairs == 0 and num.is_zero()
+    num, pairs = phi_fast_numerator(engine, 4, ctx.scalar(0, 1), ctx.scalar(-1, 1))
+    assert pairs == 0 and num.is_zero()
+    num, pairs = phi_fast_numerator(engine, 4, ctx.scalar(0, 1), ctx.zero())
+    assert pairs == 0 and num.is_zero()
+    # each of them is off the support by the key rule
+    for a, madd in ((ctx.scalar(1, 1), ctx.scalar(-2, 1)),
+                    (ctx.scalar(0, 1), ctx.scalar(-1, 1)),
+                    (ctx.scalar(0, 1), ctx.zero())):
+        with pytest.raises(ValueError, match="off the support"):
+            critical_pairs(engine, 4, a, madd)
 
 
 def test_boundary_depths_delegate():
@@ -368,9 +382,27 @@ def test_boundary_depths_delegate():
     ctx = get_context(3, 10)
     for i in (5, 6):
         for madd in (ctx.zero(), ctx.scalar(-1, 1), ctx.scalar(0, 2)):
-            fast, diag = phi_fast_numerator(engine, i, ctx.scalar(0, 1), madd)
-            assert diag["delegated"]
+            fast, pairs = phi_fast_numerator(engine, i, ctx.scalar(0, 1), madd)
+            assert pairs == 0
             assert fast.equals(engine.phi_numerator(i, ctx.scalar(0, 1), madd))
+    # the unit average answered: no depth plan was built
+    assert not engine.depth_plans
+
+
+def test_too_deep_additive_argument_raises_on_every_path():
+    # t = 5 > n1 + 1 = 4: the key rule refuses m = 3^-5 on the one-query,
+    # the batch, the naive and the critical-pair paths alike
+    engine = ps_engine(3, 6)
+    ctx = get_context(3, 10)
+    a, madd = ctx.scalar(0, 1), ctx.scalar(-5, 1)
+    calls = (lambda: phi_fast_numerator(engine, 4, a, madd),
+             lambda: engine.phi_numerator(4, a, madd),
+             lambda: phi_fast_values(
+                 engine, 4, share_keys(engine, 4, [(a, madd)])[0]),
+             lambda: critical_pairs(engine, 4, a, madd))
+    for call in calls:
+        with pytest.raises(ValueError, match="too deep"):
+            call()
 
 
 def test_critical_pairs_validation():

@@ -182,23 +182,32 @@ def test_range_and_precision_guards():
     for bad_i in (0, spec.n0, spec.n + 1):
         with pytest.raises(ValueError):
             numerator(eng, bad_i, ctx.scalar(0, 1))
-    for cache in (True, False):  # a residue that is not a unit
-        with pytest.raises(ValueError, match="not a unit"):
-            eng.numerator_counts(spec.n0 + 1, 3, cache=cache)
+    with pytest.raises(ValueError, match="not a unit"):
+        eng.numerator_counts(spec.n0 + 1, 3)
     shallow = get_context(3, 2).scalar(0, 1)  # n0 = 3 needs 3 digits
     with pytest.raises(PrecisionError):
         numerator(eng, 4, shallow)
 
 
+def table_entry(eng, i: int, x_res: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (phases, multiplicities) slice of depth_table(i) for x_res: the
+    entries lie end to end in ascending residue order."""
+    lengths, phases, mults = eng.depth_table(i)
+    x = x_res % len(lengths)
+    start = int(lengths[:x].sum())
+    return (phases[start:start + lengths[x]],
+            mults[start:start + lengths[x]])
+
+
 def test_counts_cache_consistency():
     spec = sc_spec(3, False, 4)
     eng = WhittakerEngine(spec)
-    a = eng.numerator_counts(3, 2)
+    table = eng.depth_table(3)
     dense = dense_counts(eng, 3, 2)
-    phases, mult = eng.numerator_counts(3, 2, cache=False)
+    phases, mult = table_entry(eng, 3, 2)
     assert (np.bincount(np.repeat(phases, mult), minlength=eng.m)
             == dense).all()
-    assert eng.numerator_counts(3, 2) is a  # cached object reused
+    assert eng.depth_table(3) is table  # cached object reused
 
 
 def term_exponents(eng, i: int, x_res: int) -> list[int]:
@@ -240,16 +249,15 @@ def test_sparse_entry_matches_term_scatter(spec):
     eng = WhittakerEngine(spec)
     for i in range(spec.n0 + 1, spec.n + 1):
         for x_res in (1, 2, spec.p + 1, spec.p**spec.n - 1):
-            phases, mult = eng.numerator_counts(i, x_res)
+            phases, mult = table_entry(eng, i, x_res)
             assert len(phases) == len(mult)
             assert len(phases) <= min(eng.m, eng.term_count())
             assert not phases.flags.writeable and not mult.flags.writeable
             # ascending distinct phases and positive multiplicities; the
-            # uncached entry, counted by np.bincount when the terms outnumber
-            # m (sc here), equals the cached np.unique one
+            # fresh entry, counted by np.bincount when the terms outnumber
+            # m (sc here), equals its depth_table slice
             assert (np.diff(phases) > 0).all() and (mult > 0).all()
-            for got, cached in zip(eng.numerator_counts(i, x_res,
-                                                        cache=False),
+            for got, cached in zip(eng.numerator_counts(i, x_res),
                                    (phases, mult)):
                 assert got.dtype == cached.dtype == np.int64
                 assert (got == cached).all()

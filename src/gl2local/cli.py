@@ -31,7 +31,6 @@ from .quaternion import (
     UpperHalfPoint,
     algebra_specs,
     build_tidy_lattice,
-    count_lattice_points,
     count_lattice_points_box,
     counting_bound_report,
     depth_exponent,
@@ -41,7 +40,7 @@ from .quaternion import (
     supnorm_exponent,
 )
 from .residue import PRIMALITY_BOUND, get_context, is_prime, random_unit
-from .statphase import phi_fast_values, speedup_report
+from .statphase import interior_depths, phi_fast_values, speedup_report
 from .whittaker import ReprSpec
 
 FAMILIES = ("ps", "sc-unramified", "sc-ramified")
@@ -306,8 +305,9 @@ def build_grid(spec: ReprSpec, i: int, cfg: ExperimentConfig,
     return grid
 
 
-def _default_interior(spec: ReprSpec) -> list[int]:
-    return list(range(spec.n0 + 1, spec.n - 1))
+def _depths(cfg: ExperimentConfig, spec: ReprSpec) -> range | list[int]:
+    """The config's i_values, by default the interior depths."""
+    return interior_depths(spec) if cfg.i_values is None else cfg.i_values
 
 
 def _fmt(value) -> str:
@@ -357,10 +357,9 @@ def run_verify_support(cfg: ExperimentConfig) -> TaskResult:
     spec = build_spec(cfg)
     engine = MatCoefEngine(spec)
     rng = random.Random(cfg.seed)
-    i_values = cfg.i_values if cfg.i_values is not None else _default_interior(spec)
     rows, report = [], []
     violations = 0
-    for i in i_values:
+    for i in _depths(cfg, spec):
         grid = build_grid(spec, i, cfg, rng)
         batch = verify_support(engine, i, grid)
         bad = sum(r["violation"] for r in batch)
@@ -378,12 +377,11 @@ def run_decay(cfg: ExperimentConfig) -> TaskResult:
     spec = build_spec(cfg)
     engine = MatCoefEngine(spec)
     rng = random.Random(cfg.seed)
-    i_values = cfg.i_values if cfg.i_values is not None else _default_interior(spec)
     bound = decay_bound(spec)
     rows, report = [], []
     by_i = {}
     ok = True
-    for i in i_values:
+    for i in _depths(cfg, spec):
         worst = 0.0
         grid = build_grid(spec, i, cfg, rng, supported_only=True)
         keys, slots = share_keys(engine, i, grid)
@@ -411,10 +409,9 @@ def run_decay(cfg: ExperimentConfig) -> TaskResult:
 def run_speedup(cfg: ExperimentConfig) -> TaskResult:
     spec = build_spec(cfg)
     rng = random.Random(cfg.seed)
-    i_values = cfg.i_values if cfg.i_values is not None else _default_interior(spec)
     rows, report, timing_lines = [], [], []
     ok = True
-    for i in i_values:
+    for i in _depths(cfg, spec):
         grid = build_grid(spec, i, cfg, rng, supported_only=True)
         rep = speedup_report(spec, i, grid)
         for row in rep["rows"]:
@@ -503,14 +500,13 @@ def run_counting(cfg: ExperimentConfig) -> TaskResult:
         report.append(f"{key} window x64: {'ok' if window_ok else 'FAIL'} {spread}")
     if cfg.verify_box_max_norm:
         lat, top = lattices[0], cfg.verify_box_max_norm
-        # largest norm first, so an ellipsoid or a box past its budget is
-        # refused at once; the fast side of the smaller norms is one histogram
-        agree = (count_lattice_points(lat, cfg.z, cfg.delta, top)
-                 == count_lattice_points_box(lat, cfg.z, cfg.delta, top))
-        fast = norm_histogram(lat, cfg.z, cfg.delta, range(1, top))
-        for m in range(top - 1, 0, -1):
-            slow = count_lattice_points_box(lat, cfg.z, cfg.delta, m)
-            agree = agree and fast[m] == slow
+        # the fast side is one histogram, whose ellipsoid of the largest norm
+        # is checked first; the box oracle then runs from the largest norm
+        # down, so a box past its budget is refused at once
+        fast = norm_histogram(lat, cfg.z, cfg.delta, range(1, top + 1))
+        agree = all(fast[m] == count_lattice_points_box(lat, cfg.z,
+                                                        cfg.delta, m)
+                    for m in range(top, 0, -1))
         ok = ok and agree
         report.append(f"box-oracle agreement m<= {cfg.verify_box_max_norm}: "
                       f"{'ok' if agree else 'FAIL'}")

@@ -123,6 +123,14 @@ class MatCoefEngine(WhittakerEngine):
         counts, norms = self.key_counts(np.array([key]), grouped, cache_w)
         return counts[0], norms[0]
 
+    def unit_level(self, i: int, t: int, grouped: bool = True) -> int:
+        """The level k of the units mod p^k a key (i, ., t, .) averages
+        over: grouped (constant classes) max(required_precision, t, 1),
+        ungrouped (the stated average) max(n0, n - i, t) + 1."""
+        spec = self.spec
+        return (max(required_precision(spec, i), t, 1) if grouped
+                else max(spec.n0, spec.n - i, t) + 1)
+
     def key_counts(self, keys: np.ndarray, grouped: bool = True,
                    cache_w: bool = True) -> tuple[np.ndarray, list[Fraction]]:
         """Count block (len(keys) x m, int64) and normalizations of the unit
@@ -134,13 +142,12 @@ class MatCoefEngine(WhittakerEngine):
         (depth, unit group) at a time, in slices of at most TERM_CAP terms
         (one key at least), each added to the block by one exact scatter:
         cached, from depth_table at once, else per (key, unit)."""
-        spec, p, m = self.spec, self.spec.p, self.m
+        p, m = self.spec.p, self.m
         rows = np.asarray(keys, dtype=np.int64).reshape(-1, 4)
         groups: dict[tuple[int, int], list[int]] = {}
         for row, (i, _, t, _) in enumerate(rows.tolist()):
-            k_eff = (max(required_precision(spec, i), t, 1) if grouped
-                     else max(spec.n0, spec.n - i, t) + 1)
-            groups.setdefault((i, k_eff), []).append(row)
+            level = self.unit_level(i, t, grouped)
+            groups.setdefault((i, level), []).append(row)
         norms: list[Fraction] = [Fraction(0)] * len(rows)
         block = np.zeros((len(rows), m), dtype=np.int64)
         for (i, k_eff), members in groups.items():
@@ -199,7 +206,7 @@ class MatCoefEngine(WhittakerEngine):
     def average_coords(self, keys: np.ndarray) -> tuple[np.ndarray, list]:
         """The unit-average count program of key_values: key_counts of the
         key rows, reduced, and their norms."""
-        counts, norms = self.key_counts(list(map(tuple, keys.tolist())))
+        counts, norms = self.key_counts(keys)
         return _basis(self.m).reduce_counts(counts), norms
 
     def phi_numerator(self, i: int, a: PAdicScalar, madd: PAdicScalar,

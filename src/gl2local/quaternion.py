@@ -108,18 +108,16 @@ def _lowest_terms(den: int, *mats):
     return (*(m // g for m in mats), den // g)
 
 
-def _det_adjugate(rows) -> tuple[int, list[list[int]]]:
-    """Determinant and adjugate of a square integer matrix by fraction-free
-    Gauss-Jordan elimination (Bareiss, Math. Comp. 22 (1968)): each step
-    divides exactly by the previous pivot, and [A | I] ends as
-    [d I | d A^-1] with d = +-det A.  ValueError for a singular matrix."""
-    n = len(rows)
-    aug = [[*row, *(int(i == r) for i in range(n))] for r, row in enumerate(rows)]
+def _eliminate(aug, n: int) -> tuple[int, list[list[int]]]:
+    """Fraction-free Gauss-Jordan elimination of the integer rows aug =
+    [A | B], A square of size n (Bareiss, Math. Comp. 22 (1968)): each step
+    divides exactly by the previous pivot, and the rows end as
+    [det A I | adj(A) B].  (0, []) for a singular A."""
     prev, sign = 1, 1
     for k in range(n):
         piv = next((r for r in range(k, n) if aug[r][k]), None)
         if piv is None:
-            raise ValueError("singular matrix")
+            return 0, []
         if piv != k:
             aug[k], aug[piv] = aug[piv], aug[k]
             sign = -sign
@@ -129,7 +127,19 @@ def _det_adjugate(rows) -> tuple[int, list[list[int]]]:
                 f = row[k]
                 aug[i] = [(top[k] * v - f * w) // prev for v, w in zip(row, top)]
         prev = top[k]
-    return sign * prev, [[sign * v for v in row[n:]] for row in aug]
+    # the rows are [d I | d A^-1 B] with d = prev = sign det A
+    return sign * prev, [[sign * v for v in row] for row in aug]
+
+
+def _det_adjugate(rows) -> tuple[int, list[list[int]]]:
+    """Determinant and adjugate of a square integer matrix, `_eliminate`
+    on [A | I].  ValueError for a singular matrix."""
+    n = len(rows)
+    det, aug = _eliminate([[*row, *(int(i == r) for i in range(n))]
+                           for r, row in enumerate(rows)], n)
+    if not det:
+        raise ValueError("singular matrix")
+    return det, [row[n:] for row in aug]
 
 
 class RationalOrder:
@@ -263,14 +273,6 @@ class TidyLattice:
         return [tuple(Fraction(v, den) for v in row) for row in self.frames()]
 
 
-def _det(m) -> int:
-    """Exact determinant of a small integer matrix, by cofactor expansion."""
-    if not m:
-        return 1
-    return sum((-1) ** j * m[0][j] * _det([row[:j] + row[j + 1:] for row in m[1:]])
-               for j in range(len(m)) if m[0][j])
-
-
 def lattice_shape(coords) -> tuple[int, int, int]:
     """Last three elementary divisors of the nonsingular 4 x 4 integer matrix
     `coords`, d_k = D_k / D_(k-1) with D_k the gcd of its k x k minors (the
@@ -279,7 +281,8 @@ def lattice_shape(coords) -> tuple[int, int, int]:
     dets = [1]
     for k in range(1, 5):
         picks = list(itertools.combinations(range(4), k))
-        dets.append(math.gcd(*(_det([[coords[r][c] for c in cols] for r in rows])
+        dets.append(math.gcd(*(_eliminate([[coords[r][c] for c in cols]
+                                           for r in rows], k)[0]
                                for rows in picks for cols in picks)))
     d = [b // a for a, b in zip(dets, dets[1:])]
     if d[0] != 1:
@@ -457,60 +460,50 @@ def _check_bits(layer: str, values, limit: int) -> None:
 def _ellipsoid_lines(gram: np.ndarray, bound: float):
     """The (c1, c2, c3) lines through the ellipsoid c^T gram c <= bound, in
     order of c3, c2, c1, with the range [lo, hi] of c0 on each; one of each
-    +-c pair (the last nonzero coordinate is positive), c = 0 excluded.  The
-    limits are float Cholesky limits widened by eps; each level is expanded
-    from the one above with np.repeat.  BudgetError, before a level is
-    expanded (c3 included), once its running total of hi - lo + 1 passes
-    ENUMERATION_BUDGET.  `_counting_data` checks `gram`."""
+    +-c pair (the last nonzero coordinate is positive), c = 0 excluded.
+    One walk down the levels k = 3, 2, 1, 0 of the float Cholesky factor R:
+    c_k runs from ceil((-sqrt(rem) - off) / R[k, k] - eps) to floor((sqrt(rem)
+    - off) / R[k, k] + eps), off = sum_{j>k} R[k, j] c_j and rem the bound
+    the levels above leave, from 0 (1 at k = 0) where every c_j above is 0.
+    A level is sized in float against ENUMERATION_BUDGET (BudgetError)
+    before it is cast to int64 and expanded with np.repeat; the c0 ranges
+    are returned, not expanded.  `_counting_data` checks `gram`."""
     eigs = np.linalg.eigvalsh(gram)
     chol = np.linalg.cholesky(gram + np.eye(4) * (eigs[0] * 1e-12)).T
-    bound = bound * (1 + 1e-9) + 1e-9
     eps = 1e-9
-    r33, r22, r11, r00 = chol[3, 3], chol[2, 2], chol[1, 1], chol[0, 0]
-    lo = np.zeros(1, dtype=np.int64)
-    hi = np.array([math.floor(math.sqrt(bound) / r33 + eps)])
-    _check_budget(hi - lo + 1)
-    _, c3 = _expand(lo, hi)
-    rem = bound - (c3 * r33) ** 2
-    keep = rem >= 0
-    coords, rem = [c3[keep]], rem[keep]
-    # level k: c_k in [ceil(-lim - off/diag - eps), floor(lim - off/diag + eps)]
-    # with off = sum_{j>k} c_j chol[k, j], lim = sqrt(rem) / diag
-    for k, diag in ((2, r22), (1, r11)):
-        off = sum(c * chol[k, 3 - j] for j, c in enumerate(coords))
-        lim = np.sqrt(rem) / diag
-        lo = np.ceil(-lim - off / diag - eps).astype(np.int64)
-        hi = np.floor(lim - off / diag + eps).astype(np.int64)
-        origin = ~np.any(coords, axis=0)
-        lo[origin] = np.maximum(lo[origin], 0)
-        _check_budget(np.maximum(hi - lo + 1, 0))
+    # c3, c2, ... of each partial vector, and the bound it leaves
+    coords, rem = [], np.array([bound * (1 + 1e-9) + 1e-9])
+    for k in (3, 2, 1, 0):
+        diag = chol[k, k]
+        off = sum((c * chol[k, 3 - j] for j, c in enumerate(coords)),
+                  np.zeros(len(rem)))
+        root = np.sqrt(rem)
+        lo = np.ceil((-root - off) / diag - eps)
+        hi = np.floor((root - off) / diag + eps)
+        # np.any of no coordinates is False: at c3 every row is the origin
+        lo = np.where(np.any(coords, axis=0), lo, np.maximum(lo, int(k == 0)))
+        _check_budget(lo, hi)
+        lo, hi = lo.astype(np.int64), hi.astype(np.int64)
+        if k == 0:
+            keep = lo <= hi
+            return np.stack(coords[::-1], axis=1)[keep], lo[keep], hi[keep]
         parent, c = _expand(lo, hi)
-        coords = [v[parent] for v in coords] + [c]
         rem = rem[parent] - (off[parent] + c * diag) ** 2
         keep = rem >= 0
-        coords, rem = [v[keep] for v in coords], rem[keep]
-    off = sum(c * chol[0, 3 - j] for j, c in enumerate(coords))
-    root = np.sqrt(rem)
-    lo = np.ceil((-root - off) / r00 - eps).astype(np.int64)
-    hi = np.floor((root - off) / r00 + eps).astype(np.int64)
-    origin = ~np.any(coords, axis=0)
-    lo[origin] = np.maximum(lo[origin], 1)
-    keep = lo <= hi
-    lines = np.stack(coords[::-1], axis=1)[keep]
-    lo, hi = lo[keep], hi[keep]
-    _check_budget(hi - lo + 1)
-    return lines, lo, hi
+        coords = [v[parent[keep]] for v in coords] + [c[keep]]
+        rem = rem[keep]
 
 
-def _check_budget(sizes: np.ndarray) -> None:
-    """BudgetError naming the running total of sizes that first passes
-    ENUMERATION_BUDGET."""
-    total = np.cumsum(sizes)
+def _check_budget(lo: np.ndarray, hi: np.ndarray) -> None:
+    """BudgetError naming the first running total of the range sizes
+    max(hi - lo + 1, 0) of float limits past ENUMERATION_BUDGET: summed in
+    float, so a limit past int64 is refused uncast, and printed exactly."""
+    total = np.cumsum(np.maximum(hi - lo + 1, 0))
     if len(total) and total[-1] > ENUMERATION_BUDGET:
-        raise BudgetError(
-            f"quaternion ellipsoid enumeration: "
-            f"{total[np.argmax(total > ENUMERATION_BUDGET)]} rows "
-            f"exceed the budget of {ENUMERATION_BUDGET}")
+        i = int(np.argmax(total > ENUMERATION_BUDGET))
+        rows = (int(total[i - 1]) if i else 0) + int(hi[i]) - int(lo[i]) + 1
+        raise BudgetError(f"quaternion ellipsoid enumeration: {rows} rows "
+                          f"exceed the budget of {ENUMERATION_BUDGET}")
 
 
 def _expand(lo: np.ndarray, hi: np.ndarray):
@@ -562,12 +555,15 @@ def _solve_lines(f_int: np.ndarray, den: int, lines: np.ndarray,
     return rows, target[col[order]] // den
 
 
-def _ellipsoid(lattice: TidyLattice, z: UpperHalfPoint, delta, largest: int):
-    """Exact norm form, its denominator, the exact Frobenius form, and the
-    (c1, c2, c3) lines of the converted ellipsoid for the largest requested
-    norm with the range of c0 on each.  BudgetError if its bound passes the
-    float range or its rows pass ENUMERATION_BUDGET.  It reads the largest
-    norm alone, so callers run it before they list their norms."""
+def _candidates(lattice: TidyLattice, z: UpperHalfPoint, delta, largest: int,
+                norms) -> tuple[list[int], np.ndarray, np.ndarray, tuple]:
+    """One representative per +-pair inside the converted ellipsoid of the
+    norm `largest` whose exact reduced norm is in `norms` (distinct integers
+    >= 1, ascending, the last `largest`), found by solving the norm
+    equation on each (c1, c2, c3) line; returns (norms as a list, rows,
+    norm values, exact Frobenius form).  BudgetError if the ellipsoid bound
+    passes the float range or its rows pass ENUMERATION_BUDGET, both
+    checked before `norms`, a range or an iterator, is listed."""
     gram, f_int, den, form = _counting_data(lattice, z)
     exact = (4 * Fraction(delta) + 2) * largest
     try:
@@ -575,21 +571,9 @@ def _ellipsoid(lattice: TidyLattice, z: UpperHalfPoint, delta, largest: int):
     except OverflowError:
         raise BudgetError("quaternion ellipsoid enumeration: bound "
                           f"{int_text(math.floor(exact))} exceeds the float range") from None
-    return f_int, den, form, _ellipsoid_lines(gram, bound)
-
-
-def _candidates_with_norms(lattice: TidyLattice, z: UpperHalfPoint, delta,
-                           norms) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """One representative per +-pair inside the converted ellipsoid for the
-    largest requested norm whose exact reduced norm is in `norms` (distinct
-    integers >= 1, ascending; a range is not walked before its ellipsoid is
-    checked), found by solving the norm equation on each (c1, c2, c3) line;
-    returns (rows, norm values, exact Frobenius form)."""
-    if not norms:
-        form = _counting_data(lattice, z)[3]
-        return np.empty((0, 4), dtype=np.int64), np.empty(0, dtype=np.int64), form
-    f_int, den, form, lines = _ellipsoid(lattice, z, delta, norms[-1])
-    return (*_solve_lines(f_int, den, *lines, norms), form)
+    lines = _ellipsoid_lines(gram, bound)
+    norms = list(norms)
+    return (norms, *_solve_lines(f_int, den, *lines, norms), form)
 
 
 def _histogram(lattice: TidyLattice, delta, norms, rows: np.ndarray,
@@ -706,10 +690,13 @@ def norm_histogram(lattice: TidyLattice, z: UpperHalfPoint, delta,
     delta = _checked_delta(delta)
     if not (isinstance(norms, range) and norms.step > 0):
         norms = sorted(set(int(m) for m in norms))
-    if norms and norms[0] < 1:
+    if not norms:
+        _counting_data(lattice, z)  # a degenerate z is refused all the same
+        return {}
+    if norms[0] < 1:
         raise ValueError("norm values must be >= 1")
-    return _histogram(lattice, delta, norms,
-                      *_candidates_with_norms(lattice, z, delta, norms))
+    return _histogram(lattice, delta,
+                      *_candidates(lattice, z, delta, norms[-1], norms))
 
 
 def counting_bound_report(lattice: TidyLattice, z: UpperHalfPoint, delta,
@@ -722,10 +709,12 @@ def counting_bound_report(lattice: TidyLattice, z: UpperHalfPoint, delta,
     delta = _checked_delta(delta)
     n_index = lattice.index
     budget = range(1, l_budget + 1)
-    f_int, den, form, lines = _ellipsoid(lattice, z, delta, l_budget**2)
-    norms = sorted(set(budget) | {m * m for m in budget})
-    hist = _histogram(lattice, delta, norms,
-                      *_solve_lines(f_int, den, *lines, norms), form)
+    # 1..L, then the squares past L: ascending and distinct, and listed
+    # only once the ellipsoid of L^2 has passed
+    norms = itertools.chain(budget, (m * m for m in range(
+        math.isqrt(l_budget) + 1, l_budget + 1)))
+    hist = _histogram(lattice, delta,
+                      *_candidates(lattice, z, delta, l_budget**2, norms))
     sum1 = sum(hist[m] for m in budget)
     sum2 = sum(hist[m * m] for m in budget)
     bd1 = l_budget + Fraction(l_budget**2, n_index)

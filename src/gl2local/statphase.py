@@ -20,7 +20,7 @@ column.  depth_coords sums them into coordinate rows: it is the depth count
 program of matcoef.key_values, run by phi_fast_values on many key rows and
 by phi_fast_numerator on the one row of a query (query_key), which the
 speedup criterion times; critical_pairs is depth_pairs of one query.
-Boundary depths i in {n-1, n} (the block analysis assumes i < n-1) take the
+Depths outside interior_depths, the boundary i in {n-1, n}, take the
 unit-average count program; keys off the support (t != n - i) are zero.
 """
 
@@ -36,7 +36,7 @@ from .characters import alpha_of_chi, alpha_of_theta
 from .cyclotomic import CycloValue, _basis
 from .matcoef import MatCoefEngine, decay_bound, key_values, point_row
 from .residue import PAdicScalar, solve_quadratic_congruence, unit_inverses
-from .whittaker import check_depth
+from .whittaker import ReprSpec, check_depth
 
 
 def _unit_lifts(base: int, step_exp: int, target_exp: int, p: int) -> list[int]:
@@ -279,6 +279,12 @@ def depth_coords(engine: MatCoefEngine, i: int, keys: np.ndarray
             np.bincount(rows, minlength=len(keys)))
 
 
+def interior_depths(spec: ReprSpec) -> range:
+    """The depths n0 < i < n - 1 of the block decomposition; the boundary
+    depths n - 1 and n take the unit average."""
+    return range(spec.n0 + 1, spec.n - 1)
+
+
 def critical_pairs(engine: MatCoefEngine, i: int, a: PAdicScalar,
                    madd: PAdicScalar) -> tuple[np.ndarray, int]:
     """Critical pairs of one supported interior query and its scanned
@@ -286,7 +292,7 @@ def critical_pairs(engine: MatCoefEngine, i: int, a: PAdicScalar,
     column.  Raises off the fast range and off the support, where the
     query has no key or its key has t != n - i."""
     spec = engine.spec
-    if not spec.n0 < i < spec.n - 1:
+    if i not in interior_depths(spec):
         raise ValueError("block decomposition applies to n0 < i < n-1 only")
     key = engine.query_key(i, a, madd)
     if key is None or key[2] != spec.n - i:
@@ -299,10 +305,10 @@ def critical_pairs(engine: MatCoefEngine, i: int, a: PAdicScalar,
 def phi_fast_numerator(engine: MatCoefEngine, i: int, a: PAdicScalar,
                        madd: PAdicScalar) -> tuple[CycloValue, int]:
     """Fast phi numerator and its critical-pair count, the one-row case of
-    phi_fast_values: the unit average (phi_numerator) at i >= n - 1, else
-    an exact zero off the unit locus and depth_coords on the query's key
-    (query_key).  Divide by C0 for the value."""
-    if i >= engine.spec.n - 1:
+    phi_fast_values: the unit average (phi_numerator) off interior_depths,
+    else an exact zero off the unit locus and depth_coords on the query's
+    key (query_key).  Divide by C0 for the value."""
+    if i not in interior_depths(engine.spec):
         return engine.phi_numerator(i, a, madd), 0
     key = engine.query_key(i, a, madd)
     if key is None:
@@ -323,16 +329,16 @@ def phi_fast_values(engine: MatCoefEngine, i: int, keys: np.ndarray
     matcoef.key_values: at boundary depths with the unit average, else with
     depth_coords."""
     check_depth(engine.spec, i)
-    program = (engine.average_coords if i >= engine.spec.n - 1
+    program = (engine.average_coords if i not in interior_depths(engine.spec)
                else lambda chunk: depth_coords(engine, i, chunk)[:2])
     return key_values(engine, keys, program)[0]
 
 
 def naive_term_count(engine: MatCoefEngine, i: int, v_m: int) -> int:
-    """Nominal inner-times-outer term count of the plain average."""
-    spec = engine.spec
-    k = max(spec.n0, spec.n - i, -v_m) + 1
-    return ((spec.p - 1) * spec.p ** (k - 1)) * engine.term_count()
+    """Nominal inner-times-outer term count of the plain average: the units
+    of its ungrouped level times the Whittaker terms."""
+    p, k = engine.spec.p, engine.unit_level(i, -v_m, grouped=False)
+    return (p - 1) * p ** (k - 1) * engine.term_count()
 
 
 def speedup_report(spec, i: int, grid) -> dict:

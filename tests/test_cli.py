@@ -274,6 +274,24 @@ def test_counting_loads_the_algebra_fixtures_once(tmp_path, monkeypatch):
     assert [order.algebra.discriminant for order in certified] == [14]
 
 
+def test_box_check_walks_the_ellipsoid_once(tmp_path, monkeypatch):
+    # one walk per plan for the report, and one for the fast side of the
+    # box check: its counts for norms 1..6 come from one norm_histogram
+    walks = []
+    walk = quaternion._ellipsoid_lines
+    monkeypatch.setattr(quaternion, "_ellipsoid_lines",
+                        lambda gram, bound: walks.append(bound)
+                        or walk(gram, bound))
+    out = tmp_path / "c.csv"
+    config = {"task": "counting", "algebra": "disc14",
+              "plans": [{}, {"3": 1}], "L": 4, "verify_box_max_norm": 6,
+              "out": str(out)}
+    assert main(["--config", write_config(tmp_path, config)]) == 0
+    assert len(walks) == 2 + 1
+    report = Path(str(out) + ".report.txt").read_text().splitlines()
+    assert "box-oracle agreement m<= 6: ok" in report
+
+
 @pytest.mark.parametrize("plan,match", [
     ({"5": 16},
      r"norm form: entries of \d+ bits exceed the budget of 63 bits"),

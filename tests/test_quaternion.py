@@ -26,7 +26,7 @@ from gl2local.quaternion import (
     ramified_primes,
     supnorm_exponent,
     verify_maximal_order,
-    _candidates_with_norms,
+    _candidates,
     _counting_data,
     _distance_ok,
     _distance_ok_rows,
@@ -44,6 +44,12 @@ from oracles import (det_inverse, ellipsoid_points, frobenius_form, iota_inf,
 FIX = load_algebra_fixtures()
 ALG6, ORD6 = FIX["disc6"]
 ALG14, ORD14 = FIX["disc14"]
+
+
+def _candidates_with_norms(lat, z, delta, norms):
+    """Rows, norm values and exact Frobenius form of the counting pipeline
+    for ascending norms, before the distance filter."""
+    return _candidates(lat, z, delta, norms[-1], norms)[1:]
 
 
 # -- Hilbert symbol vs. exhaustive solvability --------------------------------

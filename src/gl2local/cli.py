@@ -18,14 +18,10 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from .characters import build_theta, primitive_char
-from .matcoef import (
-    MatCoefEngine,
-    decay_bound,
-    point_row,
-    share_keys,
-    verify_support,
-)
+from .matcoef import MatCoefEngine, _share_rows, decay_bound, verify_support
 from .quaternion import (
     QuaternionAlgebra,
     UpperHalfPoint,
@@ -39,7 +35,13 @@ from .quaternion import (
     norm_histogram,
     supnorm_exponent,
 )
-from .residue import PRIMALITY_BOUND, get_context, is_prime, random_unit
+from .residue import (
+    PRIMALITY_BOUND,
+    PAdicScalar,
+    get_context,
+    is_prime,
+    random_unit,
+)
 from .statphase import interior_depths, phi_fast_values, speedup_report
 from .whittaker import ReprSpec
 
@@ -286,23 +288,45 @@ def _sample_units(p: int, digits: int, count: int, rng: random.Random) -> list[i
     return out
 
 
+def _grid_prec(spec: ReprSpec) -> int:
+    """Digits to which a grid point's unit is known, its context's."""
+    return 2 * spec.n + 6
+
+
 def build_grid(spec: ReprSpec, i: int, cfg: ExperimentConfig,
-               rng: random.Random, supported_only: bool = False):
-    """(a, m) scalar pairs: the v(a) x v(m) classes of the config with
-    units_per_class unit representatives each."""
-    ctx = get_context(spec.p, 2 * spec.n + 6)
+               rng: random.Random, supported_only: bool = False
+               ) -> tuple[np.ndarray, ...]:
+    """The depth-i points (a, m) = (p^v_a a_unit, p^v_m m_unit) as integer
+    columns (v_a, a_unit, v_m, m_unit), int64 (object past int64): the v(a)
+    x v(m) classes of the config, each with units_per_class distinct units
+    mod p^(n+2) for a, drawn first, then units_per_class for m per unit of
+    a.  The one place grid units are drawn; grid_points reads the columns
+    as scalars."""
     digits = spec.n + 2
     if supported_only:
         classes = [(0, i - spec.n)]
     else:
         classes = [(v_a, v_m) for v_a in cfg.v_a_values
                    for v_m in range(i - spec.n - 2, 2)]
-    grid = []
+    upc = cfg.units_per_class
+    v_as, a_units, v_ms, m_units = [], [], [], []
     for v_a, v_m in classes:
-        for u_a in _sample_units(spec.p, digits, cfg.units_per_class, rng):
-            for u_m in _sample_units(spec.p, digits, cfg.units_per_class, rng):
-                grid.append((ctx.scalar(v_a, u_a), ctx.scalar(v_m, u_m)))
-    return grid
+        for u_a in _sample_units(spec.p, digits, upc, rng):
+            a_units += [u_a] * upc
+            m_units += _sample_units(spec.p, digits, upc, rng)
+        v_as += [v_a] * upc * upc
+        v_ms += [v_m] * upc * upc
+    big = spec.p ** digits >> 63
+    return tuple(np.array(col, dtype=object if big else np.int64)
+                 for col in (v_as, a_units, v_ms, m_units))
+
+
+def grid_points(spec: ReprSpec, grid: tuple[np.ndarray, ...]
+                ) -> list[tuple[PAdicScalar, PAdicScalar]]:
+    """The (a, m) scalar pairs of build_grid's columns."""
+    ctx = get_context(spec.p, _grid_prec(spec))
+    return [(ctx.scalar(v_a, u_a), ctx.scalar(v_m, u_m))
+            for v_a, u_a, v_m, u_m in zip(*(col.tolist() for col in grid))]
 
 
 def _depths(cfg: ExperimentConfig, spec: ReprSpec) -> range | list[int]:
@@ -331,12 +355,18 @@ def _fmt_column(values: list) -> list[str]:
     return list(map(_fmt, values))
 
 
-def render_csv(columns: list[str], rows: list[dict]) -> str:
+def _columns(names: list[str], rows: list[dict]) -> dict[str, list]:
+    """Row dicts as columns, None where a row lacks the name."""
+    return {c: [row.get(c) for row in rows] for c in names}
+
+
+def render_csv(columns: dict[str, list]) -> str:
+    """The CSV of columns (header, then values): each column formatted
+    once by _fmt_column, the rows written by one csv.writer."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
-    writer.writerows(zip(*(_fmt_column([row.get(c) for row in rows])
-                           for c in columns)))
+    writer.writerows(zip(*map(_fmt_column, columns.values())))
     return buf.getvalue()
 
 
@@ -344,8 +374,10 @@ def render_csv(columns: list[str], rows: list[dict]) -> str:
 
 @dataclass
 class TaskResult:
-    columns: list[str]
-    rows: list[dict]
+    """A task's CSV as columns, name to one value per row in header order
+    (render_csv formats them; a str is written as it is), its report lines
+    and verdict, and its sidecar texts."""
+    columns: dict[str, list]
     report: list[str]
     ok: bool
     sidecars: dict[str, str] = field(default_factory=dict)
@@ -360,49 +392,69 @@ def run_verify_support(cfg: ExperimentConfig) -> TaskResult:
     rows, report = [], []
     violations = 0
     for i in _depths(cfg, spec):
-        grid = build_grid(spec, i, cfg, rng)
-        batch = verify_support(engine, i, grid)
+        batch = verify_support(engine, i, grid_points(
+            spec, build_grid(spec, i, cfg, rng)))
         bad = sum(r["violation"] for r in batch)
         violations += bad
         rows.extend(batch)
         report.append(f"i={i}: {len(batch)} points, {bad} violations")
     report.append(f"total violations: {violations}")
-    return TaskResult(SUPPORT_COLUMNS, rows, report, violations == 0)
+    return TaskResult(_columns(SUPPORT_COLUMNS, rows), report,
+                      violations == 0)
 
 
 def run_decay(cfg: ExperimentConfig) -> TaskResult:
     """Fast coefficient values on the supported grid of each interior depth
-    against decay_bound.  Points share values by key (share_keys), and the
-    distinct keys of a depth go to one call of phi_fast_values."""
+    against decay_bound, as one column program per depth: the grid's
+    integer columns go to key_rows, points share keys (_share_rows), the
+    distinct keys go to one call of phi_fast_values, and re, im, abs and
+    ratio_normalized are computed and formatted (repr) once per key, then
+    gathered per point by slot."""
     spec = build_spec(cfg)
     engine = MatCoefEngine(spec)
     rng = random.Random(cfg.seed)
     bound = decay_bound(spec)
-    rows, report = [], []
+    prec = _grid_prec(spec)
+    columns = {c: [] for c in DECAY_COLUMNS}
+    report = []
     by_i = {}
     ok = True
     for i in _depths(cfg, spec):
-        worst = 0.0
-        grid = build_grid(spec, i, cfg, rng, supported_only=True)
-        keys, slots = share_keys(engine, i, grid)
+        v_a, a_unit, v_m, m_unit = build_grid(spec, i, cfg, rng,
+                                              supported_only=True)
+        points = len(v_a)
+        keys, slots = _share_rows(engine.key_rows(
+            np.full(points, i), a_unit, prec, v_m, m_unit, prec))
         values = phi_fast_values(engine, i, keys)
-        for (a, madd), slot in zip(grid, slots):
-            row = point_row(spec, i, a, madd, values[slot])
-            worst = max(worst, row["ratio_normalized"])
-            rows.append(row)
+        scale = spec.p ** ((spec.n - i) / 2)
+        sizes = list(map(abs, values))
+        ratios = [size * scale for size in sizes]
+        worst = max([0.0, *ratios])
+        slots = slots.tolist()
+        for name, col in (("p", [spec.p] * points), ("n", [spec.n] * points),
+                          ("family", [spec.label] * points),
+                          ("i", [i] * points), ("v_a", v_a.tolist()),
+                          ("a_unit", a_unit.tolist()), ("v_m", v_m.tolist()),
+                          ("m_unit", m_unit.tolist())):
+            columns[name].extend(col)
+        for name, per_key in (("re", [v.real for v in values]),
+                              ("im", [v.imag for v in values]),
+                              ("abs", sizes), ("ratio_normalized", ratios)):
+            text = list(map(repr, per_key))
+            columns[name].extend([text[s] for s in slots])
         good = worst <= bound + 1e-9
         ok = ok and good
-        report.append(f"i={i}: {len(grid)} points, max normalized ratio "
+        report.append(f"i={i}: {points} points, max normalized ratio "
                       f"{worst!r} vs bound {bound} -> "
                       f"{'ok' if good else 'EXCEEDED'}")
         row = by_i.setdefault(i, {
             "p": spec.p, "n": spec.n, "family": spec.label, "i": i,
             "points": 0, "max_ratio_normalized": 0.0, "bound": bound,
             "ok": True})
-        row["points"] += len(grid)
+        row["points"] += points
         row["max_ratio_normalized"] = max(row["max_ratio_normalized"], worst)
         row["ok"] = row["ok"] and good
-    return TaskResult(DECAY_COLUMNS, rows, report, ok,
+    return TaskResult(columns, report, ok,
                       summary=[by_i[i] for i in sorted(by_i)])
 
 
@@ -412,10 +464,11 @@ def run_speedup(cfg: ExperimentConfig) -> TaskResult:
     rows, report, timing_lines = [], [], []
     ok = True
     for i in _depths(cfg, spec):
-        grid = build_grid(spec, i, cfg, rng, supported_only=True)
+        grid = grid_points(spec, build_grid(spec, i, cfg, rng,
+                                            supported_only=True))
         rep = speedup_report(spec, i, grid)
+        rows.extend(rep["rows"])
         for row in rep["rows"]:
-            rows.append({k: row[k] for k in SPEEDUP_COLUMNS})
             timing_lines.append(
                 f"i={i} v_a={row['v_a']} a_unit={row['a_unit']} "
                 f"v_m={row['v_m']} m_unit={row['m_unit']} "
@@ -432,7 +485,7 @@ def run_speedup(cfg: ExperimentConfig) -> TaskResult:
             f"i={i} summary naive_s={s['naive_s']:.3f} fast_s={s['fast_s']:.3f} "
             f"speedup={s['speedup']:.1f}x")
     sidecars = {"timings": "\n".join(timing_lines) + "\n"}
-    return TaskResult(SPEEDUP_COLUMNS, rows, report, ok, sidecars)
+    return TaskResult(_columns(SPEEDUP_COLUMNS, rows), report, ok, sidecars)
 
 
 def run_exponent(cfg: ExperimentConfig) -> TaskResult:
@@ -446,7 +499,7 @@ def run_exponent(cfg: ExperimentConfig) -> TaskResult:
         levels = ", ".join(str(v) for v in sched[cfg.p])
         report.append(f"filtration schedule (a1={cfg.a1}): [{levels}]; "
                       f"amplifier length exponent = {amp}")
-    return TaskResult(EXPONENT_COLUMNS, rows, report, True)
+    return TaskResult(_columns(EXPONENT_COLUMNS, rows), report, True)
 
 
 def _plan_label(plan: dict[int, int]) -> str:
@@ -510,16 +563,18 @@ def run_counting(cfg: ExperimentConfig) -> TaskResult:
         ok = ok and agree
         report.append(f"box-oracle agreement m<= {cfg.verify_box_max_norm}: "
                       f"{'ok' if agree else 'FAIL'}")
-    return TaskResult(COUNTING_COLUMNS, rows, report, ok)
+    return TaskResult(_columns(COUNTING_COLUMNS, rows), report, ok)
 
 
 def run_sweep(cfg: ExperimentConfig) -> TaskResult:
     results = [RUNNERS[sub.task](sub) for sub in cfg.configs]
-    columns = results[0].columns if results else SUPPORT_COLUMNS
-    rows, report, sidecars, summary = [], [], {}, []
+    columns = {c: [] for c in (results[0].columns if results
+                               else SUPPORT_COLUMNS)}
+    report, sidecars, summary = [], {}, []
     ok = True
     for sub, res in zip(cfg.configs, results):
-        rows.extend(res.rows)
+        for c, values in res.columns.items():
+            columns[c].extend(values)
         summary.extend(res.summary)
         report.append(f"[{sub.task} p={sub.p} n={sub.n} {sub.family}] "
                       + ("pass" if res.ok else "FAIL"))
@@ -528,8 +583,9 @@ def run_sweep(cfg: ExperimentConfig) -> TaskResult:
         for name, text in res.sidecars.items():
             sidecars[name] = sidecars.get(name, "") + text
     if results and cfg.configs[0].task == "decay":
-        sidecars["summary"] = render_csv(DECAY_SUMMARY_COLUMNS, summary)
-    return TaskResult(columns, rows, report, ok, sidecars)
+        sidecars["summary"] = render_csv(_columns(DECAY_SUMMARY_COLUMNS,
+                                                  summary))
+    return TaskResult(columns, report, ok, sidecars)
 
 
 RUNNERS = {
@@ -544,7 +600,7 @@ RUNNERS = {
 
 def write_outputs(cfg: ExperimentConfig, result: TaskResult) -> None:
     with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write(render_csv(result.columns, result.rows))
+        fh.write(render_csv(result.columns))
     status = "PASS" if result.ok else "FAIL"
     lines = [f"task: {cfg.task}", f"status: {status}"] + result.report
     with open(cfg.out + ".report.txt", "w", encoding="utf-8") as fh:

@@ -70,11 +70,15 @@ class MatCoefEngine(WhittakerEngine):
         """The key rule on points (i, a, m), i in (n0, n], a = a_unit mod
         p^a_prec a unit, m = p^m_val m_unit with m_unit known mod p^m_prec
         (m_val >= 0 where m = 0), given as arrays or, for one point, as
-        Python integers: int64 rows (i, a mod p^w, t, unit of m mod p^t),
-        w = required_precision(spec, i), t = max(-v(m), 0), of shape (4,)
-        for one point.  Points with equal rows have equal phi_counts.
-        ValueError if a t is too deep for the engine modulus, PrecisionError
-        if a unit is known to fewer digits than its row reads."""
+        Python integers: int64 rows (i, a mu^-1 mod p^w, t, 1 if t > 0 else
+        0), w = required_precision(spec, i), t = max(-v(m), 0) and mu the
+        least residue of the unit of m mod p^t (1 where t = 0), of shape
+        (4,) for one point.  One key per unit twist: W reads a x mod p^w and
+        psi reads m x mod p^t, so x -> mu^-1 x carries the average at (a,
+        p^-t mu) term for term onto the one at (a mu^-1, p^-t), for any lift
+        of mu.  Points with equal rows have equal phi_counts.  ValueError if
+        a t is too deep for the engine modulus, PrecisionError if a unit is
+        known to fewer digits than its row reads."""
         p, m = self.spec.p, self.m
         # operators and np.count_nonzero take Python integers as well as
         # arrays, so that one point builds no array before its row
@@ -87,8 +91,17 @@ class MatCoefEngine(WhittakerEngine):
             raise PrecisionError("unit known to fewer digits than its key "
                                  "reads")
         # p^w and p^t divide m, and the units taken mod m first leave
-        # Python integers past int64 out of the int64 arithmetic
-        return np.array((i, a_unit % m % p**w, t, m_unit % m % p**t),
+        # Python integers past int64 out of the int64 arithmetic.  One
+        # point stays in Python integers; arrays invert mu once mod p^(deepest
+        # w), in residue_dtype, so the product with a stays exact
+        pw = p**w
+        mu = m_unit % m % p**t + (t == 0)
+        if isinstance(mu, int):
+            pw = int(pw)
+            inv = pow(mu, -1, pw)
+        else:
+            inv = unit_inverses(mu, p, int(np.max(w, initial=0))) % pw
+        return np.array((i, a_unit % m % pw * inv % pw, t, t > 0),
                         dtype=np.int64).T
 
     def query_keys(self, i: int, grid: list[tuple[PAdicScalar, PAdicScalar]]
@@ -507,7 +520,7 @@ def gram_dimension_estimate(engine: MatCoefEngine, sample_count: int, rng,
     a2, b2, c2, d2 = _entries(elems)[:, upper[1]]
     products = ((a1 * a2 + b1 * c2) % mod, (a1 * b2 + b1 * d2) % mod,
                 (c1 * a2 + d1 * c2) % mod, (c1 * b2 + d1 * d2) % mod)
-    # entries share few distinct keys (486 of 8,515 at p=3, n=6 with 130
+    # entries share few distinct keys (162 of 8,515 at p=3, n=6 with 130
     # elements); the upper triangle of index names each entry's slot (row by
     # row, the triu_indices order), and one gather fills the matrix
     keys, slots = _share_rows(k_star_keys(engine, p, k, products))

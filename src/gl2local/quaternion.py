@@ -705,8 +705,11 @@ def counting_bound_report(lattice: TidyLattice, z: UpperHalfPoint, delta,
     growth-shape ratios against L + L^2/N and L + L^3/N, from one enumeration;
     "histogram" holds the counts for norms 1..L.  A smoke test of the growth
     shape; no claim about the implied constant.  The ellipsoid of the
-    largest norm, L^2, is checked before the norm set is built."""
+    largest norm, L^2, is checked before the norm set is built.  ValueError
+    for delta < 0 or L < 1."""
     delta = _checked_delta(delta)
+    if l_budget < 1:
+        raise ValueError(f"L must be >= 1, got {l_budget}")
     n_index = lattice.index
     budget = range(1, l_budget + 1)
     # 1..L, then the squares past L: ascending and distinct, and listed

@@ -288,9 +288,10 @@ def interior_depths(spec: ReprSpec) -> range:
 def critical_pairs(engine: MatCoefEngine, i: int, a: PAdicScalar,
                    madd: PAdicScalar) -> tuple[np.ndarray, int]:
     """Critical pairs of one supported interior query and its scanned
-    candidate count: depth_pairs of that query alone, without the query
-    column.  Raises off the fast range and off the support, where the
-    query has no key or its key has t != n - i."""
+    candidate count: depth_pairs of that query's key alone (the query
+    normalised to unit 1 of m by key_rows), without the query column.
+    Raises off the fast range and off the support, where the query has no
+    key or its key has t != n - i."""
     spec = engine.spec
     if i not in interior_depths(spec):
         raise ValueError("block decomposition applies to n0 < i < n-1 only")

@@ -456,18 +456,18 @@ def ellipsoid_points(gram: np.ndarray, bound: float) -> np.ndarray:
         if rem3 < 0:
             continue
         off2 = c3 * chol[2, 3]
-        lim = math.sqrt(rem3) / r22
-        for c2 in range(math.ceil(-lim - off2 / r22 - eps),
-                        math.floor(lim - off2 / r22 + eps) + 1):
+        root = math.sqrt(rem3)
+        for c2 in range(math.ceil((-root - off2) / r22 - eps),
+                        math.floor((root - off2) / r22 + eps) + 1):
             if c3 == 0 and c2 < 0:
                 continue
             rem2 = rem3 - (off2 + c2 * r22) ** 2
             if rem2 < 0:
                 continue
             off1 = c3 * chol[1, 3] + c2 * chol[1, 2]
-            lim = math.sqrt(rem2) / r11
-            for c1 in range(math.ceil(-lim - off1 / r11 - eps),
-                            math.floor(lim - off1 / r11 + eps) + 1):
+            root = math.sqrt(rem2)
+            for c1 in range(math.ceil((-root - off1) / r11 - eps),
+                            math.floor((root - off1) / r11 + eps) + 1):
                 if c3 == 0 and c2 == 0 and c1 < 0:
                     continue
                 rem1 = rem2 - (off1 + c1 * r11) ** 2

@@ -605,7 +605,7 @@ def test_decay_evaluates_each_query_key_once(monkeypatch, p, n, family,
 
     # the depth program gets every distinct key of a depth in one call
     monkeypatch.setattr(cli, "phi_fast_values", counted)
-    rows = cli.run_decay(cfg).rows
+    columns = cli.run_decay(cfg).columns
     monkeypatch.undo()
     assert depths == i_values
     # the grid run_decay drew, rebuilt from the same seed, and evaluated
@@ -614,8 +614,10 @@ def test_decay_evaluates_each_query_key_once(monkeypatch, p, n, family,
     engine = MatCoefEngine(spec)
     rng = random.Random(cfg.seed)
     points = [(i, a, madd) for i in i_values
-              for a, madd in cli.build_grid(spec, i, cfg, rng,
-                                            supported_only=True)]
+              for a, madd in cli.grid_points(spec, cli.build_grid(
+                  spec, i, cfg, rng, supported_only=True))]
+    # the row columns, the floats as their written repr strings
+    rows = [dict(zip(columns, row)) for row in zip(*columns.values())]
     assert len(rows) == len(points)
     distinct = {engine.query_key(*q) for q in points}
     assert len(keys) == len(set(keys)) == len(distinct) < len(points)
@@ -624,7 +626,7 @@ def test_decay_evaluates_each_query_key_once(monkeypatch, p, n, family,
         value = statphase.phi_fast_value(engine, i, a, madd)
         assert (row["i"], row["a_unit"], row["m_unit"]) == (i, a.unit,
                                                            madd.unit)
-        assert repr((row["re"], row["im"])) == repr((value.real, value.imag))
+        assert (row["re"], row["im"]) == (repr(value.real), repr(value.imag))
 
 
 def test_sweep_of_sc_cases_matches_each_case_alone(tmp_path):

@@ -395,11 +395,14 @@ def test_key_counts_match_per_key_phi_counts(monkeypatch):
     # fewer keys, since their ungrouped uncached averages run up to 5^5
     # units of up to 15,000 shell terms per key.  The batch runs twice:
     # with the term cap, and with a cap of one term, which puts every key
-    # of a (depth, unit group) in a scatter of its own
+    # of a (depth, unit group) in a scatter of its own.  Keys are one per
+    # unit twist, so a spec needs a key space of more than 10 keys: the
+    # unramified p = 3 case is n = 6 (n = 4 has 8 keys in all), and the
+    # ramified one draws 60 elements, which reach all 12 of its keys
     rng = random.Random(97)
     slices = []  # (cap, keys) of each scatter
-    for spec, draws in ((ps_spec(3, 6), 40), (sc_spec(3, False, 4), 40),
-                        (sc_spec(3, True, 5), 40), (ps_spec(5, 6), 9),
+    for spec, draws in ((ps_spec(3, 6), 40), (sc_spec(3, False, 6), 40),
+                        (sc_spec(3, True, 5), 60), (ps_spec(5, 6), 9),
                         (sc_spec(5, False, 6), 9)):
         eng = MatCoefEngine(spec)
         k = spec.n1 + spec.n

@@ -741,6 +741,15 @@ def test_negative_delta_is_refused_by_name(delta):
         counting_bound_report(lat, z, delta, 3)
 
 
+@pytest.mark.parametrize("l_budget", [0, -3])
+def test_report_refuses_an_empty_norm_budget_by_name(l_budget):
+    # L = 0 used to end in an IndexError of the line solve
+    lat = build_tidy_lattice(ORD6, {})
+    z = UpperHalfPoint(Fraction(1, 2), Fraction(1))
+    with pytest.raises(ValueError, match=rf"^L must be >= 1, got {l_budget}$"):
+        counting_bound_report(lat, z, 1, l_budget)
+
+
 def _oracle_candidates(lat, z, delta, norms):
     """The materialising enumeration followed by the exact norm filter."""
     gram, f_int, den, _ = _counting_data(lat, z)

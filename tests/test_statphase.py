@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 
 from gl2local.characters import build_theta, primitive_char
+from gl2local.cyclotomic import CycloValue
 from gl2local.matcoef import MatCoefEngine, decay_bound, share_keys
 from gl2local.residue import (
     get_context,
+    padic_valuation,
+    random_unit,
     solve_quadratic_congruence,
     sqrt_mod_prime,
 )
@@ -17,16 +20,23 @@ from gl2local.statphase import (
     _unit_lifts,
     ball_volume,
     critical_pairs,
+    depth_coords,
     depth_pairs,
     depth_plan,
+    interior_depths,
     naive_term_count,
     phi_fast_numerator,
     phi_fast_value,
     phi_fast_values,
     speedup_report,
 )
-from gl2local.whittaker import ReprSpec
-from oracles import ps_pairs_per_u0, root_of_unity, sc_pairs_per_rep
+from gl2local.whittaker import ReprSpec, required_precision
+from oracles import (
+    ps_pairs_per_u0,
+    root_of_unity,
+    sc_pairs_per_rep,
+    unit_average_counts,
+)
 
 
 def ps_engine(p, n):
@@ -299,6 +309,61 @@ def test_fast_value_route():
     a, madd = supported_grid(engine, 4, units=(1,))[0]
     assert abs(phi_fast_value(engine, 4, a, madd)
                - engine.phi_value(4, a, madd)) < 1e-12
+
+
+# the (p, n, family) cases of the support and decay acceptance gates
+ACCEPTANCE_ENGINES = {
+    (p, n, family): (lambda p=p, n=n, family=family:
+                     ps_engine(p, n) if family == "ps"
+                     else sc_engine(p, False, n // 2) if family == "sc-unram"
+                     else sc_engine(p, True, n - 1))
+    for p in (3, 5)
+    for family, sizes in (("ps", (6, 8)), ("sc-unram", (6,)),
+                          ("sc-ram", (5, 7)))
+    for n in sizes}
+
+
+@pytest.mark.parametrize("case", ACCEPTANCE_ENGINES,
+                         ids=lambda case: "-".join(map(str, case)))
+def test_unit_twist_keys_match_the_unnormalised_average(case):
+    # phi(i, a, p^-t mu) = phi(i, a mu^-1 mod p^w, p^-t): at every depth, for
+    # one a and several units mu, the key of (a, p^-t mu) is (i, a mu^-1, t,
+    # 1), and its counts and values are those of the unit-by-unit average at
+    # the unnormalised key row; the depth program agrees on both key forms.
+    # t runs from 1 (t = 0 has no twist) to w + 1: past it mu^-1 is read mod
+    # p^w alone, as at t = w + 1, while the average runs over p^t units
+    engine = ACCEPTANCE_ENGINES[case]()
+    spec, p = engine.spec, engine.spec.p
+    ctx = get_context(p, 2 * spec.n + 6)
+    rng = random.Random(f"twist:{case}")
+    c0, t_max = engine.c0_complex, padic_valuation(engine.m, p)
+    for i in range(spec.n0 + 1, spec.n + 1):
+        w = required_precision(spec, i)
+        pw = p**w
+        for t in range(1, min(t_max, w + 1) + 1):
+            a = random_unit(p, spec.n + 2, rng)
+            mus = [random_unit(p, spec.n + 2, rng) for _ in range(3)]
+            raw = np.array([(i, a % pw, t, mu % p**t) for mu in mus])
+            keys = np.array([engine.query_key(i, ctx.scalar(0, a),
+                                              ctx.scalar(-t, mu))
+                             for mu in mus])
+            for key, (*_, mu_t) in zip(keys.tolist(), raw.tolist()):
+                assert key == [i, a * pow(mu_t, -1, pw) % pw, t, 1]
+            block, norms = engine.key_counts(keys)
+            values, _ = matcoef.key_values(engine, keys,
+                                           engine.average_coords)
+            for r, row in enumerate(raw.tolist()):
+                counts, norm = unit_average_counts(engine, row)
+                assert (block[r] == counts).all() and norms[r] == norm
+                want = CycloValue.from_counts(engine.m, counts, norm)
+                assert repr(values[r]) == repr(want.complex() / c0)
+            if i in interior_depths(spec):
+                coords, scales, pairs = depth_coords(engine, i, raw)
+                twisted = depth_coords(engine, i, keys)
+                assert (coords == twisted[0]).all() and scales == twisted[1]
+                assert (pairs == twisted[2]).all()
+                assert list(map(repr, phi_fast_values(engine, i, raw))) \
+                    == list(map(repr, phi_fast_values(engine, i, keys)))
 
 
 def test_depth_values_are_bitwise_the_per_query_values(monkeypatch):

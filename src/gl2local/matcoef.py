@@ -70,15 +70,16 @@ class MatCoefEngine(WhittakerEngine):
         """The key rule on points (i, a, m), i in (n0, n], a = a_unit mod
         p^a_prec a unit, m = p^m_val m_unit with m_unit known mod p^m_prec
         (m_val >= 0 where m = 0), given as arrays or, for one point, as
-        Python integers: int64 rows (i, a mu^-1 mod p^w, t, 1 if t > 0 else
-        0), w = required_precision(spec, i), t = max(-v(m), 0) and mu the
-        least residue of the unit of m mod p^t (1 where t = 0), of shape
-        (4,) for one point.  One key per unit twist: W reads a x mod p^w and
-        psi reads m x mod p^t, so x -> mu^-1 x carries the average at (a,
-        p^-t mu) term for term onto the one at (a mu^-1, p^-t), for any lift
-        of mu.  Points with equal rows have equal phi_counts.  ValueError if
-        a t is too deep for the engine modulus, PrecisionError if a unit is
-        known to fewer digits than its row reads."""
+        Python integers: int64 rows (i, a mu^-1 mod p^w, t), w =
+        required_precision(spec, i), t = max(-v(m), 0) and mu the least
+        residue of the unit of m mod p^t (1 where t = 0), of shape (3,) for
+        one point.  One key per unit twist: W reads a x mod p^w and psi
+        reads m x mod p^t, so x -> mu^-1 x carries the average at (a, p^-t
+        mu) term for term onto the one at (a mu^-1, p^-t), for any lift of
+        mu; this is the only code that reads the unit of m.  Points with
+        equal rows have equal phi_counts.  ValueError if a t is too deep for
+        the engine modulus, PrecisionError if a unit is known to fewer
+        digits than its row reads."""
         p, m = self.spec.p, self.m
         # operators and np.count_nonzero take Python integers as well as
         # arrays, so that one point builds no array before its row
@@ -101,7 +102,7 @@ class MatCoefEngine(WhittakerEngine):
             inv = pow(mu, -1, pw)
         else:
             inv = unit_inverses(mu, p, int(np.max(w, initial=0))) % pw
-        return np.array((i, a_unit % m % pw * inv % pw, t, t > 0),
+        return np.array((i, a_unit % m % pw * inv % pw, t),
                         dtype=np.int64).T
 
     def query_keys(self, i: int, grid: list[tuple[PAdicScalar, PAdicScalar]]
@@ -118,7 +119,7 @@ class MatCoefEngine(WhittakerEngine):
                 [cols is not None for cols in points])
 
     def query_key(self, i: int, a: PAdicScalar, madd: PAdicScalar
-                  ) -> tuple[int, int, int, int] | None:
+                  ) -> tuple[int, int, int] | None:
         """The one-row case of query_keys, key_rows on the point's Python
         integers; None off the unit locus."""
         check_depth(self.spec, i)
@@ -137,7 +138,7 @@ class MatCoefEngine(WhittakerEngine):
         return counts[0], norms[0]
 
     def unit_level(self, i: int, t: int, grouped: bool = True) -> int:
-        """The level k of the units mod p^k a key (i, ., t, .) averages
+        """The level k of the units mod p^k a key (i, ., t) averages
         over: grouped (constant classes) max(required_precision, t, 1),
         ungrouped (the stated average) max(n0, n - i, t) + 1."""
         spec = self.spec
@@ -151,14 +152,14 @@ class MatCoefEngine(WhittakerEngine):
         collapses x-classes on which both factors are constant, the
         ungrouped path iterates the full unit set for the stated average.
         Each unit x contributes the sparse Whittaker numerator of a x with
-        every phase shifted by the psi exponent of m x.  Keys are taken a
+        every phase shifted by the psi exponent of p^-t x.  Keys are taken a
         (depth, unit group) at a time, in slices of at most TERM_CAP terms
         (one key at least), each added to the block by one exact scatter:
         cached, from depth_table at once, else per (key, unit)."""
         p, m = self.spec.p, self.m
-        rows = np.asarray(keys, dtype=np.int64).reshape(-1, 4)
+        rows = np.asarray(keys, dtype=np.int64).reshape(-1, 3)
         groups: dict[tuple[int, int], list[int]] = {}
-        for row, (i, _, t, _) in enumerate(rows.tolist()):
+        for row, (i, _, t) in enumerate(rows.tolist()):
             level = self.unit_level(i, t, grouped)
             groups.setdefault((i, level), []).append(row)
         norms: list[Fraction] = [Fraction(0)] * len(rows)
@@ -182,7 +183,7 @@ class MatCoefEngine(WhittakerEngine):
         """Flat block indices and multiplicities of the (key, phase) terms
         of the key rows part, all of depth i and averaged over units."""
         spec, p, m = self.spec, self.spec.p, self.m
-        _, a_res, t, m_unit = rows[part].T[:, :, None]
+        _, a_res, t = rows[part].T[:, :, None]
         if cache_w:
             lengths, phases, mults = self.depth_table(i)
             pl = len(lengths)
@@ -206,10 +207,9 @@ class MatCoefEngine(WhittakerEngine):
             sizes = [len(ph) for ph, _ in entries]
             index = np.concatenate([ph for ph, _ in entries])
             mult = np.concatenate([mu for _, mu in entries])
-        # psi exponent of m x per (key, unit), m known mod p^t
+        # psi exponent of p^-t x per (key, unit), 0 at t = 0
         pt = p**t
-        index += np.repeat((m_unit * (xs % pt) % pt * (m // pt)).ravel(),
-                           sizes)
+        index += np.repeat((xs % pt * (m // pt)).ravel(), sizes)
         index %= m
         # every key of the slice has the same number of terms
         per_key = index.reshape(len(part), -1)
@@ -511,6 +511,8 @@ def gram_dimension_estimate(engine: MatCoefEngine, sample_count: int, rng,
     else:
         elems = [KStarElement.random(spec.p, spec.n1 + spec.n, rng)
                  for _ in range(sample_count)]
+    if not elems:
+        raise ValueError(f"Gram matrix needs elements, got {sample_count}")
     p, k = elems[0].p, elems[0].k
     if any((g.p, g.k) != (p, k) for g in elems):
         raise ValueError("ball elements stored at different moduli")

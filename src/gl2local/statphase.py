@@ -14,12 +14,13 @@ built once per (engine, t) by depth_plan, the one place the family is
 chosen, and kept on the engine: a root table over Z/p^(t-ceil(t/2)) for the
 quadratic inner or outer congruence, the inverse tables a query needs, the
 family's fixed rows, the ball volume, and the family's pair program.
-depth_pairs hands the key residues (a, m) of many queries to the plan's
-pairs, which returns all their critical pairs, int64 rows with a query
-column.  depth_coords sums them into coordinate rows: it is the depth count
-program of matcoef.key_values, run by phi_fast_values on many key rows and
-by phi_fast_numerator on the one row of a query (query_key), which the
-speedup criterion times; critical_pairs is depth_pairs of one query.
+Keys (matcoef key_rows) have m = p^-t, so depth_pairs hands the key
+residues a of many queries to the plan's pairs, which returns all their
+critical pairs, int64 rows with a query column.  depth_coords sums them
+into coordinate rows: it is the depth count program of matcoef.key_values,
+run by phi_fast_values on many key rows and by phi_fast_numerator on the
+one row of a query (query_key), which the speedup criterion times;
+critical_pairs is depth_pairs of one query.
 Depths outside interior_depths, the boundary i in {n-1, n}, take the
 unit-average count program; keys off the support (t != n - i) are zero.
 """
@@ -78,7 +79,7 @@ class DepthPlan:
     block level, roots[r][root_ok[r]] are the unit residues mod p^k that
     solve x^2 + b x + sign r = 0 at the residue r mod root_mod = p^(t-k), and
     volume, p/(p-1) p^-k over the family's other block, is the weight of
-    every critical pair.  A plan's pairs(engine, a_res, m_res) is depth_pairs."""
+    every critical pair.  A plan's pairs(engine, a_res) is depth_pairs."""
 
     __slots__ = ("t", "pt", "root_exp", "root_mod", "roots", "root_ok",
                  "volume")
@@ -100,16 +101,15 @@ class DepthPlan:
 
 
 class PsPlan(DepthPlan):
-    """Principal-series plan, block levels kx = ceil(n0/2) and k.  For a unit
-    m the inner congruence m u^2 + 2 shift m u - a = 0 is u^2 + 2 shift u -
-    a m^-1 = 0, so its roots u0 depend only on a m^-1 mod root_mod (m_inv
-    inverts m there): they are roots[a m^-1].  Beside each root, entries
-    holds (u0, mu(1 + shift/u0), shift u0 mod dx_mod).  The outer congruence
-    x0 (a - shift m u0) = w mod dx_mod = p^(n0-kx) is solved by the slope
-    table: x_lifts[s][x_ok[s]] are the unit lifts mod p^kx of w s^-1 for the
-    slope s."""
+    """Principal-series plan, block levels kx = ceil(n0/2) and k.  At the
+    key's m = p^-t the inner congruence is u^2 + 2 shift u - a = 0, so its
+    roots u0 are roots[a mod root_mod].  Beside each root, entries holds
+    (u0, mu(1 + shift/u0), shift u0 mod dx_mod).  The outer congruence x0
+    (a - shift u0) = w mod dx_mod = p^(n0-kx) is solved by the slope table:
+    x_lifts[s][x_ok[s]] are the unit lifts mod p^kx of w s^-1 for the slope
+    s."""
 
-    __slots__ = ("dx_mod", "m_inv", "entries", "x_lifts", "x_ok")
+    __slots__ = ("dx_mod", "entries", "x_lifts", "x_ok")
 
     def __init__(self, engine: MatCoefEngine, t: int):
         spec, p = engine.spec, engine.spec.p
@@ -121,8 +121,6 @@ class PsPlan(DepthPlan):
         self.dx_mod = dx = p ** (n0 - kx)
         w = alpha_of_chi(spec.mu).residue_unit(n0 - kx)
         self.volume /= p**kx
-        self.m_inv = unit_inverses(np.arange(self.root_mod), p,
-                                   self.root_exp)
         u0 = self.roots
         u0_inv = unit_inverses(u0, p, n0)
         self.entries = np.stack((
@@ -133,28 +131,28 @@ class PsPlan(DepthPlan):
             if math.gcd(s, dx) == 1 else [] for s in range(dx)])
         self._freeze()
 
-    def pairs(self, engine: MatCoefEngine, a_res: np.ndarray,
-              m_res: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def pairs(self, engine: MatCoefEngine, a_res: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray]:
         """depth_pairs for principal series, block levels ceil(n0/2) and
         ceil(t/2)."""
         m_mod, mu, pt = engine.m, engine.mu_dense, self.pt
         du, pn0 = self.root_mod, engine.spec.p**engine.spec.n0
-        # u0 runs over the roots at a m^-1 mod du, x0 over the lifts of the
+        # u0 runs over the roots at a mod du, x0 over the lifts of the
         # solution of the outer congruence; du divides dx (t < n0 = n/2), so
-        # the inner congruence m x0 u0 (u0 + shift) = x0 (a - shift m u0) = w
+        # the inner congruence x0 u0 (u0 + shift) = x0 (a - shift u0) = w
         # then holds mod du as well, and every candidate is a pair
-        c = a_res % du * self.m_inv[m_res % du] % du
+        c = a_res % du
         q, j = self.root_ok[c].nonzero()
         if not len(q):
             return np.empty((0, 4), dtype=np.int64), np.zeros_like(a_res)
         u0, mu_u, shift_u0 = self.entries[c[q], j].T
-        slope = (a_res[q] - m_res[q] * shift_u0) % self.dx_mod
+        slope = (a_res[q] - shift_u0) % self.dx_mod
         k, j = self.x_ok[slope].nonzero()
         q, u0, mu_u = q[k], u0[k], mu_u[k]
         x0 = self.x_lifts[slope[k], j]
-        mx, ax = m_res[q] * x0, a_res[q] * x0
-        # psi(p^-t m x0 u0) mu(1 + shift/u0) mu(a x0) psi(-p^-n0 a x0)
-        e = (mx % pt * u0 % pt * (m_mod // pt) + mu_u + mu[ax % pn0]
+        ax = a_res[q] * x0
+        # psi(p^-t x0 u0) mu(1 + shift/u0) mu(a x0) psi(-p^-n0 a x0)
+        e = (x0 % pt * u0 % pt * (m_mod // pt) + mu_u + mu[ax % pn0]
              + -ax % pn0 * (m_mod // pn0)) % m_mod
         return (np.array((q, x0, u0, e)).T,
                 np.bincount(q, minlength=len(a_res)))
@@ -163,11 +161,11 @@ class PsPlan(DepthPlan):
 class ScPlan(DepthPlan):
     """Supercuspidal plan.  Kept rows are the shell rows (at transversal
     level _shell_level) whose phase-linearization coordinate matches alpha;
-    the row arrays are indexed by kept row.  The outer congruence x0^2 = -a
-    m / eta reads eta only mod root_mod, so eta_inv holds each row's eta^-1
-    there and the candidates x0 of a (query, row) are roots[a m eta^-1].
-    root_inv holds each root's inverse mod p^t; nu is the coupled-condition
-    scale mod sc2_mod."""
+    the row arrays are indexed by kept row.  At the key's m = p^-t the
+    outer congruence x0^2 = -a / eta reads eta only mod root_mod, so eta_inv
+    holds each row's eta^-1 there and the candidates x0 of a (query, row)
+    are roots[a eta^-1].  root_inv holds each root's inverse mod p^t; nu is
+    the coupled-condition scale mod sc2_mod."""
 
     __slots__ = ("sc2_mod", "nu", "A", "B", "phase", "eta_t", "eta_sc2",
                  "coord", "eta_inv", "root_inv")
@@ -206,16 +204,16 @@ class ScPlan(DepthPlan):
         self.root_inv = unit_inverses(self.roots, p, t)
         self._freeze()
 
-    def pairs(self, engine: MatCoefEngine, a_res: np.ndarray,
-              m_res: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def pairs(self, engine: MatCoefEngine, a_res: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray]:
         """depth_pairs for supercuspidals: the inner block runs over the kept
-        shell rows.  The solutions of x0^2 + a m eta^-1 = 0 of every (query,
+        shell rows.  The solutions of x0^2 + a eta^-1 = 0 of every (query,
         row) are one lookup in the root table, and all of them satisfy the
         outer congruence; the coupled and phase conditions then run on
         (query, row, candidate) arrays."""
         pt, sc2_mod, dx_mod, m_mod = self.pt, self.sc2_mod, self.root_mod, engine.m
         a_inv = unit_inverses(a_res, engine.spec.p, self.t)
-        r = (a_res * m_res % dx_mod)[:, None] * self.eta_inv % dx_mod
+        r = (a_res % dx_mod)[:, None] * self.eta_inv % dx_mod
         ok = self.root_ok[r]
         scanned = ok.sum(axis=(1, 2))
         q, row, j = ok.nonzero()
@@ -228,9 +226,9 @@ class ScPlan(DepthPlan):
         slope = self.nu * a_inv[q] % sc2_mod * self.eta_sc2[row] % sc2_mod
         keep = (self.coord[row] - slope * (x0 % sc2_mod)) % sc2_mod == 0
         q, row, x0, x_inv = q[keep], row[keep], x0[keep], x_inv[keep]
-        # psi(p^-t m / x0) psi(-p^-t x0 a^-1 eta) theta^-1 psi_E(shell row)
+        # psi(p^-t / x0) psi(-p^-t x0 a^-1 eta) theta^-1 psi_E(shell row)
         lin = -a_inv[q] * self.eta_t[row] % pt
-        e = ((m_res[q] * x_inv + x0 * lin) % pt * (m_mod // pt)
+        e = ((x_inv + x0 * lin) % pt * (m_mod // pt)
              + self.phase[row]) % m_mod
         return np.array((q, x0, self.A[row], self.B[row], e)).T, scanned
 
@@ -252,15 +250,15 @@ def ball_volume(engine: MatCoefEngine, i: int) -> Fraction:
     return depth_plan(engine, engine.spec.n - i).volume
 
 
-def depth_pairs(engine: MatCoefEngine, i: int, a_res: np.ndarray,
-                m_res: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def depth_pairs(engine: MatCoefEngine, i: int, a_res: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
     """Critical pairs of supported interior queries of one depth i, given
-    as the int64 arrays of their query_key residues (a, and the unit of m
-    mod p^t), and the scanned candidate count per query.  Pairs are int64
+    as the int64 array of their key residues a (key_rows, so m = p^-t),
+    and the scanned candidate count per query.  Pairs are int64
     rows (query, x0, u0, phase) for principal series and (query, x0, A, B,
     phase) for supercuspidals, the query an index into the arrays and the
     phase in Z/m last; every row carries the weight ball_volume(engine, i)."""
-    return depth_plan(engine, engine.spec.n - i).pairs(engine, a_res, m_res)
+    return depth_plan(engine, engine.spec.n - i).pairs(engine, a_res)
 
 
 def depth_coords(engine: MatCoefEngine, i: int, keys: np.ndarray
@@ -271,7 +269,7 @@ def depth_coords(engine: MatCoefEngine, i: int, keys: np.ndarray
     go through depth_pairs, and one scatter sums each key's pairs into its
     row, so a key without pairs keeps a zero row."""
     on = (keys[:, 2] == engine.spec.n - i).nonzero()[0]
-    pairs, _ = depth_pairs(engine, i, keys[on, 1], keys[on, 3])
+    pairs, _ = depth_pairs(engine, i, keys[on, 1])
     rows, phase = on[pairs[:, 0]], pairs[:, -1]
     coords = _basis(engine.m).reduce_rows(
         rows, phase, np.ones(len(phase), dtype=np.int64), len(keys))
@@ -288,18 +286,17 @@ def interior_depths(spec: ReprSpec) -> range:
 def critical_pairs(engine: MatCoefEngine, i: int, a: PAdicScalar,
                    madd: PAdicScalar) -> tuple[np.ndarray, int]:
     """Critical pairs of one supported interior query and its scanned
-    candidate count: depth_pairs of that query's key alone (the query
-    normalised to unit 1 of m by key_rows), without the query column.
-    Raises off the fast range and off the support, where the query has no
-    key or its key has t != n - i."""
+    candidate count: depth_pairs of its key's residue a alone (key_rows
+    normalises m to p^-t), without the query column.  Raises off the fast
+    range and off the support, where the query has no key or its key has t
+    != n - i."""
     spec = engine.spec
     if i not in interior_depths(spec):
         raise ValueError("block decomposition applies to n0 < i < n-1 only")
     key = engine.query_key(i, a, madd)
     if key is None or key[2] != spec.n - i:
         raise ValueError("query off the support locus")
-    pairs, scanned = depth_pairs(engine, i, np.array([key[1]]),
-                                 np.array([key[3]]))
+    pairs, scanned = depth_pairs(engine, i, np.array([key[1]]))
     return pairs[:, 1:], int(scanned[0])
 
 

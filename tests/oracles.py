@@ -219,11 +219,13 @@ def value(eng, i: int, x) -> complex:
 
 def ps_pairs_per_u0(engine, i: int, a_res: int, m_res: int
                     ) -> tuple[list[tuple[int, int, int]], int, Fraction]:
-    """Principal-series critical pairs (x0, u0, phase) with both block
-    congruences tested on every candidate and the phases from the
-    characters' own evaluators; the scanned count and the shared weight
-    complete the contract of statphase.depth_pairs (for one query) and
-    ball_volume."""
+    """Principal-series critical pairs (x0, u0, phase) of the query (a,
+    p^-t m), m_res any unit, with both block congruences tested on every
+    candidate and the phases from the characters' own evaluators; the
+    scanned count and the shared weight complete the contract of
+    statphase.depth_pairs (for one query) and ball_volume.  depth_pairs
+    reads the residue a m^-1 of the query's key alone; the two agree on
+    scanned counts and phases, and at m = 1 on rows."""
     spec, m_mod = engine.spec, engine.m
     p, n0, mu = spec.p, spec.n0, spec.mu
     t = spec.n - i
@@ -260,10 +262,13 @@ def ps_pairs_per_u0(engine, i: int, a_res: int, m_res: int
 
 def sc_pairs_per_rep(engine, i: int, a_res: int, m_res: int
                      ) -> tuple[list[tuple[int, int, int, int]], int, Fraction]:
-    """Supercuspidal critical pairs (x0, A, B, phase) with one congruence
-    solve and one candidate loop per kept shell representative; the scanned
-    count and the shared weight complete the contract of statphase.depth_pairs
-    (for one query) and ball_volume."""
+    """Supercuspidal critical pairs (x0, A, B, phase) of the query (a, p^-t
+    m), m_res any unit, with one congruence solve and one candidate loop per
+    kept shell representative; the scanned count and the shared weight
+    complete the contract of statphase.depth_pairs (for one query) and
+    ball_volume.  depth_pairs reads the residue a m^-1 of the query's key
+    alone; the two agree on scanned counts and phases, and at m = 1 on
+    rows."""
     spec, m_mod = engine.spec, engine.m
     p, theta = spec.p, spec.theta
     a_cond, t = theta.level, spec.n - i
@@ -339,13 +344,13 @@ def decompose_k_star_scalar(g: KStarElement, spec):
             ctx.scalar(v_b - n1, g.b // p**v_b * d_inv, k - v_b))
 
 
-def unit_average_counts(engine, key, grouped=True, cache_w=True):
-    """Count vector and normalization of the unit average of one query key,
-    unit by unit: each unit's dense Whittaker counts rolled by its psi
-    exponent, the per-key loop that MatCoefEngine.key_counts batches.  Every
-    entry is computed afresh by numerator_counts, so cache_w, the engine's
-    switch between depth_table and numerator_counts, changes nothing here."""
-    i, a_res, t, m_unit = key
+def unit_average_counts(engine, row, grouped=True):
+    """Count vector and normalization of the unit average at the row (i, a,
+    t, mu), m = p^-t mu, unit by unit: each unit's dense Whittaker counts
+    rolled by its psi exponent, the per-key loop that
+    MatCoefEngine.key_counts batches on the key (i, a mu^-1, t).  Every
+    entry is computed afresh by numerator_counts."""
+    i, a_res, t, m_unit = row
     spec, p, m = engine.spec, engine.spec.p, engine.m
     w = required_precision(spec, i)
     k = max(w, t, 1) if grouped else max(spec.n0, spec.n - i, t) + 1

@@ -317,6 +317,14 @@ def test_gram_dimension():
     assert float(spec60[0]) > -1e-6 * float(spec60[-1])
 
 
+def test_gram_dimension_refuses_no_elements():
+    eng = MatCoefEngine(ps_spec(3, 4))
+    for count, elements in ((0, None), (-2, None), (5, [])):
+        with pytest.raises(ValueError, match="needs elements"):
+            gram_dimension_estimate(eng, count, random.Random(61),
+                                    elements=elements)
+
+
 @pytest.mark.parametrize("spec", [ps_spec(3, 6), sc_spec(3, True, 5)],
                          ids=["ps-3-6", "sc-ram-3-5"])
 def test_gram_shares_values_bitwise(spec, monkeypatch):
@@ -422,13 +430,14 @@ def test_key_counts_match_per_key_phi_counts(monkeypatch):
             slices.append((matcoef.TERM_CAP, len(part)))
             or terms(rows, part, *args)))
         for grouped in (True, False):
+            # the oracle's row of a key: unit 1 of m
+            oracle = [unit_average_counts(eng, (*key, 1), grouped)
+                      for key in keys]
             for cache_w in (True, False):
                 want = []
-                for key in keys:
+                for key, (counts, norm) in zip(keys, oracle):
                     one, one_norm = eng.phi_counts(*queries[key], grouped,
                                                    cache_w)
-                    counts, norm = unit_average_counts(eng, key, grouped,
-                                                       cache_w)
                     assert (one == counts).all() and one_norm == norm
                     want.append((one, one_norm))
                 for cap in (matcoef.TERM_CAP, 1):

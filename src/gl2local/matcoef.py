@@ -39,8 +39,9 @@ from .whittaker import (
 # (3.2 MB) at m = 12,500
 DEPTH_CHUNK = 32
 
-# (key, phase) terms per scatter of key_counts, one key at least: a (5,8,ps)
-# support key has up to ~10^6, each term 24 bytes of index and multiplicity
+# (key, phase) terms per scatter of key_counts, one round of a key's units
+# at least: a (5,8,ps) support key has up to ~10^6, each term 24 bytes of
+# index, multiplicity and shift
 TERM_CAP = 2**18
 
 
@@ -153,9 +154,11 @@ class MatCoefEngine(WhittakerEngine):
         ungrouped path iterates the full unit set for the stated average.
         Each unit x contributes the sparse Whittaker numerator of a x with
         every phase shifted by the psi exponent of p^-t x.  Keys are taken a
-        (depth, unit group) at a time, in slices of at most TERM_CAP terms
-        (one key at least), each added to the block by one exact scatter:
-        cached, from depth_table at once, else per (key, unit)."""
+        (depth, unit group) at a time, each slice added to the block by one
+        exact scatter of at most TERM_CAP terms: whole keys while one key
+        fits, else runs of one key's units in whole rounds of its table (one
+        round at least), phi(p^l) ascending units cached (depth_table at
+        level l), single units uncached."""
         p, m = self.spec.p, self.m
         rows = np.asarray(keys, dtype=np.int64).reshape(-1, 3)
         groups: dict[tuple[int, int], list[int]] = {}
@@ -170,43 +173,36 @@ class MatCoefEngine(WhittakerEngine):
                 norms[row] = norm
             units = np.array(get_context(p, k_eff).units(k_eff))
             # a numerator has at most min(m, term_count) phases
-            step = TERM_CAP // (len(units) * min(m, self.term_count())) or 1
+            per_unit = min(m, self.term_count())
+            per_round = len(self.depth_table(i)[0]) if cache_w else 1
+            step = TERM_CAP // (len(units) * per_unit) or 1
+            run = min(len(units),
+                      (TERM_CAP // (per_round * per_unit) or 1) * per_round)
             # a slice's term arrays die with its call, before the next one
             for lo in range(0, len(members), step):
-                np.add.at(block.reshape(-1), *self._terms(
-                    rows, members[lo:lo + step], i, units, cache_w))
+                for start in range(0, len(units), run):
+                    np.add.at(block.reshape(-1), *self._terms(
+                        rows, members[lo:lo + step], i, k_eff,
+                        units[start:start + run], cache_w))
         return block, norms
 
-    def _terms(self, rows: np.ndarray, part: list[int], i: int,
+    def _terms(self, rows: np.ndarray, part: list[int], i: int, k: int,
                units: np.ndarray, cache_w: bool
                ) -> tuple[np.ndarray, np.ndarray]:
         """Flat block indices and multiplicities of the (key, phase) terms
-        of the key rows part, all of depth i and averaged over units."""
-        spec, p, m = self.spec, self.spec.p, self.m
+        of the key rows part, all of depth i, over units, whole rounds of
+        the ascending units mod p^k.  With y = a x, as x runs over the
+        units so does y, so every key reads the numerators of the same y:
+        its table is depth_table, tiled once per round, or numerator_table
+        of units afresh; only the psi exponent, of p^-t a^-1 y, depends on
+        the key."""
+        p, m = self.spec.p, self.m
         _, a_res, t = rows[part].T[:, :, None]
-        if cache_w:
-            lengths, phases, mults = self.depth_table(i)
-            pl = len(lengths)
-            sizes = lengths[lengths > 0]
-            # a x runs over every unit residue mod pl equally often, so a
-            # key's units, taken in rounds of the table's residue order,
-            # read the whole table once per round
-            order = np.argsort(a_res % pl * (units % pl) % pl, axis=1)
-            xs = units[order.reshape(len(part), len(sizes), -1)
-                       .transpose(0, 2, 1).reshape(len(part), -1)]
-            rounds = xs.size // len(sizes)
-            sizes = np.tile(sizes, rounds)
-            index = np.tile(phases, rounds)
-            mult = np.tile(mults, rounds)
-        else:
-            xs = np.broadcast_to(units, (len(part), len(units)))
-            pw = p**required_precision(spec, i)
-            entries = [self.numerator_counts(i, a * x % pw)
-                       for a in a_res.ravel().tolist()
-                       for x in units.tolist()]
-            sizes = [len(ph) for ph, _ in entries]
-            index = np.concatenate([ph for ph, _ in entries])
-            mult = np.concatenate([mu for _, mu in entries])
+        table = (self.depth_table(i) if cache_w
+                 else self.numerator_table(i, units.tolist()))
+        reps = len(part) * len(units) // len(table[0])
+        sizes, index, mult = (np.tile(arr, reps) for arr in table)
+        xs = unit_inverses(a_res, p, k) * units % p**k
         # psi exponent of p^-t x per (key, unit), 0 at t = 0
         pt = p**t
         index += np.repeat((xs % pt * (m // pt)).ravel(), sizes)

@@ -325,8 +325,10 @@ def phi_fast_values(engine: MatCoefEngine, i: int, keys: np.ndarray
                     ) -> list[complex]:
     """phi_fast_value of each int64 key row of depth i, bitwise, by
     matcoef.key_values: at boundary depths with the unit average, else with
-    depth_coords."""
+    depth_coords.  ValueError on a row whose depth column is not i."""
     check_depth(engine.spec, i)
+    if np.count_nonzero(keys[:, 0] != i):
+        raise ValueError(f"key rows of a depth other than {i}")
     program = (engine.average_coords if i not in interior_depths(engine.spec)
                else lambda chunk: depth_coords(engine, i, chunk)[:2])
     return key_values(engine, keys, program)[0]

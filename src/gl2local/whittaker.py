@@ -109,11 +109,11 @@ class WhittakerEngine:
     """Evaluator for one representation at the cyclotomic modulus
     spec.modulus().
 
-    Sparse numerators (phases, multiplicities) are cached one shear depth
-    at a time: depth_table lays the entries of every unit residue end to
-    end in one read-only table, which unit averages read whole.  The table
-    is what makes grid averaging fast; numerator_counts computes one entry
-    afresh, the timing-honest path.
+    Sparse numerators (phases, multiplicities) of listed units are laid
+    end to end by one function, numerator_table.  depth_table is its cached
+    call on the unit residues of one shear depth, which unit averages read
+    in rounds; it is what makes grid averaging fast.  A fresh call, one
+    numerator_counts per unit, is the timing-honest path.
     """
 
     def __init__(self, spec: ReprSpec):
@@ -183,28 +183,30 @@ class WhittakerEngine:
         return self.spec.n0 if self.spec.family == "ps" else self.spec.n - i
 
     def depth_table(self, i: int) -> tuple[np.ndarray, ...]:
-        """Every numerator of depth i as one read-only table (lengths,
-        phases, mults), built once per depth by one numerator_counts per
-        unit residue: with pl = len(lengths) = p^_residue_level(i), the
-        entries of the unit residues mod pl lie end to end in ascending
-        residue order, lengths[x] terms for residue x (0 off the units).
-        It is the engine's one numerator cache."""
+        """numerator_table of depth i at the unit residues mod pl =
+        p^_residue_level(i), ascending (the one residue 1 at pl = 1), built
+        once per depth and read-only.  Ascending units mod p^k, k >= the
+        level, run through it in rounds of len(sizes) units.  It is the
+        engine's one numerator cache."""
         if i not in self._tables:
             p = self.spec.p
             pl = p**self._residue_level(i)
-            # unit representatives 1..pl; at pl = 1 the one residue is 0
-            units = (np.flatnonzero(np.arange(1, pl + 1) % p) + 1).tolist()
-            entries = [self.numerator_counts(i, x) for x in units]
-            lengths = np.zeros(pl, dtype=np.int64)
-            lengths[[x % pl for x in units]] = [len(phases)
-                                                for phases, _ in entries]
-            table = (lengths,
-                     np.concatenate([phases for phases, _ in entries]),
-                     np.concatenate([mults for _, mults in entries]))
+            table = self.numerator_table(
+                i, [x for x in range(1, pl + 1) if x % p])
             for arr in table:
                 arr.flags.writeable = False
             self._tables[i] = table
         return self._tables[i]
+
+    def numerator_table(self, i: int, units: list[int]
+                        ) -> tuple[np.ndarray, ...]:
+        """The depth-i numerators of the listed units, computed afresh by
+        one numerator_counts each and laid end to end in list order:
+        (sizes, phases, mults), sizes[r] terms for units[r]."""
+        entries = [self.numerator_counts(i, x) for x in units]
+        return (np.array([len(phases) for phases, _ in entries]),
+                np.concatenate([phases for phases, _ in entries]),
+                np.concatenate([mults for _, mults in entries]))
 
     def numerator_counts(self, i: int, x_res: int
                          ) -> tuple[np.ndarray, np.ndarray]:

@@ -403,12 +403,13 @@ def test_key_counts_match_per_key_phi_counts(monkeypatch):
     # fewer keys, since their ungrouped uncached averages run up to 5^5
     # units of up to 15,000 shell terms per key.  The batch runs twice:
     # with the term cap, and with a cap of one term, which puts every key
-    # of a (depth, unit group) in a scatter of its own.  Keys are one per
-    # unit twist, so a spec needs a key space of more than 10 keys: the
+    # of a (depth, unit group), one round of its units at a time, in
+    # scatters of its own.  Keys are one per unit twist, so a spec needs
+    # a key space of more than 10 keys: the
     # unramified p = 3 case is n = 6 (n = 4 has 8 keys in all), and the
     # ramified one draws 60 elements, which reach all 12 of its keys
     rng = random.Random(97)
-    slices = []  # (cap, keys) of each scatter
+    slices = []  # (cap, key rows, units) of each scatter
     for spec, draws in ((ps_spec(3, 6), 40), (sc_spec(3, False, 6), 40),
                         (sc_spec(3, True, 5), 60), (ps_spec(5, 6), 9),
                         (sc_spec(5, False, 6), 9)):
@@ -426,9 +427,10 @@ def test_key_counts_match_per_key_phi_counts(monkeypatch):
         keys = list(queries)
         assert len({key[0] for key in keys}) > 1 and len(keys) > 10
         terms = eng._terms
-        monkeypatch.setattr(eng, "_terms", lambda rows, part, *args: (
-            slices.append((matcoef.TERM_CAP, len(part)))
-            or terms(rows, part, *args)))
+        monkeypatch.setattr(eng, "_terms", lambda rows, part, i, k, units,
+                            cache_w: (
+            slices.append((matcoef.TERM_CAP, part, units.tolist()))
+            or terms(rows, part, i, k, units, cache_w)))
         for grouped in (True, False):
             # the oracle's row of a key: unit 1 of m
             oracle = [unit_average_counts(eng, (*key, 1), grouped)
@@ -449,12 +451,77 @@ def test_key_counts_match_per_key_phi_counts(monkeypatch):
                     for counts, norm, (one, one_norm) in zip(block, norms,
                                                              want):
                         assert (counts == one).all() and norm == one_norm
-                    # every key lands in exactly one slice
-                    assert sum(size for _, size in slices[start:]) \
-                        == len(keys)
+                    # each key's units are covered exactly once by its
+                    # slices
+                    covered = {}
+                    for _, part, units in slices[start:]:
+                        for row in part:
+                            covered.setdefault(row, []).extend(units)
+                    assert covered == {
+                        row: get_context(spec.p, k).units(k)
+                        for row, (i, _, t) in enumerate(keys)
+                        for k in [eng.unit_level(i, t, grouped)]}
     # the cap of one splits groups the term cap keeps whole
-    assert max(size for cap, size in slices if cap > 1) > 1
-    assert {size for cap, size in slices if cap == 1} == {1}
+    assert max(len(part) for cap, part, _ in slices if cap > 1) > 1
+    assert {len(part) for cap, part, _ in slices if cap == 1} == {1}
+
+
+@pytest.mark.parametrize("spec", [ps_spec(3, 6), sc_spec(3, True, 5)],
+                         ids=["ps-3-6", "sc-ram-3-5"])
+def test_term_cap_bounds_every_scatter(spec, monkeypatch):
+    # at a cap of 200 terms an ungrouped key, p or more rounds of its
+    # table, no longer fits: its units are sliced into scatters of at most
+    # max(cap, one round) terms, a round being the depth table cached and
+    # one unit's numerator uncached, and the counts do not move
+    eng, p = MatCoefEngine(spec), spec.p
+    keys = sorted({(i, a % p**required_precision(spec, i), t)
+                   for i in range(spec.n0 + 1, spec.n + 1)
+                   for a in (1, 2, p + 1)
+                   for t in (0, spec.n - i, spec.n1 + 1)})
+    terms = eng._terms
+    scatters = []  # (terms, one round) of each scatter
+
+    def counted(*args):
+        index, mult = terms(*args)
+        i, cache_w = args[2], args[-1]
+        one_round = (len(eng.depth_table(i)[1]) if cache_w
+                     else min(eng.m, eng.term_count()))
+        scatters.append((len(index), one_round))
+        return index, mult
+
+    monkeypatch.setattr(eng, "_terms", counted)
+    for grouped in (True, False):
+        for cache_w in (True, False):
+            want, want_norms = eng.key_counts(keys, grouped, cache_w)
+            start = len(scatters)
+            with monkeypatch.context() as patch:
+                patch.setattr(matcoef, "TERM_CAP", 200)
+                got, norms = eng.key_counts(keys, grouped, cache_w)
+            assert (got == want).all() and norms == want_norms
+            assert all(size <= max(200, one_round)
+                       for size, one_round in scatters[start:])
+            # the ungrouped keys are split inside
+            assert grouped or len(scatters) - start > len(keys)
+
+
+def test_naive_key_computes_one_numerator_per_unit(monkeypatch):
+    # the cost criterion 6 compares against: a cold one-key average on the
+    # ungrouped, uncached path calls numerator_counts once per unit mod p^k
+    # of its unit level, ascending, and builds no depth table
+    for spec in (ps_spec(3, 6), sc_spec(3, True, 5), sc_spec(3, False, 6)):
+        ctx = get_context(spec.p, spec.n + 4)
+        for i in range(spec.n0 + 1, spec.n + 1):
+            for t in (0, spec.n - i):
+                eng = MatCoefEngine(spec)
+                fresh = eng.numerator_counts
+                calls = []
+                monkeypatch.setattr(eng, "numerator_counts", lambda i, x: (
+                    calls.append(x) or fresh(i, x)))
+                eng.phi_counts(i, ctx.scalar(0, 2), ctx.scalar(-t, 2),
+                               grouped=False, cache_w=False)
+                k = eng.unit_level(i, t, grouped=False)
+                assert calls == get_context(spec.p, k).units(k)
+                assert eng._tables == {}
 
 
 def test_query_key_soundness():

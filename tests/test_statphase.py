@@ -451,6 +451,20 @@ def test_boundary_depths_delegate():
     assert not engine.depth_plans
 
 
+def test_fast_values_refuse_rows_of_another_depth():
+    # the depth program reads a row's t and a, not its depth: a depth-5
+    # key row, whose unit average is zero, must not be read at depth 4
+    engine = ps_engine(3, 6)
+    row = np.array([[5, 1, 2]])
+    assert not engine.average_coords(row)[0].any()
+    for i in (4, 6):
+        with pytest.raises(ValueError, match="depth"):
+            phi_fast_values(engine, i, row)
+    with pytest.raises(ValueError, match="depth"):
+        phi_fast_values(engine, 4, np.array([[4, 1, 2], [5, 1, 2]]))
+    assert phi_fast_values(engine, 5, row) == [engine.zero_value]
+
+
 def test_too_deep_additive_argument_raises_on_every_path():
     # t = 5 > n1 + 1 = 4: the key rule refuses m = 3^-5 on the one-query,
     # the batch, the naive and the critical-pair paths alike

@@ -191,12 +191,15 @@ def test_range_and_precision_guards():
 
 def table_entry(eng, i: int, x_res: int) -> tuple[np.ndarray, np.ndarray]:
     """The (phases, multiplicities) slice of depth_table(i) for x_res: the
-    entries lie end to end in ascending residue order."""
-    lengths, phases, mults = eng.depth_table(i)
-    x = x_res % len(lengths)
-    start = int(lengths[:x].sum())
-    return (phases[start:start + lengths[x]],
-            mults[start:start + lengths[x]])
+    entries of the units mod p^level lie end to end in ascending order, so
+    x_res mod p^level sits at the position of the units below it."""
+    sizes, phases, mults = eng.depth_table(i)
+    p = eng.spec.p
+    x = x_res % p ** eng._residue_level(i) - 1
+    pos = x - x // p
+    start = int(sizes[:pos].sum())
+    return (phases[start:start + sizes[pos]],
+            mults[start:start + sizes[pos]])
 
 
 def test_counts_cache_consistency():

@@ -506,6 +506,12 @@ def _check_budget(lo: np.ndarray, hi: np.ndarray) -> None:
                           f"exceed the budget of {ENUMERATION_BUDGET}")
 
 
+# the squares mod 64: d >= 0 is a square only if _SQUARE_MOD_64[d & 63]
+# (Cohen, Alg. 1.7.3)
+_SQUARE_MOD_64 = np.zeros(64, dtype=bool)
+_SQUARE_MOD_64[np.arange(64) ** 2 % 64] = True
+
+
 def _expand(lo: np.ndarray, hi: np.ndarray):
     """(parent index, value) for every integer of each range [lo[i], hi[i]],
     in order."""
@@ -520,9 +526,18 @@ def _solve_lines(f_int: np.ndarray, den: int, lines: np.ndarray,
     """Rows (c0, c1, c2, c3) with c0 in [lo, hi] on their line and exact
     scaled norm c^T f_int c = den * m for some m in `norms` (sorted), in
     order of line and c0, with their m.  On a line the scaled norm is the
-    integer quadratic F00 c0^2 + 2 B c0 + C, so c0 = (-B +- s) / F00 with
-    s^2 = B^2 - F00 (C - den m), decided on one lines x norms int64 table;
-    BudgetError if that table could pass 2**62."""
+    integer quadratic F00 c0^2 + 2 B c0 + C, so a root c0 has s = F00 c0 + B
+    with s^2 = K + F00 den m, K = B^2 - F00 C.  Each line tries only the
+    norms whose discriminant lies in its window [min s^2, max s^2] over its
+    c0 range (0 at the bottom where the s range crosses 0): one contiguous
+    block of the sorted targets, found by np.searchsorted.  A pair goes to
+    the integer square root only if its discriminant is a square mod 64
+    (Cohen, Alg. 1.7.3); then the root, its divisibility by F00 and [lo, hi]
+    are checked.  Every discriminant is at most the bound D = (F_max r)^2 +
+    |F00| (F_max r^2 + den m_max), r the largest |c1| + |c2| + |c3|;
+    BudgetError if D could pass 2**62.  Below it every root has |s| <=
+    isqrt(D), so c0 is clipped to that before s is squared, and s^2, s^2 - K
+    and the discriminants all stay inside int64."""
     f00 = int(f_int[0, 0])
     if f00 == 0:
         raise ValueError("norm form has a zero leading coefficient")
@@ -535,22 +550,49 @@ def _solve_lines(f_int: np.ndarray, den: int, lines: np.ndarray,
                           f"{disc_bound} exceeds 2**62")
     b = lines @ f_int[0, 1:]
     c = ((lines @ f_int[1:, 1:]) * lines).sum(axis=1)
+    k = b * b - f00 * c
     target = den * np.array(norms, dtype=np.int64)
-    disc = b[:, None] ** 2 - f00 * (c[:, None] - target)
-    line, col = np.nonzero(disc >= 0)
-    d = disc[line, col]
+    # |s| = |g c0 + bs| with g = |F00| > 0, increasing in c0; clip c0 to
+    # |s| <= isqrt(D), and leave lines with nothing left at c0 = 0
+    g, bs = (f00, b) if f00 > 0 else (-f00, -b)
+    s_top = math.isqrt(disc_bound)
+    c_lo = np.maximum(lo, -((s_top + bs) // g))
+    c_hi = np.minimum(hi, (s_top - bs) // g)
+    live = c_lo <= c_hi
+    u_lo = g * np.where(live, c_lo, 0) + bs
+    u_hi = g * np.where(live, c_hi, 0) + bs
+    near = np.maximum(np.maximum(u_lo, -u_hi), 0)
+    far = np.maximum(-u_lo, u_hi)
+    # near^2 <= K + F00 t <= far^2 for the target t = den m
+    low, high = near * near - k, far * far - k
+    if f00 < 0:
+        low, high = -high, -low
+    first = np.searchsorted(target, -(-low // g))
+    last = np.where(live, np.searchsorted(target, high // g, side="right"),
+                    first)
+    line, col = _expand(first, last - 1)
+    d = k[line] + f00 * target[col]
+    # only the pairs that pass the mod-64 square sieve reach the square root
+    pair = np.flatnonzero((d >= 0) & _SQUARE_MOD_64[d & 63])
+    d = d[pair]
     s = np.sqrt(d.astype(float)).astype(np.int64)
     s -= s * s > d
     s += (s + 1) * (s + 1) <= d
-    square = s * s == d
-    line, col, s = line[square], col[square], s[square]
+    square = np.flatnonzero(s * s == d)
+    pair, s = pair[square], s[square]
+    line, col = line[pair], col[pair]
     hits = []
     for num, distinct in ((s - b[line], True), (-s - b[line], s > 0)):
         c0 = num // f00
         ok = distinct & (num % f00 == 0) & (lo[line] <= c0) & (c0 <= hi[line])
         hits.append((line[ok], c0[ok], col[ok]))
     line, c0, col = (np.concatenate(v) for v in zip(*hits))
-    order = np.lexsort((c0, line))
+    # the order of np.lexsort((c0, line)) from one stable sort of a joint
+    # key, fast as both runs ascend in line: |c0| <= 2 s_top < 2**32, so the
+    # key fits int64 below 2**30 lines (ENUMERATION_BUDGET is 10**7)
+    base = c0.min(initial=0)
+    span = int(c0.max(initial=0)) - int(base) + 1
+    order = np.argsort(line * span + (c0 - base), kind="stable")
     rows = np.column_stack((c0[order], lines[line[order]]))
     return rows, target[col[order]] // den
 

@@ -18,7 +18,7 @@ from gl2local.characters import (
     psi_exponent_scaled,
 )
 from gl2local.cyclotomic import CycloValue, _basis
-from gl2local.errors import PrecisionError
+from gl2local.errors import BudgetError, PrecisionError
 from gl2local.matcoef import KStarElement
 from gl2local.quaternion import UpperHalfPoint, _iota_inf_exact
 from gl2local.residue import (
@@ -492,3 +492,41 @@ def ellipsoid_points(gram: np.ndarray, bound: float) -> np.ndarray:
     if not blocks:
         return np.empty((0, 4), dtype=np.int64)
     return np.concatenate(blocks)
+
+
+def solve_lines_table(f_int: np.ndarray, den: int, lines: np.ndarray,
+                      lo: np.ndarray, hi: np.ndarray, norms: list[int]):
+    """Reference line solver: every requested norm decided on every line,
+    on one lines x norms int64 table of discriminants s^2 = B^2 - F00 (C -
+    den m).  `quaternion._solve_lines` must return the same rows, norm
+    values and order, and raise the same refusals."""
+    f00 = int(f_int[0, 0])
+    if f00 == 0:
+        raise ValueError("norm form has a zero leading coefficient")
+    reach = int(np.abs(lines).sum(axis=1).max(initial=0))
+    fmax = int(np.abs(f_int).max())
+    disc_bound = (fmax * reach) ** 2 \
+        + abs(f00) * (fmax * reach * reach + den * norms[-1])
+    if disc_bound >= 2**62:
+        raise BudgetError(f"quaternion line solve: discriminant bound "
+                          f"{disc_bound} exceeds 2**62")
+    b = lines @ f_int[0, 1:]
+    c = ((lines @ f_int[1:, 1:]) * lines).sum(axis=1)
+    target = den * np.array(norms, dtype=np.int64)
+    disc = b[:, None] ** 2 - f00 * (c[:, None] - target)
+    line, col = np.nonzero(disc >= 0)
+    d = disc[line, col]
+    s = np.sqrt(d.astype(float)).astype(np.int64)
+    s -= s * s > d
+    s += (s + 1) * (s + 1) <= d
+    square = s * s == d
+    line, col, s = line[square], col[square], s[square]
+    hits = []
+    for num, distinct in ((s - b[line], True), (-s - b[line], s > 0)):
+        c0 = num // f00
+        ok = distinct & (num % f00 == 0) & (lo[line] <= c0) & (c0 <= hi[line])
+        hits.append((line[ok], c0[ok], col[ok]))
+    line, c0, col = (np.concatenate(v) for v in zip(*hits))
+    order = np.lexsort((c0, line))
+    rows = np.column_stack((c0[order], lines[line[order]]))
+    return rows, target[col[order]] // den

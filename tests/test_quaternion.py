@@ -39,7 +39,7 @@ from gl2local import quaternion
 from gl2local.errors import BudgetError, ConstructionError, PrecisionError
 from oracles import (det_inverse, ellipsoid_points, frobenius_form, iota_inf,
                      lattice_contains,
-                     point_pair_u, quat_conj)
+                     point_pair_u, quat_conj, solve_lines_table)
 
 FIX = load_algebra_fixtures()
 ALG6, ORD6 = FIX["disc6"]
@@ -912,6 +912,151 @@ def test_line_solver_int64_guard():
     assert rows.tolist() == [[k, 1, 0, 0]]
     with pytest.raises(ValueError, match="zero leading coefficient"):
         _solve_lines(np.diag([0, 1, 1, 1]), 1, lines, lo, hi, [1])
+
+
+def _solver_checked_by_oracle(monkeypatch):
+    """Route every `_solve_lines` call through a check against the lines x
+    norms table oracle: equal rows and norm values, order included.  Returns
+    the list of row counts, one per call."""
+    solve, calls = quaternion._solve_lines, []
+
+    def checked(*args):
+        rows, m_vals = solve(*args)
+        want_rows, want_m = solve_lines_table(*args)
+        assert rows.dtype == m_vals.dtype == np.int64
+        assert rows.tolist() == want_rows.tolist()
+        assert m_vals.tolist() == want_m.tolist()
+        calls.append(len(rows))
+        return rows, m_vals
+
+    monkeypatch.setattr(quaternion, "_solve_lines", checked)
+    return calls
+
+
+@pytest.mark.parametrize("order,plan", [
+    (ORD6, {}), (ORD6, {5: 1}),
+    (ORD14, {}), (ORD14, {3: 1}), (ORD14, {3: 2}), (ORD14, {5: 1})])
+def test_line_solver_matches_the_table_oracle(order, plan, monkeypatch):
+    calls = _solver_checked_by_oracle(monkeypatch)
+    lat = build_tidy_lattice(order, plan)
+    for z in SOLVER_Z:
+        for delta in (Fraction(1, 2), Fraction(7, 6), Fraction(1),
+                      Fraction(3, 2)):
+            for norms in (list(range(1, 21)), REPORT_NORMS):
+                _candidates_with_norms(lat, z, delta, norms)
+    assert len(calls) == 24 and min(calls) > 0
+
+
+def test_line_solver_matches_the_table_oracle_on_200_norms(monkeypatch):
+    calls = _solver_checked_by_oracle(monkeypatch)
+    z = UpperHalfPoint(Fraction(1, 10), Fraction(8, 5))
+    norm_histogram(build_tidy_lattice(ORD14, {}), z, 1, range(1, 201))
+    assert len(calls) == 1 and calls[0] > 0
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_line_solver_matches_the_table_oracle_on_random_forms(sign):
+    # symmetric int64 forms of either sign of F00, indefinite ones included,
+    # c0 ranges up to 10**9 wide (far past the |s| clip), some with no line;
+    # norms planted at small c0 of each range so that roots exist
+    rng = np.random.default_rng(29 if sign > 0 else 31)
+    found = 0
+    for trial in range(200):
+        a = rng.integers(-40, 41, (4, 4))
+        f_int = a + a.T
+        f_int[0, 0] = sign * rng.integers(1, 60)
+        den = int(rng.integers(1, 9))
+        n_lines = 0 if trial % 10 == 0 else int(rng.integers(1, 40))
+        lines = rng.integers(-12, 13, (n_lines, 3))
+        width = rng.integers(0, 10 ** rng.integers(1, 10), n_lines)
+        lo = -rng.integers(0, width + 1)
+        hi = lo + width
+        c0 = np.clip(rng.integers(-300, 301, n_lines), lo, hi)
+        rows = np.column_stack((c0, lines))
+        scaled = ((rows @ f_int) * rows).sum(axis=1)
+        planted = scaled[(scaled > 0) & (scaled % den == 0)] // den
+        norms = sorted({*planted.tolist(),
+                        *rng.integers(1, 5000, 30).tolist()})
+        want = solve_lines_table(f_int, den, lines, lo, hi, norms)
+        got = _solve_lines(f_int, den, lines, lo, hi, norms)
+        assert got[0].tolist() == want[0].tolist()
+        assert got[1].tolist() == want[1].tolist()
+        found += len(got[0])
+    assert found > 200
+
+
+def _window_case(sign, ranges, norm_c0s):
+    """On the line (1, 0, 0) of F = diag(2 sign, 1000, 1, 1) with F01 =
+    -6 sign and den 2, the norm is m(c0) = 491 + (c0 - 3)^2 for sign 1 and
+    509 - (c0 - 3)^2 for sign -1, so s = 2 sign (c0 - 3) is 0 at c0 = 3.
+    Solves the ranges (one line each) for the norms m(c0) of `norm_c0s` and
+    checks the result against the table oracle."""
+    f_int = np.diag([2 * sign, 1000, 1, 1]).astype(np.int64)
+    f_int[0, 1] = f_int[1, 0] = -6 * sign
+    lines = np.array([[1, 0, 0]] * len(ranges), dtype=np.int64)
+    lo, hi = (np.array(v, dtype=np.int64) for v in zip(*ranges))
+    norms = sorted({500 + sign * ((c - 3) ** 2 - 9) for c in norm_c0s})
+    rows, m_vals = _solve_lines(f_int, 2, lines, lo, hi, norms)
+    want = solve_lines_table(f_int, 2, lines, lo, hi, norms)
+    assert rows.tolist() == want[0].tolist()
+    assert m_vals.tolist() == want[1].tolist()
+    return [r[0] for r in rows.tolist()], m_vals.tolist()
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_line_window_keeps_roots_at_both_ends(sign):
+    # m(4) = m(2) and m(10) = m(-4) have roots just outside [5, 9]
+    c0s, m_vals = _window_case(sign, [(5, 9)], [4, 5, 9, 10])
+    assert c0s == [5, 9]
+    assert m_vals == [500 + sign * ((c - 3) ** 2 - 9) for c in (5, 9)]
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_line_window_counts_the_double_root_once(sign):
+    # on [-10, 10] the s range crosses 0 at c0 = 3, where the discriminant
+    # is 0: the window starts at 0, and c0 = 3 is one row
+    c0s, _ = _window_case(sign, [(-10, 10)], [3, 4])
+    assert c0s == [2, 3, 4]
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_line_window_without_a_target_forms_no_pair(sign, monkeypatch):
+    # the second range's norms m(15), m(16) are not requested, and m(10),
+    # whose discriminant is a square, has its roots 10 and -4 off both
+    # ranges: only the first range's two norms are paired
+    expand, formed = quaternion._expand, []
+
+    def counted(lo, hi):
+        out = expand(lo, hi)
+        formed.append(len(out[0]))
+        return out
+
+    monkeypatch.setattr(quaternion, "_expand", counted)
+    c0s, _ = _window_case(sign, [(5, 6), (15, 16)], [5, 6, 10])
+    assert c0s == [5, 6]
+    assert formed == [2]
+
+
+@pytest.mark.parametrize("sign,diag,c0,ranges", [
+    # the hi = 2**31 case of the int64 guard test, and ranges so wide that
+    # F00 c0 + B would wrap int64 when squared, or at once at F00 = -2**20
+    (1, [1, 5], 2**30 + 1, [(0, 2**31), (-2**62, 2**62)]),
+    (-1, [-1, 2**30], 2**14, [(0, 2**31), (-2**62, 2**62)]),
+    (-1, [-2**20, 2**30], 2**4, [(-2**62, 2**62)]),
+])
+def test_line_window_clips_c0_to_the_root_bound(sign, diag, c0, ranges):
+    f_int = np.diag(diag + [1, 1]).astype(np.int64)
+    lines = np.array([[1, 0, 0]], dtype=np.int64)
+    norm = diag[0] * c0 * c0 + diag[1]
+    for lo, hi in ranges:
+        rows, m_vals = _solve_lines(f_int, 1, lines, np.array([lo]),
+                                    np.array([hi]), [norm])
+        want = solve_lines_table(f_int, 1, lines, np.array([lo]),
+                                 np.array([hi]), [norm])
+        assert rows.tolist() == want[0].tolist()
+        assert [r[0] for r in rows.tolist()] \
+            == [x for x in (-c0, c0) if lo <= x]
+        assert m_vals.tolist() == [norm] * len(rows)
 
 
 def test_histogram_subset_monotone_under_smaller_lattices():

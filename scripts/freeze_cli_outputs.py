@@ -1,9 +1,11 @@
 """Regenerate tests/fixtures/cli_outputs.json.
 
-Runs seven small configs through the CLI entry point, one per task shape
+Runs eight small configs through the CLI entry point, one per task shape
 (support on both families, a decay sweep over three families, speedup,
 exponent, counting with the box oracle), plus a counting run at z = i
-whose delta puts candidates exactly on the distance boundary, and records the sha256 of every
+whose delta puts candidates exactly on the distance boundary and a decay
+sweep over the benchmark's supercuspidal cases at p = 5 and 7, and records
+the sha256 of every
 file each run writes except the wall-clock `.timings.txt` sidecar.  The
 Tier-1 test `test_cli_outputs_match_frozen_digests` replays the configs
 stored with the digests.  Run once after any change meant to alter an
@@ -43,6 +45,14 @@ CONFIGS = {
         "task": "counting", "algebra": "disc6", "plans": [{}, {"5": 1}],
         "z": {"x": 0, "y": 1}, "L": 6, "delta": "1/2",
         "verify_box_max_norm": 6},
+    "decay-sweep-sc-5-7": {
+        "task": "sweep", "configs": [
+            {"task": "decay", "p": 7, "n": 6, "family": "sc-unramified",
+             "units_per_class": 4},
+            {"task": "decay", "p": 5, "n": 6, "family": "sc-unramified",
+             "units_per_class": 4},
+            {"task": "decay", "p": 5, "n": 7, "family": "sc-ramified",
+             "units_per_class": 4}]},
 }
 
 

@@ -50,7 +50,7 @@ def test_cli_outputs_match_frozen_digests(tmp_path):
     changed = [name for name, entry in frozen.items()
                if output_digests(entry["config"], tmp_path / name)
                != entry["sha256"]]
-    assert len(frozen) == 7
+    assert len(frozen) == 8
     assert not changed
 
 

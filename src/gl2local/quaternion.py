@@ -521,6 +521,22 @@ def _expand(lo: np.ndarray, hi: np.ndarray):
     return parent, lo[parent] + np.arange(len(parent)) - start[parent]
 
 
+def _isqrt_rows(d: np.ndarray) -> np.ndarray:
+    """math.isqrt of every int64 d in [0, 2**62), from one float root.
+
+    With r = isqrt(d) < 2**31, rounding is monotone, so the float root of d
+    lies between the float roots of r^2 and (r + 1)^2.  Rounding r^2 to a
+    float moves it by at most 2**-53 r^2, and its root by less than
+    2**-54 r (1 + 2**-52).  For 2**e <= r < 2**(e + 1), e <= 30, that is
+    below half the float spacing at r, 2**(e - 53), so the correctly
+    rounded root of r^2 is exactly r, and that of (r + 1)^2 is r + 1.  The
+    truncated root is r or r + 1: one downward step corrects it, and an
+    upward step never fires.  (At d = 2**54 - 1 the float root is 2**27,
+    and isqrt is 2**27 - 1.)"""
+    s = np.sqrt(d.astype(float)).astype(np.int64)
+    return s - (s * s > d)
+
+
 def _solve_lines(f_int: np.ndarray, den: int, lines: np.ndarray,
                  lo: np.ndarray, hi: np.ndarray, norms: list[int]):
     """Rows (c0, c1, c2, c3) with c0 in [lo, hi] on their line and exact
@@ -575,9 +591,7 @@ def _solve_lines(f_int: np.ndarray, den: int, lines: np.ndarray,
     # only the pairs that pass the mod-64 square sieve reach the square root
     pair = np.flatnonzero((d >= 0) & _SQUARE_MOD_64[d & 63])
     d = d[pair]
-    s = np.sqrt(d.astype(float)).astype(np.int64)
-    s -= s * s > d
-    s += (s + 1) * (s + 1) <= d
+    s = _isqrt_rows(d)
     square = np.flatnonzero(s * s == d)
     pair, s = pair[square], s[square]
     line, col = line[pair], col[pair]

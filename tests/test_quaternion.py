@@ -32,6 +32,7 @@ from gl2local.quaternion import (
     _distance_ok_rows,
     _det_adjugate,
     _frobenius_form,
+    _isqrt_rows,
     _solve_lines,
     _sqrt_sum_nonpositive,
 )
@@ -1057,6 +1058,18 @@ def test_line_window_clips_c0_to_the_root_bound(sign, diag, c0, ranges):
         assert [r[0] for r in rows.tolist()] \
             == [x for x in (-c0, c0) if lo <= x]
         assert m_vals.tolist() == [norm] * len(rows)
+
+
+def test_isqrt_rows_matches_math_isqrt_around_squares():
+    # float(d) rounds near a square past 2**52; at k = 2**27 the float
+    # root of k^2 - 1 truncates to k, one above its isqrt
+    assert int(np.sqrt(float(2**54 - 1))) == 2**27
+    rng = np.random.default_rng(5)
+    k = np.concatenate(([2**26, 2**27, 2**27 + 1, 2**31 - 1],
+                        rng.integers(1, 2**31, size=20_000)))
+    d = np.concatenate((k[:, None] * k[:, None] + [-1, 0, 1]).T)
+    d = np.concatenate(([0, 1, 2, 2**62 - 1], d))
+    assert _isqrt_rows(d).tolist() == [math.isqrt(x) for x in d.tolist()]
 
 
 def test_histogram_subset_monotone_under_smaller_lattices():

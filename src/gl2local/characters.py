@@ -157,14 +157,16 @@ class UnitGroupE:
     or A mod p^ceil(L/2), B mod p^floor(L/2) (ramified).  Tables over the
     classes are int arrays at index(A, B) = A*mod_b + B; non-units hold -1.
     The group is realized as the direct product of three explicit generators
-    of expected orders o_j (`gen_orders`, whose product is the group order):
-    `dlog` (one row (e0, e1, e2) per index) is filled from the products of
-    all generator powers.  The certificate is two checks: g_j^(o_j) = 1 makes
-    (e0, e1, e2) -> prod g_j^(e_j) a homomorphism from the product of the
-    Z/o_j, and every unit index being hit exactly once makes it a bijection,
-    hence an isomorphism with inverse `dlog`.  A character with exponents t
-    on the generators takes the value exponent sum t_j e_j weights[j] mod
-    char_order, the lcm of the orders.
+    of expected orders o_j (`gen_orders`, whose product is the group order).
+    `pos` holds, per index, the flat exponent position e0*o1*o2 + e1*o2 + e2
+    of the class prod g_j^(e_j) (-1 at non-units); np.unravel_index(pos,
+    gen_orders) reads the exponents back.  It is filled by one scatter of
+    0..order-1 over the products of all generator powers.  The certificate
+    is two checks: g_j^(o_j) = 1 makes (e0, e1, e2) -> prod g_j^(e_j) a
+    homomorphism from the product of the Z/o_j, and every unit index being
+    hit exactly once makes it a bijection, hence an isomorphism with inverse
+    `pos`.  A character with exponents t on the generators takes the value
+    exponent sum t_j e_j weights[j] mod char_order, the lcm of the orders.
     """
 
     def __init__(self, p: int, ramified: bool, level: int):
@@ -192,7 +194,7 @@ class UnitGroupE:
         self.generators, self.gen_orders = self._find_generators()
         self.char_order = math.lcm(*self.gen_orders)
         self.weights = tuple(self.char_order // o for o in self.gen_orders)
-        self.dlog = self._build_table()
+        self.pos = self._build_positions()
 
     # -- coordinate arithmetic ------------------------------------------------
 
@@ -250,8 +252,9 @@ class UnitGroupE:
                     return self.power((a, b), p ** (2 * (lvl - 1)))
         raise ConstructionError("no generator of the quadratic residue field")
 
-    def _build_table(self) -> np.ndarray:
-        # x = g0^e0 g1^e1 g2^e2 over all exponents, e2 varying fastest
+    def _build_positions(self) -> np.ndarray:
+        # x = g0^e0 g1^e1 g2^e2 over all exponents, e2 varying fastest, so
+        # the k-th product sits at exponent position k
         a, b = np.ones(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
         for g, o in zip(self.generators, self.gen_orders):
             powers = [(1, 0)]
@@ -260,13 +263,13 @@ class UnitGroupE:
             pa, pb = np.array(powers, dtype=np.int64).T
             a, b = self.mul((a[:, None], b[:, None]), (pa, pb))
             a, b = a.ravel(), b.ravel()
-        table = np.full((self.mod_a * self.mod_b, 3), -1, dtype=np.int64)
-        table[self.index(a, b)] = np.stack(
-            np.unravel_index(np.arange(self.order), self.gen_orders), axis=1)
-        if np.count_nonzero(table[:, 0] >= 0) != self.order:
+        pos = np.full(self.mod_a * self.mod_b, -1, dtype=np.int64)
+        # mul has reduced a and b, so their index needs no further %
+        pos[a * self.mod_b + b] = np.arange(self.order)
+        if np.count_nonzero(pos >= 0) != self.order:
             raise ConstructionError(
                 "generators do not present the unit group as a direct product")
-        return table
+        return pos
 
 
 def _ff_order(p: int, d: int, a: int, b: int) -> int:
@@ -289,9 +292,10 @@ class ThetaChar:
     """Character of E^x trivial on F^x, tabulated on (o_E/p_E^L)^x.
 
     Stored as an exponent array `table` over the unit-group index
-    A*mod_b + B (-1 at non-units), computed from `group.dlog` in one
-    expression.  The value at the uniformizer of E is fixed to 1, as for
-    MultChar (in the unramified case the uniformizer lies in F^x anyway).
+    A*mod_b + B (-1 at non-units): the exponent sum over the o0 x o1 x o2
+    grid of generator exponents, gathered at `group.pos`.  The value at the
+    uniformizer of E is fixed to 1, as for MultChar (in the unramified case
+    the uniformizer lies in F^x anyway).
     """
 
     def __init__(self, group: UnitGroupE, exps: tuple[int, int, int]):
@@ -304,8 +308,14 @@ class ThetaChar:
         w = [t * r for t, r in zip(exps, group.weights)]
         g = math.gcd(*w, group.char_order)
         self.value_order = vo = group.char_order // g
-        raw = group.dlog @ np.array(w, dtype=np.int64)
-        self.table = np.where(group.dlog[:, 0] >= 0, raw // g % vo, -1)
+        # g divides every w_j: sum_j (w_j / g) e_j mod vo, one axis per
+        # generator; the full grid holds sums below 2 vo
+        e0, e1, e2 = (w_j // g * np.arange(o) % vo
+                      for w_j, o in zip(w, group.gen_orders))
+        grid = (((e0[:, None] + e1) % vo)[:, :, None] + e2).ravel()
+        grid -= vo * (grid >= vo)
+        # position -1 reads the appended -1
+        self.table = np.append(grid, -1)[group.pos]
 
     def exponent(self, key: tuple[int, int]) -> int:
         """theta on the unit class of key, as an exponent mod value_order."""
@@ -337,7 +347,7 @@ def _one_unit_keys(group: UnitGroupE, depth: int) -> np.ndarray:
     """Indices of the classes of (1 + p_E^depth)/(1 + p_E^L), those of
     1 + ca s + cb t sqrt(D) in (s, t) order; depth 0 gives every unit."""
     if depth <= 0:
-        return np.flatnonzero(group.dlog[:, 0] >= 0)
+        return np.flatnonzero(group.pos >= 0)
     p = group.p
     if group.ramified:
         ca, cb = p ** ((depth + 1) // 2), p ** (depth // 2)
@@ -363,11 +373,14 @@ def build_theta(p: int, ramified: bool, level: int) -> ThetaChar:
     o0, o1, o2 = group.gen_orders
     mg, (r0, r1, r2) = group.char_order, group.weights
 
-    # rows of dlog at the classes of F (indices A*mod_b + 0) and of the
+    # exponent triples of the classes of F (indices A*mod_b + 0) and of the
     # deepest one-unit shell, as Python ints so the loops below stop early
-    f_rows = group.dlog[::group.mod_b]
-    f_triples = f_rows[f_rows[:, 0] >= 0].tolist()
-    shell_triples = group.dlog[_one_unit_keys(group, level - 1)].tolist()
+    def triples(pos):
+        return np.column_stack(np.unravel_index(pos, group.gen_orders)).tolist()
+
+    f_pos = group.pos[::group.mod_b]
+    f_triples = triples(f_pos[f_pos >= 0])
+    shell_triples = triples(group.pos[_one_unit_keys(group, level - 1)])
 
     def raw(t, e):
         return (t[0] * e[0] * r0 + t[1] * e[1] * r1 + t[2] * e[2] * r2) % mg
@@ -442,26 +455,41 @@ def gauss_c0_principal_series(mu: MultChar, m: int | None = None) -> CycloValue:
 def shell_table(theta: ThetaChar, k: int, m: int
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The shell v_E(u) = -a(theta)-e_E+1 over the transversal of
-    o_E^x/(1+p_E^k): u = piE^c (A + B sqrt(D)) per representative (A, B).
+    o_E^x/(1+p_E^k), 1 <= k <= a(theta): u = piE^c (A + B sqrt(D)) per
+    representative (A, B), in increasing (A, B) order.
 
     Returns int64 arrays A, B, the exponent of theta^(-1)(u) psi_E(u) in Z/m,
-    and the exact eta = N(u) p^n, the unit part of the norm.
+    and the exact eta = N(u) p^n, the unit part of the norm.  At k = a the
+    transversal is the unit classes of theta's group, read off theta.table
+    (the rows of unit_shell_reps at level a, in the same order); below a it
+    is unit_shell_reps(k).
     """
     p, a = theta.p, theta.level
+    if not 1 <= k <= a:
+        raise ValueError(f"transversal level {k} outside [1, {a}]")
     # psi_E reads the trace coordinate mod q: B for piE = sqrt(p), else A
     q = p ** (a // 2) if theta.ramified else p**a
     if m % q:
         raise ValueError(f"modulus {m} is not a multiple of {q}")
-    reps = unit_shell_reps(get_ext_context(p, a, theta.ramified), k)
-    A, B = reps[:, 0], reps[:, 1]
+    group = theta.group
+    if k == a:
+        index = np.flatnonzero(theta.table >= 0)
+        A, B = np.divmod(index, group.mod_b)
+    else:
+        reps = unit_shell_reps(get_ext_context(p, a, theta.ramified), k)
+        A, B = reps[:, 0], reps[:, 1]
+        index = group.index(A, B)
     if theta.ramified:
         # tr(piE^c (A + B sqrt(p))) = 2 B p^(-a/2); N(piE^c) = -p^(-n)
         tr, eta = 2 * B, p * B * B - A * A
     else:
         # tr(p^c (A + B sqrt(d))) = 2 A p^(-a); N(p^c) = p^(-n)
-        tr, eta = 2 * A, A * A - theta.group.d_unit * B * B
-    theta_e = theta.table[theta.group.index(A, B)] * (m // theta.value_order)
-    phase = (tr % q * (m // q) - theta_e) % m
+        tr, eta = 2 * A, A * A - group.d_unit * B * B
+    # the trace coordinate is below q, so 0 <= tr < 2q, and the phase before
+    # reduction lies in (-m, m): one conditional step reduces each
+    tr -= q * (tr >= q)
+    phase = tr * (m // q) - theta.table[index] * (m // theta.value_order)
+    phase += m * (phase < 0)
     return A, B, phase, eta
 
 

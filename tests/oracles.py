@@ -24,9 +24,11 @@ from gl2local.quaternion import UpperHalfPoint, _iota_inf_exact
 from gl2local.residue import (
     factorize,
     get_context,
+    get_ext_context,
     padic_valuation,
     random_unit,
     solve_quadratic_congruence,
+    unit_shell_reps,
 )
 from gl2local.statphase import _unit_lifts
 from gl2local.whittaker import required_precision
@@ -181,12 +183,39 @@ def conjugated(theta):
     return out
 
 
+def exponent_rows(group) -> np.ndarray:
+    """The generator exponents (e0, e1, e2) of every class as one row per
+    table index, read from group.pos by np.unravel_index; [-1, -1, -1] at
+    non-units."""
+    rows = np.full((len(group.pos), 3), -1, dtype=np.int64)
+    unit = group.pos >= 0
+    rows[unit] = np.column_stack(
+        np.unravel_index(group.pos[unit], group.gen_orders))
+    return rows
+
+
 def unit_keys(group) -> list[tuple[int, int]]:
     """(A, B) of every unit class, ordered as g0^e0 g1^e1 g2^e2 with
     (e0, e1, e2) ascending."""
-    units = np.flatnonzero(group.dlog[:, 0] >= 0)
-    rank = np.ravel_multi_index(group.dlog[units].T, group.gen_orders)
-    return [divmod(int(k), group.mod_b) for k in units[np.argsort(rank)]]
+    units = np.flatnonzero(group.pos >= 0)
+    return [divmod(int(k), group.mod_b)
+            for k in units[np.argsort(group.pos[units])]]
+
+
+def shell_table_from_reps(theta, k: int, m: int) -> tuple[np.ndarray, ...]:
+    """(A, B, phase, eta) of characters.shell_table over the rows of
+    unit_shell_reps(k), each reduced by a full % step."""
+    p, a = theta.p, theta.level
+    q = p ** (a // 2) if theta.ramified else p**a
+    reps = unit_shell_reps(get_ext_context(p, a, theta.ramified), k)
+    A, B = reps[:, 0], reps[:, 1]
+    if theta.ramified:
+        tr, eta = 2 * B, p * B * B - A * A
+    else:
+        tr, eta = 2 * A, A * A - theta.group.d_unit * B * B
+    theta_e = (theta.table[theta.group.index(A, B)]
+               * (m // theta.value_order))
+    return A, B, (tr % q * (m // q) - theta_e) % m, eta
 
 
 # -- Whittaker values --------------------------------------------------------

@@ -27,12 +27,15 @@ from gl2local.characters import (
 from gl2local.cyclotomic import CycloValue
 from gl2local.errors import ConstructionError, PrecisionError
 from gl2local.residue import get_context
+from gl2local.whittaker import ReprSpec
 from oracles import (
     conj,
     conjugated,
+    exponent_rows,
     ext_valuation,
     root_of_unity,
     rotate,
+    shell_table_from_reps,
     unit_keys,
 )
 
@@ -128,26 +131,36 @@ def test_unit_group_structure():
                                (True, 2, 6), (True, 4, 54)):
         g = get_unit_group(3, ram, lvl)
         assert g.order == expected
-        assert np.count_nonzero(g.dlog[:, 0] >= 0) == expected
+        assert np.count_nonzero(exponent_rows(g)[:, 0] >= 0) == expected
         assert math.prod(g.gen_orders) == expected
 
 
 @pytest.mark.parametrize("ram,lvl", [(False, 2), (False, 3), (True, 2), (True, 4)])
 def test_unit_group_tables_exhaustive(ram, lvl):
     # every unit index holds the exponents that rebuild its class from the
-    # generators; every non-unit index holds the -1 sentinel, also in theta
+    # generators, and a character there is sum_j t_j weights[j] e_j reduced
+    # into Z/value_order; every non-unit index holds the -1 sentinel, also
+    # in the characters.  build_theta's theta is nontrivial on one generator
+    # only; the second character is nontrivial on all three.
     g = get_unit_group(3, ram, lvl)
-    theta = build_theta(3, ram, lvl)
-    assert g.dlog.shape == (g.mod_a * g.mod_b, 3)
-    for k, row in enumerate(g.dlog.tolist()):
+    thetas = [build_theta(3, ram, lvl),
+              ThetaChar(g, tuple(o - 1 for o in g.gen_orders))]
+    dlog = exponent_rows(g)
+    assert dlog.shape == (g.mod_a * g.mod_b, 3)
+    for k, row in enumerate(dlog.tolist()):
         a, b = divmod(k, g.mod_b)
         if a % 3 == 0 and (ram or b % 3 == 0):
-            assert row == [-1, -1, -1] and theta.table[k] == -1
+            assert row == [-1, -1, -1]
+            assert all(theta.table[k] == -1 for theta in thetas)
             continue
         x = (1, 0)
         for gen, e in zip(g.generators, row):
             x = g.mul(x, g.power(gen, e))
-        assert x == (a, b) and theta.table[k] >= 0
+        assert x == (a, b)
+        for theta in thetas:
+            raw = sum(t * r * e for t, r, e
+                      in zip(theta.exps, g.weights, row)) % g.char_order
+            assert theta.table[k] == raw // (g.char_order // theta.value_order)
 
 
 def test_non_unit_lookups_raise():
@@ -174,11 +187,12 @@ def test_unit_group_mul_matches_dlog():
     g = get_unit_group(3, False, 3)
     keys = unit_keys(g)
     o = g.gen_orders
+    dlog = exponent_rows(g)
     for _ in range(2000):
         x, y = rng.choice(keys), rng.choice(keys)
-        ex, ey = g.dlog[g.index(*x)], g.dlog[g.index(*y)]
+        ex, ey = dlog[g.index(*x)], dlog[g.index(*y)]
         combined = [(a + b) % om for a, b, om in zip(ex, ey, o)]
-        assert g.dlog[g.index(*g.mul(x, y))].tolist() == combined
+        assert dlog[g.index(*g.mul(x, y))].tolist() == combined
 
 
 def test_build_theta_filters():
@@ -317,6 +331,28 @@ def test_shell_table_rejects_short_modulus():
     theta = build_theta(3, False, 2)
     with pytest.raises(ValueError):
         shell_table(theta, 2, theta.value_order)  # no room for psi_E mod 9
+
+
+@pytest.mark.parametrize("p,ram,lvl", [
+    (3, False, 2), (3, False, 3), (3, True, 2), (3, True, 4), (5, False, 3),
+    (5, True, 6), (7, False, 3)])
+def test_shell_table_matches_unit_shell_reps(p, ram, lvl):
+    # at k = a the transversal is read off theta.table instead of
+    # unit_shell_reps(a); at every k the phase is reduced by compare steps
+    theta = build_theta(p, ram, lvl)
+    spec_m = ReprSpec.supercuspidal(theta).modulus()
+    for m in (required_gauss_modulus(theta), spec_m):
+        for k in range(1, lvl + 1):
+            got = shell_table(theta, k, m)
+            want = shell_table_from_reps(theta, k, m)
+            for x, y in zip(got, want):
+                assert x.dtype == y.dtype and np.array_equal(x, y)
+
+
+def test_shell_table_refuses_a_level_past_the_conductor():
+    theta = build_theta(3, False, 2)
+    with pytest.raises(ValueError, match="outside"):
+        shell_table(theta, 3, required_gauss_modulus(theta))
 
 
 def test_shell_norm_valuation():

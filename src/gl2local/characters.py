@@ -460,9 +460,9 @@ def shell_table(theta: ThetaChar, k: int, m: int
 
     Returns int64 arrays A, B, the exponent of theta^(-1)(u) psi_E(u) in Z/m,
     and the exact eta = N(u) p^n, the unit part of the norm.  At k = a the
-    transversal is the unit classes of theta's group, read off theta.table
-    (the rows of unit_shell_reps at level a, in the same order); below a it
-    is unit_shell_reps(k).
+    transversal is the unit indices of theta's group (the rows of
+    unit_shell_reps at level a, in the same order); below a it is
+    unit_shell_reps(k).
     """
     p, a = theta.p, theta.level
     if not 1 <= k <= a:
@@ -473,7 +473,7 @@ def shell_table(theta: ThetaChar, k: int, m: int
         raise ValueError(f"modulus {m} is not a multiple of {q}")
     group = theta.group
     if k == a:
-        index = np.flatnonzero(theta.table >= 0)
+        index = _one_unit_keys(group, 0)
         A, B = np.divmod(index, group.mod_b)
     else:
         reps = unit_shell_reps(get_ext_context(p, a, theta.ramified), k)

@@ -1,6 +1,7 @@
 """Regenerate tests/fixtures/decay_maxima.json.
 
-Runs the same seeded sweep as the acceptance suite and records, per
+Runs the same seeded sweep as the acceptance suite (the column form of
+verify_support, read row by row by its support_rows) and records, per
 (p, n, family, i), the largest normalized coefficient size observed on
 supported grid points.  Run once after any change to the evaluators, then
 review the diff before committing.
@@ -24,8 +25,7 @@ def main() -> None:
         spec = acc.make_spec(p, n, family)
         engine = acc.MatCoefEngine(spec)
         for i in range(spec.n0 + 1, spec.n + 1):
-            rows = acc.verify_support(engine, i,
-                                      acc.support_grid(p, n, family, i))
+            rows = acc.support_rows(engine, family, i)
             if any(r["violation"] for r in rows):
                 raise SystemExit(f"support violation at {(p, n, family, i)}")
             ratios = [r["ratio_normalized"] for r in rows

@@ -21,7 +21,8 @@ from fractions import Fraction
 import numpy as np
 
 from .characters import build_theta, primitive_char
-from .matcoef import MatCoefEngine, _share_rows, decay_bound, verify_support
+from .matcoef import (MatCoefEngine, decay_bound, grid_columns, grid_keys,
+                      verify_support)
 from .quaternion import (
     QuaternionAlgebra,
     UpperHalfPoint,
@@ -300,8 +301,9 @@ def build_grid(spec: ReprSpec, i: int, cfg: ExperimentConfig,
     columns (v_a, a_unit, v_m, m_unit), int64 (object past int64): the v(a)
     x v(m) classes of the config, each with units_per_class distinct units
     mod p^(n+2) for a, drawn first, then units_per_class for m per unit of
-    a.  The one place grid units are drawn; grid_points reads the columns
-    as scalars."""
+    a.  The one place grid units are drawn.  verify-support and decay run
+    the columns as they are (grid_keys); only speedup reads them as scalars
+    (grid_points), since criterion 6 times the one-query path."""
     digits = spec.n + 2
     if supported_only:
         classes = [(0, i - spec.n)]
@@ -389,27 +391,27 @@ def run_verify_support(cfg: ExperimentConfig) -> TaskResult:
     spec = build_spec(cfg)
     engine = MatCoefEngine(spec)
     rng = random.Random(cfg.seed)
-    rows, report = [], []
+    columns = {c: [] for c in SUPPORT_COLUMNS}
+    report = []
     violations = 0
     for i in _depths(cfg, spec):
-        batch = verify_support(engine, i, grid_points(
-            spec, build_grid(spec, i, cfg, rng)))
-        bad = sum(r["violation"] for r in batch)
+        batch = verify_support(engine, i, build_grid(spec, i, cfg, rng),
+                               _grid_prec(spec))
+        bad = sum(batch["violation"])
         violations += bad
-        rows.extend(batch)
-        report.append(f"i={i}: {len(batch)} points, {bad} violations")
+        for name, col in batch.items():
+            columns[name].extend(col)
+        report.append(f"i={i}: {len(batch['i'])} points, {bad} violations")
     report.append(f"total violations: {violations}")
-    return TaskResult(_columns(SUPPORT_COLUMNS, rows), report,
-                      violations == 0)
+    return TaskResult(columns, report, violations == 0)
 
 
 def run_decay(cfg: ExperimentConfig) -> TaskResult:
     """Fast coefficient values on the supported grid of each interior depth
-    against decay_bound, as one column program per depth: the grid's
-    integer columns go to key_rows, points share keys (_share_rows), the
-    distinct keys go to one call of phi_fast_values, and re, im, abs and
-    ratio_normalized are computed and formatted (repr) once per key, then
-    gathered per point by slot."""
+    against decay_bound, as one column program per depth, the one
+    verify_support runs with the unit average: the distinct keys of the
+    grid (grid_keys) go to one call of phi_fast_values, and grid_columns
+    formats each key's value once and gathers it per point."""
     spec = build_spec(cfg)
     engine = MatCoefEngine(spec)
     rng = random.Random(cfg.seed)
@@ -420,28 +422,13 @@ def run_decay(cfg: ExperimentConfig) -> TaskResult:
     by_i = {}
     ok = True
     for i in _depths(cfg, spec):
-        v_a, a_unit, v_m, m_unit = build_grid(spec, i, cfg, rng,
-                                              supported_only=True)
-        points = len(v_a)
-        keys, slots = _share_rows(engine.key_rows(
-            np.full(points, i), a_unit, prec, v_m, m_unit, prec))
-        values = phi_fast_values(engine, i, keys)
-        scale = spec.p ** ((spec.n - i) / 2)
-        sizes = list(map(abs, values))
-        ratios = [size * scale for size in sizes]
-        worst = max([0.0, *ratios])
-        slots = slots.tolist()
-        for name, col in (("p", [spec.p] * points), ("n", [spec.n] * points),
-                          ("family", [spec.label] * points),
-                          ("i", [i] * points), ("v_a", v_a.tolist()),
-                          ("a_unit", a_unit.tolist()), ("v_m", v_m.tolist()),
-                          ("m_unit", m_unit.tolist())):
+        grid = build_grid(spec, i, cfg, rng, supported_only=True)
+        keys, slots = grid_keys(engine, i, grid, prec)
+        batch, worst = grid_columns(engine, i, grid,
+                                    phi_fast_values(engine, i, keys), slots)
+        points = len(slots)
+        for name, col in batch.items():
             columns[name].extend(col)
-        for name, per_key in (("re", [v.real for v in values]),
-                              ("im", [v.imag for v in values]),
-                              ("abs", sizes), ("ratio_normalized", ratios)):
-            text = list(map(repr, per_key))
-            columns[name].extend([text[s] for s in slots])
         good = worst <= bound + 1e-9
         ok = ok and good
         report.append(f"i={i}: {points} points, max normalized ratio "

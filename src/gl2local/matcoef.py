@@ -106,23 +106,10 @@ class MatCoefEngine(WhittakerEngine):
         return np.array((i, a_unit % m % pw * inv % pw, t),
                         dtype=np.int64).T
 
-    def query_keys(self, i: int, grid: list[tuple[PAdicScalar, PAdicScalar]]
-                   ) -> tuple[np.ndarray, list[bool]]:
-        """key_rows of the depth-i points (a, m) of grid with a unit a (units
-        past int64 as Python integers), and the mask of those points."""
-        check_depth(self.spec, i)
-        points = [_point_columns(a, madd) for a, madd in grid]
-        rows = [cols for cols in points if cols is not None]
-        big = max(map(max, rows), default=0) >> 63
-        cols = np.array(rows, dtype=object if big else np.int64
-                        ).reshape(-1, 5).T
-        return (self.key_rows(np.full(len(rows), i), *cols),
-                [cols is not None for cols in points])
-
     def query_key(self, i: int, a: PAdicScalar, madd: PAdicScalar
                   ) -> tuple[int, int, int] | None:
-        """The one-row case of query_keys, key_rows on the point's Python
-        integers; None off the unit locus."""
+        """key_rows on the Python integers of one point (_point_columns);
+        None off the unit locus."""
         check_depth(self.spec, i)
         cols = _point_columns(a, madd)
         return None if cols is None else tuple(self.key_rows(i, *cols).tolist())
@@ -386,17 +373,21 @@ def _share_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ordered[new], slots
 
 
-def share_keys(engine: MatCoefEngine, i: int,
-               grid: list[tuple[PAdicScalar, PAdicScalar]]
-               ) -> tuple[np.ndarray, list[int]]:
-    """The distinct key rows of the depth-i points of grid (query_keys,
-    _share_rows) and each point's slot among them; a point off the unit
-    locus, an exact zero, gets the slot len(keys)."""
-    rows, on = engine.query_keys(i, grid)
-    keys, slots = _share_rows(rows)
-    point_slots = np.full(len(grid), len(keys))
-    point_slots[np.array(on, dtype=bool)] = slots
-    return keys, point_slots.tolist()
+def grid_keys(engine: MatCoefEngine, i: int, grid: tuple[np.ndarray, ...],
+              prec: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct key rows (_share_rows of key_rows) of the depth-i grid
+    columns (v_a, a_unit, v_m, m_unit), units known to prec digits, and
+    each point's slot; a point off the unit locus, an exact zero, has no
+    row and gets the slot len(keys)."""
+    check_depth(engine.spec, i)
+    v_a, a_unit, v_m, m_unit = grid
+    on = v_a == 0
+    keys, slots = _share_rows(engine.key_rows(
+        np.full(np.count_nonzero(on), i), a_unit[on], prec, v_m[on],
+        m_unit[on], prec))
+    point_slots = np.full(len(v_a), len(keys))
+    point_slots[on] = slots
+    return keys, point_slots
 
 
 def key_values(engine: MatCoefEngine, keys: np.ndarray, coords_of
@@ -419,56 +410,71 @@ def key_values(engine: MatCoefEngine, keys: np.ndarray, coords_of
     return values, nonzero
 
 
+def grid_columns(engine: MatCoefEngine, i: int, grid: tuple[np.ndarray, ...],
+                 values: list[complex], slots: np.ndarray
+                 ) -> tuple[dict[str, list], float]:
+    """The CSV columns p .. m_unit of the depth-i grid columns, and re, im,
+    abs and ratio_normalized = |value| p^((n - i)/2) formatted (repr) once
+    per value and gathered per point by its slot (grid_keys; slot
+    len(values) reads engine.zero_value); and the largest ratio."""
+    spec = engine.spec
+    values = [*values, engine.zero_value]
+    sizes = list(map(abs, values))
+    scale = spec.p ** ((spec.n - i) / 2)
+    ratios = [size * scale for size in sizes]
+    points = len(slots)
+    slots = slots.tolist()
+    columns = {"p": [spec.p] * points, "n": [spec.n] * points,
+               "family": [spec.label] * points, "i": [i] * points}
+    for name, col in zip(("v_a", "a_unit", "v_m", "m_unit"), grid):
+        columns[name] = col.tolist()
+    for name, per_key in (("re", [v.real for v in values]),
+                          ("im", [v.imag for v in values]),
+                          ("abs", sizes), ("ratio_normalized", ratios)):
+        text = list(map(repr, per_key))
+        columns[name] = [text[s] for s in slots]
+    return columns, max(ratios)
+
+
 # -- support law and decay bound ------------------------------------------
 
 
-def support_expected_zero(spec: ReprSpec, i: int, v_a: int | None,
-                          v_m: int | None) -> bool:
-    """Support law: away from the boundary depths the coefficient lives on
-    v(a) = 0 and v(m) = i - n exactly; at i in {n-1, n} the window relaxes
-    to v(m) >= -1.  None encodes a zero argument (valuation +infinity)."""
-    if v_a != 0:
-        return True
+def support_expected_zero(spec: ReprSpec, i: int, v_a, v_m):
+    """Support law on the valuations v(a), v(m), integers or integer
+    columns (entrywise): away from the boundary depths the coefficient
+    lives on v(a) = 0 and v(m) = i - n exactly; at i in {n-1, n} the window
+    relaxes to v(m) >= -1."""
     if i <= spec.n - 2:
-        return v_m != i - spec.n
-    return v_m is not None and v_m <= -2
+        return (v_a != 0) | (v_m != i - spec.n)
+    return (v_a != 0) | (v_m <= -2)
 
 
-def point_row(spec: ReprSpec, i: int, a: PAdicScalar, madd: PAdicScalar,
-              value: complex | None = None) -> dict:
-    """The point columns of a CSV row: p, n, family, i, and v_a, a_unit,
-    v_m, m_unit (None for a zero argument); with a value also re, im, abs
-    and ratio_normalized = |value| p^((n - i)/2)."""
-    row = {"p": spec.p, "n": spec.n, "family": spec.label, "i": i,
-           "v_a": None if a.is_zero else a.val,
-           "a_unit": None if a.is_zero else a.unit,
-           "v_m": None if madd.is_zero else madd.val,
-           "m_unit": None if madd.is_zero else madd.unit}
-    if value is not None:
-        row.update(re=value.real, im=value.imag, abs=abs(value),
-                   ratio_normalized=abs(value) * spec.p ** ((spec.n - i) / 2))
-    return row
+def point_row(spec: ReprSpec, i: int, a: PAdicScalar, madd: PAdicScalar
+              ) -> dict:
+    """The point columns of a CSV row of scalars: p, n, family, i, and v_a,
+    a_unit, v_m, m_unit (None for a zero argument)."""
+    return {"p": spec.p, "n": spec.n, "family": spec.label, "i": i,
+            "v_a": None if a.is_zero else a.val,
+            "a_unit": None if a.is_zero else a.unit,
+            "v_m": None if madd.is_zero else madd.val,
+            "m_unit": None if madd.is_zero else madd.unit}
 
 
 def verify_support(engine: MatCoefEngine, i: int,
-                   grid: list[tuple[PAdicScalar, PAdicScalar]]) -> list[dict]:
-    """Evaluate every grid point and compare exact vanishing against the
-    support law; rows with violation=True are law breaches (expected none).
-    Each distinct key is evaluated once (share_keys) by the unit average."""
-    spec = engine.spec
-    keys, slots = share_keys(engine, i, grid)
+                   grid: tuple[np.ndarray, ...], prec: int
+                   ) -> dict[str, list]:
+    """The support CSV columns of the depth-i grid columns, units known to
+    prec digits: grid_columns of the unit average of each distinct key, and
+    the support law of the v_a and v_m columns against exact vanishing, the
+    nonzero mask; violation marks a law breach (expected none)."""
+    keys, slots = grid_keys(engine, i, grid, prec)
     values, nonzero = key_values(engine, keys, engine.average_coords)
-    values.append(engine.zero_value)
-    nonzero = nonzero.tolist() + [False]
-    rows = []
-    for (a, madd), slot in zip(grid, slots):
-        row = point_row(spec, i, a, madd, values[slot])
-        exact = not nonzero[slot]
-        expected = support_expected_zero(spec, i, row["v_a"], row["v_m"])
-        row.update(expected_zero=expected, exact_zero=exact,
-                   violation=expected and not exact)
-        rows.append(row)
-    return rows
+    columns, _ = grid_columns(engine, i, grid, values, slots)
+    expected = support_expected_zero(engine.spec, i, grid[0], grid[2])
+    exact = np.append(~nonzero, True)[slots]
+    columns.update(expected_zero=expected.tolist(), exact_zero=exact.tolist(),
+                   violation=(expected & ~exact).tolist())
+    return columns
 
 
 def decay_bound(spec: ReprSpec) -> int:

@@ -14,6 +14,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gl2local.characters import (
@@ -78,15 +79,15 @@ def make_spec(p: int, n: int, family: str) -> ReprSpec:
 
 
 def support_grid(p: int, n: int, family: str, i: int):
-    """(a, m) pairs spanning v(a) in {-1,0,1,2} x v(m) in {i-n-2,...,1},
-    at least MIN_PAIRS_PER_I in total, distinct units within each class.
+    """Integer columns (v_a, a_unit, v_m, m_unit) of (a, m) = (p^v_a a_unit,
+    p^v_m m_unit) spanning v(a) in {-1,0,1,2} x v(m) in {i-n-2,...,1}, at
+    least MIN_PAIRS_PER_I in total, distinct units within each class.
     Seeded per case so frozen regression values stay reproducible."""
     rng = random.Random(f"sweep:{p}:{n}:{family}:{i}")
-    ctx = get_context(p, 2 * n + 6)
     classes = [(v_a, v_m) for v_a in (-1, 0, 1, 2)
                for v_m in range(i - n - 2, 2)]
     per_class = -(-MIN_PAIRS_PER_I // len(classes))
-    grid = []
+    points = []
     for v_a, v_m in classes:
         seen = set()
         while len(seen) < per_class:
@@ -94,8 +95,20 @@ def support_grid(p: int, n: int, family: str, i: int):
             if pair in seen:
                 continue
             seen.add(pair)
-            grid.append((ctx.scalar(v_a, pair[0]), ctx.scalar(v_m, pair[1])))
-    return grid
+            points.append((v_a, pair[0], v_m, pair[1]))
+    return tuple(np.array(col) for col in zip(*points))
+
+
+def support_rows(engine: MatCoefEngine, family: str, i: int) -> list[dict]:
+    """verify_support on the criterion grid of depth i, units known to
+    2n + 6 digits, one dict per point with the value columns read back
+    from their repr strings as floats."""
+    p, n = engine.spec.p, engine.spec.n
+    columns = verify_support(engine, i, support_grid(p, n, family, i),
+                             2 * n + 6)
+    floats = ("re", "im", "abs", "ratio_normalized")
+    return [{k: float(v) if k in floats else v for k, v in zip(columns, row)}
+            for row in zip(*columns.values())]
 
 
 def supported_grid(p: int, n: int, family: str, i: int, count: int):
@@ -110,16 +123,14 @@ def supported_grid(p: int, n: int, family: str, i: int, count: int):
 @pytest.fixture(scope="session")
 def sweep():
     """Full support evaluation: every case, every i in (n0, n], the criterion
-    grid per i.  Returns ({case: (spec, engine, {i: (grid, rows)})}, seconds)."""
+    grid per i.  Returns ({case: (spec, engine, {i: rows})}, seconds)."""
     t0 = time.perf_counter()
     cases = {}
     for p, n, family in FAMILY_CASES:
         spec = make_spec(p, n, family)
         engine = MatCoefEngine(spec)
-        per_i = {}
-        for i in range(spec.n0 + 1, spec.n + 1):
-            grid = support_grid(p, n, family, i)
-            per_i[i] = (grid, verify_support(engine, i, grid))
+        per_i = {i: support_rows(engine, family, i)
+                 for i in range(spec.n0 + 1, spec.n + 1)}
         cases[(p, n, family)] = (spec, engine, per_i)
     return cases, time.perf_counter() - t0
 
@@ -129,7 +140,7 @@ def test_criterion_01_interior_support(sweep):
     zero_checked = 0
     for (p, n, family), (spec, engine, per_i) in cases.items():
         for i in range(spec.n0 + 1, spec.n - 1):
-            grid, rows = per_i[i]
+            rows = per_i[i]
             assert len(rows) >= MIN_PAIRS_PER_I
             assert {r["v_a"] for r in rows} == {-1, 0, 1, 2}
             assert {r["v_m"] for r in rows} == set(range(i - n - 2, 2))
@@ -143,7 +154,7 @@ def test_criterion_02_boundary_support(sweep):
     cases, _ = sweep
     for (p, n, family), (spec, engine, per_i) in cases.items():
         for i in (n - 1, n):
-            grid, rows = per_i[i]
+            rows = per_i[i]
             assert len(rows) >= MIN_PAIRS_PER_I
             assert not any(r["violation"] for r in rows)
             for r in rows:
@@ -157,7 +168,7 @@ def test_criterion_03_decay(sweep):
     seen = set()
     for (p, n, family), (spec, engine, per_i) in cases.items():
         bound = decay_bound(spec)
-        for i, (grid, rows) in per_i.items():
+        for i, rows in per_i.items():
             ratios = [r["ratio_normalized"] for r in rows
                       if not r["expected_zero"]]
             assert ratios
@@ -207,11 +218,13 @@ def test_criterion_06_fast_oracle_equivalence(sweep):
     cases, _ = sweep
     for (p, n, family), (spec, engine, per_i) in cases.items():
         bound = decay_bound(spec)
+        ctx = get_context(p, 2 * n + 6)
         for i in range(spec.n0 + 1, spec.n - 1):
-            grid, rows = per_i[i]
-            for (a, madd), row in zip(grid, rows):
+            for row in per_i[i]:
                 if row["expected_zero"]:
                     continue
+                a = ctx.scalar(row["v_a"], row["a_unit"])
+                madd = ctx.scalar(row["v_m"], row["m_unit"])
                 naive = complex(row["re"], row["im"])
                 fast = phi_fast_value(engine, i, a, madd)
                 dev = abs(fast - naive)
@@ -307,7 +320,7 @@ def test_criterion_09_trivial_values(sweep):
             assert abs(value - (-1 / (p - 1))) <= 1e-12
             assert engine.phi_numerator(n, one, ctx.scalar(-2, u)).is_zero()
             assert engine.phi_numerator(n, one, ctx.scalar(-3, u)).is_zero()
-        worst = max(r["abs"] for _, rows in per_i.values() for r in rows)
+        worst = max(r["abs"] for rows in per_i.values() for r in rows)
         assert worst <= 1 + 1e-9
         if family != "ps":
             # the constant the values above are divided by

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import gl2local.cli as cli
-from gl2local import quaternion, statphase
+from gl2local import matcoef, quaternion, statphase
 from gl2local.characters import UnitGroupE
 from gl2local.cli import ConfigError, ExperimentConfig, main
 from gl2local.cyclotomic import CycloValue
@@ -627,6 +627,49 @@ def test_decay_evaluates_each_query_key_once(monkeypatch, p, n, family,
         assert (row["i"], row["a_unit"], row["m_unit"]) == (i, a.unit,
                                                            madd.unit)
         assert (row["re"], row["im"]) == (repr(value.real), repr(value.imag))
+
+
+@pytest.mark.parametrize("p,n,family,i_values", [
+    (3, 6, "ps", [4, 5, 6]), (5, 7, "sc-ramified", [4, 6])])
+def test_verify_support_evaluates_each_key_once(monkeypatch, p, n, family,
+                                                i_values):
+    raw = {"task": "verify-support", "p": p, "n": n, "family": family,
+           "seed": 3, "i_values": i_values, "units_per_class": 4}
+    cfg = ExperimentConfig.from_dict(raw)
+    batches = []
+    evaluate = matcoef.key_values
+
+    def counted(engine, batch_keys, coords_of):
+        batches.append(list(map(tuple, batch_keys.tolist())))
+        return evaluate(engine, batch_keys, coords_of)
+
+    # the unit average gets every distinct key of a depth in one call
+    monkeypatch.setattr(matcoef, "key_values", counted)
+    columns = cli.run_verify_support(cfg).columns
+    monkeypatch.undo()
+    assert len(batches) == len(i_values)
+    # the grid run_verify_support drew, rebuilt from the same seed, and
+    # evaluated point by point on a fresh engine
+    spec = cli.build_spec(cfg)
+    engine = MatCoefEngine(spec)
+    rng = random.Random(cfg.seed)
+    rows = [dict(zip(columns, row)) for row in zip(*columns.values())]
+    for i, keys in zip(i_values, batches):
+        points = cli.grid_points(spec, cli.build_grid(spec, i, cfg, rng))
+        depth_rows, rows = rows[:len(points)], rows[len(points):]
+        on = [engine.query_key(i, a, madd) for a, madd in points]
+        distinct = {key for key in on if key}
+        assert len(keys) == len(set(keys)) == len(distinct)
+        assert set(keys) == distinct and all(key[0] == i for key in keys)
+        assert len(distinct) < sum(map(bool, on)) < len(points)
+        for row, (a, madd) in zip(depth_rows, points):
+            num = engine.phi_numerator(i, a, madd)
+            value = num.complex() / engine.c0_complex
+            assert (row["i"], row["v_a"], row["a_unit"], row["v_m"],
+                    row["m_unit"]) == (i, a.val, a.unit, madd.val, madd.unit)
+            assert (row["re"], row["im"], row["exact_zero"]) == (
+                repr(value.real), repr(value.imag), num.is_zero())
+    assert rows == []
 
 
 def test_sweep_of_sc_cases_matches_each_case_alone(tmp_path):

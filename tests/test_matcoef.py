@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -65,20 +66,27 @@ def test_ramanujan_values_exact():
         assert off.is_zero()  # W support off units
 
 
+def grid_of(points):
+    """The grid columns (v_a, a_unit, v_m, m_unit) of point tuples."""
+    return tuple(np.array(col) for col in zip(*points))
+
+
+def rows_of(columns):
+    """verify_support's columns as one dict per point."""
+    return [dict(zip(columns, row)) for row in zip(*columns.values())]
+
+
 def test_support_law_inner_depths():
     spec = ps_spec(3, 6)
     eng = MatCoefEngine(spec)
-    ctx = get_context(3, spec.n1 + spec.n)
     i = 4
-    grid = []
-    for v_a in (-1, 0, 1):
-        for v_m in range(i - spec.n - 2, 1):
-            for u_a, u_m in ((1, 1), (2, 5)):
-                grid.append((ctx.scalar(v_a, u_a, 6), ctx.scalar(v_m, u_m, 6)))
-    rows = verify_support(eng, i, grid)
+    points = [(v_a, u_a, v_m, u_m) for v_a in (-1, 0, 1)
+              for v_m in range(i - spec.n - 2, 1)
+              for u_a, u_m in ((1, 1), (2, 5))]
+    rows = rows_of(verify_support(eng, i, grid_of(points), 6))
     assert not any(r["violation"] for r in rows)
     supported = [r for r in rows if not r["expected_zero"]]
-    assert supported and any(r["abs"] > 1e-12 for r in supported)
+    assert supported and any(float(r["abs"]) > 1e-12 for r in supported)
     # supported points sit exactly at v(a) = 0, v(m) = i - n
     for r in supported:
         assert r["v_a"] == 0 and r["v_m"] == i - spec.n
@@ -89,45 +97,42 @@ def test_support_law_inner_depths():
                          ids=["ps-3-6", "ps-5-6", "sc-unram-3-4",
                               "sc-ram-3-5"])
 def test_verify_support_rows_match_point_by_point(spec):
-    # every depth, the boundary depths n - 1 and n among them, on grids
-    # with zero and non-unit a (off the unit locus), zero and deep m, and
-    # twins that share a key; each row, field by field in repr, against
-    # the row built from its own phi_numerator on a fresh engine.  At
-    # (5,6,ps) a zero value divided by C0 has a negative real zero
+    # every depth, the boundary depths n - 1 and n among them, on grid
+    # columns with non-unit a (off the unit locus), deep m, and twins that
+    # share a key; each row, field by field in repr (the float fields as
+    # the repr strings the CSV writes), against the row built from the
+    # phi_numerator of its own scalars on a fresh engine.  At (5,6,ps) a
+    # zero value divided by C0 has a negative real zero
     rng = random.Random(101)
-    p = spec.p
-    ctx = get_context(p, spec.n + 4)
+    p, prec = spec.p, spec.n + 4
+    ctx = get_context(p, prec)
     eng, ref = MatCoefEngine(spec), MatCoefEngine(spec)
     for i in range(spec.n0 + 1, spec.n + 1):
         units = [random_unit(p, 8, rng) for _ in range(3)]
         units += [units[0] + p ** (spec.n + 1)]
-        a_values = [ctx.zero()] + [ctx.scalar(v, u) for v in (-1, 0, 1)
-                                   for u in units]
-        m_values = [ctx.zero()] + [ctx.scalar(v, u)
-                                   for v in range(i - spec.n - 2, 2)
-                                   for u in units[::2]]
-        grid = [(a, madd) for a in a_values for madd in m_values]
-        rows = verify_support(eng, i, grid)
-        assert len(rows) == len(grid)
-        for (a, madd), row in zip(grid, rows):
+        points = [(v_a, u_a, v_m, u_m) for v_a in (-1, 0, 1) for u_a in units
+                  for v_m in range(i - spec.n - 2, 2) for u_m in units[::2]]
+        columns = verify_support(eng, i, grid_of(points), prec)
+        rows = rows_of(columns)
+        assert len(rows) == len(points)
+        for (v_a, u_a, v_m, u_m), row in zip(points, rows):
+            a, madd = ctx.scalar(v_a, u_a), ctx.scalar(v_m, u_m)
             num = ref.phi_numerator(i, a, madd)
             value = num.complex() / ref.c0_complex
-            v_a = None if a.is_zero else a.val
-            v_m = None if madd.is_zero else madd.val
             expected = support_expected_zero(spec, i, v_a, v_m)
             want = {
                 "p": p, "n": spec.n, "family": spec.label, "i": i,
-                "v_a": v_a, "a_unit": None if a.is_zero else a.unit,
-                "v_m": v_m, "m_unit": None if madd.is_zero else madd.unit,
-                "re": value.real, "im": value.imag, "abs": abs(value),
-                "ratio_normalized": abs(value) * p ** ((spec.n - i) / 2),
+                "v_a": v_a, "a_unit": u_a, "v_m": v_m, "m_unit": u_m,
+                "re": repr(value.real), "im": repr(value.imag),
+                "abs": repr(abs(value)),
+                "ratio_normalized": repr(abs(value)
+                                         * p ** ((spec.n - i) / 2)),
                 "expected_zero": expected, "exact_zero": num.is_zero(),
                 "violation": expected and not num.is_zero()}
             assert {k: repr(v) for k, v in row.items()} \
                 == {k: repr(v) for k, v in want.items()}, (i, a, madd)
-            assert all(type(row[k]) is float
-                       for k in ("re", "im", "abs", "ratio_normalized"))
         assert not all(r["exact_zero"] for r in rows)
+        assert not all(r["expected_zero"] for r in rows)
 
 
 def test_support_law_boundary_depths():
@@ -402,12 +407,15 @@ def test_key_counts_match_per_key_phi_counts(monkeypatch):
     # cases gather from depth tables of up to p^n0 = 125 residues, and draw
     # fewer keys, since their ungrouped uncached averages run up to 5^5
     # units of up to 15,000 shell terms per key.  The batch runs twice:
-    # with the term cap, and with a cap of one term, which puts every key
-    # of a (depth, unit group), one round of its units at a time, in
-    # scatters of its own.  Keys are one per unit twist, so a spec needs
-    # a key space of more than 10 keys: the
-    # unramified p = 3 case is n = 6 (n = 4 has 8 keys in all), and the
-    # ramified one draws 60 elements, which reach all 12 of its keys
+    # with the term cap, and with a small cap, which puts every key of a
+    # (depth, unit group) in scatters of its own and splits every key of
+    # more than one round of units into two runs at least.  The small cap
+    # is one term at p = 3, so that runs of one round are covered (the
+    # "or 1" floor), and 2^10 terms at p = 5, whose uncached keys it would
+    # otherwise scatter one unit at a time.  Keys are one per unit twist,
+    # so a spec needs a key space of more than 10 keys: the unramified
+    # p = 3 case is n = 6 (n = 4 has 8 keys in all), and the ramified one
+    # draws 60 elements, which reach all 12 of its keys
     rng = random.Random(97)
     slices = []  # (cap, key rows, units) of each scatter
     for spec, draws in ((ps_spec(3, 6), 40), (sc_spec(3, False, 6), 40),
@@ -442,7 +450,7 @@ def test_key_counts_match_per_key_phi_counts(monkeypatch):
                                                    cache_w)
                     assert (one == counts).all() and one_norm == norm
                     want.append((one, one_norm))
-                for cap in (matcoef.TERM_CAP, 1):
+                for cap in (matcoef.TERM_CAP, 1 if spec.p == 3 else 2**10):
                     start = len(slices)
                     with monkeypatch.context() as patch:
                         patch.setattr(matcoef, "TERM_CAP", cap)
@@ -461,9 +469,22 @@ def test_key_counts_match_per_key_phi_counts(monkeypatch):
                         row: get_context(spec.p, k).units(k)
                         for row, (i, _, t) in enumerate(keys)
                         for k in [eng.unit_level(i, t, grouped)]}
-    # the cap of one splits groups the term cap keeps whole
-    assert max(len(part) for cap, part, _ in slices if cap > 1) > 1
-    assert {len(part) for cap, part, _ in slices if cap == 1} == {1}
+                    if cap == matcoef.TERM_CAP:
+                        continue
+                    # the small cap splits each key of more than one round
+                    runs = Counter(row for _, part, _ in slices[start:]
+                                   for row in part)
+                    for row, (i, _, _) in enumerate(keys):
+                        rounds = len(covered[row]) // (
+                            len(eng.depth_table(i)[0]) if cache_w else 1)
+                        assert runs[row] >= min(rounds, 2), (spec, row)
+                    # an ungrouped key runs over many rounds
+                    assert grouped or min(runs.values()) >= 2
+    # the small caps split groups the term cap keeps whole
+    assert max(len(part) for cap, part, _ in slices
+               if cap == matcoef.TERM_CAP) > 1
+    assert {len(part) for cap, part, _ in slices
+            if cap < matcoef.TERM_CAP} == {1}
 
 
 @pytest.mark.parametrize("spec", [ps_spec(3, 6), sc_spec(3, True, 5)],
@@ -573,24 +594,28 @@ def test_query_key_soundness():
         assert shared >= 100, shared
 
 
-def test_query_keys_of_units_past_int64():
-    # units of 50 digits go through the key rule as Python integers and
-    # give the keys of the same units reduced below int64
+def test_key_rows_of_units_past_int64():
+    # units of 50 digits go through the key rule as object columns of
+    # Python integers and give the int64 keys of the same units reduced
+    # below int64
     rng = random.Random(107)
     for spec in (ps_spec(3, 6), sc_spec(3, True, 5)):
         eng = MatCoefEngine(spec)
-        wide, short = get_context(3, 50), get_context(3, 20)
         for i in range(spec.n0 + 1, spec.n + 1):
             units = [random_unit(3, 50, rng) for _ in range(6)]
-            grid = [(ctx.scalar(v_a, u), ctx.scalar(v_m, u * 7))
-                    for ctx in (wide, short) for u in units
-                    for v_a in (0, 1) for v_m in (-2, 0)]
-            rows, on = eng.query_keys(i, grid)
-            half = len(rows) // 2
-            assert max(units) >> 63 and rows.dtype == np.int64
-            assert (rows[:half] == rows[half:]).all()
-            assert on == [v_a == 0 for _ in (0, 1) for _ in units
-                          for v_a in (0, 1) for _ in (-2, 0)]
+            a_units = [u for u in units for _ in (-2, 0)]
+            v_m = [v for _ in units for v in (-2, 0)]
+            m_units = [7 * u for u in a_units]
+            wide = [np.array(col, dtype=object)
+                    for col in (a_units, v_m, m_units)]
+            short = [np.array([u % 3**20 for u in a_units]), np.array(v_m),
+                     np.array([u % 3**20 for u in m_units])]
+            assert max(units) >> 63 and short[0].dtype == np.int64
+            depth = np.full(len(v_m), i)
+            rows = [eng.key_rows(depth, a, prec, v, m, prec)
+                    for (a, v, m), prec in ((wide, 50), (short, 20))]
+            assert rows[0].dtype == rows[1].dtype == np.int64
+            assert (rows[0] == rows[1]).all()
 
 
 def test_precision_doubling_stable():

@@ -864,6 +864,36 @@ def test_box_budget_checked_before_the_grid(monkeypatch):
         == count_lattice_points(lat, z, 1, 20)
 
 
+def test_box_budget_boundary_is_the_scanned_box(monkeypatch):
+    # the box oracle scans the (2 l_k + 1)-point axes of its box, l_k =
+    # floor(sqrt(bound inv[k, k])) from the inverse Gram: a budget of
+    # exactly that many points runs, one point less is refused
+    lat = build_tidy_lattice(ORD6, {})
+    z = UpperHalfPoint(Fraction(1, 10), Fraction(6, 5))
+    want = count_lattice_points(lat, z, 1, 20)
+    inv = np.linalg.inv(quaternion._counting_data(lat, z)[0])
+    bound = 6.0 * 20 * (1 + 1e-9) + 1e-9  # (4 delta + 2) m at delta = 1
+    sides = [2 * math.floor(math.sqrt(bound * inv[k, k]) + 1e-9) + 1
+             for k in range(4)]
+    box = math.prod(sides)
+    grids = []
+    meshgrid = np.meshgrid
+
+    def spy(*axes, **kwargs):
+        grids.append([len(axis) for axis in axes])
+        return meshgrid(*axes, **kwargs)
+
+    monkeypatch.setattr(quaternion.np, "meshgrid", spy)
+    monkeypatch.setattr(quaternion, "ENUMERATION_BUDGET", box)
+    assert count_lattice_points_box(lat, z, 1, 20) == want
+    # the (c1, c2, c3) grid it scanned is the box's
+    assert grids == [sides[1:]]
+    monkeypatch.setattr(quaternion, "ENUMERATION_BUDGET", box - 1)
+    with pytest.raises(BudgetError, match=rf"^quaternion box enumeration: "
+                       rf"{box} rows exceed the budget of {box - 1}$"):
+        count_lattice_points_box(lat, z, 1, 20)
+
+
 def test_c3_level_budget_checked_before_expansion(monkeypatch):
     # delta = 10**12 puts ~10**7 c3 values in the ellipsoid of norm 400; the
     # c3 level has to be refused before it is allocated, as the others are

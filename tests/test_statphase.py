@@ -7,7 +7,7 @@ import pytest
 
 from gl2local.characters import build_theta, primitive_char
 from gl2local.cyclotomic import CycloValue
-from gl2local.matcoef import MatCoefEngine, decay_bound, share_keys
+from gl2local.matcoef import MatCoefEngine, decay_bound, grid_keys
 from gl2local.residue import (
     get_context,
     padic_valuation,
@@ -397,15 +397,16 @@ def test_depth_values_are_bitwise_the_per_query_values(monkeypatch):
             # off the unit locus is the zero a batch gives a point without
             # a key
             for point in grid:
-                keys, on = engine.query_keys(i, [point])
-                one = (phi_fast_values(engine, i, keys) if on[0]
-                       else [engine.zero_value])
+                key = engine.query_key(i, *point)
+                one = (phi_fast_values(engine, i, np.array([key]))
+                       if key else [engine.zero_value])
                 assert [repr(v) for v in one] == [want[id(point)]], i
             no_pairs = [point for point in grid[:len(units) ** 2]
                         if i < spec.n - 1 and not len(
                             critical_pairs(engine, i, *point)[0])]
             for batch in (grid, grid[:1], no_pairs):
-                keys, on = engine.query_keys(i, batch)
+                on = [engine.query_key(i, *point) for point in batch]
+                keys = np.array([key for key in on if key]).reshape(-1, 3)
                 chunks.clear()
                 got = phi_fast_values(engine, i, keys)
                 assert [repr(v) for v in got] == [
@@ -467,14 +468,15 @@ def test_fast_values_refuse_rows_of_another_depth():
 
 def test_too_deep_additive_argument_raises_on_every_path():
     # t = 5 > n1 + 1 = 4: the key rule refuses m = 3^-5 on the one-query,
-    # the batch, the naive and the critical-pair paths alike
+    # the grid column, the naive and the critical-pair paths alike
     engine = ps_engine(3, 6)
     ctx = get_context(3, 10)
     a, madd = ctx.scalar(0, 1), ctx.scalar(-5, 1)
+    column = tuple(np.array([v]) for v in (0, 1, -5, 1))
     calls = (lambda: phi_fast_numerator(engine, 4, a, madd),
              lambda: engine.phi_numerator(4, a, madd),
              lambda: phi_fast_values(
-                 engine, 4, share_keys(engine, 4, [(a, madd)])[0]),
+                 engine, 4, grid_keys(engine, 4, column, 10)[0]),
              lambda: critical_pairs(engine, 4, a, madd))
     for call in calls:
         with pytest.raises(ValueError, match="too deep"):

@@ -1,4 +1,5 @@
 import cmath
+import copy
 import math
 
 import numpy as np
@@ -91,6 +92,15 @@ def test_spec_validation():
     group = get_unit_group(3, False, 2)
     with pytest.raises(ValueError):
         ReprSpec.supercuspidal(ThetaChar(group, (1, 0, 0)))  # not F-trivial
+    # copies of built thetas holding the exponent 1 at one unit class of F
+    # (index A mod_b), the least value the base-field check must refuse
+    for ramified, level in ((False, 2), (True, 4)):
+        theta = copy.copy(build_theta(3, ramified, level))
+        base = np.flatnonzero(theta.table[::theta.group.mod_b] >= 0)
+        theta.table = theta.table.copy()
+        theta.table[base[-1] * theta.group.mod_b] = 1
+        with pytest.raises(ValueError, match="trivial on base-field units"):
+            ReprSpec.supercuspidal(theta)
 
 
 def test_modulus_and_engine_guard():

@@ -112,8 +112,7 @@ def test_verify_support_rows_match_point_by_point(spec):
         units += [units[0] + p ** (spec.n + 1)]
         points = [(v_a, u_a, v_m, u_m) for v_a in (-1, 0, 1) for u_a in units
                   for v_m in range(i - spec.n - 2, 2) for u_m in units[::2]]
-        columns = verify_support(eng, i, grid_of(points), prec)
-        rows = rows_of(columns)
+        rows = rows_of(verify_support(eng, i, grid_of(points), prec))
         assert len(rows) == len(points)
         for (v_a, u_a, v_m, u_m), row in zip(points, rows):
             a, madd = ctx.scalar(v_a, u_a), ctx.scalar(v_m, u_m)

@@ -274,8 +274,6 @@ class UnitGroupE:
 
 def _ff_order(p: int, d: int, a: int, b: int) -> int:
     # order of a + b sqrt(d) in F_{p^2}^x
-    if a % p == 0 and b % p == 0:
-        return 0
     x, n = (a % p, b % p), 1
     while x != (1, 0):
         x = ((x[0] * a + x[1] * b * d) % p, (x[0] * b + x[1] * a) % p)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .characters import build_theta, primitive_char
 from .matcoef import (MatCoefEngine, decay_bound, grid_columns, grid_keys,
-                      verify_support)
+                      point_columns, verify_support)
 from .quaternion import (
     QuaternionAlgebra,
     UpperHalfPoint,
@@ -448,17 +448,20 @@ def run_decay(cfg: ExperimentConfig) -> TaskResult:
 def run_speedup(cfg: ExperimentConfig) -> TaskResult:
     spec = build_spec(cfg)
     rng = random.Random(cfg.seed)
-    rows, report, timing_lines = [], [], []
+    columns = {c: [] for c in SPEEDUP_COLUMNS}
+    report, timing_lines = [], []
     ok = True
     for i in _depths(cfg, spec):
-        grid = grid_points(spec, build_grid(spec, i, cfg, rng,
-                                            supported_only=True))
-        rep = speedup_report(spec, i, grid)
-        rows.extend(rep["rows"])
-        for row in rep["rows"]:
+        grid = build_grid(spec, i, cfg, rng, supported_only=True)
+        rep = speedup_report(spec, i, grid_points(spec, grid))
+        batch = {**point_columns(spec, i, grid),
+                 **_columns(SPEEDUP_COLUMNS[8:], rep["rows"])}
+        for name, col in batch.items():
+            columns[name].extend(col)
+        for v_a, a_unit, v_m, m_unit, row in zip(
+                *(col.tolist() for col in grid), rep["rows"]):
             timing_lines.append(
-                f"i={i} v_a={row['v_a']} a_unit={row['a_unit']} "
-                f"v_m={row['v_m']} m_unit={row['m_unit']} "
+                f"i={i} v_a={v_a} a_unit={a_unit} v_m={v_m} m_unit={m_unit} "
                 f"naive_s={row['naive_s']:.6f} fast_s={row['fast_s']:.6f}")
         s = rep["summary"]
         dev_ok = s["max_deviation"] <= 1e-8
@@ -472,7 +475,7 @@ def run_speedup(cfg: ExperimentConfig) -> TaskResult:
             f"i={i} summary naive_s={s['naive_s']:.3f} fast_s={s['fast_s']:.3f} "
             f"speedup={s['speedup']:.1f}x")
     sidecars = {"timings": "\n".join(timing_lines) + "\n"}
-    return TaskResult(_columns(SPEEDUP_COLUMNS, rows), report, ok, sidecars)
+    return TaskResult(columns, report, ok, sidecars)
 
 
 def run_exponent(cfg: ExperimentConfig) -> TaskResult:

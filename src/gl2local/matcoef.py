@@ -141,11 +141,13 @@ class MatCoefEngine(WhittakerEngine):
         ungrouped path iterates the full unit set for the stated average.
         Each unit x contributes the sparse Whittaker numerator of a x with
         every phase shifted by the psi exponent of p^-t x.  Keys are taken a
-        (depth, unit group) at a time, each slice added to the block by one
-        exact scatter of at most TERM_CAP terms: whole keys while one key
-        fits, else runs of one key's units in whole rounds of its table (one
-        round at least), phi(p^l) ascending units cached (depth_table at
-        level l), single units uncached."""
+        (depth, unit group) at a time, and its units a run at a time in
+        whole rounds of the table (one round at least): phi(p^l) ascending
+        units cached (depth_table at level l), single units uncached.  Each
+        run's numerator table is chosen once, depth_table or numerator_table
+        of the run, and serves every key of the group, added to the block
+        by exact scatters of at most TERM_CAP terms: whole keys while one
+        key's units fit, else one key a scatter."""
         p, m = self.spec.p, self.m
         rows = np.asarray(keys, dtype=np.int64).reshape(-1, 3)
         groups: dict[tuple[int, int], list[int]] = {}
@@ -165,28 +167,28 @@ class MatCoefEngine(WhittakerEngine):
             step = TERM_CAP // (len(units) * per_unit) or 1
             run = min(len(units),
                       (TERM_CAP // (per_round * per_unit) or 1) * per_round)
-            # a slice's term arrays die with its call, before the next one
-            for lo in range(0, len(members), step):
-                for start in range(0, len(units), run):
+            for start in range(0, len(units), run):
+                run_units = units[start:start + run]
+                table = (self.depth_table(i) if cache_w
+                         else self.numerator_table(i, run_units.tolist()))
+                # a slice's term arrays die with its call, before the next
+                for lo in range(0, len(members), step):
                     np.add.at(block.reshape(-1), *self._terms(
-                        rows, members[lo:lo + step], i, k_eff,
-                        units[start:start + run], cache_w))
+                        rows, members[lo:lo + step], k_eff, run_units, table))
         return block, norms
 
-    def _terms(self, rows: np.ndarray, part: list[int], i: int, k: int,
-               units: np.ndarray, cache_w: bool
+    def _terms(self, rows: np.ndarray, part: list[int], k: int,
+               units: np.ndarray, table: tuple[np.ndarray, ...]
                ) -> tuple[np.ndarray, np.ndarray]:
         """Flat block indices and multiplicities of the (key, phase) terms
-        of the key rows part, all of depth i, over units, whole rounds of
-        the ascending units mod p^k.  With y = a x, as x runs over the
-        units so does y, so every key reads the numerators of the same y:
-        its table is depth_table, tiled once per round, or numerator_table
-        of units afresh; only the psi exponent, of p^-t a^-1 y, depends on
-        the key."""
+        of the key rows part, all of one depth, over units, whole rounds of
+        the ascending units mod p^k, whose numerators are the rounds of
+        table (numerator_table's layout), tiled once per round and key.
+        With y = a x, as x runs over the units so does y, so every key reads
+        the numerators of the same y; only the psi exponent, of p^-t a^-1 y,
+        depends on the key."""
         p, m = self.spec.p, self.m
         _, a_res, t = rows[part].T[:, :, None]
-        table = (self.depth_table(i) if cache_w
-                 else self.numerator_table(i, units.tolist()))
         reps = len(part) * len(units) // len(table[0])
         sizes, index, mult = (np.tile(arr, reps) for arr in table)
         xs = unit_inverses(a_res, p, k) * units % p**k
@@ -270,13 +272,10 @@ class KStarElement:
         return min(vb, vc, self.k)
 
     def inv(self) -> "KStarElement":
-        # adjugate over det; the central determinant acts trivially, so the
-        # adjugate itself represents the inverse for coefficient purposes
-        det = self.a * self.d - self.b * self.c
-        det_inv = pow(det, -1, self.mod)
-        return KStarElement(self.p, self.k, det_inv * self.d,
-                            -det_inv * self.b, -det_inv * self.c,
-                            det_inv * self.a)
+        """The adjugate (d, -b, -c, a): det times the inverse, and the
+        central determinant acts trivially on coefficients, so it stands
+        for the inverse."""
+        return KStarElement(self.p, self.k, self.d, -self.b, -self.c, self.a)
 
 
 def _entries(elems: list[KStarElement]) -> np.ndarray:
@@ -410,24 +409,32 @@ def key_values(engine: MatCoefEngine, keys: np.ndarray, coords_of
     return values, nonzero
 
 
+def point_columns(spec: ReprSpec, i: int, grid: tuple[np.ndarray, ...]
+                  ) -> dict[str, list]:
+    """The CSV point columns p, n, family, i, v_a, a_unit, v_m, m_unit of
+    the depth-i grid columns (v_a, a_unit, v_m, m_unit)."""
+    points = len(grid[0])
+    columns = {"p": [spec.p] * points, "n": [spec.n] * points,
+               "family": [spec.label] * points, "i": [i] * points}
+    for name, col in zip(("v_a", "a_unit", "v_m", "m_unit"), grid):
+        columns[name] = col.tolist()
+    return columns
+
+
 def grid_columns(engine: MatCoefEngine, i: int, grid: tuple[np.ndarray, ...],
                  values: list[complex], slots: np.ndarray
                  ) -> tuple[dict[str, list], float]:
-    """The CSV columns p .. m_unit of the depth-i grid columns, and re, im,
-    abs and ratio_normalized = |value| p^((n - i)/2) formatted (repr) once
-    per value and gathered per point by its slot (grid_keys; slot
-    len(values) reads engine.zero_value); and the largest ratio."""
+    """point_columns of the depth-i grid columns, and re, im, abs and
+    ratio_normalized = |value| p^((n - i)/2) formatted (repr) once per
+    value and gathered per point by its slot (grid_keys; slot len(values)
+    reads engine.zero_value); and the largest ratio."""
     spec = engine.spec
     values = [*values, engine.zero_value]
     sizes = list(map(abs, values))
     scale = spec.p ** ((spec.n - i) / 2)
     ratios = [size * scale for size in sizes]
-    points = len(slots)
     slots = slots.tolist()
-    columns = {"p": [spec.p] * points, "n": [spec.n] * points,
-               "family": [spec.label] * points, "i": [i] * points}
-    for name, col in zip(("v_a", "a_unit", "v_m", "m_unit"), grid):
-        columns[name] = col.tolist()
+    columns = point_columns(spec, i, grid)
     for name, per_key in (("re", [v.real for v in values]),
                           ("im", [v.imag for v in values]),
                           ("abs", sizes), ("ratio_normalized", ratios)):
@@ -447,17 +454,6 @@ def support_expected_zero(spec: ReprSpec, i: int, v_a, v_m):
     if i <= spec.n - 2:
         return (v_a != 0) | (v_m != i - spec.n)
     return (v_a != 0) | (v_m <= -2)
-
-
-def point_row(spec: ReprSpec, i: int, a: PAdicScalar, madd: PAdicScalar
-              ) -> dict:
-    """The point columns of a CSV row of scalars: p, n, family, i, and v_a,
-    a_unit, v_m, m_unit (None for a zero argument)."""
-    return {"p": spec.p, "n": spec.n, "family": spec.label, "i": i,
-            "v_a": None if a.is_zero else a.val,
-            "a_unit": None if a.is_zero else a.unit,
-            "v_m": None if madd.is_zero else madd.val,
-            "m_unit": None if madd.is_zero else madd.unit}
 
 
 def verify_support(engine: MatCoefEngine, i: int,
@@ -500,12 +496,14 @@ def gram_dimension_estimate(engine: MatCoefEngine, sample_count: int, rng,
     stay below 4 q^n0.  Raises if the Gram matrix is not PSD within
     GRAM_TOL relative to its top eigenvalue.
     Passing elements explicitly lets stabilization checks nest samples.
-    Entries are phi'(g_s^-1 g_t) = phi_value of the decomposed query.  All
-    upper-triangle products are formed as four entry arrays, int64 while
-    2 p^(2k) < 2^63 and Python integers above (residue_dtype), and reduced
-    to key rows at once (k_star_keys); _share_rows names each entry's
-    slot, and key_values evaluates each distinct key once by the unit
-    average, bitwise as phi_prime_value."""
+    Entries are phi'(g_s^-1 g_t) = phi_value of the decomposed query, g_s^-1
+    taken as the adjugate (d, -b, -c, a) mod p^k of the entry arrays in one
+    array step: a central unit times the inverse, which leaves every key as
+    it is (KStarElement.inv).  All upper-triangle products are formed as
+    four entry arrays, int64 while 2 p^(2k) < 2^63 and Python integers
+    above (residue_dtype), and reduced to key rows at once (k_star_keys);
+    _share_rows names each entry's slot, and key_values evaluates each
+    distinct key once by the unit average, bitwise as phi_prime_value."""
     spec = engine.spec
     if elements is not None:
         elems = elements
@@ -520,8 +518,9 @@ def gram_dimension_estimate(engine: MatCoefEngine, sample_count: int, rng,
         raise ValueError("ball elements stored at different moduli")
     mod = p**k
     upper = np.triu_indices(sample_count)
-    a1, b1, c1, d1 = _entries([g.inv() for g in elems])[:, upper[0]]
-    a2, b2, c2, d2 = _entries(elems)[:, upper[1]]
+    a, b, c, d = entries = _entries(elems)
+    a1, b1, c1, d1 = (x[upper[0]] for x in (d, -b % mod, -c % mod, a))
+    a2, b2, c2, d2 = entries[:, upper[1]]
     products = ((a1 * a2 + b1 * c2) % mod, (a1 * b2 + b1 * d2) % mod,
                 (c1 * a2 + d1 * c2) % mod, (c1 * b2 + d1 * d2) % mod)
     # entries share few distinct keys (162 of 8,515 at p=3, n=6 with 130

@@ -86,6 +86,12 @@ def test_conductor_computation():
     assert MultChar(3, 3, 0).conductor == 0
     assert len(all_primitive_chars(3, 2)) == 4
     assert len(all_primitive_chars(3, 3)) == 12
+    # level-1 theta: the loop's last target, conductor 1, and the trivial 0
+    for p in (3, 5):
+        for ramified in (False, True):
+            group = get_unit_group(p, ramified, 1)
+            assert ThetaChar(group, (1, 0, 0)).conductor() == 1
+            assert ThetaChar(group, (0, 0, 0)).conductor() == 0
 
 
 def test_character_orthogonality_exact():

@@ -434,10 +434,10 @@ def test_key_counts_match_per_key_phi_counts(monkeypatch):
         keys = list(queries)
         assert len({key[0] for key in keys}) > 1 and len(keys) > 10
         terms = eng._terms
-        monkeypatch.setattr(eng, "_terms", lambda rows, part, i, k, units,
-                            cache_w: (
+        monkeypatch.setattr(eng, "_terms", lambda rows, part, k, units,
+                            table: (
             slices.append((matcoef.TERM_CAP, part, units.tolist()))
-            or terms(rows, part, i, k, units, cache_w)))
+            or terms(rows, part, k, units, table)))
         for grouped in (True, False):
             # the oracle's row of a key: unit 1 of m
             oracle = [unit_average_counts(eng, (*key, 1), grouped)
@@ -492,7 +492,10 @@ def test_term_cap_bounds_every_scatter(spec, monkeypatch):
     # at a cap of 200 terms an ungrouped key, p or more rounds of its
     # table, no longer fits: its units are sliced into scatters of at most
     # max(cap, one round) terms, a round being the depth table cached and
-    # one unit's numerator uncached, and the counts do not move
+    # one unit's numerator uncached, and the counts do not move.  Uncached,
+    # each run's numerator table serves every key of its (depth, unit
+    # level) group: one numerator_counts call per unit of each group in a
+    # call, at either cap
     eng, p = MatCoefEngine(spec), spec.p
     keys = sorted({(i, a % p**required_precision(spec, i), t)
                    for i in range(spec.n0 + 1, spec.n + 1)
@@ -501,22 +504,39 @@ def test_term_cap_bounds_every_scatter(spec, monkeypatch):
     terms = eng._terms
     scatters = []  # (terms, one round) of each scatter
 
-    def counted(*args):
-        index, mult = terms(*args)
-        i, cache_w = args[2], args[-1]
-        one_round = (len(eng.depth_table(i)[1]) if cache_w
-                     else min(eng.m, eng.term_count()))
+    def counted(rows, part, k, units, table):
+        index, mult = terms(rows, part, k, units, table)
+        # cache_w is the pass under way: its table is the depth table, or
+        # one numerator per unit of the run
+        if cache_w:
+            assert table is eng.depth_table(int(rows[part[0], 0]))
+            one_round = len(table[1])
+        else:
+            assert len(table[0]) == len(units)
+            one_round = min(eng.m, eng.term_count())
         scatters.append((len(index), one_round))
         return index, mult
 
     monkeypatch.setattr(eng, "_terms", counted)
+    fresh = eng.numerator_counts
+    calls = Counter()
+    monkeypatch.setattr(eng, "numerator_counts", lambda i, x: (
+        calls.update([(i, x)]) or fresh(i, x)))
     for grouped in (True, False):
+        groups = {(i, eng.unit_level(i, t, grouped)) for i, _, t in keys}
+        assert len(groups) < len(keys)
+        once = Counter((i, x) for i, k in groups
+                       for x in get_context(p, k).units(k))
         for cache_w in (True, False):
+            calls.clear()
             want, want_norms = eng.key_counts(keys, grouped, cache_w)
+            assert cache_w or calls == once
             start = len(scatters)
+            calls.clear()
             with monkeypatch.context() as patch:
                 patch.setattr(matcoef, "TERM_CAP", 200)
                 got, norms = eng.key_counts(keys, grouped, cache_w)
+            assert cache_w or calls == once
             assert (got == want).all() and norms == want_norms
             assert all(size <= max(200, one_round)
                        for size, one_round in scatters[start:])

@@ -519,5 +519,5 @@ def test_speedup_report_consistency():
     assert summary["max_pairs"] <= summary["pair_bound"]
     assert summary["naive_s"] > 0 and summary["fast_s"] > 0
     row = report["rows"][0]
-    assert row["naive_terms"] == naive_term_count(engine, 4, row["v_m"])
+    assert row["naive_terms"] == naive_term_count(engine, 4, grid[0][1].val)
     assert row["fast_pairs"] <= summary["pair_bound"]

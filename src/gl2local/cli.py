@@ -348,12 +348,18 @@ def _fmt(value) -> str:
 
 def _fmt_column(values: list) -> list[str]:
     """_fmt of every value, by one map over the column when all values have
-    the same plain type (exact type: bool and numpy scalars take _fmt)."""
+    the same plain type (exact type: bool and numpy scalars take _fmt); an
+    int column formats each distinct value once and gathers the strings,
+    and a str column is its own text."""
     kinds = set(map(type, values))
     if kinds == {float}:
         return list(map(repr, values))
-    if kinds == {int} or kinds == {str}:
-        return list(map(str, values))
+    if kinds == {int}:
+        distinct = set(values)
+        return list(map(dict(zip(distinct, map(str, distinct))).__getitem__,
+                        values))
+    if kinds == {str}:
+        return list(values)
     return list(map(_fmt, values))
 
 

@@ -10,14 +10,16 @@ each power is either a basis element or, by the relation
 zeta^{phi(p^a)} = -(1 + zeta^{p^(a-1)} + ... + zeta^{(p-2)p^(a-1)}), minus
 p-1 of them.  The per-axis images sit in small tables of size p^a x (p-1),
 so no reduction table in the size of M is ever materialized and the cost
-follows the number of nonzero exponents, not M.  The same scatter reduces
-the terms of many sums at once into one coordinate block, a row per sum
-(reduce_rows, and reduce_counts on a block of count rows).  Coordinates
-are exact integers and a value is zero iff every coordinate is zero; an
-optional Fraction scale carries measure normalizations exactly.  Values
-are built from count vectors and support addition and rational scaling; the
-evaluators never multiply two values or divide by a Gauss sum: zero tests
-run on numerators and magnitudes go through the float embedding.
+follows the number of nonzero exponents, not M.  The terms of many sums
+are reduced at once, a row per sum, either into the nonzero coordinates of
+the rows (reduce_terms: flat indices and exact coefficients) or into a
+dense coordinate block (reduce_rows, and reduce_counts on a block of count
+rows).  Coordinates are exact integers and a value is zero
+iff every coordinate is zero; an optional Fraction scale carries measure
+normalizations exactly.  Values are built from count vectors and support
+addition and rational scaling; the evaluators never multiply two values or
+divide by a Gauss sum: zero tests run on numerators and magnitudes go
+through the float embedding.
 """
 
 from __future__ import annotations
@@ -32,6 +34,12 @@ from .errors import BudgetError
 from .residue import factorize
 
 PHI_BUDGET = 10**4
+# reduce_terms sums by one dense accumulation over the rows' flat block when
+# it holds at most this many coordinates per term image, else by a sort.  At
+# m = 12,500 the unit average of 32 keys gives ~1.3 images a coordinate (the
+# sort took 3.9 ms, the block 0.9 ms), the critical pairs of 256 keys one
+# image in ~400 coordinates (the block took 6.5 ms, the sort 0.13 ms)
+DENSE_SPAN = 8
 
 
 def euler_phi(n: int) -> int:
@@ -68,6 +76,8 @@ class _CycloBasis:
         # as flat coordinate indices (pre-multiplied by the axis stride) and
         # signs, padded with sign 0.
         self.axis_tables = []
+        # images per term, the width of the padded axis images' product
+        self.images = math.prod(p - 1 for p, _ in self.factors)
         stride = self.size
         for (p, a), q, phi in zip(self.factors, self.moduli, self.phis):
             stride //= phi
@@ -90,25 +100,62 @@ class _CycloBasis:
         one coordinate row per count row.  Only the nonzero counts are
         reduced, by one reduce_rows."""
         block = counts.reshape(-1, self.m)
+        return self.reduce_rows(*self.count_terms(block), len(block)).reshape(
+            counts.shape[:-1] + self.shape)
+
+    @staticmethod
+    def count_terms(block: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The (row, exponent, count) terms of the nonzero entries of a
+        count block, counts as object past 2^56, where the sums of their
+        coordinate images could leave int64."""
         # a boolean nonzero scan is several times faster than one on int64
         rows, t = (block != 0).nonzero()
         vals = block[rows, t]
         if vals.dtype != object and len(t) and np.abs(vals).max() > 2**56:
             vals = vals.astype(object)
-        return self.reduce_rows(rows, t, vals, len(block)).reshape(
-            counts.shape[:-1] + self.shape)
+        return rows, t, vals
+
+    def reduce_terms(self, rows: np.ndarray, t: np.ndarray, vals: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray]:
+        """The nonzero coordinates of the sums sum_k vals[k] * zeta_M^t[k]
+        over the terms k of each row: flat indices row * size + coordinate,
+        ascending, and their exact coefficients, of vals' dtype.  Sparse
+        images (under one in DENSE_SPAN coordinates of the rows' block) are
+        ordered by one stable argsort and summed by np.add.reduceat, so the
+        work follows the terms, not the rows times the basis; denser ones
+        are summed in the block (reduce_rows), which is then scanned."""
+        n_rows = int(rows.max()) + 1 if len(rows) else 0
+        if n_rows * self.size <= DENSE_SPAN * self.images * len(t):
+            out = self.reduce_rows(rows, t, vals, n_rows).reshape(-1)
+            index = out.nonzero()[0]
+            return index, out[index]
+        index, terms = self._images(rows, t, vals, n_rows)
+        order = np.argsort(index, kind="stable")
+        index, terms = index[order], terms[order]
+        new = np.ones(len(index), dtype=bool)
+        new[1:] = index[1:] != index[:-1]
+        starts = new.nonzero()[0]
+        sums = np.add.reduceat(terms, starts)
+        keep = sums != 0
+        return index[starts[keep]], sums[keep]
 
     def reduce_rows(self, rows: np.ndarray, t: np.ndarray, vals: np.ndarray,
                     n_rows: int) -> np.ndarray:
         """sum_k vals[k] * zeta_M^t[k] added into row rows[k] of an
-        (n_rows, *shape) coordinate block of vals' dtype.  Each zeta_M^t maps
-        to the tensor product of its per-axis images, and every term is
-        scattered into the flat block in one accumulation."""
+        (n_rows, *shape) coordinate block of vals' dtype: every term image
+        is scattered into the flat block in one accumulation."""
         out = np.zeros(n_rows * self.size, dtype=vals.dtype)
-        # one row per term: the flat coordinates it lands on (in the
-        # narrowest index type that holds them) and the signed count it adds
-        # there
-        narrow = np.int16 if len(out) < 2**15 else np.int32
+        np.add.at(out, *self._images(rows, t, vals, n_rows))
+        return out.reshape(n_rows, *self.shape)
+
+    def _images(self, rows: np.ndarray, t: np.ndarray, vals: np.ndarray,
+                n_rows: int) -> tuple[np.ndarray, np.ndarray]:
+        """Each term's images, self.images of them, some of sign 0: the
+        flat coordinates of an (n_rows x size) block they land on, in the
+        narrowest index type that holds them, and the signed counts they
+        add there.  zeta_M^t is the tensor product of one image per axis."""
+        narrow = np.int16 if n_rows * self.size < 2**15 else np.int32
         index = (rows * self.size).astype(narrow)[:, None]
         terms = vals[:, None]
         for q, axis_index, axis_sign in self.axis_tables:
@@ -119,8 +166,7 @@ class _CycloBasis:
                      + axis_index.take(e, axis=0)[:, None, :]).reshape(shape)
             terms = (terms[:, :, None]
                      * axis_sign.take(e, axis=0)[:, None, :]).reshape(shape)
-        np.add.at(out, index.ravel(), terms.ravel())
-        return out.reshape(n_rows, *self.shape)
+        return index.ravel(), terms.ravel()
 
     def embed(self, coords: np.ndarray) -> complex:
         acc = coords.astype(np.complex128)

@@ -34,10 +34,10 @@ from .whittaker import (
     required_precision,
 )
 
-# key rows per call of a count program (key_values): bounds the (keys x m)
-# count block and the (keys x basis) coordinate block, 32 x 12,500 int64
-# (3.2 MB) at m = 12,500
-DEPTH_CHUNK = 32
+# bytes of the (keys x m) int64 count block of one call of the unit-average
+# count program (key_values): 32 keys at m = 12,500, all 162 Gram keys of
+# (3,6,ps) at m = 162
+AVERAGE_BLOCK = 32 * 12_500 * 8
 
 # (key, phase) terms per scatter of key_counts, one round of a key's units
 # at least: a (5,8,ps) support key has up to ~10^6, each term 24 bytes of
@@ -201,11 +201,14 @@ class MatCoefEngine(WhittakerEngine):
         per_key += np.array(part)[:, None] * m
         return index, mult
 
-    def average_coords(self, keys: np.ndarray) -> tuple[np.ndarray, list]:
-        """The unit-average count program of key_values: key_counts of the
-        key rows, reduced, and their norms."""
+    def average_coords(self, keys: np.ndarray
+                       ) -> tuple[np.ndarray, np.ndarray, list]:
+        """The unit-average count program of key_values: the nonzero
+        coordinates (reduce_terms) of the key_counts of the key rows, and
+        their norms."""
         counts, norms = self.key_counts(keys)
-        return _basis(self.m).reduce_counts(counts), norms
+        basis = _basis(self.m)
+        return *basis.reduce_terms(*basis.count_terms(counts)), norms
 
     def phi_numerator(self, i: int, a: PAdicScalar, madd: PAdicScalar,
                       grouped: bool = True, cache_w: bool = True
@@ -221,9 +224,9 @@ class MatCoefEngine(WhittakerEngine):
     def phi_prime_numerator(self, g: "KStarElement") -> CycloValue:
         """The unit average of the key of g, k_star_keys on its one
         element."""
-        coords, norms = self.average_coords(k_star_keys(self, g.p, g.k,
-                                                        _entries([g])))
-        return CycloValue(self.m, coords[0], norms[0])
+        counts, norms = self.key_counts(k_star_keys(self, g.p, g.k,
+                                                    _entries([g])))
+        return CycloValue.from_counts(self.m, counts[0], norms[0])
 
     def phi_prime_value(self, g: "KStarElement") -> complex:
         return self.phi_prime_numerator(g).complex() / self.c0_complex
@@ -389,23 +392,39 @@ def grid_keys(engine: MatCoefEngine, i: int, grid: tuple[np.ndarray, ...],
     return keys, point_slots
 
 
-def key_values(engine: MatCoefEngine, keys: np.ndarray, coords_of
+def key_values(engine: MatCoefEngine, keys: np.ndarray, coords_of,
+               chunk: int | None = None
                ) -> tuple[list[complex], np.ndarray]:
     """phi_value of each int64 key row as a Python complex, and the mask of
     rows whose numerator is not exactly zero.  The count program coords_of
-    gives the coordinate block and each row's rational scale of DEPTH_CHUNK
-    rows at a time; a nonzero row is embedded and scaled as CycloValue
-    does, bitwise, and a zero row keeps engine.zero_value."""
+    gives, for chunk rows at a time (by default the most whose unit-average
+    count block fits AVERAGE_BLOCK), the nonzero coordinates of their
+    numerators (reduce_terms' flat indices and coefficients) and each row's
+    rational scale.  A row is nonzero iff it owns a coefficient; each
+    nonzero row is scattered into one dense coordinate row, embedded and
+    scaled as CycloValue does, bitwise, and a zero row keeps
+    engine.zero_value."""
     basis, c0 = _basis(engine.m), engine.c0_complex
     values = [engine.zero_value] * len(keys)
     nonzero = np.zeros(len(keys), dtype=bool)
-    for start in range(0, len(keys), DEPTH_CHUNK):
-        coords, scales = coords_of(keys[start:start + DEPTH_CHUNK])
-        found = coords.reshape(len(coords), -1).any(axis=1)
-        nonzero[start:start + len(coords)] = found
+    chunk = chunk or max(AVERAGE_BLOCK // (8 * engine.m), 1)
+    for start in range(0, len(keys), chunk):
+        index, coeffs, scales = coords_of(keys[start:start + chunk])
+        # row r owns the run index[bounds[r]:bounds[r + 1]] of the ascending
+        # flat indices
+        bounds = np.searchsorted(index, np.arange(len(scales) + 1)
+                                 * basis.size)
+        found = bounds[1:] > bounds[:-1]
+        nonzero[start:start + len(found)] = found
+        bounds, coord = bounds.tolist(), index % basis.size
+        # one dense row, filled with each nonzero row in turn and cleared
+        row = np.zeros(basis.shape, dtype=coeffs.dtype)
+        flat = row.reshape(-1)
         for r in np.flatnonzero(found).tolist():
-            values[start + r] = complex(scales[r]) * basis.embed(
-                coords[r]) / c0
+            at = coord[bounds[r]:bounds[r + 1]]
+            flat[at] = coeffs[bounds[r]:bounds[r + 1]]
+            values[start + r] = complex(scales[r]) * basis.embed(row) / c0
+            flat[at] = 0
     return values, nonzero
 
 

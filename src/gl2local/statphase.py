@@ -16,10 +16,12 @@ quadratic inner or outer congruence, the inverse tables a query needs, the
 family's fixed rows, the ball volume, and the family's pair program.
 Keys (matcoef key_rows) have m = p^-t, so depth_pairs hands the key
 residues a of many queries to the plan's pairs, which returns all their
-critical pairs, int64 rows with a query column.  depth_coords sums them
-into coordinate rows: it is the depth count program of matcoef.key_values,
-run by phi_fast_values on many key rows and by phi_fast_numerator on the
-one row of a query (query_key), which the speedup criterion times;
+critical pairs, int64 rows with a query column; depth_terms turns them
+into (key row, phase) terms.  depth_coords sums those into the nonzero
+coordinates of each key's numerator, so its work follows the pairs: it is
+the depth count program of matcoef.key_values, run by phi_fast_values on
+many key rows.  phi_fast_numerator, which the speedup criterion times,
+sums the terms of the one row of a query (query_key) into a dense row;
 critical_pairs is depth_pairs of one query.
 Depths outside interior_depths, the boundary i in {n-1, n}, take the
 unit-average count program; keys off the support (t != n - i) are zero.
@@ -38,6 +40,11 @@ from .cyclotomic import CycloValue, _basis
 from .matcoef import MatCoefEngine, decay_bound, key_values
 from .residue import PAdicScalar, solve_quadratic_congruence, unit_inverses
 from .whittaker import ReprSpec, check_depth
+
+# key rows per call of depth_coords (key_values): bounds its pair and term
+# arrays, at most decay_bound pairs a key (criterion 6 checks the bound),
+# each with a few coordinate images; larger calls gained nothing measurable
+DEPTH_CHUNK = 256
 
 
 def _unit_lifts(base: int, step_exp: int, target_exp: int, p: int) -> list[int]:
@@ -260,20 +267,29 @@ def depth_pairs(engine: MatCoefEngine, i: int, a_res: np.ndarray
     return depth_plan(engine, engine.spec.n - i).pairs(engine, a_res)
 
 
-def depth_coords(engine: MatCoefEngine, i: int, keys: np.ndarray
-                 ) -> tuple[np.ndarray, list[Fraction], np.ndarray]:
-    """The depth count program of key_values at an interior depth i: the
-    coordinate rows of int64 key rows, their scale ball_volume(engine, i),
-    and each row's critical-pair count.  The keys on the support (t = n - i)
-    go through depth_pairs, and one scatter sums each key's pairs into its
-    row, so a key without pairs keeps a zero row."""
+def depth_terms(engine: MatCoefEngine, i: int, keys: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """The critical pairs of int64 key rows at an interior depth i as terms
+    (row r for keys[r], phase in Z/m), each of weight ball_volume(engine,
+    i): the keys on the support (t = n - i) go through depth_pairs, and a
+    key off it has none."""
     on = (keys[:, 2] == engine.spec.n - i).nonzero()[0]
     pairs, _ = depth_pairs(engine, i, keys[on, 1])
-    rows, phase = on[pairs[:, 0]], pairs[:, -1]
-    coords = _basis(engine.m).reduce_rows(
-        rows, phase, np.ones(len(phase), dtype=np.int64), len(keys))
-    return (coords, [ball_volume(engine, i)] * len(keys),
-            np.bincount(rows, minlength=len(keys)))
+    return on[pairs[:, 0]], pairs[:, -1]
+
+
+def depth_coords(engine: MatCoefEngine, i: int, keys: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray, list[Fraction]]:
+    """The depth count program of key_values at an interior depth i: the
+    nonzero coordinates of the numerators of int64 key rows (reduce_terms'
+    flat indices, row r at r * size + coordinate, and coefficients) and
+    their scale ball_volume(engine, i).  One reduce_terms sums the
+    depth_terms of all keys, so its work follows the pairs, and a key
+    without pairs owns no coordinate."""
+    rows, phase = depth_terms(engine, i, keys)
+    index, coeffs = _basis(engine.m).reduce_terms(
+        rows, phase, np.ones(len(phase), dtype=np.int64))
+    return index, coeffs, [ball_volume(engine, i)] * len(keys)
 
 
 def interior_depths(spec: ReprSpec) -> range:
@@ -303,15 +319,18 @@ def phi_fast_numerator(engine: MatCoefEngine, i: int, a: PAdicScalar,
                        madd: PAdicScalar) -> tuple[CycloValue, int]:
     """Fast phi numerator and its critical-pair count, the one-row case of
     phi_fast_values: the unit average (phi_numerator) off interior_depths,
-    else an exact zero off the unit locus and depth_coords on the query's
-    key (query_key).  Divide by C0 for the value."""
+    else an exact zero off the unit locus and the depth_terms of the
+    query's key (query_key), summed into one dense coordinate row
+    (reduce_rows).  Divide by C0 for the value."""
     if i not in interior_depths(engine.spec):
         return engine.phi_numerator(i, a, madd), 0
     key = engine.query_key(i, a, madd)
     if key is None:
         return CycloValue.zero(engine.m), 0
-    coords, scales, pairs = depth_coords(engine, i, np.array([key]))
-    return CycloValue(engine.m, coords[0], scales[0]), int(pairs[0])
+    rows, phase = depth_terms(engine, i, np.array([key]))
+    coords = _basis(engine.m).reduce_rows(
+        rows, phase, np.ones(len(phase), dtype=np.int64), 1)[0]
+    return CycloValue(engine.m, coords, ball_volume(engine, i)), len(rows)
 
 
 def phi_fast_value(engine: MatCoefEngine, i: int, a: PAdicScalar,
@@ -328,9 +347,11 @@ def phi_fast_values(engine: MatCoefEngine, i: int, keys: np.ndarray
     check_depth(engine.spec, i)
     if np.count_nonzero(keys[:, 0] != i):
         raise ValueError(f"key rows of a depth other than {i}")
-    program = (engine.average_coords if i not in interior_depths(engine.spec)
-               else lambda chunk: depth_coords(engine, i, chunk)[:2])
-    return key_values(engine, keys, program)[0]
+    if i not in interior_depths(engine.spec):
+        return key_values(engine, keys, engine.average_coords)[0]
+    return key_values(engine, keys,
+                      lambda chunk: depth_coords(engine, i, chunk),
+                      DEPTH_CHUNK)[0]
 
 
 def naive_term_count(engine: MatCoefEngine, i: int, v_m: int) -> int:

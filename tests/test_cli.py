@@ -231,12 +231,17 @@ def test_config_fuzzer_exits_cleanly_or_raises_a_typed_error(tmp_path):
     cases = [(base, sub, key, value) for base in FUZZ_BASES
              for sub in ([False, True] if "configs" in base else [False])
              for key, value in mutations]
-    path, out = tmp_path / "fuzz.json", str(tmp_path / "fuzz.csv")
     codes = set()
-    for base, sub, key, value in random.Random(16).sample(cases, 600):
+    # each case writes a fresh config and fresh outputs: truncating a file
+    # that was just written can cost tens of milliseconds on some file
+    # systems, creating one does not
+    for case, (base, sub, key, value) in enumerate(
+            random.Random(16).sample(cases, 600)):
         config = copy.deepcopy(base)
         (config["configs"][0] if sub else config)[key] = value
         text = json.dumps(config)
+        path = tmp_path / f"fuzz{case}.json"
+        out = str(tmp_path / f"fuzz{case}.csv")
         path.write_text(text)
         try:
             codes.add(main(["--config", str(path), "--out", out]))
@@ -522,10 +527,14 @@ print("numpy.ma" in sys.modules)
 
 def test_workload_paths_do_not_import_numpy_ma(tmp_path):
     # a plain np.unique (no return_* output) imports numpy.ma on its first
-    # call, 9-18 ms; the Gram estimator, decay and counting need none
+    # call, 9-18 ms; the Gram estimator, decay, verify-support (the unit
+    # average, boundary depths included) and counting need none
     configs = []
     for name, cfg in (("decay", {"task": "decay", "p": 3, "n": 6,
                                  "family": "ps", "units_per_class": 2}),
+                      ("verify-support", {"task": "verify-support", "p": 5,
+                                          "n": 7, "family": "sc-ramified",
+                                          "units_per_class": 2}),
                       ("counting", {"task": "counting", "algebra": "disc14",
                                     "L": 2})):
         path = tmp_path / f"{name}.json"

@@ -115,6 +115,59 @@ def test_block_reduce_is_row_by_row(m):
             assert coords.tolist() == basis.reduce_counts(row).tolist()
 
 
+@pytest.mark.parametrize("m", [1, 2, 4, 162, 625, 1458, 2401, 3125, 12500,
+                               14406])
+def test_reduce_terms_matches_dense_fold(m):
+    # sparse and dense random count blocks (reduce_terms' sort and its dense
+    # accumulation), a zero row among them, on int64 counts, on int64 counts
+    # past 2^56 and on object counts: the nonzero coordinates of each row's
+    # dense fold, flat and ascending, of the terms' dtype
+    rng = np.random.default_rng(m + 2)
+    basis = _basis(m)
+    for density in (0.002, 0.5):
+        block = rng.integers(-9, 10, size=(4, m)) * (rng.random((4, m))
+                                                     < density)
+        block[1] = 0
+        for counts in (block, block * 2**57, block.astype(object) * 2**70):
+            rows, t, vals = basis.count_terms(counts)
+            index, coeffs = basis.reduce_terms(rows, t, vals)
+            want = np.concatenate([dense_reduce_counts(
+                m, row.astype(object)).ravel() for row in counts])
+            at = np.flatnonzero(want)
+            assert index.tolist() == at.tolist()
+            assert coeffs.tolist() == want[at].tolist()
+            assert coeffs.dtype == vals.dtype
+            assert not len(t) or (vals.dtype == object) == (
+                counts is not block)
+            # reduce_rows is the dense scatter of reduce_terms
+            dense = np.zeros(len(counts) * basis.size, dtype=coeffs.dtype)
+            dense[index] = coeffs
+            got = basis.reduce_rows(rows, t, vals, len(counts))
+            assert got.dtype == dense.dtype
+            assert got.reshape(-1).tolist() == dense.tolist()
+
+
+def test_reduce_terms_of_no_terms_and_of_cancelling_roots():
+    for m in (1, 12, 12500):
+        none = np.array([], dtype=np.int64)
+        index, coeffs = _basis(m).reduce_terms(none, none, none)
+        assert index.tolist() == coeffs.tolist() == []
+    for p in (3, 5, 7):
+        # row 0 holds the p-th roots of unity, which sum to zero, and row
+        # `last` one root; the flat block is dense at m = p and sparse at
+        # m = p^3 with the rows far apart
+        for m, last in ((p, 1), (p**3, 40)):
+            basis = _basis(m)
+            rows = np.array([0] * p + [last])
+            t = np.array([j * (m // p) for j in range(p)] + [1])
+            index, coeffs = basis.reduce_terms(rows, t, np.ones(p + 1,
+                                                                dtype=np.int64))
+            want = dense_reduce_counts(m, np.eye(m, dtype=np.int64)[1])
+            at = np.flatnonzero(want)
+            assert index.tolist() == (last * basis.size + at).tolist()
+            assert coeffs.tolist() == want.ravel()[at].tolist()
+
+
 def random_value(rng, m):
     counts = np.zeros(m, dtype=np.int64)
     for _ in range(rng.randrange(1, 6)):

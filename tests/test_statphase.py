@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gl2local.characters import build_theta, primitive_char
-from gl2local.cyclotomic import CycloValue
+from gl2local.cyclotomic import CycloValue, _basis
 from gl2local.matcoef import MatCoefEngine, decay_bound, grid_keys
 from gl2local.residue import (
     get_context,
@@ -364,18 +364,25 @@ def test_unit_twist_keys_match_the_unnormalised_average(case):
 
 
 def test_depth_values_are_bitwise_the_per_query_values(monkeypatch):
-    # 5 keys per count program puts chunk boundaries inside the batches;
-    # the chunk loop is matcoef.key_values, and the spy on its count
-    # program sees each chunk
-    monkeypatch.setattr(matcoef, "DEPTH_CHUNK", 5)
+    # the chunk loop is matcoef.key_values; the spy runs both count programs
+    # (depth_coords and the unit average) 5 keys at a time, which puts
+    # chunk boundaries inside the batches, sees each chunk and checks the
+    # sparse form of its coordinates: ascending flat indices inside the
+    # chunk's rows, nonzero coefficients
     chunks = []
     key_values = statphase.key_values
 
-    def spy(engine, keys, coords_of):
+    def spy(engine, keys, coords_of, chunk=None):
+        size = _basis(engine.m).size
+
         def counted(chunk):
             chunks.append(len(chunk))
-            return coords_of(chunk)
-        return key_values(engine, keys, counted)
+            index, coeffs, scales = coords_of(chunk)
+            assert (np.diff(index) > 0).all() and coeffs.all()
+            assert not len(index) or 0 <= index[0] <= index[-1] < len(
+                chunk) * size
+            return index, coeffs, scales
+        return key_values(engine, keys, counted, 5)
 
     monkeypatch.setattr(statphase, "key_values", spy)
     seen = Counter()
@@ -457,7 +464,7 @@ def test_fast_values_refuse_rows_of_another_depth():
     # key row, whose unit average is zero, must not be read at depth 4
     engine = ps_engine(3, 6)
     row = np.array([[5, 1, 2]])
-    assert not engine.average_coords(row)[0].any()
+    assert not len(engine.average_coords(row)[0])
     for i in (4, 6):
         with pytest.raises(ValueError, match="depth"):
             phi_fast_values(engine, i, row)
